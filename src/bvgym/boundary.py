@@ -30,6 +30,14 @@ class NotHomogeneousError(ValueError):
     pass
 
 
+def _checked_normal(rho) -> np.ndarray:
+    """The normal as a float vector; raises ValueError unless it is finite and nonzero."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    if not (np.all(np.isfinite(rho)) and np.any(rho)):
+        raise ValueError(f"normal must be finite and nonzero, got {rho.tolist()}")
+    return rho
+
+
 def validate_homogeneous(v: HomogeneousIntegrand, tol: float = 1e-8) -> None:
     P = unit_matrices(v.dims, 8)
     for alpha in (0.5, 2.0):
@@ -100,10 +108,6 @@ class PAField:
         areas, grads = self.gradients()
         return float(np.sum(areas * mat_norm(grads)))
 
-    def mean_gradient(self) -> np.ndarray:
-        areas, grads = self.gradients()
-        return np.einsum("t,tMd->Md", areas, grads)
-
 
 class HalfBallProblem:
     """P1 test space on a triangulated ball, integration over D_rho only.
@@ -114,7 +118,7 @@ class HalfBallProblem:
     """
 
     def __init__(self, normal, level: int = 3, ncomp: int = 1):
-        normal = np.atleast_1d(np.asarray(normal, dtype=float))
+        normal = _checked_normal(normal)
         normal = normal / np.linalg.norm(normal)
         self.normal = normal
         self.level = level
@@ -266,11 +270,12 @@ def qslb_infimum(
     Minimizes the half-ball integral of v over the unit total-variation ball
     of piecewise-affine test fields, restarting from rank-one seeded tents.
     Returns {"inf_est", "verdict", "witness", "per_level"}; "qslb" requires
-    inf_est >= -tol across levels, "not_qslb" needs a level reaching -10 tol,
-    anything else is "inconclusive".
+    a finite inf_est >= -tol on every level, "not_qslb" needs a level reaching
+    -10 tol, anything else (including a level where no descent gave a finite
+    estimate) is "inconclusive".
     """
     validate_homogeneous(v)
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    rho = _checked_normal(rho)
     M, N = v.dims
     if rho.size == 1 or N == 1:
         val, direction = _qslb_inf_1d(v)
@@ -304,7 +309,7 @@ def qslb_infimum(
             witness = hb.field(bestU) if bestU is not None else None
     if any(b <= -10 * tol for b in per_level):
         verdict = "not_qslb"
-    elif all(b >= -tol for b in per_level):
+    elif all(np.isfinite(b) and b >= -tol for b in per_level):
         verdict = "qslb"
         witness = None
     else:
@@ -347,7 +352,7 @@ def jqcb_falsify(
     counterexample means "not disproved", never "holds".
     """
     validate_homogeneous(v)
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    rho = _checked_normal(rho)
     M, N = v.dims
     if rho.size == 1 or N == 1:
         # two-slope profiles on the half-interval
@@ -411,8 +416,8 @@ def rotation_equivariance_check(
     The rotated problem uses A |-> v(A R) with rho2 = R rho1 on the image mesh,
     which is exactly isometric to the original, so the gap is float noise.
     """
-    rho1 = np.asarray(rho1, dtype=float)
-    rho2 = np.asarray(rho2, dtype=float)
+    rho1 = _checked_normal(rho1)
+    rho2 = _checked_normal(rho2)
     R = rotation_to(rho1 / np.linalg.norm(rho1), rho2 / np.linalg.norm(rho2))
     r1 = qslb_infimum(v, rho1, mesh_level, iter_budget, seed=seed)
     r2 = qslb_infimum(rotated_integrand(v, R), rho2, mesh_level, iter_budget, seed=seed)

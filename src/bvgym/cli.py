@@ -144,6 +144,8 @@ def _toy_sequence_fields(kind: str, ns, eps: float):
 
 
 def cmd_toy(args) -> int:
+    if args.levels < 2:
+        raise ValueError(f"--levels must be at least 2, got {args.levels}")
     out = Path(args.out)
     levels = tuple(range(max(2, args.levels - 4), args.levels + 1, 2))
     res = relax_mod.relax_minimize(toy_spec(args.eps, C=args.C), levels=levels)

@@ -129,7 +129,7 @@ class GenYoungMeasure:
             atoms,
             np.asarray(rec["sphere_grid"], dtype=float),
             np.asarray(rec["nu_inf_cells"], dtype=float),
-            np.asarray(rec["nu_inf_atoms"], dtype=float).reshape(len(atoms), -1),
+            np.asarray(rec["nu_inf_atoms"], dtype=float).reshape(len(atoms), len(rec["sphere_grid"])),
             underlying,
         )
 
@@ -687,7 +687,7 @@ class DiPernaMajdaMeasure:
             atoms,
             np.asarray(rec["nuhat_interior"], dtype=float),
             np.asarray(rec["nuhat_sphere"], dtype=float),
-            np.asarray(rec["nuhat_atom_sphere"], dtype=float).reshape(len(atoms), -1),
+            np.asarray(rec["nuhat_atom_sphere"], dtype=float).reshape(len(atoms), len(rec["sphere_grid"])),
         )
 
 

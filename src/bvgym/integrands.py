@@ -123,17 +123,6 @@ class SpatialIntegrand:
     weight: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
-    def at(self, x) -> Integrand:
-        x = np.asarray(x, dtype=float)
-        rec = None
-        if self.recession_fn is not None:
-            rec = HomogeneousIntegrand(
-                self.dims, lambda S, _x=x: self.recession_fn(_x, S), name=f"{self.name}^inf@x"
-            )
-        return Integrand(
-            self.dims, lambda A, _x=x: self.fn(_x, A), self.growth_c, rec, name=f"{self.name}@x"
-        )
-
     def recession_at(self, x) -> HomogeneousIntegrand:
         if self.recession_fn is None:
             raise ValueError(f"integrand {self.name!r} has no recession function")
@@ -379,9 +368,6 @@ def pair_action(mu, g: Callable, v: Integrand) -> float:
 
 _EPS_DOC = "toy weight (x-1)^2 + eps"
 
-HOM_ABS = HomogeneousIntegrand((1, 1), lambda S: np.ones(S.shape[:-2]), name="abs^inf")
-HOM_ZERO = HomogeneousIntegrand((1, 1), lambda S: np.zeros(S.shape[:-2]), name="zero")
-
 
 def _abs_grad(A):
     n = mat_norm(A)
@@ -430,13 +416,6 @@ def hom_piecewise_1d(c_plus: float, c_minus: float) -> HomogeneousIntegrand:
         return np.where(t > 0, cp, -cm)[..., None, None]
 
     return HomogeneousIntegrand((1, 1), sphere, name=f"pw1h({c_plus},{c_minus})", grad_fn=grad)
-
-
-def from_homogeneous(h: HomogeneousIntegrand, growth_c: float | None = None) -> Integrand:
-    c = growth_c
-    if c is None:
-        c = float(np.max(np.abs(np.asarray(h.on_sphere(unit_matrices(h.dims, 32)))))) + 1e-12
-    return Integrand(h.dims, lambda A: h(A), growth_c=c, recession=h, name=h.name)
 
 
 def make_integrand(name: str, dims: tuple[int, int] = (1, 1)) -> Integrand:

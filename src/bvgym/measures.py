@@ -149,10 +149,6 @@ def _on_boundary(mesh, point, tol: float = 1e-12) -> bool:
     return bool(np.min(np.linalg.norm(bverts - p[None], axis=1)) <= 1e-9)
 
 
-def zero_measure(mesh, value_shape: tuple[int, ...] = ()) -> DiscreteMeasure:
-    return DiscreteMeasure(mesh, np.zeros((mesh.ncells,) + value_shape))
-
-
 def total_variation(mu: DiscreteMeasure) -> float:
     return mu.total_variation()
 

@@ -77,10 +77,6 @@ class IntervalMesh:
     def cell_centers(self) -> np.ndarray:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
-    def boundary_points(self) -> list[tuple[float, float]]:
-        """(location, outer normal) for the two endpoints."""
-        return [(self.a, -1.0), (self.b, 1.0)]
-
     def outer_normal(self, x: float) -> float:
         if abs(x - self.a) <= abs(x - self.b):
             return -1.0
@@ -94,18 +90,10 @@ class IntervalMesh:
         vals = np.asarray(g(pts), dtype=float)
         return (vals * _GL_W[None, :]).sum(axis=1) * self.cell_volumes
 
-    def interior_node_indices(self) -> np.ndarray:
-        return np.arange(1, self.nodes.size - 1)
-
     def refine(self) -> "IntervalMesh":
         mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
         nodes = np.sort(np.concatenate([self.nodes, mid]))
         return IntervalMesh(nodes, self.graded_points)
-
-    def locate(self, x: float) -> int:
-        """Index of the cell containing x (clamped to the domain)."""
-        i = int(np.searchsorted(self.nodes, x, side="right") - 1)
-        return min(max(i, 0), self.ncells - 1)
 
     def to_record(self) -> dict:
         return {"kind": "interval", "nodes": self.nodes.tolist(), "graded": list(self.graded_points)}

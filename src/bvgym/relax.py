@@ -21,7 +21,6 @@ visible instead of silently asserted.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -33,7 +32,7 @@ from .integrands import (
     mat_norm,
     weighted_tv_integrand,
 )
-from .measures import Atom, BVField, DiscreteMeasure, DiskField
+from .measures import BVField, DiscreteMeasure, DiskField
 from .meshes import IntervalMesh, TriMesh, disk_mesh, interval_mesh
 
 
@@ -60,7 +59,7 @@ class BoundaryTerm:
     name: str = ""
 
     def __call__(self, value) -> float:
-        return float(self.g(np.atleast_1d(np.asarray(value, dtype=float))))
+        return float(self.g(np.array(value, dtype=float, ndmin=1)))
 
 
 @dataclass(frozen=True)
@@ -68,23 +67,38 @@ class ProblemSpec:
     a: float
     b: float
     f: SpatialIntegrand
-    boundary: dict  # point -> BoundaryTerm; points not present are Neumann
+    boundary: dict  # point -> BoundaryTerm, resolved into left/right; absent sides are Neumann
     C: float = 10.0
     ncomp: int = 1
     name: str = "problem"
+    toy_eps: float | None = None  # set by toy_spec; marks the weighted-TV model problem
+    left: BoundaryTerm | None = field(default=None, init=False, repr=False)
+    right: BoundaryTerm | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.C <= 0:
             raise ValueError("infeasible bound C")
-        for x in self.boundary:
-            if not (np.isclose(x, self.a) or np.isclose(x, self.b)):
+        for x, term in self.boundary.items():
+            side = self._side(x)
+            if side is None:
                 raise ValueError("Robin terms must sit on the boundary")
+            object.__setattr__(self, side, term)
 
-    def gamma_R(self) -> list[float]:
-        return sorted(self.boundary)
+    def _side(self, x: float) -> str | None:
+        if np.isclose(x, self.a):
+            return "left"
+        if np.isclose(x, self.b):
+            return "right"
+        return None
 
-    def gamma_N(self) -> list[float]:
-        return [x for x in (self.a, self.b) if not any(np.isclose(x, y) for y in self.boundary)]
+    def term_at(self, x: float) -> BoundaryTerm | None:
+        """The Robin term at the boundary point x; None on a Neumann side or off the boundary."""
+        side = self._side(x)
+        return None if side is None else getattr(self, side)
+
+    def robin_terms(self) -> list[tuple[float, BoundaryTerm]]:
+        """(point, term) for each Robin side, left first."""
+        return [(x, t) for x, t in ((self.a, self.left), (self.b, self.right)) if t is not None]
 
     def normal(self, x: float) -> float:
         return -1.0 if abs(x - self.a) < abs(x - self.b) else 1.0
@@ -103,7 +117,7 @@ class ProblemSpec:
 
 def square_penalty(target: float = 0.0) -> BoundaryTerm:
     return BoundaryTerm(
-        lambda u, t=target: float(np.sum((u - t) ** 2)), None, True, f"(u-{target})^2"
+        lambda u, t=target: float(((u - t) ** 2).sum()), None, True, f"(u-{target})^2"
     )
 
 
@@ -111,7 +125,7 @@ def abs_penalty(target: float = 0.0) -> BoundaryTerm:
     from .integrands import hom_abs
 
     return BoundaryTerm(
-        lambda u, t=target: float(np.sqrt(np.sum((u - t) ** 2))),
+        lambda u, t=target: float(np.sqrt(((u - t) ** 2).sum())),
         hom_abs((1, 1)),
         True,
         f"|u-{target}|",
@@ -122,7 +136,7 @@ def linear_penalty(coeff: float) -> BoundaryTerm:
     from .integrands import hom_linear
 
     return BoundaryTerm(
-        lambda u, c=coeff: float(c * np.sum(u)), hom_linear([[coeff]]), True, f"{coeff}*u"
+        lambda u, c=coeff: float(c * u.sum()), hom_linear([[coeff]]), True, f"{coeff}*u"
     )
 
 
@@ -134,9 +148,8 @@ def toy_spec(eps: float, C: float = 10.0) -> ProblemSpec:
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     f = weighted_tv_integrand(toy_weight(eps), name=f"toy_f(eps={eps})", growth_c=max(1.0 + eps, 1.0 / eps))
-    return ProblemSpec(
-        0.0, 1.0, f, {0.0: square_penalty(0.0), 1.0: square_penalty(1.0)}, C=C, name=f"toy(eps={eps})"
-    )
+    boundary = {0.0: square_penalty(0.0), 1.0: square_penalty(1.0)}
+    return ProblemSpec(0.0, 1.0, f, boundary, C=C, name=f"toy(eps={eps})", toy_eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +308,9 @@ def _nested_golden2(fun2, bracket, iters: int = 70) -> tuple[float, float]:
     return inner(y_star), y_star
 
 
-def _boundary_value(spec: ProblemSpec, x: float, value) -> float:
-    term = None
-    for p, t in spec.boundary.items():
-        if np.isclose(p, x):
-            term = t
-    return term(value) if term is not None else 0.0
+def _g(term: BoundaryTerm | None, value) -> float:
+    """A boundary term's value; 0 on a Neumann side."""
+    return 0.0 if term is None else term(value)
 
 
 def _level_mesh(spec: ProblemSpec, level: int) -> IntervalMesh:
@@ -326,7 +336,7 @@ def _discrete_energy(spec: ProblemSpec, u: BVField) -> float:
                 )[c]
             )
     lo, hi = u.trace()
-    return tv + _boundary_value(spec, mesh.a, lo) + _boundary_value(spec, mesh.b, hi)
+    return tv + _g(spec.left, lo) + _g(spec.right, hi)
 
 
 def _minimize_on_mesh(spec: ProblemSpec, mesh: IntervalMesh, polish_iters: int = 60) -> BVField:
@@ -344,11 +354,10 @@ def _minimize_on_mesh(spec: ProblemSpec, mesh: IntervalMesh, polish_iters: int =
         cavg = mesh.cell_integrals(spec.f.weight) / mesh.cell_volumes
         cmin = int(np.argmin(cavg))
         coef = float(cavg[cmin])
+        left, right = spec.left, spec.right
 
         def fam(p, q):
-            return coef * abs(q - p) + _boundary_value(spec, mesh.a, p) + _boundary_value(
-                spec, mesh.b, q
-            )
+            return coef * abs(q - p) + _g(left, p) + _g(right, q)
 
         p, q = _nested_golden2(fam, (-B, B))
         nodal = np.full(mesh.nodes.size, p)
@@ -402,11 +411,16 @@ def _energy_subgradient(spec: ProblemSpec, mesh: IntervalMesh, nodal: np.ndarray
     g[:-1] -= dcost
     g[1:] += dcost
     fd = 1e-7
-    for x, i in ((mesh.a, 0), (mesh.b, nodal.size - 1)):
-        gp = _boundary_value(spec, x, nodal[i] + fd)
-        gm = _boundary_value(spec, x, nodal[i] - fd)
+    for term, i in ((spec.left, 0), (spec.right, nodal.size - 1)):
+        gp = _g(term, nodal[i] + fd)
+        gm = _g(term, nodal[i] - fd)
         g[i] += (gp - gm) / (2 * fd)
     return g
+
+
+def _check_levels(levels: Sequence[int]) -> None:
+    if len(levels) == 0 or min(levels) < 1:
+        raise ValueError(f"levels must be a non-empty list of integers >= 1, got {list(levels)}")
 
 
 def direct_minimize(spec: ProblemSpec, levels: Sequence[int] = (4, 6, 8, 10)) -> dict:
@@ -416,6 +430,7 @@ def direct_minimize(spec: ProblemSpec, levels: Sequence[int] = (4, 6, 8, 10)) ->
     infimum (the finest value; meshes are graded toward the boundary so the
     sequence can concentrate there).
     """
+    _check_levels(levels)
     values, minimizers = [], []
     for lev in levels:
         mesh = _level_mesh(spec, lev)
@@ -466,7 +481,7 @@ def admissibility_report(gym_measure, beta, spec: ProblemSpec, tol: float = 1e-8
     for i in gym_measure.boundary_atom_indices():
         p, m = gym_measure.lam_atoms[i]
         x = float(np.asarray(p))
-        if m > tol and any(np.isclose(x, y) for y in spec.gamma_R()):
+        if m > tol and spec.term_at(x) is not None:
             mom = atom_moment(gym_measure, i)
             if abs(float(mat_norm(mom)) - 1.0) > tol:
                 problems.append(f"oscillating_boundary_direction_on_gamma_R(at={x:g})")
@@ -483,8 +498,8 @@ def eval_Fhat(gym_measure, beta, spec: ProblemSpec, strict: bool = True) -> floa
         if problems:
             raise AdmissibilityError("; ".join(problems))
     val = pairing_spatial(gym_measure, spec.f)
-    for x in spec.gamma_R():
-        val += _boundary_value(spec, x, beta[x])
+    for x, term in spec.robin_terms():
+        val += term(beta[x])
     return float(val)
 
 
@@ -497,8 +512,8 @@ def eval_Fbar(pair, spec: ProblemSpec) -> float:
     mesh = u.mesh
     val = _discrete_f_of_measure(spec, pair.alpha)
     tp = outer_trace(pair)
-    for x in spec.gamma_R():
-        val += _boundary_value(spec, x, tp.outer[x])
+    for x, term in spec.robin_terms():
+        val += term(tp.outer[x])
     return float(val)
 
 
@@ -549,8 +564,7 @@ def tilde_transform(gym_measure, beta, spec: ProblemSpec) -> tuple:
 
     for i, (p, m) in enumerate(gym_measure.lam_atoms):
         x = float(np.asarray(p))
-        on_R = any(np.isclose(x, y) for y in spec.gamma_R())
-        if not on_R:
+        if spec.term_at(x) is None:
             atoms.append((p, m))
             rows.append(("keep", i))
             continue
@@ -628,8 +642,7 @@ def check_hypotheses(spec: ProblemSpec) -> list[str]:
     from .boundary import jqcb_falsify, qslb_infimum
 
     log = []
-    for x in spec.gamma_R():
-        term = spec.boundary[[p for p in spec.boundary if np.isclose(p, x)][0]]
+    for x, term in spec.robin_terms():
         if not term.convex:
             raise HypothesisError(f"boundary term at x={x:g} is not convex")
         us = np.linspace(-3, 3, 13)
@@ -677,6 +690,7 @@ def relax_minimize(
 
     if spec.f.weight is None:
         raise NotImplementedError("the relaxed competitor family requires separable f = w(x)|A|")
+    _check_levels(levels)
     hypothesis_log = check_hypotheses(spec)
     direct = direct_minimize(spec, levels)
 
@@ -685,16 +699,14 @@ def relax_minimize(
     cmin = int(np.argmin(cavg))
     legs = np.array([float(spec.f.weight(spec.a)), float(cavg[cmin]), float(spec.f.weight(spec.b))])
     B = spec.C / 2
+    left, right = spec.left, spec.right
+    cheapest = float(np.min(legs))
 
     # Moving total variation |bb - ba| from one outer trace to the other costs
     # the cheapest of: a boundary atom at a, the best interior cell, an atom
     # at b.  This reduces the competitor family exactly to the trace values.
     def family_value(ba, bb):
-        return (
-            float(np.min(legs)) * abs(bb - ba)
-            + _boundary_value(spec, spec.a, ba)
-            + _boundary_value(spec, spec.b, bb)
-        )
+        return cheapest * abs(bb - ba) + _g(left, ba) + _g(right, bb)
 
     ba, bb = _nested_golden2(family_value, (-B, B))
     k = int(np.argmin(legs))
@@ -718,7 +730,7 @@ def relax_minimize(
     beta = {spec.a: np.atleast_1d(ba), spec.b: np.atleast_1d(bb)}
     min_gym = eval_Fhat(gym_star, beta, spec, strict=True)
     # probe oscillating boundary directions; by the tilde inequality none may win
-    for x in spec.gamma_R():
+    for x, _ in spec.robin_terms():
         for mass in (0.1, 0.5):
             for theta in (0.25, 0.5, 0.75):
                 pg, pb = _oscillation_probe(gym_star, beta, spec, x, mass, theta)
@@ -731,10 +743,7 @@ def relax_minimize(
     gen_beta = {x: v for x, v in traces["outer"].items()}
     gym_attained = eval_Fhat(gen_gym, gen_beta, spec, strict=False)
 
-    toy_note = None
-    if spec.name.startswith("toy("):
-        eps = float(spec.name[len("toy(eps=") : -1])
-        toy_note = toy_report(eps)
+    toy_note = None if spec.toy_eps is None else toy_report(spec.toy_eps)
     return RelaxationResult(
         inf_direct=direct["inf_est"],
         min_extended=min_extended,

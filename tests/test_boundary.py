@@ -284,3 +284,31 @@ class TestSphereMeasure:
         assert sm.normalized().total_mass == pytest.approx(1.0)
         with pytest.raises(ValueError):
             SphereMeasure(np.zeros((0, 1, 2)), np.zeros(0)).normalized()
+
+
+class TestInvalidNormals:
+    @pytest.mark.parametrize("normal", [(0.0, 0.0), (np.nan, 1.0), (1.0, np.inf), ()])
+    def test_rejected_everywhere(self, normal):
+        v = hom_abs((1, 2))
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            qslb_infimum(v, normal, mesh_level=1, iter_budget=20)
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            jqcb_falsify(v, normal, budget=2)
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            rotation_equivariance_check(v, normal, RHO, mesh_level=1, iter_budget=20)
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            rotation_equivariance_check(v, RHO, normal, mesh_level=1, iter_budget=20)
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            HalfBallProblem(normal, level=1)
+
+    def test_zero_1d_normal_rejected(self):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            qslb_infimum(hom_abs((1, 1)), 0.0)
+
+    def test_empty_search_is_inconclusive(self, monkeypatch):
+        import bvgym.boundary as boundary
+
+        monkeypatch.setattr(boundary, "_descend", lambda *args: None)
+        res = qslb_infimum(hom_abs((1, 2)), RHO, mesh_level=1, iter_budget=20)
+        assert res["verdict"] == "inconclusive"
+        assert res["inf_est"] == np.inf and res["witness"] is None

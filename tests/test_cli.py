@@ -105,6 +105,21 @@ class TestErrorsAndDeterminism:
         code, _ = run(tmp_path, "relax", "--config", str(tmp_path / "missing.ini"))
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["qslb-check", "jqcb-check"])
+    @pytest.mark.parametrize("normal", ["0,0", "nan,1"])
+    def test_invalid_normal_exits_1(self, tmp_path, capsys, command, normal):
+        code, out = run(tmp_path, command, "--integrand", "abs", "--normal", normal)
+        assert code == 1
+        assert "normal must be finite and nonzero" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", ["0", "1", "-3"])
+    def test_invalid_levels_exits_1(self, tmp_path, capsys, levels):
+        code, out = run(tmp_path, "toy", "--eps", "0.5", "--levels", levels)
+        assert code == 1
+        assert "--levels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_tolerance_rejected(self, tmp_path, capsys):
         code, _ = run(tmp_path, "generate", "--sequence", "toy:0.5", "--tol", "-1")
         assert code == 1

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from bvgym.gym import (
+    DiPernaMajdaMeasure,
     GenerationError,
     GenYoungMeasure,
     OrthogonalityError,
@@ -123,6 +126,19 @@ class TestGenerate:
         assert np.allclose(gm.nu[:, ip], 0.5, atol=1e-12)
         assert np.allclose(gm.nu[:, im], 0.5, atol=1e-12)
         assert not gm.lam_atoms
+
+    def test_atomless_record_round_trip(self):
+        fields = [oscillation_field(k) for k in (16, 32, 64)]
+        gm, _ = generate_from_fields(fields, window_h=1 / 16)
+        assert not gm.lam_atoms
+        back = GenYoungMeasure.from_record(json.loads(json.dumps(gm.to_record())))
+        assert back.nu_inf_atoms.shape == (0, gm.sphere_grid.shape[0])
+        assert back.to_record() == gm.to_record()
+        dm = to_diperna_majda(back)
+        dm_back = DiPernaMajdaMeasure.from_record(json.loads(json.dumps(dm.to_record())))
+        assert dm_back.to_record() == dm.to_record()
+        for _, g, v in default_dictionary(gm.dims):
+            assert pairing(back, g, v) == pairing(gm, g, v)
 
     def test_nonconvergent_sequence_rejected(self):
         mesh = interval_mesh(0, 1, 8)

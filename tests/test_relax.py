@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvgym.integrands import weighted_tv_integrand
 from bvgym.measures import BVField
@@ -35,6 +37,39 @@ def const_weight_spec(**kw):
     """f = |u'| with a Robin term (u-1)^2 at the right end only."""
     f = weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)), name="tv")
     return ProblemSpec(0.0, 1.0, f, {1.0: square_penalty(1.0)}, name="convex_tv", **kw)
+
+
+class TestBoundarySlots:
+    def test_keys_resolve_to_slots(self):
+        left, right = square_penalty(0.0), abs_penalty(1.0)
+        f = weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        spec = ProblemSpec(0.0, 1.0, f, {0.0: left, 1.0 + 1e-12: right})
+        assert spec.left is left and spec.right is right
+        assert spec.term_at(0.0) is left and spec.term_at(1.0) is right
+        assert spec.robin_terms() == [(0.0, left), (1.0, right)]
+
+    def test_neumann_side_is_none(self):
+        spec = const_weight_spec()
+        assert spec.left is None and spec.term_at(0.0) is None
+        assert spec.right is spec.boundary[1.0]
+        assert spec.term_at(0.5) is None
+
+    def test_key_off_the_boundary_raises(self):
+        f = weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        with pytest.raises(ValueError, match="boundary"):
+            ProblemSpec(0.0, 1.0, f, {0.5: square_penalty(0.0)})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3),
+        st.floats(-1e3, 1e3),
+    )
+    def test_penalties_match_np_sum_bit_for_bit(self, values, par):
+        u = np.array(values)
+        assert square_penalty(par)(values) == float(np.sum((u - par) ** 2))
+        assert abs_penalty(par)(values) == float(np.sqrt(np.sum((u - par) ** 2)))
+        assert linear_penalty(par)(values) == float(par * np.sum(u))
+        assert square_penalty(par)(values[0]) == float(np.sum((u[:1] - par) ** 2))
 
 
 class TestToyClosedForms:
@@ -107,6 +142,13 @@ class TestDirectMinimize:
         j_coarse = max(x for x, _ in _transition_cells(coarse))
         j_fine = max(x for x, _ in _transition_cells(fine))
         assert j_fine > j_coarse  # the transition moves toward x = 1
+
+    @pytest.mark.parametrize("levels", [(), (0,), (4, -1)])
+    def test_invalid_levels_rejected(self, levels):
+        with pytest.raises(ValueError, match="levels"):
+            direct_minimize(toy_spec(EPS), levels=levels)
+        with pytest.raises(ValueError, match="levels"):
+            relax_minimize(toy_spec(EPS), levels=levels)
 
     def test_infeasible_bound(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -270,6 +312,16 @@ class TestRelaxMinimize:
     def test_hypothesis_log_records_not_disproved(self):
         res = relax_minimize(toy_spec(EPS), levels=(4, 6))
         assert all("not disproved" in line for line in res.hypothesis_log)
+
+    def test_toy_note_only_for_toy_spec(self):
+        assert toy_spec(EPS).toy_eps == EPS
+        res = relax_minimize(toy_spec(EPS), levels=(4,))
+        assert res.toy_note == toy_report(EPS)
+        assert relax_minimize(const_weight_spec(), levels=(4,)).toy_note is None
+        # the note follows toy_eps, not the spec's name
+        f = weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        named_like_toy = ProblemSpec(0.0, 1.0, f, {1.0: square_penalty(1.0)}, name="toy(eps=0.5)")
+        assert relax_minimize(named_like_toy, levels=(4,)).toy_note is None
 
 
 class TestHigherDim:
