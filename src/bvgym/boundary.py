@@ -131,6 +131,8 @@ class HalfBallProblem:
         centers = base.cell_centers
         self.sel = np.nonzero(centers[:, 0] < 0)[0]
         self.tri = self.mesh.triangles[self.sel]
+        # slot node * ncomp + m of every (triangle corner, component), in C order
+        self.scatter = (self.tri.reshape(-1, 1) * ncomp + np.arange(ncomp)).ravel()
         areas, basis = self.mesh._geometry()
         self.areas = areas[self.sel]
         self.basis = basis[self.sel]
@@ -161,9 +163,10 @@ class HalfBallProblem:
         return float(self.areas @ mat_norm(self.gradients(U)))
 
     def nodal_gradient(self, dJdG: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.mesh.vertices.shape[0], self.ncomp))
+        nv = self.mesh.vertices.shape[0]
         contrib = np.einsum("t,tMd,tid->tiM", self.areas, dJdG, self.basis)
-        np.add.at(out, self.tri, contrib)
+        # bincount adds in input order, so the sums match a sequential scatter bit for bit
+        out = np.bincount(self.scatter, contrib.ravel(), nv * self.ncomp).reshape(nv, self.ncomp)
         out[~self.free] = 0.0
         return out
 
@@ -348,8 +351,9 @@ def jqcb_falsify(
 ) -> dict:
     """Search for a Jensen violation v(avg grad) > avg v(grad) on the half-ball.
 
-    Returns {"counterexample": field-or-None, "gap": best gap}.  Absence of a
-    counterexample means "not disproved", never "holds".
+    Returns {"counterexample": field-or-None, "gap": best gap, "status"}, with
+    status "disproved", "not disproved" (never "holds") or "inconclusive" when
+    no candidate gave a finite gap.
     """
     validate_homogeneous(v)
     rho = _checked_normal(rho)
@@ -366,9 +370,7 @@ def jqcb_falsify(
                         gap = float(v(avg)) - (t * float(v(s1)) + (1 - t) * m2 * float(v(s2)))
                         if gap > best_gap:
                             best_gap, best = gap, {"slopes": (s1, m2 * s2), "t": t}
-        if best_gap > tol:
-            return {"counterexample": best, "gap": best_gap}
-        return {"counterexample": None, "gap": best_gap}
+        return _jqcb_result(best, best_gap, tol)
 
     rng = np.random.default_rng(seed)
     hb = HalfBallProblem(rho, level=mesh_level, ncomp=M)
@@ -384,9 +386,17 @@ def jqcb_falsify(
         gap = float(v(avg)) - float(areas @ np.asarray(v(grads)))
         if gap > best_gap:
             best_gap, best_field = gap, pa
-    if best_gap > tol:
-        return {"counterexample": best_field, "gap": best_gap}
-    return {"counterexample": None, "gap": best_gap}
+    return _jqcb_result(best_field, best_gap, tol)
+
+
+def _jqcb_result(best, gap: float, tol: float) -> dict:
+    """A counterexample needs a finite gap above tol; no finite gap at all
+    (e.g. every candidate's gap NaN) is "inconclusive", not "not disproved"."""
+    if not np.isfinite(gap):
+        return {"counterexample": None, "gap": gap, "status": "inconclusive"}
+    if gap > tol:
+        return {"counterexample": best, "gap": gap, "status": "disproved"}
+    return {"counterexample": None, "gap": gap, "status": "not disproved"}
 
 
 def rotated_integrand(v: HomogeneousIntegrand, R: np.ndarray) -> HomogeneousIntegrand:

@@ -212,9 +212,8 @@ def cmd_jqcb_check(args) -> int:
     normal = _parse_vector(args.normal)
     v = _homogeneous_from_name(args.integrand, normal.size)
     res = jqcb_falsify(v, normal, budget=args.budget, seed=args.seed)
-    disproved = res["counterexample"] is not None
     rec = {"integrand": args.integrand, "normal": normal.tolist(), "gap": res["gap"],
-           "status": "disproved" if disproved else "not disproved"}
+           "status": res["status"]}
     _write_json(Path(args.out) / "jqcb_result.json", rec)
     print(f"jqcb-check {args.integrand}: {rec['status']} (gap={res['gap']:.3g})")
     return 0

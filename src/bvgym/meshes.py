@@ -130,6 +130,20 @@ def interval_mesh(
     return IntervalMesh(np.array(sorted(nodes)), graded_points=tuple(grade_to))
 
 
+def _edge_classes(triangles: np.ndarray):
+    """(directed, first, cls, counts): the directed edges (a,b), (b,c), (c,a) of
+    each triangle in order, and per undirected edge, numbered by first traversal,
+    the index of that traversal, each directed edge's number, and its count."""
+    directed = np.asarray(triangles, dtype=int)[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    lo, hi = np.sort(directed, axis=1).T
+    keys = lo * (int(hi.max(initial=0)) + 1) + hi
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return directed, first[order], np.argsort(order)[inverse], counts[order]
+
+
 @dataclass(frozen=True)
 class TriMesh:
     """Conforming triangulation; the domain is the polygon covered by the cells."""
@@ -197,15 +211,9 @@ class TriMesh:
     def boundary_edges(self) -> np.ndarray:
         """(ne, 2) vertex index pairs on the boundary, counter-clockwise."""
         if "bedges" not in self._cache:
-            edges = {}
-            for t in self.triangles:
-                for i in range(3):
-                    e = (int(t[i]), int(t[(i + 1) % 3]))
-                    key = (min(e), max(e))
-                    edges.setdefault(key, []).append(e)
-            bnd = [orient[0] for orient in edges.values() if len(orient) == 1]
+            directed, first, _, counts = _edge_classes(self.triangles)
             # orientation from the single adjacent triangle is counter-clockwise
-            self._cache["bedges"] = np.array(bnd, dtype=int)
+            self._cache["bedges"] = directed[first[counts == 1]]
         return self._cache["bedges"]
 
     def boundary_edge_normals(self) -> np.ndarray:
@@ -233,28 +241,18 @@ class TriMesh:
     def refine_with_parents(self) -> tuple["TriMesh", np.ndarray]:
         """Refine and return (mesh, parents): parents[k] are the two coarse
         vertices averaging to fine vertex k (k, k for surviving vertices)."""
-        verts = [v for v in self.vertices]
-        parents = [(i, i) for i in range(len(verts))]
-        midcache: dict[tuple[int, int], int] = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in midcache:
-                verts.append(0.5 * (self.vertices[i] + self.vertices[j]))
-                parents.append(key)
-                midcache[key] = len(verts) - 1
-            return midcache[key]
-
-        tris = []
-        for a, b, c in self.triangles:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            tris += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
-        mesh = TriMesh(np.array(verts), np.array(tris, dtype=int), np.array([], dtype=int), self.kind_label)
-        bset = set()
-        for e in mesh.boundary_edges():
-            bset.update(int(v) for v in e)
-        out = TriMesh(mesh.vertices, mesh.triangles, np.array(sorted(bset), dtype=int), self.kind_label)
-        return out, np.array(parents, dtype=int)
+        nv = self.vertices.shape[0]
+        directed, first, cls, _ = _edge_classes(self.triangles)
+        ends = directed[first]  # each edge as first traversed
+        mids = 0.5 * (self.vertices[ends[:, 0]] + self.vertices[ends[:, 1]])
+        verts = np.concatenate([self.vertices, mids])
+        parents = np.concatenate([np.stack([np.arange(nv)] * 2, axis=1), np.sort(ends, axis=1)])
+        ab, bc, ca = (nv + cls).reshape(-1, 3).T
+        a, b, c = self.triangles.T
+        tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+        mesh = TriMesh(verts, tris, np.array([], dtype=int), self.kind_label)
+        bnodes = np.unique(mesh.boundary_edges())
+        return TriMesh(verts, tris, bnodes, self.kind_label, mesh._cache), parents
 
     def to_record(self) -> dict:
         return {
@@ -292,20 +290,13 @@ def disk_mesh(level: int = 3, rotation: np.ndarray | None = None) -> TriMesh:
     if rotation is not None:
         verts = verts @ np.asarray(rotation, dtype=float).T
 
-    def vid(i, j):
-        return i * (2 * n + 1) + j
-
-    tris = []
-    for i in range(2 * n):
-        for j in range(2 * n):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            # consistent diagonal keeps refinement and halving lines clean
-            tris.append([a, b, c])
-            tris.append([a, c, d])
-    ii, jj = np.meshgrid(np.arange(2 * n + 1), np.arange(2 * n + 1), indexing="ij")
+    # grid vertex (i, j) has index i * (2n+1) + j; each square (i, j) splits
+    # along a consistent diagonal, which keeps refinement and halving lines clean
+    a = (np.arange(2 * n)[:, None] * (2 * n + 1) + np.arange(2 * n)[None, :]).ravel()
+    b, c, d = a + 2 * n + 1, a + 2 * n + 2, a + 1
+    tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     on_b = (np.abs(gx) == 1.0) | (np.abs(gy) == 1.0)
-    bnodes = np.array([vid(i, j) for i, j in zip(ii[on_b], jj[on_b])], dtype=int)
-    return TriMesh(verts, np.array(tris, dtype=int), np.sort(bnodes))
+    return TriMesh(verts, tris, np.flatnonzero(on_b))
 
 
 def rotation_2d(angle: float) -> np.ndarray:

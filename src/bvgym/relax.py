@@ -667,7 +667,7 @@ def check_hypotheses(spec: ProblemSpec) -> list[str]:
         jq = jqcb_falsify(rec, rho)
         if jq["counterexample"] is not None:
             raise HypothesisError(f"boundary Jensen inequality disproved at x={x:g}")
-        log.append(f"x={x:g}: qslb verified, boundary Jensen inequality not disproved")
+        log.append(f"x={x:g}: qslb verified, boundary Jensen inequality {jq['status']}")
     return log
 
 
@@ -806,21 +806,29 @@ def higher_dim_J(
     J(u) = int (dist^2(x, Gamma_1) + eps)|grad u| + int_{Gamma_1}
     sqrt(1 + (u - ubar)^2), with u = 0 on Gamma_0.  Meshes refine by midpoint
     subdivision (nested spaces), so the reported infima are nonincreasing.
+    "stages" lists the solver's per-stage records (see `_minimize_disk`).
     """
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+    if not isinstance(refinements, (int, np.integer)) or refinements < 0:
+        raise ValueError(f"refinements must be an int >= 0, got {refinements!r}")
     if _arcs_overlap(gamma1_angles, gamma0_angles):
         raise ValueError("Dirichlet and Robin arcs overlap")
-    mesh = disk_mesh(level)
-    table = []
+    mesh = coarsest = disk_mesh(level)
+    table, stages = [], []
     warm = None
-    for _ in range(refinements + 1):
-        val, u = _minimize_disk(mesh, eps, ubar, gamma1_angles, gamma0_angles, warm)
+    for k in range(refinements + 1):
+        val, u, st = _minimize_disk(mesh, eps, ubar, gamma1_angles, gamma0_angles, warm)
         table.append({"nv": mesh.vertices.shape[0], "J": val})
-        mesh, parents = mesh.refine_with_parents()
-        warm = 0.5 * (np.asarray(u.values)[parents[:, 0]] + np.asarray(u.values)[parents[:, 1]])
+        stages += st
+        if k < refinements:
+            mesh, parents = mesh.refine_with_parents()
+            warm = 0.5 * (u.values[parents[:, 0]] + u.values[parents[:, 1]])
     return {
         "inf_est": table[-1]["J"],
         "table": table,
-        "gamma1_length": _gamma_length(disk_mesh(level), gamma1_angles),
+        "gamma1_length": _gamma_length(coarsest, gamma1_angles),
+        "stages": stages,
     }
 
 
@@ -846,21 +854,24 @@ def _gamma_length(mesh: TriMesh, arc) -> float:
     return float(np.sum(mesh.boundary_edge_lengths()[sel]))
 
 
-def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None) -> tuple[float, DiskField]:
+def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None):
+    """(J, DiskField, stages): three smoothed L-BFGS-B stages, each recorded as
+    {"nv", "delta", "nit", "stop"}; "stop" is "maxiter" at the iteration cap,
+    else "converged" if L-BFGS-B reported success, else "stalled"."""
     from scipy.optimize import minimize as scipy_minimize
 
+    from .meshes import _GL_W, _GL_X
+
+    nv = mesh.vertices.shape[0]
     edges = mesh.boundary_edges()
-    lengths = mesh.boundary_edge_lengths()
     mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     ang = np.arctan2(mids[:, 1], mids[:, 0])
     g1_edges = np.nonzero([_angle_in(t, gamma1) for t in ang])[0]
-    g1_pts = mesh.vertices[edges[g1_edges]]
     vang = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
     dir_nodes = np.array(
         [i for i in mesh.boundary_nodes if _angle_in(float(vang[i]), gamma0)], dtype=int
     )
-    free = np.ones(mesh.vertices.shape[0], dtype=bool)
-    free[dir_nodes] = False
+    free_idx = np.setdiff1d(np.arange(nv), dir_nodes)
 
     seg_pts = mesh.vertices[edges[g1_edges]]  # (ne, 2, 2)
 
@@ -877,50 +888,55 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None) -> tuple
 
     weight = mesh.cell_integrals(lambda p: dist_to_gamma1(p) ** 2 + eps)  # per-tri integral
 
-    from .meshes import _GL_W, _GL_X
+    # Gamma_1 quadrature, fixed per mesh: Gauss points q along each edge (i0, i1)
+    i0, i1 = edges[g1_edges, 0], edges[g1_edges, 1]
+    q = _GL_X[:, None]
+    ubar_q = np.empty((q.shape[0], g1_edges.size))
+    for k in range(q.shape[0]):
+        ubar_q[k] = ubar((1 - q[k]) * seg_pts[:, 0] + q[k] * seg_pts[:, 1])
+    wL = _GL_W[:, None] * mesh.boundary_edge_lengths()[g1_edges]
+    # scatter order of the nodal gradient: triangle corners, then (i0, i1) per Gauss point
+    scatter = np.concatenate([mesh.triangles.ravel(), np.tile(np.r_[i0, i1], q.shape[0])])
 
     def energy_and_grad(x, delta):
-        u = np.zeros(mesh.vertices.shape[0])
-        u[free] = x
+        u = np.zeros(nv)
+        u[free_idx] = x
         grads = mesh.gradients_of(u)[:, 0, :]  # (nt,2)
         gn = np.sqrt(np.sum(grads**2, axis=1) + delta**2)
         val = float(weight @ (gn - delta))
         gn_safe = np.where(gn > 0, gn, 1.0)
         dJdG = weight[:, None] * grads / gn_safe[:, None]
-        gnodal = np.zeros(mesh.vertices.shape[0])
         contrib = np.einsum("td,tid->ti", dJdG, mesh.basis_gradients)
-        np.add.at(gnodal, mesh.triangles, contrib)
-        L1 = lengths[g1_edges]
-        p0 = mesh.vertices[edges[g1_edges, 0]]
-        p1 = mesh.vertices[edges[g1_edges, 1]]
-        u0 = u[edges[g1_edges, 0]]
-        u1 = u[edges[g1_edges, 1]]
-        for q, w in zip(_GL_X, _GL_W):
-            pts = (1 - q) * p0 + q * p1
-            uq = (1 - q) * u0 + q * u1
-            diff = uq - np.asarray(ubar(pts))
-            root = np.sqrt(1.0 + diff**2)
-            val += float(np.sum(w * L1 * root))
-            dd = w * L1 * diff / root
-            np.add.at(gnodal, edges[g1_edges, 0], (1 - q) * dd)
-            np.add.at(gnodal, edges[g1_edges, 1], q * dd)
-        return val, gnodal[free]
+        diff = (1 - q) * u[i0] + q * u[i1] - ubar_q
+        root = np.sqrt(1.0 + diff**2)
+        # add the Gauss-point sums one at a time; a single total would round differently
+        for row in (wL * root).sum(axis=1):
+            val += float(row)
+        dd = wL * diff / root
+        bnd = np.stack([(1 - q) * dd, q * dd], axis=1)  # (nq, 2, ne), in scatter order
+        # bincount adds in input order, so the sums match a sequential scatter bit for bit
+        gnodal = np.bincount(scatter, np.concatenate([contrib.ravel(), bnd.ravel()]), nv)
+        return val, gnodal[free_idx]
 
-    x = np.zeros(int(np.sum(free))) if warm is None else np.asarray(warm, dtype=float)[free]
+    maxiter = 500
+    x = np.zeros(free_idx.size) if warm is None else np.asarray(warm, dtype=float)[free_idx]
     best_x = x.copy()
     best_val, _ = energy_and_grad(x, 0.0)
+    stages = []
     for delta in (1e-2, 1e-4, 1e-6):
         res = scipy_minimize(
             lambda x, d=delta: energy_and_grad(x, d),
             x,
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12},
+            options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-12},
         )
+        stop = "maxiter" if res.nit >= maxiter else ("converged" if res.success else "stalled")
+        stages.append({"nv": nv, "delta": delta, "nit": int(res.nit), "stop": stop})
         x = res.x
         val, _ = energy_and_grad(x, 0.0)
         if val < best_val:
             best_val, best_x = val, x.copy()
-    u = np.zeros(mesh.vertices.shape[0])
-    u[free] = best_x
-    return float(best_val), DiskField(mesh, u)
+    u = np.zeros(nv)
+    u[free_idx] = best_x
+    return float(best_val), DiskField(mesh, u), stages

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvgym.boundary import (
     HalfBallProblem,
@@ -159,6 +161,32 @@ class TestJqcb:
         # spot check: the convex catalog recessions never produce a violation
         for v in (hom_abs((1, 2)), hom_linear([1.0, 0.0], (1, 2)), mixed_form(1.0, [0.2, 0.1])):
             assert jqcb_falsify(v, RHO)["counterexample"] is None
+
+    def test_nan_integrand_is_inconclusive(self):
+        # every gap is NaN, so the search has no evidence either way
+        for dims, rho in (((1, 2), RHO), ((1, 1), 1.0)):
+            v = HomogeneousIntegrand(dims, lambda S: np.full(S.shape[0], np.nan), name="nan")
+            res = jqcb_falsify(v, rho)
+            assert res["status"] == "inconclusive"
+            assert res["counterexample"] is None
+
+    def test_status_follows_the_gap(self):
+        assert jqcb_falsify(hom_neg_abs((1, 2)), RHO)["status"] == "disproved"
+        assert jqcb_falsify(hom_abs((1, 2)), RHO)["status"] == "not disproved"
+
+
+class TestNodalGradient:
+    @settings(max_examples=30, deadline=None)
+    @given(level=st.integers(1, 3), ncomp=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**16))
+    def test_matches_add_at_bit_for_bit(self, level, ncomp, seed):
+        hb = HalfBallProblem(RHO, level=level, ncomp=ncomp)
+        dJdG = np.random.default_rng(seed).standard_normal((hb.tri.shape[0], ncomp, 2))
+        ref = np.zeros((hb.mesh.vertices.shape[0], ncomp))
+        np.add.at(ref, hb.tri, np.einsum("t,tMd,tid->tiM", hb.areas, dJdG, hb.basis))
+        ref[~hb.free] = 0.0
+        out = hb.nodal_gradient(dJdG)
+        assert out.shape == ref.shape
+        assert np.array_equal(out, ref)
 
 
 class TestRotation:

@@ -43,6 +43,13 @@ class TestSubcommands:
         rec = json.loads((out / "jqcb_result.json").read_text())
         assert rec["status"] == "disproved"
 
+    def test_jqcb_check_nan_integrand_inconclusive(self, tmp_path):
+        code, out = run(tmp_path, "jqcb-check", "--integrand", "pw1h:nan,nan", "--normal", "1")
+        assert code == 0
+        rec = json.loads((out / "jqcb_result.json").read_text())
+        assert rec["status"] == "inconclusive"
+        assert set(rec) == {"integrand", "normal", "gap", "status"}
+
     def test_envelope(self, tmp_path):
         code, out = run(tmp_path, "envelope", "--integrand", "double_well_1d",
                         "--grid=-3,3,1201")

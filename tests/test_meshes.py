@@ -1,0 +1,87 @@
+import numpy as np
+import pytest
+
+from bvgym.meshes import TriMesh, disk_mesh, rotation_2d
+
+
+def reference_boundary_edges(mesh: TriMesh) -> np.ndarray:
+    """The dict-based boundary edge search the vectorized one replaced."""
+    edges = {}
+    for t in mesh.triangles:
+        for i in range(3):
+            e = (int(t[i]), int(t[(i + 1) % 3]))
+            key = (min(e), max(e))
+            edges.setdefault(key, []).append(e)
+    bnd = [orient[0] for orient in edges.values() if len(orient) == 1]
+    return np.array(bnd, dtype=int)
+
+
+def reference_refine_with_parents(mesh: TriMesh) -> tuple[TriMesh, np.ndarray]:
+    """The loop-based midpoint subdivision the vectorized one replaced."""
+    verts = [v for v in mesh.vertices]
+    parents = [(i, i) for i in range(len(verts))]
+    midcache: dict[tuple[int, int], int] = {}
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in midcache:
+            verts.append(0.5 * (mesh.vertices[i] + mesh.vertices[j]))
+            parents.append(key)
+            midcache[key] = len(verts) - 1
+        return midcache[key]
+
+    tris = []
+    for a, b, c in mesh.triangles:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        tris += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
+    fine = TriMesh(np.array(verts), np.array(tris, dtype=int), np.array([], dtype=int), mesh.kind_label)
+    bset = set()
+    for e in reference_boundary_edges(fine):
+        bset.update(int(v) for v in e)
+    out = TriMesh(fine.vertices, fine.triangles, np.array(sorted(bset), dtype=int), mesh.kind_label)
+    return out, np.array(parents, dtype=int)
+
+
+def reference_disk_triangles(level: int) -> np.ndarray:
+    n = 2**level
+    tris = []
+    for i in range(2 * n):
+        for j in range(2 * n):
+            a, b, c, d = (i * (2 * n + 1) + j, (i + 1) * (2 * n + 1) + j,
+                          (i + 1) * (2 * n + 1) + j + 1, i * (2 * n + 1) + j + 1)
+            tris += [[a, b, c], [a, c, d]]
+    return np.array(tris, dtype=int)
+
+
+def assert_identical(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("angle", [None, 0.3])
+def test_matches_loop_reference_over_two_refinements(level, angle):
+    rotation = None if angle is None else rotation_2d(angle)
+    mesh = disk_mesh(level, rotation)
+    assert_identical(mesh.triangles, reference_disk_triangles(level))
+    ref = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_nodes)
+    for _ in range(2):
+        assert_identical(mesh.boundary_edges(), reference_boundary_edges(ref))
+        (mesh, parents), (ref, ref_parents) = mesh.refine_with_parents(), reference_refine_with_parents(ref)
+        assert_identical(parents, ref_parents)
+        for name in ("vertices", "triangles", "boundary_nodes"):
+            assert_identical(getattr(mesh, name), getattr(ref, name))
+    assert_identical(mesh.boundary_edges(), reference_boundary_edges(ref))
+
+
+def test_disk_boundary_nodes_are_the_square_frame():
+    mesh = disk_mesh(2)
+    assert_identical(mesh.boundary_nodes, np.unique(reference_boundary_edges(mesh)))
+    assert np.allclose(np.linalg.norm(mesh.vertices[mesh.boundary_nodes], axis=1), 1.0)
+
+
+def test_refined_boundary_edges_are_counter_clockwise():
+    mesh, _ = disk_mesh(1).refine_with_parents()
+    e = mesh.boundary_edges()
+    p, q = mesh.vertices[e[:, 0]], mesh.vertices[e[:, 1]]
+    assert np.all(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0] > 0)

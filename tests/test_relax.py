@@ -324,6 +324,22 @@ class TestRelaxMinimize:
         assert relax_minimize(named_like_toy, levels=(4,)).toy_note is None
 
 
+@pytest.fixture
+def refine_calls(monkeypatch):
+    """Meshes that TriMesh.refine_with_parents is called on, in order."""
+    from bvgym.meshes import TriMesh
+
+    calls = []
+    refine = TriMesh.refine_with_parents
+
+    def counted(mesh):
+        calls.append(mesh)
+        return refine(mesh)
+
+    monkeypatch.setattr(TriMesh, "refine_with_parents", counted)
+    return calls
+
+
 class TestHigherDim:
     def test_zero_data_minimum_is_arc_length(self):
         res = higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), level=2, refinements=1)
@@ -340,6 +356,34 @@ class TestHigherDim:
         res = higher_dim_J(0.5, lambda p: 0.3 * np.ones(p.shape[0]), level=2, refinements=2)
         vals = [row["J"] for row in res["table"]]
         assert all(b <= a + 1e-6 for a, b in zip(vals, vals[1:]))
+
+    def test_pinned_table_and_stages(self, refine_calls):
+        res = higher_dim_J(0.35, lambda p: np.sin(np.arctan2(p[:, 1], p[:, 0])), level=1, refinements=2)
+        # J per level as computed before the scatter and mesh loops were vectorized
+        expected = [1.6923334356145068, 1.69104705744272, 1.6878420662762819]
+        assert [row["J"] for row in res["table"]] == pytest.approx(expected, rel=1e-12)
+        assert len(refine_calls) == 2  # no refinement after the last level
+        stages = res["stages"]
+        assert [s["nv"] for s in stages] == [25] * 3 + [81] * 3 + [289] * 3
+        assert [s["delta"] for s in stages] == [1e-2, 1e-4, 1e-6] * 3
+        assert all((s["stop"] == "maxiter") == (s["nit"] >= 500) for s in stages)
+        assert {s["stop"] for s in stages} >= {"maxiter", "converged"}
+
+    @pytest.mark.parametrize("refinements", [0, 1])
+    def test_refines_once_per_extra_level(self, refine_calls, refinements):
+        res = higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), level=1, refinements=refinements)
+        assert len(refine_calls) == refinements
+        assert len(res["table"]) == refinements + 1
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            higher_dim_J(eps, lambda p: np.zeros(p.shape[0]), level=1, refinements=0)
+
+    @pytest.mark.parametrize("refinements", [-1, 1.5, "2"])
+    def test_invalid_refinements_rejected(self, refinements):
+        with pytest.raises(ValueError, match="refinements"):
+            higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), level=1, refinements=refinements)
 
     def test_overlapping_arcs_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
