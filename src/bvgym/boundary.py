@@ -131,11 +131,11 @@ class HalfBallProblem:
         centers = base.cell_centers
         self.sel = np.nonzero(centers[:, 0] < 0)[0]
         self.tri = self.mesh.triangles[self.sel]
-        # slot node * ncomp + m of every (triangle corner, component), in C order
-        self.scatter = (self.tri.reshape(-1, 1) * ncomp + np.arange(ncomp)).ravel()
+        self._slots: dict[int, np.ndarray] = {}  # stack width -> scatter index
         areas, basis = self.mesh._geometry()
         self.areas = areas[self.sel]
         self.basis = basis[self.sel]
+        self.weighted_basis = self.areas[:, None, None] * self.basis
         free = np.ones(self.mesh.vertices.shape[0], dtype=bool)
         free[self.mesh.boundary_nodes] = False
         self.free = free
@@ -154,19 +154,28 @@ class HalfBallProblem:
         return U
 
     def gradients(self, U: np.ndarray) -> np.ndarray:
-        return np.einsum("tiM,tid->tMd", U[self.tri], self.basis)
+        """Per-triangle gradients (t, S, M, 2) of a stack: S fields side by side, U of
+        shape (nv, S*M).  One field is a stack of one."""
+        G = np.matmul(U.take(self.tri, axis=0).transpose(0, 2, 1), self.basis)
+        return G.reshape(G.shape[0], -1, self.ncomp, 2)
 
-    def objective(self, U: np.ndarray, v: HomogeneousIntegrand) -> float:
-        return float(self.areas @ np.asarray(v(self.gradients(U))))
+    def objective(self, U: np.ndarray, v: HomogeneousIntegrand) -> np.ndarray:
+        """Half-ball integral of v for each field of a stack, shape (S,)."""
+        return np.asarray(v(self.gradients(U))).T @ self.areas
 
-    def tv(self, U: np.ndarray) -> float:
-        return float(self.areas @ mat_norm(self.gradients(U)))
+    def tv(self, U: np.ndarray) -> np.ndarray:
+        return mat_norm(self.gradients(U)).T @ self.areas
 
     def nodal_gradient(self, dJdG: np.ndarray) -> np.ndarray:
-        nv = self.mesh.vertices.shape[0]
-        contrib = np.einsum("t,tMd,tid->tiM", self.areas, dJdG, self.basis)
+        """Nodal gradient (nv, S*M) of the objectives from dv/dA per triangle, (t, [S,] M, 2)."""
+        dJdG = dJdG.reshape(len(self.tri), -1, 2)
+        nv, K = self.mesh.vertices.shape[0], dJdG.shape[1]
+        contrib = np.matmul(self.weighted_basis, dJdG.transpose(0, 2, 1))  # (t, corner, K)
+        slots = self._slots.get(K)
+        if slots is None:  # slot node * K + k of every (triangle corner, column), in C order
+            slots = self._slots[K] = (self.tri.reshape(-1, 1) * K + np.arange(K)).ravel()
         # bincount adds in input order, so the sums match a sequential scatter bit for bit
-        out = np.bincount(self.scatter, contrib.ravel(), nv * self.ncomp).reshape(nv, self.ncomp)
+        out = np.bincount(slots, contrib.ravel(), nv * K).reshape(nv, K)
         out[~self.free] = 0.0
         return out
 
@@ -210,41 +219,54 @@ def _fd_grad(v: HomogeneousIntegrand, G: np.ndarray) -> np.ndarray:
         return np.asarray(gf(G))
     out = np.zeros_like(G)
     h = 1e-6
-    for m in range(G.shape[1]):
-        for d in range(G.shape[2]):
+    for m in range(G.shape[-2]):
+        for d in range(G.shape[-1]):
             Gp = G.copy()
-            Gp[:, m, d] += h
+            Gp[..., m, d] += h
             Gm = G.copy()
-            Gm[:, m, d] -= h
-            out[:, m, d] = (np.asarray(v(Gp)) - np.asarray(v(Gm))) / (2 * h)
+            Gm[..., m, d] -= h
+            out[..., m, d] = (np.asarray(v(Gp)) - np.asarray(v(Gm))) / (2 * h)
     return out
 
 
-def _descend(hb: HalfBallProblem, v: HomogeneousIntegrand, U0: np.ndarray, iters: int):
-    U = hb.zeroed(U0)
-    tv = hb.tv(U)
-    if tv < 1e-12:
-        return None
-    U = U / tv
-    best = hb.objective(U, v)
-    bestU = U.copy()
+def _descend(hb: HalfBallProblem, v: HomogeneousIntegrand, seeds: Sequence[np.ndarray], iters: int):
+    """Normalized subgradient descent on the unit TV sphere from all seeds at once, as one stack.
+
+    Each seed keeps its own step 0.3 |U| / (|g| sqrt(k+1)), stop tests and best
+    value; a seed that stops leaves the stack.  Returns (results, stop): results[s]
+    is (best value, best field), or None when seed s has TV below 1e-12; stop[s] is
+    "maxiter", "stalled" (|g| < 1e-14), "collapsed" (TV < 1e-12 after a step) or
+    "degenerate" (skipped)."""
+    nv, S = hb.mesh.vertices.shape[0], len(seeds)
+    U = np.stack([hb.zeroed(U0) for U0 in seeds], axis=1)  # (nv, S, M)
+    tv = hb.tv(U.reshape(nv, -1))
+    stop = np.where(tv < 1e-12, "degenerate", "maxiter")
+    live = np.flatnonzero(stop == "maxiter")  # the seeds still descending
+    U = U[:, live] / tv[live, None]
+    best, bestU = np.full(S, np.inf), np.zeros((nv, S, hb.ncomp))
+    best[live], bestU[:, live] = hb.objective(U.reshape(nv, -1), v), U
     for k in range(iters):
-        dJdG = _fd_grad(v, hb.gradients(U))
-        g = hb.nodal_gradient(dJdG)
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-14:
+        if not live.size:
             break
-        step = 0.3 * float(np.linalg.norm(U)) / (gn * np.sqrt(k + 1.0))
-        U = U - step * g
-        tv = hb.tv(U)
-        if tv < 1e-12:
-            break
-        U = U / tv
-        val = hb.objective(U, v)
-        if val < best:
-            best = val
-            bestU = U.copy()
-    return best, bestU
+        g = hb.nodal_gradient(_fd_grad(v, hb.gradients(U.reshape(nv, -1)))).reshape(U.shape)
+        gn = np.sqrt(np.einsum("nsm,nsm->s", g, g))
+        keep = ~(gn < 1e-14)
+        if not keep.all():
+            stop[live[~keep]] = "stalled"
+            live, U, g, gn = live[keep], U[:, keep], g[:, keep], gn[keep]
+        step = 0.3 * np.sqrt(np.einsum("nsm,nsm->s", U, U)) / (gn * np.sqrt(k + 1.0))
+        U = U - step[:, None] * g
+        tv = hb.tv(U.reshape(nv, -1))
+        keep = ~(tv < 1e-12)
+        if not keep.all():
+            stop[live[~keep]] = "collapsed"
+            live, U, tv = live[keep], U[:, keep], tv[keep]
+        U = U / tv[:, None]
+        vals = hb.objective(U.reshape(nv, -1), v)
+        better = vals < best[live]
+        best[live[better]], bestU[:, live[better]] = vals[better], U[:, better]
+    results = [None if r == "degenerate" else (float(best[s]), bestU[:, s]) for s, r in enumerate(stop)]
+    return results, stop.tolist()
 
 
 def _qslb_inf_1d(v: HomogeneousIntegrand, n_dirs: int = 512) -> tuple[float, np.ndarray]:
@@ -272,10 +294,12 @@ def qslb_infimum(
 
     Minimizes the half-ball integral of v over the unit total-variation ball
     of piecewise-affine test fields, restarting from rank-one seeded tents.
-    Returns {"inf_est", "verdict", "witness", "per_level"}; "qslb" requires
-    a finite inf_est >= -tol on every level, "not_qslb" needs a level reaching
-    -10 tol, anything else (including a level where no descent gave a finite
-    estimate) is "inconclusive".
+    Returns {"inf_est", "verdict", "witness", "per_level", "stages"}; "qslb"
+    requires a finite inf_est >= -tol on every level, "not_qslb" needs a level
+    reaching -10 tol, anything else (including a level where no descent gave a
+    finite estimate) is "inconclusive".  "stages" holds one record per level:
+    "level", "nt" (half-ball triangles), "seeds", "iters" (per seed) and the
+    per-seed "stop" reasons of `_descend`.
     """
     validate_homogeneous(v)
     rho = _checked_normal(rho)
@@ -284,10 +308,10 @@ def qslb_infimum(
         val, direction = _qslb_inf_1d(v)
         verdict = "qslb" if val >= -tol else ("not_qslb" if val <= -10 * tol else "inconclusive")
         return {"inf_est": val, "verdict": verdict, "witness": None,
-                "worst_direction": direction, "per_level": [val]}
+                "worst_direction": direction, "per_level": [val], "stages": []}
 
     rng = np.random.default_rng(seed)
-    per_level = []
+    per_level, stages = [], []
     witness = None
     best_all = np.inf
     levels = list(range(1, mesh_level + 1))
@@ -297,16 +321,15 @@ def qslb_infimum(
         seeds = [hb.tent(a, depth, 0.8) for a in dirs for depth in (0.2, 0.4)]
         seeds += [hb.random_seed(rng) for _ in range(2)]
         iters = max(10, iter_budget // (len(levels) * len(seeds)))
+        results, stop = _descend(hb, v, seeds, iters)
         best = np.inf
         bestU = None
-        for U0 in seeds:
-            res = _descend(hb, v, U0, iters)
-            if res is None:
-                continue
-            val, U = res
-            if val < best:
-                best, bestU = val, U
+        for res in results:
+            if res is not None and res[0] < best:
+                best, bestU = res
         per_level.append(best)
+        stages.append({"level": lev, "nt": int(hb.tri.shape[0]), "seeds": len(seeds),
+                       "iters": iters, "stop": stop})
         if best < best_all:
             best_all = best
             witness = hb.field(bestU) if bestU is not None else None
@@ -317,7 +340,8 @@ def qslb_infimum(
         witness = None
     else:
         verdict = "inconclusive"
-    return {"inf_est": float(best_all), "verdict": verdict, "witness": witness, "per_level": per_level}
+    return {"inf_est": float(best_all), "verdict": verdict, "witness": witness, "per_level": per_level,
+            "stages": stages}
 
 
 def rank_one_positivity(v: HomogeneousIntegrand, rho, a_samples=None, tol: float = 1e-8) -> dict:

@@ -28,10 +28,25 @@ from .relax import HypothesisError, ProblemSpec, toy_spec
 from .soucek import outer_trace, soucek_pair
 
 
+def _finite_or_null(x):
+    """The record with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not np.isfinite(x) else x
+
+
 def _write_json(path: Path, record: dict) -> None:
+    """Strict JSON: a non-finite float is written as null, never as NaN or Infinity."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        json.dump(record, f, sort_keys=True, indent=2)
+        try:
+            json.dump(record, f, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:  # the record holds a non-finite float: write it again, nulled
+            f.seek(0)
+            f.truncate()
+            json.dump(_finite_or_null(record), f, sort_keys=True, indent=2, allow_nan=False)
         f.write("\n")
 
 

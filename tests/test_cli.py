@@ -7,6 +7,10 @@ import pytest
 from bvgym.cli import main
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     return main(["--out", str(out)] + list(argv)), out
@@ -28,6 +32,15 @@ class TestSubcommands:
         assert code == 0
         rec = json.loads((out / "qslb_result.json").read_text())
         assert rec["verdict"] == "qslb"
+        # the per-level "stages" diagnostics stay out of the result record
+        assert set(rec) == {"integrand", "normal", "inf_est", "verdict", "per_level"}
+
+    def test_qslb_check_nan_integrand_writes_null(self, tmp_path):
+        code, out = run(tmp_path, "qslb-check", "--integrand", "pw1h:nan,nan", "--normal", "1")
+        assert code == 0
+        rec = json.loads((out / "qslb_result.json").read_text(), parse_constant=_reject_constant)
+        assert rec["verdict"] == "inconclusive"
+        assert rec["inf_est"] is None and rec["per_level"] == [None]
 
     def test_qslb_check_writes_witness(self, tmp_path):
         code, out = run(tmp_path, "qslb-check", "--integrand", "linear_form:-1,0",
@@ -49,6 +62,9 @@ class TestSubcommands:
         rec = json.loads((out / "jqcb_result.json").read_text())
         assert rec["status"] == "inconclusive"
         assert set(rec) == {"integrand", "normal", "gap", "status"}
+        # strict JSON: no NaN/Infinity tokens, the non-finite gap is null
+        strict = json.loads((out / "jqcb_result.json").read_text(), parse_constant=_reject_constant)
+        assert strict["gap"] is None
 
     def test_envelope(self, tmp_path):
         code, out = run(tmp_path, "envelope", "--integrand", "double_well_1d",
