@@ -41,12 +41,7 @@ def _write_json(path: Path, record: dict) -> None:
     """Strict JSON: a non-finite float is written as null, never as NaN or Infinity."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        try:
-            json.dump(record, f, sort_keys=True, indent=2, allow_nan=False)
-        except ValueError:  # the record holds a non-finite float: write it again, nulled
-            f.seek(0)
-            f.truncate()
-            json.dump(_finite_or_null(record), f, sort_keys=True, indent=2, allow_nan=False)
+        json.dump(_finite_or_null(record), f, sort_keys=True, indent=2, allow_nan=False)
         f.write("\n")
 
 
