@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrands import HomogeneousIntegrand, mat_norm, unit_matrices
-from .meshes import TriMesh, disk_mesh, rotation_to
+from .meshes import TriMesh, disk_mesh, rotation_to, triangle_geometry
 
 BASE_NORMAL = np.array([1.0, 0.0])
 
@@ -84,23 +84,9 @@ class PAField:
     triangles: np.ndarray  # (nt, 3)
     values: np.ndarray  # (nv, M)
 
-    def _geom(self):
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        areas = 0.5 * np.abs(det)
-        grads = np.empty((self.triangles.shape[0], 3, 2))
-        grads[:, 1, 0] = d2[:, 1] / det
-        grads[:, 1, 1] = -d2[:, 0] / det
-        grads[:, 2, 0] = -d1[:, 1] / det
-        grads[:, 2, 1] = d1[:, 0] / det
-        grads[:, 0] = -grads[:, 1] - grads[:, 2]
-        return areas, grads
-
     def gradients(self) -> tuple[np.ndarray, np.ndarray]:
         """(areas, per-triangle gradients (nt, M, 2))."""
-        areas, basis = self._geom()
+        areas, basis = triangle_geometry(self.vertices, self.triangles)
         vals = self.values if self.values.ndim == 2 else self.values[:, None]
         return areas, np.einsum("tiM,tid->tMd", vals[self.triangles], basis)
 
@@ -132,9 +118,8 @@ class HalfBallProblem:
         self.sel = np.nonzero(centers[:, 0] < 0)[0]
         self.tri = self.mesh.triangles[self.sel]
         self._slots: dict[int, np.ndarray] = {}  # stack width -> scatter index
-        areas, basis = self.mesh._geometry()
-        self.areas = areas[self.sel]
-        self.basis = basis[self.sel]
+        self.areas = self.mesh.cell_volumes[self.sel]
+        self.basis = self.mesh.basis_gradients[self.sel]
         self.weighted_basis = self.areas[:, None, None] * self.basis
         free = np.ones(self.mesh.vertices.shape[0], dtype=bool)
         free[self.mesh.boundary_nodes] = False

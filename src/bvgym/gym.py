@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrands import HomogeneousIntegrand, Integrand, make_integrand, mat_norm
-from .measures import Atom, BVField, DiscreteMeasure, _same_mesh
+from .integrands import HomogeneousIntegrand, Integrand, make_integrand, mat_norm, pair_action
+from .measures import Atom, BVField, DiscreteMeasure, _on_boundary, _point_from, _same_mesh
 from .meshes import IntervalMesh, TriMesh, mesh_from_record
 
 PROB_TOL = 1e-12
@@ -93,11 +93,7 @@ class GenYoungMeasure:
         return dataclasses.replace(self, underlying=u)
 
     def boundary_atom_indices(self) -> list[int]:
-        out = []
-        for i, (p, _) in enumerate(self.lam_atoms):
-            if _is_boundary_point(self.mesh, p):
-                out.append(i)
-        return out
+        return [i for i, (p, _) in enumerate(self.lam_atoms) if _on_boundary(self.mesh, p)]
 
     def to_record(self) -> dict:
         rec = {
@@ -117,7 +113,7 @@ class GenYoungMeasure:
     @staticmethod
     def from_record(rec: dict) -> "GenYoungMeasure":
         mesh = mesh_from_record(rec["mesh"])
-        atoms = tuple((_point(p), float(m)) for p, m in rec["lam_atoms"])
+        atoms = tuple((_point_from(p), float(m)) for p, m in rec["lam_atoms"])
         underlying = None
         if "underlying" in rec:
             underlying = BVField.from_record(rec["underlying"])
@@ -132,19 +128,6 @@ class GenYoungMeasure:
             np.asarray(rec["nu_inf_atoms"], dtype=float).reshape(len(atoms), len(rec["sphere_grid"])),
             underlying,
         )
-
-
-def _point(p):
-    arr = np.asarray(p, dtype=float)
-    return float(arr) if arr.ndim == 0 else arr
-
-
-def _is_boundary_point(mesh, p, tol=1e-12) -> bool:
-    if mesh.dim == 1:
-        x = float(np.asarray(p))
-        return abs(x - mesh.a) <= tol or abs(x - mesh.b) <= tol
-    bverts = mesh.vertices[mesh.boundary_nodes]
-    return bool(np.min(np.linalg.norm(bverts - np.asarray(p)[None], axis=1)) <= 1e-9)
 
 
 def _const_one(x):
@@ -275,13 +258,6 @@ def pairing_spatial(gym: GenYoungMeasure, f) -> float:
         rec = f.recession_at(p)
         total += m * float(gym.nu_inf_atoms[i] @ np.asarray(rec.on_sphere(gym.sphere_grid)))
     return total
-
-
-def sequence_pairing(Y: DiscreteMeasure, g: Callable, v: Integrand) -> float:
-    """Integral of g against v(Y) for one member of a generating sequence."""
-    from .integrands import pair_action
-
-    return pair_action(Y, g, v)
 
 
 def default_dictionary(dims=(1, 1)) -> list[tuple[str, Callable, Integrand]]:
@@ -421,7 +397,7 @@ def generate(
     for k in tail_idx:
         worst = 0.0
         for label, g, v in dictionary:
-            pk = sequence_pairing(Y_seq[k], g, v)
+            pk = pair_action(Y_seq[k], g, v)
             pl = pairing(gym, g, v)
             gap = abs(pk - pl)
             worst = max(worst, gap)
@@ -678,7 +654,7 @@ class DiPernaMajdaMeasure:
 
     @staticmethod
     def from_record(rec: dict) -> "DiPernaMajdaMeasure":
-        atoms = tuple((_point(p), float(m)) for p, m in rec["sigma_atoms"])
+        atoms = tuple((_point_from(p), float(m)) for p, m in rec["sigma_atoms"])
         return DiPernaMajdaMeasure(
             mesh_from_record(rec["mesh"]),
             np.asarray(rec["matrix_grid"], dtype=float),
@@ -826,9 +802,9 @@ def check_characterization(
     }
 
     du_atoms = {float(np.asarray(a.point)) if gym.mesh.dim == 1 else tuple(a.point): a for a in grads.interior_atoms()}
-    lam_interior = [
-        (i, p, m) for i, (p, m) in enumerate(gym.lam_atoms) if i not in gym.boundary_atom_indices()
-    ]
+    bidx = gym.boundary_atom_indices()  # ascending; (iv) walks them in this order
+    on_boundary = set(bidx)
+    lam_interior = [(i, p, m) for i, (p, m) in enumerate(gym.lam_atoms) if i not in on_boundary]
     worst_iii = np.inf
     ok_iii = True
     keys_seen = set()
@@ -854,7 +830,7 @@ def check_characterization(
 
     worst_iv = np.inf
     bad_iv = []
-    for i in gym.boundary_atom_indices():
+    for i in bidx:
         p, m = gym.lam_atoms[i]
         if m <= tol:
             continue  # exceptional sets carry zero lam-mass

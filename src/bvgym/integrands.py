@@ -130,6 +130,11 @@ class SpatialIntegrand:
         return HomogeneousIntegrand(self.dims, lambda S, _x=x: self.recession_fn(_x, S))
 
 
+def toy_weight(eps: float) -> Callable:
+    """The weight (x - 1)^2 + eps of the toy model problem."""
+    return lambda x, e=eps: (np.asarray(x, dtype=float) - 1.0) ** 2 + e
+
+
 def weighted_tv_integrand(weight, dims=(1, 1), name="weighted_abs", growth_c=None) -> SpatialIntegrand:
     """f(x, A) = weight(x)|A| with its own recession; weight continuous, >= 0."""
 
@@ -485,16 +490,12 @@ def make_integrand(name: str, dims: tuple[int, int] = (1, 1)) -> Integrand:
         if dims != (1, 1):
             raise KeyError("toy_weighted_abs is scalar")
         eps = float(par)
-
-        def weight(x, eps=eps):
-            return (np.asarray(x) - 1.0) ** 2 + eps
-
         return Integrand(
             dims,
             mat_norm,
             1.0 + eps,
             hom_abs(dims),
-            spatial_weight=weight,
+            spatial_weight=toy_weight(eps),
             name=f"toy_weighted_abs:{par}",
         )
     raise KeyError(

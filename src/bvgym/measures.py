@@ -37,7 +37,7 @@ class Atom:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """density (ncells, *value_shape) against Lebesgue plus atoms on the closure."""
+    """density (ncells, *value shape) against Lebesgue plus atoms on the closure."""
 
     mesh: IntervalMesh | TriMesh
     density: np.ndarray
@@ -49,10 +49,6 @@ class DiscreteMeasure:
             raise ValueError("density must have one entry per cell")
         object.__setattr__(self, "density", d)
         object.__setattr__(self, "atoms", tuple(self.atoms))
-
-    @property
-    def value_shape(self) -> tuple[int, ...]:
-        return self.density.shape[1:]
 
     def integrate(self, g: Callable) -> np.ndarray | float:
         """Integral of a continuous scalar function against the measure."""
@@ -73,14 +69,6 @@ class DiscreteMeasure:
         if other.mesh is not self.mesh and not _same_mesh(self.mesh, other.mesh):
             raise ValueError("measures live on different meshes")
         return DiscreteMeasure(self.mesh, self.density + other.density, self.atoms + other.atoms)
-
-    def scaled(self, s: float) -> "DiscreteMeasure":
-        atoms = tuple(
-            Atom(a.point, a.mass * abs(s), np.sign(s) * np.asarray(a.direction) if s < 0 else a.direction)
-            for a in self.atoms
-            if a.mass * abs(s) > 0
-        )
-        return DiscreteMeasure(self.mesh, s * self.density, atoms)
 
     def interior_atoms(self, tol: float = 1e-12) -> tuple[Atom, ...]:
         return tuple(a for a in self.atoms if not _on_boundary(self.mesh, a.point, tol))

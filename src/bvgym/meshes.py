@@ -144,6 +144,21 @@ def _edge_classes(triangles: np.ndarray):
     return directed, first[order], np.argsort(order)[inverse], counts[order]
 
 
+def triangle_geometry(vertices: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(areas (nt,), gradients of the three barycentric basis functions (nt, 3, 2))."""
+    p = vertices[triangles]  # (nt,3,2)
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    grads = np.empty((triangles.shape[0], 3, 2))
+    grads[:, 1, 0] = d2[:, 1] / det
+    grads[:, 1, 1] = -d2[:, 0] / det
+    grads[:, 2, 0] = -d1[:, 1] / det
+    grads[:, 2, 1] = d1[:, 0] / det
+    grads[:, 0] = -grads[:, 1] - grads[:, 2]
+    return 0.5 * np.abs(det), grads
+
+
 @dataclass(frozen=True)
 class TriMesh:
     """Conforming triangulation; the domain is the polygon covered by the cells."""
@@ -165,22 +180,9 @@ class TriMesh:
         return self.triangles.shape[0]
 
     def _geometry(self):
-        if "areas" not in self._cache:
-            p = self.vertices[self.triangles]  # (nt,3,2)
-            d1 = p[:, 1] - p[:, 0]
-            d2 = p[:, 2] - p[:, 0]
-            det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-            areas = 0.5 * np.abs(det)
-            # gradients of the three barycentric basis functions, (nt,3,2)
-            grads = np.empty((self.ncells, 3, 2))
-            grads[:, 1, 0] = d2[:, 1] / det
-            grads[:, 1, 1] = -d2[:, 0] / det
-            grads[:, 2, 0] = -d1[:, 1] / det
-            grads[:, 2, 1] = d1[:, 0] / det
-            grads[:, 0] = -grads[:, 1] - grads[:, 2]
-            self._cache["areas"] = areas
-            self._cache["grads"] = grads
-        return self._cache["areas"], self._cache["grads"]
+        if "geometry" not in self._cache:
+            self._cache["geometry"] = triangle_geometry(self.vertices, self.triangles)
+        return self._cache["geometry"]
 
     @property
     def cell_volumes(self) -> np.ndarray:

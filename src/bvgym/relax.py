@@ -30,6 +30,7 @@ from .integrands import (
     HomogeneousIntegrand,
     SpatialIntegrand,
     mat_norm,
+    toy_weight,
     weighted_tv_integrand,
 )
 from .measures import BVField, DiscreteMeasure, DiskField
@@ -69,7 +70,6 @@ class ProblemSpec:
     f: SpatialIntegrand
     boundary: dict  # point -> BoundaryTerm, resolved into left/right; absent sides are Neumann
     C: float = 10.0
-    ncomp: int = 1
     name: str = "problem"
     toy_eps: float | None = None  # set by toy_spec; marks the weighted-TV model problem
     left: BoundaryTerm | None = field(default=None, init=False, repr=False)
@@ -78,6 +78,10 @@ class ProblemSpec:
     def __post_init__(self):
         if self.C <= 0:
             raise ValueError("infeasible bound C")
+        if self.f.weight is None or tuple(self.f.dims) != (1, 1):
+            raise ValueError(
+                "ProblemSpec needs a separable scalar f = w(x)|A| (f.weight set, f.dims == (1, 1))"
+            )
         for x, term in self.boundary.items():
             side = self._side(x)
             if side is None:
@@ -99,9 +103,6 @@ class ProblemSpec:
     def robin_terms(self) -> list[tuple[float, BoundaryTerm]]:
         """(point, term) for each Robin side, left first."""
         return [(x, t) for x, t in ((self.a, self.left), (self.b, self.right)) if t is not None]
-
-    def normal(self, x: float) -> float:
-        return -1.0 if abs(x - self.a) < abs(x - self.b) else 1.0
 
     def validate_growth(self, samples, tol: float = 1e-9) -> bool:
         A = np.asarray(samples, dtype=float)
@@ -138,10 +139,6 @@ def linear_penalty(coeff: float) -> BoundaryTerm:
     return BoundaryTerm(
         lambda u, c=coeff: float(c * u.sum()), hom_linear([[coeff]]), True, f"{coeff}*u"
     )
-
-
-def toy_weight(eps: float) -> Callable:
-    return lambda x, e=eps: (np.asarray(x, dtype=float) - 1.0) ** 2 + e
 
 
 def toy_spec(eps: float, C: float = 10.0) -> ProblemSpec:
@@ -278,21 +275,6 @@ def _golden(fun, lo: float, hi: float, iters: int = 80) -> float:
     return 0.5 * (a + b)
 
 
-def _coordinate_minimize(fun, x0: np.ndarray, brackets, sweeps: int = 40) -> np.ndarray:
-    x = np.array(x0, dtype=float)
-    for _ in range(sweeps):
-        for i in range(x.size):
-            lo, hi = brackets[i]
-            x[i] = _golden(lambda t: fun(_with(x, i, t)), lo, hi)
-    return x
-
-
-def _with(x, i, t):
-    y = x.copy()
-    y[i] = t
-    return y
-
-
 def _nested_golden2(fun2, bracket, iters: int = 70) -> tuple[float, float]:
     """Global minimum of a convex two-variable function by nested golden section.
 
@@ -321,20 +303,8 @@ def _level_mesh(spec: ProblemSpec, level: int) -> IntervalMesh:
 
 def _discrete_energy(spec: ProblemSpec, u: BVField) -> float:
     """Exact discrete energy of a nodal field (no jumps expected)."""
-    mesh = u.mesh
-    slopes = u.slopes()
-    if spec.f.weight is not None:
-        wbar = mesh.cell_integrals(spec.f.weight)
-        tv = float(np.sum(wbar * np.abs(slopes)))
-    else:
-        tv = 0.0
-        for c in range(mesh.ncells):
-            s = np.asarray(slopes[c]).reshape(spec.ncomp, 1)
-            tv += float(
-                mesh.cell_integrals(
-                    lambda x, s=s: spec.f.fn(x, np.broadcast_to(s, np.shape(x) + s.shape))
-                )[c]
-            )
+    wbar = u.mesh.cell_integrals(spec.f.weight)
+    tv = float(np.sum(wbar * np.abs(u.slopes())))
     lo, hi = u.trace()
     return tv + _g(spec.left, lo) + _g(spec.right, hi)
 
@@ -342,40 +312,26 @@ def _discrete_energy(spec: ProblemSpec, u: BVField) -> float:
 def _minimize_on_mesh(spec: ProblemSpec, mesh: IntervalMesh, polish_iters: int = 60) -> BVField:
     """Deterministic minimization over nodal fields on one mesh.
 
-    Stage A: golden-section over endpoint competitors; for weighted-TV
-    integrands the in-between transition provably sits in the cheapest cell.
+    Stage A: golden-section over endpoint competitors; for f = w(x)|A| the
+    in-between transition provably sits in the cheapest cell.
     Stage B: subgradient polish over the full nodal vector.
     """
-    if spec.ncomp != 1:
-        raise NotImplementedError("direct minimization is implemented for scalar fields")
     B = spec.C / 2
-    if spec.f.weight is not None:
-        # a jump of size |q - p| placed in cell c costs |q - p| * (cell average of w)
-        cavg = mesh.cell_integrals(spec.f.weight) / mesh.cell_volumes
-        cmin = int(np.argmin(cavg))
-        coef = float(cavg[cmin])
-        left, right = spec.left, spec.right
+    # a jump of size |q - p| placed in cell c costs |q - p| * (cell average of w)
+    cavg = mesh.cell_integrals(spec.f.weight) / mesh.cell_volumes
+    cmin = int(np.argmin(cavg))
+    coef = float(cavg[cmin])
+    left, right = spec.left, spec.right
 
-        def fam(p, q):
-            return coef * abs(q - p) + _g(left, p) + _g(right, q)
+    def fam(p, q):
+        return coef * abs(q - p) + _g(left, p) + _g(right, q)
 
-        p, q = _nested_golden2(fam, (-B, B))
-        nodal = np.full(mesh.nodes.size, p)
-        nodal[cmin + 1 :] = q
-        u = BVField.from_nodal(mesh, nodal)
-    else:
-        # coarse-knot competitor profiles evaluated exactly on the fine mesh
-        knots = np.linspace(0, mesh.nodes.size - 1, 7).astype(int)
-
-        def fam(vals):
-            nodal = np.interp(mesh.nodes, mesh.nodes[knots], vals)
-            return _discrete_energy(spec, BVField.from_nodal(mesh, nodal))
-
-        v = _coordinate_minimize(fam, np.zeros(knots.size), [(-B, B)] * knots.size, sweeps=12)
-        u = BVField.from_nodal(mesh, np.interp(mesh.nodes, mesh.nodes[knots], v))
+    p, q = _nested_golden2(fam, (-B, B))
+    nodal = np.full(mesh.nodes.size, p)
+    nodal[cmin + 1 :] = q
+    u = BVField.from_nodal(mesh, nodal)
 
     # subgradient polish on all nodal values
-    nodal = np.concatenate([[u.values[0, 0]], u.values[:, 1]])
     best = _discrete_energy(spec, u)
     best_nodal = nodal.copy()
     step0 = 0.1 * max(1.0, float(np.max(np.abs(nodal))))
@@ -395,18 +351,8 @@ def _minimize_on_mesh(spec: ProblemSpec, mesh: IntervalMesh, polish_iters: int =
 def _energy_subgradient(spec: ProblemSpec, mesh: IntervalMesh, nodal: np.ndarray) -> np.ndarray:
     h = mesh.cell_volumes
     slopes = np.diff(nodal) / h
-    if spec.f.weight is not None:
-        wbar = mesh.cell_integrals(spec.f.weight)
-        dcost = wbar / h * np.sign(slopes)  # d/dslope of wbar |slope| / h per node pair
-    else:
-        dcost = np.zeros_like(slopes)
-        fd = 1e-6
-        for c in range(mesh.ncells):
-            sp = np.array([[slopes[c] + fd]])
-            sm = np.array([[slopes[c] - fd]])
-            cp = float(mesh.cell_integrals(lambda x, s=sp: spec.f.fn(x, np.broadcast_to(s, np.shape(x) + (1, 1))))[c])
-            cm = float(mesh.cell_integrals(lambda x, s=sm: spec.f.fn(x, np.broadcast_to(s, np.shape(x) + (1, 1))))[c])
-            dcost[c] = (cp - cm) / (2 * fd) / h[c]
+    wbar = mesh.cell_integrals(spec.f.weight)
+    dcost = wbar / h * np.sign(slopes)  # d/dslope of wbar |slope| / h per node pair
     g = np.zeros_like(nodal)
     g[:-1] -= dcost
     g[1:] += dcost
@@ -508,8 +454,6 @@ def eval_Fbar(pair, spec: ProblemSpec) -> float:
     outer trace (singular trace parts priced by the recession of g)."""
     from .soucek import outer_trace
 
-    u = pair.u
-    mesh = u.mesh
     val = _discrete_f_of_measure(spec, pair.alpha)
     tp = outer_trace(pair)
     for x, term in spec.robin_terms():
@@ -518,18 +462,8 @@ def eval_Fbar(pair, spec: ProblemSpec) -> float:
 
 
 def _discrete_f_of_measure(spec: ProblemSpec, alpha: DiscreteMeasure) -> float:
-    mesh = alpha.mesh
-    dens = alpha.density
-    if spec.f.weight is not None:
-        wbar = mesh.cell_integrals(spec.f.weight)
-        total = float(np.sum(wbar * mat_norm(dens)))
-    else:
-        total = 0.0
-        for c in range(mesh.ncells):
-            A = dens[c]
-            total += float(
-                mesh.cell_integrals(lambda x, A=A: spec.f.fn(x, np.broadcast_to(A, np.shape(x) + A.shape)))[c]
-            )
+    wbar = alpha.mesh.cell_integrals(spec.f.weight)
+    total = float(np.sum(wbar * mat_norm(alpha.density)))
     for at in alpha.atoms:
         x = float(np.asarray(at.point))
         rec = spec.f.recession_at(x)
@@ -656,7 +590,7 @@ def check_hypotheses(spec: ProblemSpec) -> list[str]:
             vals = np.asarray(term.g_inf.on_sphere(unit_matrices(term.g_inf.dims, 16)))
             if np.min(vals) < -1e-9:
                 raise HypothesisError(f"recession of the boundary term at x={x:g} is negative")
-        rho = spec.normal(x)
+        rho = -1.0 if spec._side(x) == "left" else 1.0
         rec = spec.f.recession_at(x)
         verdict = qslb_infimum(rec, rho)
         if verdict["verdict"] != "qslb":
@@ -688,8 +622,6 @@ def relax_minimize(
     from .gym import generate_from_fields, gym_traces
     from .soucek import soucek_pair, to_gym
 
-    if spec.f.weight is None:
-        raise NotImplementedError("the relaxed competitor family requires separable f = w(x)|A|")
     _check_levels(levels)
     hypothesis_log = check_hypotheses(spec)
     direct = direct_minimize(spec, levels)
@@ -718,11 +650,11 @@ def relax_minimize(
     nodal = np.full(mesh.nodes.size, p)
     nodal[cmin + 1 :] = q
     u_star = BVField.from_nodal(mesh, nodal)
-    boundary_atoms = {}
+    boundary_atoms = {}  # trace difference times the outer normal, -1 at a and +1 at b
     if abs(ba - p) > 0:
-        boundary_atoms[spec.a] = (ba - p) * spec.normal(spec.a)
+        boundary_atoms[spec.a] = -(ba - p)
     if abs(bb - q) > 0:
-        boundary_atoms[spec.b] = (bb - q) * spec.normal(spec.b)
+        boundary_atoms[spec.b] = bb - q
     pair = soucek_pair(u_star, boundary_atoms)
     min_extended = eval_Fbar(pair, spec)
 
@@ -782,7 +714,7 @@ def _oscillation_probe(gym_star, beta, spec: ProblemSpec, x: float, mass: float,
         np.array(rows),
         underlying=old.underlying,
     )
-    rho = spec.normal(x)
+    rho = -1.0 if spec._side(x) == "left" else 1.0
     moment = 2 * theta - 1.0
     new_beta = dict(beta)
     new_beta[x] = beta[x] + rho * moment * mass
@@ -832,26 +764,26 @@ def higher_dim_J(
     }
 
 
-def _angle_in(theta: float, arc: tuple[float, float]) -> bool:
+def _angle_in(theta, arc: tuple[float, float]) -> np.ndarray:
+    """Elementwise: does the angle theta lie on the counter-clockwise arc (lo, hi)?"""
     lo, hi = arc
     twopi = 2 * np.pi
-    t = (theta - lo) % twopi
-    return t <= (hi - lo) % twopi + 1e-12
+    return (np.asarray(theta) - lo) % twopi <= (hi - lo) % twopi + 1e-12
 
 
 def _arcs_overlap(a, b) -> bool:
-    for t in np.linspace(a[0], a[0] + (a[1] - a[0]) % (2 * np.pi), 64):
-        if _angle_in(t, b):
-            return True
-    return False
+    return bool(np.any(_angle_in(np.linspace(a[0], a[0] + (a[1] - a[0]) % (2 * np.pi), 64), b)))
+
+
+def _arc_edges(mesh: TriMesh, arc) -> np.ndarray:
+    """Indices into mesh.boundary_edges() of the edges whose midpoints lie on the arc."""
+    edges = mesh.boundary_edges()
+    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    return np.flatnonzero(_angle_in(np.arctan2(mids[:, 1], mids[:, 0]), arc))
 
 
 def _gamma_length(mesh: TriMesh, arc) -> float:
-    edges = mesh.boundary_edges()
-    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    ang = np.arctan2(mids[:, 1], mids[:, 0])
-    sel = np.array([_angle_in(t, arc) for t in ang])
-    return float(np.sum(mesh.boundary_edge_lengths()[sel]))
+    return float(np.sum(mesh.boundary_edge_lengths()[_arc_edges(mesh, arc)]))
 
 
 def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None):
@@ -864,13 +796,9 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None):
 
     nv = mesh.vertices.shape[0]
     edges = mesh.boundary_edges()
-    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    ang = np.arctan2(mids[:, 1], mids[:, 0])
-    g1_edges = np.nonzero([_angle_in(t, gamma1) for t in ang])[0]
-    vang = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
-    dir_nodes = np.array(
-        [i for i in mesh.boundary_nodes if _angle_in(float(vang[i]), gamma0)], dtype=int
-    )
+    g1_edges = _arc_edges(mesh, gamma1)
+    bn = mesh.boundary_nodes
+    dir_nodes = bn[_angle_in(np.arctan2(mesh.vertices[bn, 1], mesh.vertices[bn, 0]), gamma0)]
     free_idx = np.setdiff1d(np.arange(nv), dir_nodes)
 
     seg_pts = mesh.vertices[edges[g1_edges]]  # (ne, 2, 2)

@@ -107,9 +107,6 @@ class TracePair:
     outer_atoms: tuple = ()
     green_residual: float = 0.0
 
-    def difference_masses(self) -> dict:
-        return {x: self.outer[x] - self.inner[x] for x in self.inner}
-
     def to_record(self) -> dict:
         return {
             "inner": {str(k): np.asarray(v).tolist() for k, v in self.inner.items()},
@@ -157,10 +154,6 @@ def outer_trace(pair: SoucekPair, green_tol: float = GREEN_TOL) -> TracePair:
     return _outer_trace_disk(pair, green_tol)
 
 
-def _normal_1d(mesh, x: float) -> float:
-    return -1.0 if abs(x - mesh.a) < abs(x - mesh.b) else 1.0
-
-
 def _outer_trace_1d(pair: SoucekPair, green_tol: float) -> TracePair:
     u: BVField = pair.u
     mesh = u.mesh
@@ -168,9 +161,8 @@ def _outer_trace_1d(pair: SoucekPair, green_tol: float) -> TracePair:
     inner = {mesh.a: np.atleast_1d(lo).copy(), mesh.b: np.atleast_1d(hi).copy()}
     outer = {k: v.copy() for k, v in inner.items()}
     for at in pair.boundary_part():
-        x = float(np.asarray(at.point))
-        x = mesh.a if abs(x - mesh.a) <= abs(x - mesh.b) else mesh.b
-        rho = _normal_1d(mesh, x)
+        rho = mesh.outer_normal(float(np.asarray(at.point)))
+        x = mesh.a if rho < 0 else mesh.b
         A = at.value.reshape(-1, 1)
         outer[x] = outer[x] + rho * A[:, 0]
     residual = 0.0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvgym.integrands import weighted_tv_integrand
+from bvgym.integrands import SpatialIntegrand, mat_norm, weighted_tv_integrand
 from bvgym.measures import BVField
 from bvgym.meshes import interval_mesh
 from bvgym.relax import (
@@ -53,6 +53,18 @@ class TestBoundarySlots:
         assert spec.left is None and spec.term_at(0.0) is None
         assert spec.right is spec.boundary[1.0]
         assert spec.term_at(0.5) is None
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            SpatialIntegrand((1, 1), lambda x, A: mat_norm(A), lambda x, S: mat_norm(S), name="generic"),
+            weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)), dims=(2, 1)),
+        ],
+        ids=["not_separable", "not_scalar"],
+    )
+    def test_only_separable_scalar_integrands(self, f):
+        with pytest.raises(ValueError, match=r"separable scalar f = w\(x\)\|A\|"):
+            ProblemSpec(0.0, 1.0, f, {1.0: square_penalty(1.0)})
 
     def test_key_off_the_boundary_raises(self):
         f = weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)))
@@ -362,6 +374,7 @@ class TestHigherDim:
         # J per level as computed before the scatter and mesh loops were vectorized
         expected = [1.6923334356145068, 1.69104705744272, 1.6878420662762819]
         assert [row["J"] for row in res["table"]] == pytest.approx(expected, rel=1e-12)
+        assert res["gamma1_length"] == 1.5597406542173138  # as before the arc selection was vectorized
         assert len(refine_calls) == 2  # no refinement after the last level
         stages = res["stages"]
         assert [s["nv"] for s in stages] == [25] * 3 + [81] * 3 + [289] * 3
