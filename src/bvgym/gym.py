@@ -281,6 +281,49 @@ def default_dictionary(dims=(1, 1)) -> list[tuple[str, Callable, Integrand]]:
 # generation from sequences of derivative measures
 
 
+def _snap_all(grid: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """`_grid_index(grid, A[i])` for every i, evaluated once per distinct matrix."""
+    rows, inv = np.unique(A, axis=0, return_inverse=True)
+    return np.array([_grid_index(grid, r) for r in rows], dtype=int)[inv.ravel()]
+
+
+def _bin_windows(Y: DiscreteMeasure, wnodes, matrix_grid, sphere_grid, overflow_radius):
+    """Overlap-length histograms of Y's density per window: (nu, conc_mass, conc_pos, conc_dir).
+
+    Each cell adds its overlap length ell with window w to nu[w, grid index of
+    its density], or, above the overflow radius, to the zero matrix while its
+    mass ell * |density| goes to the window's concentration sums.  The
+    (cell, window) pairs are listed in cell order and np.bincount adds in input
+    order, so every sum equals the one a per-cell `+=` loop builds, bit for bit.
+    """
+    a, b, nwin = wnodes[0], wnodes[-1], wnodes.size - 1
+    K, S = matrix_grid.shape[0], sphere_grid.shape[0]
+    lo, hi = Y.mesh.nodes[:-1], Y.mesh.nodes[1:]
+    w0 = np.clip(((lo - a) / (b - a) * nwin).astype(int), 0, nwin - 1)
+    w1 = np.clip(np.nextafter((hi - a) / (b - a) * nwin, -np.inf).astype(int), 0, nwin - 1)
+    n = np.maximum(w1 - w0 + 1, 0)
+    cell = np.repeat(np.arange(lo.size), n)
+    w = np.repeat(w0 + n - np.cumsum(n), n) + np.arange(cell.size)  # w0[c], w0[c] + 1, ... per cell c
+    left, right = np.maximum(lo[cell], wnodes[w]), np.minimum(hi[cell], wnodes[w + 1])
+    ell = right - left
+    keep = ell > 0
+    cell, w, ell, left, right = cell[keep], w[keep], ell[keep], left[keep], right[keep]
+
+    norms = mat_norm(Y.density)
+    over = ~(norms <= overflow_radius)  # a NaN norm counts as overflow
+    k = np.full(lo.size, _zero_index(matrix_grid))
+    k[~over] = _snap_all(matrix_grid, Y.density[~over])
+    s = np.zeros(lo.size, dtype=int)
+    s[over] = _snap_all(sphere_grid, Y.density[over] / norms[over, None, None])
+    nu = np.bincount(w * K + k[cell], ell, nwin * K).reshape(nwin, K)
+    o = over[cell]
+    mass, wo = ell[o] * norms[cell[o]], w[o]
+    conc_dir = np.bincount(wo * S + s[cell[o]], mass, nwin * S).reshape(nwin, S)
+    conc_mass = np.bincount(wo, mass, nwin)
+    conc_pos = np.bincount(wo, mass * 0.5 * (left[o] + right[o]), nwin)
+    return nu, conc_mass, conc_pos, conc_dir
+
+
 def generate(
     Y_seq: Sequence[DiscreteMeasure],
     window_h: float = 1.0 / 32,
@@ -323,34 +366,10 @@ def generate(
     nwin = max(1, int(round((b - a) / window_h)))
     wnodes = np.linspace(a, b, nwin + 1)
     wmesh = IntervalMesh(wnodes)
-    K, S = matrix_grid.shape[0], sphere_grid.shape[0]
-    zero_idx = _zero_index(matrix_grid)
-
-    nu = np.zeros((nwin, K))
-    conc_mass = np.zeros(nwin)
-    conc_pos = np.zeros(nwin)
-    conc_dir = np.zeros((nwin, S))
-    extra_atoms: dict[float, tuple[float, np.ndarray]] = {}
-
+    S = sphere_grid.shape[0]
     Y = Y_seq[-1]
-    src = Y.mesh
-    norms = mat_norm(Y.density)
-    for c in range(src.ncells):
-        lo, hi = src.nodes[c], src.nodes[c + 1]
-        w0 = max(0, min(int((lo - a) / (b - a) * nwin), nwin - 1))
-        w1 = max(0, min(int(np.nextafter((hi - a) / (b - a) * nwin, -np.inf)), nwin - 1))
-        for w in range(w0, w1 + 1):
-            ell = min(hi, wnodes[w + 1]) - max(lo, wnodes[w])
-            if ell <= 0:
-                continue
-            if norms[c] <= overflow_radius:
-                nu[w, _grid_index(matrix_grid, Y.density[c])] += ell
-            else:
-                nu[w, zero_idx] += ell
-                mass = ell * norms[c]
-                conc_mass[w] += mass
-                conc_pos[w] += mass * 0.5 * (max(lo, wnodes[w]) + min(hi, wnodes[w + 1]))
-                conc_dir[w, _grid_index(sphere_grid, Y.density[c] / norms[c])] += mass
+    nu, conc_mass, conc_pos, conc_dir = _bin_windows(Y, wnodes, matrix_grid, sphere_grid, overflow_radius)
+    extra_atoms: dict[float, tuple[float, np.ndarray]] = {}
     for at in Y.atoms:
         x = float(np.asarray(at.point))
         key = min(max(x, a), b)

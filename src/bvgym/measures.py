@@ -221,12 +221,11 @@ class BVField:
         return d / (h[:, None] if d.ndim == 2 else h)
 
     def jumps(self) -> list[tuple[float, np.ndarray]]:
-        out = []
-        for i in range(1, self.mesh.ncells):
-            j = np.atleast_1d(self.values[i, 0] - self.values[i - 1, 1])
-            if np.linalg.norm(j) > 0:
-                out.append((float(self.mesh.nodes[i]), j))
-        return out
+        """(node, jump) at interior nodes where |jump| > 0; a jump whose squared
+        norm underflows counts as none, as np.linalg.norm(jump) == 0 there."""
+        d = (self.values[1:, 0] - self.values[:-1, 1]).reshape(self.mesh.ncells - 1, self.ncomp)
+        found = np.nonzero(np.sum(d * d, axis=1) > 0)[0]
+        return [(float(self.mesh.nodes[i + 1]), d[i]) for i in found]
 
     def derivative(self) -> DiscreteMeasure:
         """Derivative measure: cellwise gradient density plus jump atoms.

@@ -53,8 +53,8 @@ class IntervalMesh:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("interval mesh needs at least two nodes")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("mesh nodes must be strictly increasing")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
+            raise ValueError("mesh nodes must be finite and strictly increasing")
         object.__setattr__(self, "nodes", nodes)
 
     @property

@@ -89,9 +89,11 @@ class ProblemSpec:
             object.__setattr__(self, side, term)
 
     def _side(self, x: float) -> str | None:
-        if np.isclose(x, self.a):
+        # relative to the domain, so that a domain shorter than 1e-8 keeps its two sides apart
+        tol = 1e-8 * abs(self.b - self.a)
+        if abs(x - self.a) <= tol:
             return "left"
-        if np.isclose(x, self.b):
+        if abs(x - self.b) <= tol:
             return "right"
         return None
 

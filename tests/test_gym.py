@@ -1,7 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvgym.gym import (
     DiPernaMajdaMeasure,
@@ -13,6 +16,7 @@ from bvgym.gym import (
     check_characterization,
     combine_orthogonal,
     default_dictionary,
+    default_matrix_grid,
     default_qslb_family,
     dirac_gym,
     first_moment,
@@ -26,9 +30,10 @@ from bvgym.gym import (
     split,
     to_diperna_majda,
 )
-from bvgym.integrands import hom_linear, make_integrand
+from bvgym.gym import _grid_index, _zero_index
+from bvgym.integrands import hom_linear, make_integrand, mat_norm
 from bvgym.measures import Atom, BVField, DiscreteMeasure, weakstar_gap
-from bvgym.meshes import disk_mesh, interval_mesh
+from bvgym.meshes import IntervalMesh, disk_mesh, interval_mesh
 from bvgym.relax import toy_field, toy_limit_gym
 
 from conftest import ONE, X, XSQ, oscillation_field, random_gym, resample, union_mesh
@@ -157,6 +162,97 @@ class TestGenerate:
         mom = first_moment(gm)
         seq = [toy_field(n, EPS).derivative() for n in (10, 100, 1000)]
         assert weakstar_gap(seq, mom, [ONE, X, XSQ]) <= 1e-2
+
+
+def _bin_windows_loop(Y, wnodes, matrix_grid, sphere_grid, overflow_radius):
+    """The per-cell loop that `gym._bin_windows` replaced, kept as its reference."""
+    a, b, nwin = wnodes[0], wnodes[-1], wnodes.size - 1
+    K, S = matrix_grid.shape[0], sphere_grid.shape[0]
+    zero_idx = _zero_index(matrix_grid)
+    nu, conc_mass, conc_pos, conc_dir = np.zeros((nwin, K)), np.zeros(nwin), np.zeros(nwin), np.zeros((nwin, S))
+    src = Y.mesh
+    norms = mat_norm(Y.density)
+    for c in range(src.ncells):
+        lo, hi = src.nodes[c], src.nodes[c + 1]
+        w0 = max(0, min(int((lo - a) / (b - a) * nwin), nwin - 1))
+        w1 = max(0, min(int(np.nextafter((hi - a) / (b - a) * nwin, -np.inf)), nwin - 1))
+        for w in range(w0, w1 + 1):
+            ell = min(hi, wnodes[w + 1]) - max(lo, wnodes[w])
+            if ell <= 0:
+                continue
+            if norms[c] <= overflow_radius:
+                nu[w, _grid_index(matrix_grid, Y.density[c])] += ell
+            else:
+                nu[w, zero_idx] += ell
+                mass = ell * norms[c]
+                conc_mass[w] += mass
+                conc_pos[w] += mass * 0.5 * (max(lo, wnodes[w]) + min(hi, wnodes[w + 1]))
+                conc_dir[w, _grid_index(sphere_grid, Y.density[c] / norms[c])] += mass
+    return nu, conc_mass, conc_pos, conc_dir
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestGenerateBinning:
+    """`generate` bins the last member with whole-array histograms; every
+    generated measure must equal the one the per-cell loop built, bit for bit."""
+
+    @staticmethod
+    def _member(rng, a, b, nwin, dims, repeated, radius, natoms):
+        wnodes = np.linspace(a, b, nwin + 1)
+        edges = rng.choice(wnodes[1:-1], size=min(nwin - 1, rng.integers(0, 6)), replace=False)
+        near = np.nextafter(edges, rng.choice([-np.inf, np.inf], size=edges.size))
+        coarse = rng.uniform(a, b, rng.integers(0, 4))  # long cells spanning several windows
+        graded = a + (b - a) * rng.uniform(0.2, 0.8) * np.linspace(0, 1, 12) ** 3  # graded toward a
+        fine = rng.uniform(a, b, rng.integers(0, 30))
+        nodes = np.unique(np.concatenate([[a, b], edges, near, coarse, graded, fine]))
+        mesh = IntervalMesh(nodes)
+        M = dims[0]
+        if repeated:  # a few values: on the overflow radius, beyond it, halfway between grid points
+            grid = default_matrix_grid(dims, radius=radius / 2)[:, :, 0]
+            i = rng.integers(0, len(grid) - 1)
+            pool = np.stack([np.zeros(M), np.full(M, radius / np.sqrt(M)), rng.normal(0, radius, M),
+                             rng.normal(0, 0.3, M), 0.5 * (grid[i] + grid[i + 1])])
+            dens = pool[rng.integers(0, len(pool), mesh.ncells)]
+        else:
+            dens = rng.normal(0, 0.6 * radius, (mesh.ncells, M))
+        pts = rng.choice([a, b, rng.uniform(a, b), rng.uniform(a, b)], size=natoms)
+        dirs = rng.normal(size=(natoms, M))
+        atoms = [Atom(float(p), float(rng.uniform(0.1, 2)), (d / np.linalg.norm(d))[:, None])
+                 for p, d in zip(pts, dirs)]
+        return DiscreteMeasure(mesh, dens[:, :, None], tuple(atoms))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.sampled_from([1, 2]), nwin=st.integers(1, 40),
+           repeated=st.booleans(), natoms=st.integers(0, 3),
+           domain=st.sampled_from([(0.0, 1.0), (-0.306, 0.614), (1.0, 4.0)]))
+    def test_matches_per_cell_loop(self, seed, M, nwin, repeated, natoms, domain):
+        import bvgym.gym as gym
+
+        a, b = domain
+        radius = 2.0
+        Y = self._member(np.random.default_rng(seed), a, b, nwin, (M, 1), repeated, radius, natoms)
+        kw = dict(window_h=(b - a) / nwin, overflow_radius=radius, dictionary=[])
+        res, _ = generate([Y], **kw)
+        with mock.patch.object(gym, "_bin_windows", _bin_windows_loop):
+            ref, _ = generate([Y], **kw)
+        assert res.mesh.ncells == nwin
+        assert _same_bits(res.nu, ref.nu)
+        assert _same_bits(res.lam_atoms, ref.lam_atoms)
+        assert _same_bits(res.nu_inf_atoms, ref.nu_inf_atoms)
+
+    def test_helper_matches_loop_on_oscillation_sequence(self):
+        import bvgym.gym as gym
+
+        Y = oscillation_field(64).derivative()
+        wnodes = np.linspace(0.0, 1.0, 17)
+        for radius in (0.5, 8.0):  # all cells beyond the overflow radius, then none
+            args = (Y, wnodes, gym.default_matrix_grid(), gym.default_sphere_grid(), radius)
+            for got, want in zip(gym._bin_windows(*args), _bin_windows_loop(*args)):
+                assert _same_bits(got, want)
 
 
 class TestSplit:

@@ -42,6 +42,55 @@ class TestDerivative:
         assert np.allclose(mu.density[~ramp], 0.0)
 
 
+def _jumps_loop(u):
+    """The per-interface loop that `BVField.jumps` replaced, kept as its reference."""
+    out = []
+    for i in range(1, u.mesh.ncells):
+        j = np.atleast_1d(u.values[i, 0] - u.values[i - 1, 1])
+        if np.linalg.norm(j) > 0:
+            out.append((float(u.mesh.nodes[i]), j))
+    return out
+
+
+class TestJumpsMatchLoop:
+    """`BVField.jumps` finds jumps with one array difference; it and `derivative`
+    must give what the per-interface loop gave, bit for bit."""
+
+    @staticmethod
+    def _field(ncomp, jumps):
+        rng = np.random.default_rng(7)
+        mesh = interval_mesh(0.0, 1.0, len(jumps) + 1)
+        shape = (mesh.ncells, 2) + ((ncomp,) if ncomp > 1 else ())
+        vals = rng.normal(size=shape)
+        for i, j in enumerate(jumps, start=1):  # right value 0 on cell i-1, so the jump is j exactly
+            vals[i - 1, 1] = 0.0
+            vals[i, 0] = np.reshape(j, vals[i, 0].shape)
+        return BVField(mesh, vals)
+
+    @pytest.mark.parametrize("ncomp", [1, 2])
+    def test_jumps_and_derivative(self, ncomp):
+        tiny, zero = np.full(ncomp, 1e-200), np.zeros(ncomp)
+        half = np.array([1e-200, 0.5][:ncomp]) if ncomp > 1 else np.array([0.5])
+        u = self._field(ncomp, [zero, tiny, half, -np.ones(ncomp), zero, 3.0 * np.ones(ncomp), tiny])
+        # the 1e-200 jump's squared norm underflows, so np.linalg.norm gives 0: no jump
+        assert float(np.linalg.norm(tiny)) == 0.0
+        got, want = u.jumps(), _jumps_loop(u)
+        assert len(got) == len(want) == 3
+        for (x, j), (x_ref, j_ref) in zip(got, want):
+            assert x == x_ref and j.shape == j_ref.shape and j.tobytes() == j_ref.tobytes()
+        mu = u.derivative()
+        assert len(mu.atoms) == len(want)
+        for at, (x_ref, j_ref) in zip(mu.atoms, want):
+            m = float(np.linalg.norm(j_ref))
+            assert at.point == x_ref and at.mass == m
+            assert np.asarray(at.direction).tobytes() == (j_ref / m)[:, None].tobytes()
+
+    def test_no_interfaces(self):
+        u = BVField(interval_mesh(0.0, 1.0, 1), np.array([[0.0, 1.0]]))
+        assert u.jumps() == _jumps_loop(u) == []
+        assert u.derivative().atoms == ()
+
+
 class TestTotalVariation:
     def test_zero(self, unit_mesh):
         assert total_variation(DiscreteMeasure(unit_mesh, np.zeros(unit_mesh.ncells))) == 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bvgym.meshes import TriMesh, disk_mesh, rotation_2d
+from bvgym.meshes import IntervalMesh, TriMesh, disk_mesh, rotation_2d
 
 
 def reference_boundary_edges(mesh: TriMesh) -> np.ndarray:
@@ -85,3 +85,10 @@ def test_refined_boundary_edges_are_counter_clockwise():
     e = mesh.boundary_edges()
     p, q = mesh.vertices[e[:, 0]], mesh.vertices[e[:, 1]]
     assert np.all(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0] > 0)
+
+
+@pytest.mark.parametrize("nodes", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [-np.inf, 0.0], [0.0, 0.5, 0.5, 1.0]])
+def test_interval_mesh_rejects_nonfinite_or_repeated_nodes(nodes):
+    # generate bins cells with whole-array index arithmetic, which has no error for a NaN node
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        IntervalMesh(np.array(nodes))

@@ -48,6 +48,18 @@ class TestBoundarySlots:
         assert spec.term_at(0.0) is left and spec.term_at(1.0) is right
         assert spec.robin_terms() == [(0.0, left), (1.0, right)]
 
+    def test_tiny_domain_keeps_sides_apart(self):
+        # np.isclose's absolute 1e-8 would file the term keyed at b = 5e-9 under `left`
+        f = weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        right = square_penalty(1.0)
+        spec = ProblemSpec(0.0, 5e-9, f, {5e-9: right})
+        assert spec.left is None and spec.right is right
+        assert spec.term_at(5e-9) is right and spec.term_at(0.0) is None
+        left = abs_penalty(0.0)
+        spec = ProblemSpec(0.0, 5e-9, f, {0.0: left, 5e-9: right})
+        assert spec.left is left and spec.right is right
+        assert spec.robin_terms() == [(0.0, left), (5e-9, right)]
+
     def test_neumann_side_is_none(self):
         spec = const_weight_spec()
         assert spec.left is None and spec.term_at(0.0) is None
