@@ -114,22 +114,20 @@ def load_problem_config(path: str) -> tuple[ProblemSpec, dict]:
     from .integrands import weighted_tv_integrand
 
     f = weighted_tv_integrand(weight, name=wname)
-    boundary = {}
+    terms = {}
     gsec = cp["g"] if "g" in cp else {}
-    for key, point in (("left", a), ("right", b)):
-        name = gsec.get(key, "none")
+    for side in ("left", "right"):
+        name = gsec.get(side, "none")
         pb, _, ppar = name.partition(":")
         if pb not in PENALTIES:
             raise KeyError(f"unknown boundary penalty {name!r}; choose from {sorted(PENALTIES)}")
-        term = PENALTIES[pb](ppar)
-        if term is not None:
-            boundary[point] = term
+        terms[side] = PENALTIES[pb](ppar)
     C = float(cp.get("bounds", "C", fallback="10.0"))
     run = {
         "levels": _parse_levels(cp.get("run", "levels", fallback="4,6,8")),
         "seed": int(cp.get("run", "seed", fallback="0")),
     }
-    spec = ProblemSpec(a, b, f, boundary, C=C, name=f"config:{Path(path).name}")
+    spec = ProblemSpec(a, b, f, **terms, C=C, name=f"config:{Path(path).name}")
     return spec, run
 
 

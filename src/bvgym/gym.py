@@ -296,11 +296,12 @@ def _bin_windows(Y: DiscreteMeasure, wnodes, matrix_grid, sphere_grid, overflow_
     (cell, window) pairs are listed in cell order and np.bincount adds in input
     order, so every sum equals the one a per-cell `+=` loop builds, bit for bit.
     """
-    a, b, nwin = wnodes[0], wnodes[-1], wnodes.size - 1
+    nwin = wnodes.size - 1
     K, S = matrix_grid.shape[0], sphere_grid.shape[0]
     lo, hi = Y.mesh.nodes[:-1], Y.mesh.nodes[1:]
-    w0 = np.clip(((lo - a) / (b - a) * nwin).astype(int), 0, nwin - 1)
-    w1 = np.clip(np.nextafter((hi - a) / (b - a) * nwin, -np.inf).astype(int), 0, nwin - 1)
+    # from the window holding lo to the last one starting below hi: every positive overlap
+    w0 = np.clip(np.searchsorted(wnodes, lo, "right") - 1, 0, nwin - 1)
+    w1 = np.clip(np.searchsorted(wnodes, hi, "left") - 1, 0, nwin - 1)
     n = np.maximum(w1 - w0 + 1, 0)
     cell = np.repeat(np.arange(lo.size), n)
     w = np.repeat(w0 + n - np.cumsum(n), n) + np.arange(cell.size)  # w0[c], w0[c] + 1, ... per cell c

@@ -21,7 +21,7 @@ visible instead of silently asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,29 +68,26 @@ class ProblemSpec:
     a: float
     b: float
     f: SpatialIntegrand
-    boundary: dict  # point -> BoundaryTerm, resolved into left/right; absent sides are Neumann
+    _: KW_ONLY
+    left: BoundaryTerm | None = None  # Robin term at a; None is a Neumann side
+    right: BoundaryTerm | None = None  # Robin term at b; None is a Neumann side
     C: float = 10.0
     name: str = "problem"
     toy_eps: float | None = None  # set by toy_spec; marks the weighted-TV model problem
-    left: BoundaryTerm | None = field(default=None, init=False, repr=False)
-    right: BoundaryTerm | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError("infeasible bound C")
+        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"domain must be finite with a < b, got a={self.a!r}, b={self.b!r}")
+        if not (np.isfinite(self.C) and self.C > 0):
+            raise ValueError(f"infeasible bound C: C must be finite and > 0, got {self.C!r}")
         if self.f.weight is None or tuple(self.f.dims) != (1, 1):
             raise ValueError(
                 "ProblemSpec needs a separable scalar f = w(x)|A| (f.weight set, f.dims == (1, 1))"
             )
-        for x, term in self.boundary.items():
-            side = self._side(x)
-            if side is None:
-                raise ValueError("Robin terms must sit on the boundary")
-            object.__setattr__(self, side, term)
 
     def _side(self, x: float) -> str | None:
         # relative to the domain, so that a domain shorter than 1e-8 keeps its two sides apart
-        tol = 1e-8 * abs(self.b - self.a)
+        tol = 1e-8 * (self.b - self.a)
         if abs(x - self.a) <= tol:
             return "left"
         if abs(x - self.b) <= tol:
@@ -147,8 +144,8 @@ def toy_spec(eps: float, C: float = 10.0) -> ProblemSpec:
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     f = weighted_tv_integrand(toy_weight(eps), name=f"toy_f(eps={eps})", growth_c=max(1.0 + eps, 1.0 / eps))
-    boundary = {0.0: square_penalty(0.0), 1.0: square_penalty(1.0)}
-    return ProblemSpec(0.0, 1.0, f, boundary, C=C, name=f"toy(eps={eps})", toy_eps=eps)
+    return ProblemSpec(0.0, 1.0, f, left=square_penalty(0.0), right=square_penalty(1.0), C=C,
+                       name=f"toy(eps={eps})", toy_eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +256,15 @@ def toy_report(eps: float, n_values: Sequence[int] = (10, 100, 1000)) -> dict:
 # direct minimization
 
 
-def _golden(fun, lo: float, hi: float, iters: int = 80) -> float:
+_GOLDEN_ITERS = 70  # a bracket of width 2C ends 2C·0.618^70 ≈ 5e-15·C wide
+
+
+def _golden(fun, a: float, b: float) -> float:
     phi = (np.sqrt(5.0) - 1) / 2
-    a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -277,24 +276,45 @@ def _golden(fun, lo: float, hi: float, iters: int = 80) -> float:
     return 0.5 * (a + b)
 
 
-def _nested_golden2(fun2, bracket, iters: int = 70) -> tuple[float, float]:
-    """Global minimum of a convex two-variable function by nested golden section.
-
-    Plain coordinate descent stalls on kinks like |y - x|; nesting the inner
-    minimization keeps the outer profile convex and solves it exactly.
-    """
-    lo, hi = bracket
-
-    def inner(y):
-        return _golden(lambda x: fun2(x, y), lo, hi, iters)
-
-    y_star = _golden(lambda y: fun2(inner(y), y), lo, hi, iters)
-    return inner(y_star), y_star
-
-
 def _g(term: BoundaryTerm | None, value) -> float:
     """A boundary term's value; 0 on a Neumann side."""
     return 0.0 if term is None else term(value)
+
+
+def _best_traces(
+    cost: float, left: BoundaryTerm | None, right: BoundaryTerm | None, C: float
+) -> tuple[float, float]:
+    """(p, q) minimizing cost |q - p| + g_left(p) + g_right(q) over |p| + |q| <= C.
+
+    Nested golden section, outer over q in [-C, C], inner over p in
+    [-(C - |q|), C - |q|]: minimizing a jointly convex function over the
+    p-slices of a convex set leaves a convex profile in q.
+    """
+
+    def inner(q):  # g_right(q) is constant here, so it is left out
+        r = C - abs(q)
+        return _golden(lambda p: cost * abs(q - p) + _g(left, p), -r, r)
+
+    def profile(q):
+        p = inner(q)
+        return cost * abs(q - p) + _g(left, p) + _g(right, q)
+
+    q = _golden(profile, -C, C)
+    return inner(q), q
+
+
+def _cheapest_cell(spec: ProblemSpec, mesh: IntervalMesh) -> tuple[int, float]:
+    """The cell where a jump of size |q - p| costs least, |q - p| times its average weight."""
+    cavg = mesh.cell_integrals(spec.f.weight) / mesh.cell_volumes
+    c = int(np.argmin(cavg))
+    return c, float(cavg[c])
+
+
+def _step_field(mesh: IntervalMesh, c: int, p: float, q: float) -> BVField:
+    """p on the nodes up to cell c, q after it: the whole transition inside cell c."""
+    nodal = np.full(mesh.nodes.size, p)
+    nodal[c + 1 :] = q
+    return BVField.from_nodal(mesh, nodal)
 
 
 def _level_mesh(spec: ProblemSpec, level: int) -> IntervalMesh:
@@ -311,59 +331,12 @@ def _discrete_energy(spec: ProblemSpec, u: BVField) -> float:
     return tv + _g(spec.left, lo) + _g(spec.right, hi)
 
 
-def _minimize_on_mesh(spec: ProblemSpec, mesh: IntervalMesh, polish_iters: int = 60) -> BVField:
-    """Deterministic minimization over nodal fields on one mesh.
-
-    Stage A: golden-section over endpoint competitors; for f = w(x)|A| the
-    in-between transition provably sits in the cheapest cell.
-    Stage B: subgradient polish over the full nodal vector.
-    """
-    B = spec.C / 2
-    # a jump of size |q - p| placed in cell c costs |q - p| * (cell average of w)
-    cavg = mesh.cell_integrals(spec.f.weight) / mesh.cell_volumes
-    cmin = int(np.argmin(cavg))
-    coef = float(cavg[cmin])
-    left, right = spec.left, spec.right
-
-    def fam(p, q):
-        return coef * abs(q - p) + _g(left, p) + _g(right, q)
-
-    p, q = _nested_golden2(fam, (-B, B))
-    nodal = np.full(mesh.nodes.size, p)
-    nodal[cmin + 1 :] = q
-    u = BVField.from_nodal(mesh, nodal)
-
-    # subgradient polish on all nodal values
-    best = _discrete_energy(spec, u)
-    best_nodal = nodal.copy()
-    step0 = 0.1 * max(1.0, float(np.max(np.abs(nodal))))
-    for k in range(polish_iters):
-        g = _energy_subgradient(spec, mesh, nodal)
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-14:
-            break
-        nodal = nodal - step0 / np.sqrt(k + 1.0) / gn * g
-        val = _discrete_energy(spec, BVField.from_nodal(mesh, nodal))
-        if val < best:
-            best = val
-            best_nodal = nodal.copy()
-    return BVField.from_nodal(mesh, best_nodal)
-
-
-def _energy_subgradient(spec: ProblemSpec, mesh: IntervalMesh, nodal: np.ndarray) -> np.ndarray:
-    h = mesh.cell_volumes
-    slopes = np.diff(nodal) / h
-    wbar = mesh.cell_integrals(spec.f.weight)
-    dcost = wbar / h * np.sign(slopes)  # d/dslope of wbar |slope| / h per node pair
-    g = np.zeros_like(nodal)
-    g[:-1] -= dcost
-    g[1:] += dcost
-    fd = 1e-7
-    for term, i in ((spec.left, 0), (spec.right, nodal.size - 1)):
-        gp = _g(term, nodal[i] + fd)
-        gm = _g(term, nodal[i] - fd)
-        g[i] += (gp - gm) / (2 * fd)
-    return g
+def _minimize_on_mesh(spec: ProblemSpec, mesh: IntervalMesh) -> BVField:
+    """The minimizer over nodal fields on one mesh: for f = w(x)|A| no transition
+    from p to q costs less than a step inside the cheapest cell."""
+    c, cost = _cheapest_cell(spec, mesh)
+    p, q = _best_traces(cost, spec.left, spec.right, spec.C)
+    return _step_field(mesh, c, p, q)
 
 
 def _check_levels(levels: Sequence[int]) -> None:
@@ -383,10 +356,6 @@ def direct_minimize(spec: ProblemSpec, levels: Sequence[int] = (4, 6, 8, 10)) ->
     for lev in levels:
         mesh = _level_mesh(spec, lev)
         u = _minimize_on_mesh(spec, mesh)
-        tv = u.derivative().total_variation()
-        lo, hi = u.trace()
-        if tv > spec.C + 1e-9 or float(np.sum(np.abs(lo)) + np.sum(np.abs(hi))) > spec.C + 1e-9:
-            raise AdmissibilityError("direct minimizer violates the admissible-set bound C")
         values.append(_discrete_energy(spec, u))
         minimizers.append(u)
     return {
@@ -629,34 +598,18 @@ def relax_minimize(
     direct = direct_minimize(spec, levels)
 
     mesh = _level_mesh(spec, max(levels))
-    cavg = mesh.cell_integrals(spec.f.weight) / mesh.cell_volumes
-    cmin = int(np.argmin(cavg))
-    legs = np.array([float(spec.f.weight(spec.a)), float(cavg[cmin]), float(spec.f.weight(spec.b))])
-    B = spec.C / 2
-    left, right = spec.left, spec.right
-    cheapest = float(np.min(legs))
+    cmin, cell_cost = _cheapest_cell(spec, mesh)
+    legs = np.array([float(spec.f.weight(spec.a)), cell_cost, float(spec.f.weight(spec.b))])
 
     # Moving total variation |bb - ba| from one outer trace to the other costs
     # the cheapest of: a boundary atom at a, the best interior cell, an atom
     # at b.  This reduces the competitor family exactly to the trace values.
-    def family_value(ba, bb):
-        return cheapest * abs(bb - ba) + _g(left, ba) + _g(right, bb)
-
-    ba, bb = _nested_golden2(family_value, (-B, B))
+    ba, bb = _best_traces(float(np.min(legs)), spec.left, spec.right, spec.C)
     k = int(np.argmin(legs))
     p, q = (ba, bb) if k == 1 else ((ba, ba) if k == 2 else (bb, bb))
-    tvmass = abs(q - p) + abs(ba - p) + abs(bb - q)
-    if tvmass > spec.C + 1e-9 or abs(ba) + abs(bb) > spec.C + 1e-9:
-        raise AdmissibilityError("relaxed minimizer violates the admissible-set bound C")
-
-    nodal = np.full(mesh.nodes.size, p)
-    nodal[cmin + 1 :] = q
-    u_star = BVField.from_nodal(mesh, nodal)
-    boundary_atoms = {}  # trace difference times the outer normal, -1 at a and +1 at b
-    if abs(ba - p) > 0:
-        boundary_atoms[spec.a] = -(ba - p)
-    if abs(bb - q) > 0:
-        boundary_atoms[spec.b] = bb - q
+    u_star = _step_field(mesh, cmin, p, q)
+    # trace difference times the outer normal, -1 at a and +1 at b
+    boundary_atoms = {x: v for x, v in ((spec.a, p - ba), (spec.b, bb - q)) if v != 0}
     pair = soucek_pair(u_star, boundary_atoms)
     min_extended = eval_Fbar(pair, spec)
 
@@ -670,12 +623,8 @@ def relax_minimize(
                 pg, pb = _oscillation_probe(gym_star, beta, spec, x, mass, theta)
                 min_gym = min(min_gym, eval_Fhat(pg, pb, spec, strict=False))
 
-    gen_gym, gen_report = generate_from_fields(
-        direct["minimizers"], window_h=window_h, tol=generation_tol
-    )
-    traces = gym_traces(gen_gym)
-    gen_beta = {x: v for x, v in traces["outer"].items()}
-    gym_attained = eval_Fhat(gen_gym, gen_beta, spec, strict=False)
+    gen_gym, _ = generate_from_fields(direct["minimizers"], window_h=window_h, tol=generation_tol)
+    gym_attained = eval_Fhat(gen_gym, gym_traces(gen_gym)["outer"], spec, strict=False)
 
     toy_note = None if spec.toy_eps is None else toy_report(spec.toy_eps)
     return RelaxationResult(

@@ -143,6 +143,32 @@ class TestErrorsAndDeterminism:
         assert "--levels" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("C", ["nan", "inf", "-inf", "0"])
+    def test_toy_invalid_C_exits_1(self, tmp_path, capsys, C):
+        code, out = run(tmp_path, "toy", "--eps", "0.5", "--levels", "4", f"--C={C}")
+        assert code == 1
+        assert "infeasible bound C: C must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "a,b,C,message",
+        [
+            ("0.0", "1.0", "nan", "infeasible bound C: C must be finite and > 0"),
+            ("0.0", "nan", "10.0", "domain must be finite with a < b"),
+            ("1.0", "0.0", "10.0", "domain must be finite with a < b"),
+        ],
+    )
+    def test_relax_invalid_config_exits_1(self, tmp_path, capsys, a, b, C, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(
+            f"[domain]\na = {a}\nb = {b}\n[f]\nweight = const:1.0\n"
+            f"[g]\nright = square_to:1.0\n[bounds]\nC = {C}\n[run]\nlevels = 3\n"
+        )
+        code, out = run(tmp_path, "relax", "--config", str(cfg))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_tolerance_rejected(self, tmp_path, capsys):
         code, _ = run(tmp_path, "generate", "--sequence", "toy:0.5", "--tol", "-1")
         assert code == 1

@@ -165,8 +165,8 @@ class TestGenerate:
 
 
 def _bin_windows_loop(Y, wnodes, matrix_grid, sphere_grid, overflow_radius):
-    """The per-cell loop that `gym._bin_windows` replaced, kept as its reference."""
-    a, b, nwin = wnodes[0], wnodes[-1], wnodes.size - 1
+    """Per-cell loop over every window, the reference for `gym._bin_windows`."""
+    nwin = wnodes.size - 1
     K, S = matrix_grid.shape[0], sphere_grid.shape[0]
     zero_idx = _zero_index(matrix_grid)
     nu, conc_mass, conc_pos, conc_dir = np.zeros((nwin, K)), np.zeros(nwin), np.zeros(nwin), np.zeros((nwin, S))
@@ -174,9 +174,7 @@ def _bin_windows_loop(Y, wnodes, matrix_grid, sphere_grid, overflow_radius):
     norms = mat_norm(Y.density)
     for c in range(src.ncells):
         lo, hi = src.nodes[c], src.nodes[c + 1]
-        w0 = max(0, min(int((lo - a) / (b - a) * nwin), nwin - 1))
-        w1 = max(0, min(int(np.nextafter((hi - a) / (b - a) * nwin, -np.inf)), nwin - 1))
-        for w in range(w0, w1 + 1):
+        for w in range(nwin):
             ell = min(hi, wnodes[w + 1]) - max(lo, wnodes[w])
             if ell <= 0:
                 continue
@@ -243,6 +241,19 @@ class TestGenerateBinning:
         assert _same_bits(res.nu, ref.nu)
         assert _same_bits(res.lam_atoms, ref.lam_atoms)
         assert _same_bits(res.nu_inf_atoms, ref.nu_inf_atoms)
+
+    def test_cell_just_past_a_window_edge_keeps_its_overlap(self):
+        # (hi - a) / (b - a) * nwin rounds to exactly 1.0 for hi = nextafter(1/3, inf)
+        import bvgym.gym as gym
+
+        wnodes, grid = np.linspace(0.0, 1.0, 4), gym.default_matrix_grid()
+        edge = np.nextafter(wnodes[1], np.inf)
+        Y = DiscreteMeasure(IntervalMesh(np.array([0.0, edge, 1.0])), np.array([[[0.5]], [[9.0]]]), ())
+        args = (Y, wnodes, grid, gym.default_sphere_grid(), 8.0)
+        nu = gym._bin_windows(*args)[0]
+        assert nu[1, _grid_index(grid, np.array([[0.5]]))] == edge - wnodes[1] > 0
+        for got, want in zip(gym._bin_windows(*args), _bin_windows_loop(*args)):
+            assert _same_bits(got, want)
 
     def test_helper_matches_loop_on_oscillation_sequence(self):
         import bvgym.gym as gym

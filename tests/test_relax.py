@@ -8,6 +8,7 @@ from bvgym.measures import BVField
 from bvgym.meshes import interval_mesh
 from bvgym.relax import (
     AdmissibilityError,
+    BoundaryTerm,
     HypothesisError,
     ProblemSpec,
     abs_penalty,
@@ -28,60 +29,72 @@ from bvgym.relax import (
     toy_sequence_value,
     toy_spec,
 )
+from bvgym.relax import _level_mesh
 from bvgym.soucek import soucek_pair
 
 EPS = 0.5
 
 
+def _tv(**kw):
+    """f = |A|."""
+    return weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)), **kw)
+
+
 def const_weight_spec(**kw):
     """f = |u'| with a Robin term (u-1)^2 at the right end only."""
-    f = weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)), name="tv")
-    return ProblemSpec(0.0, 1.0, f, {1.0: square_penalty(1.0)}, name="convex_tv", **kw)
+    return ProblemSpec(0.0, 1.0, _tv(name="tv"), right=square_penalty(1.0), name="convex_tv", **kw)
 
 
 class TestBoundarySlots:
-    def test_keys_resolve_to_slots(self):
+    def test_terms_located_by_point(self):
         left, right = square_penalty(0.0), abs_penalty(1.0)
-        f = weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        spec = ProblemSpec(0.0, 1.0, f, {0.0: left, 1.0 + 1e-12: right})
-        assert spec.left is left and spec.right is right
-        assert spec.term_at(0.0) is left and spec.term_at(1.0) is right
+        spec = ProblemSpec(0.0, 1.0, _tv(), left=left, right=right)
+        assert spec.term_at(0.0) is left and spec.term_at(1.0 + 1e-12) is right
         assert spec.robin_terms() == [(0.0, left), (1.0, right)]
 
     def test_tiny_domain_keeps_sides_apart(self):
-        # np.isclose's absolute 1e-8 would file the term keyed at b = 5e-9 under `left`
-        f = weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        # an absolute tolerance of 1e-8 would locate b = 5e-9 on the left side
         right = square_penalty(1.0)
-        spec = ProblemSpec(0.0, 5e-9, f, {5e-9: right})
-        assert spec.left is None and spec.right is right
+        spec = ProblemSpec(0.0, 5e-9, _tv(), right=right)
         assert spec.term_at(5e-9) is right and spec.term_at(0.0) is None
         left = abs_penalty(0.0)
-        spec = ProblemSpec(0.0, 5e-9, f, {0.0: left, 5e-9: right})
-        assert spec.left is left and spec.right is right
+        spec = ProblemSpec(0.0, 5e-9, _tv(), left=left, right=right)
+        assert spec.term_at(0.0) is left and spec.term_at(5e-9) is right
         assert spec.robin_terms() == [(0.0, left), (5e-9, right)]
 
     def test_neumann_side_is_none(self):
         spec = const_weight_spec()
         assert spec.left is None and spec.term_at(0.0) is None
-        assert spec.right is spec.boundary[1.0]
+        assert spec.term_at(1.0) is spec.right is not None
         assert spec.term_at(0.5) is None
+
+    def test_terms_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            ProblemSpec(0.0, 1.0, _tv(), {1.0: square_penalty(1.0)})
+
+    @pytest.mark.parametrize(
+        "a,b,C,field",
+        [
+            (0.0, 1.0, np.nan, "C"), (0.0, 1.0, np.inf, "C"), (0.0, 1.0, 0.0, "C"), (0.0, 1.0, -1.0, "C"),
+            (0.0, np.nan, 10.0, "a < b"), (-np.inf, 1.0, 10.0, "a < b"), (1.0, 1.0, 10.0, "a < b"),
+            (1.0, 0.0, 10.0, "a < b"),
+        ],
+    )
+    def test_invalid_domain_or_bound_rejected(self, a, b, C, field):
+        with pytest.raises(ValueError, match=field):
+            ProblemSpec(a, b, _tv(), right=square_penalty(1.0), C=C)
 
     @pytest.mark.parametrize(
         "f",
         [
             SpatialIntegrand((1, 1), lambda x, A: mat_norm(A), lambda x, S: mat_norm(S), name="generic"),
-            weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)), dims=(2, 1)),
+            _tv(dims=(2, 1)),
         ],
         ids=["not_separable", "not_scalar"],
     )
     def test_only_separable_scalar_integrands(self, f):
         with pytest.raises(ValueError, match=r"separable scalar f = w\(x\)\|A\|"):
-            ProblemSpec(0.0, 1.0, f, {1.0: square_penalty(1.0)})
-
-    def test_key_off_the_boundary_raises(self):
-        f = weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        with pytest.raises(ValueError, match="boundary"):
-            ProblemSpec(0.0, 1.0, f, {0.5: square_penalty(0.0)})
+            ProblemSpec(0.0, 1.0, f, right=square_penalty(1.0))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -142,8 +155,7 @@ class TestDirectMinimize:
         assert res["inf_est"] == pytest.approx(expected, abs=5e-3)
 
     def test_pure_neumann_is_zero(self):
-        f = weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        spec = ProblemSpec(0.0, 1.0, f, {}, name="neumann")
+        spec = ProblemSpec(0.0, 1.0, _tv(), name="neumann")
         res = direct_minimize(spec, levels=(3, 4))
         assert res["inf_est"] == pytest.approx(0.0, abs=1e-12)
 
@@ -181,6 +193,105 @@ class TestDirectMinimize:
     def test_growth_bounds_hold(self):
         spec = toy_spec(0.5)
         assert spec.validate_growth(np.linspace(-50, 50, 21).reshape(-1, 1, 1))
+
+
+# The search must cover all of |beta_a| + |beta_b| <= C here: the best traces
+# (0.959, -1.741) have |beta_b| > C/2 = 1.5.  The value is one HiGHS LP at level 8.
+L1_REPRO = dict(a=-0.306, b=0.614, weight=lambda x: (np.asarray(x, dtype=float) - 0.341) ** 2 + 0.664,
+                left=("abs", 0.959), right=("abs", -1.741), C=3.0)
+L1_REPRO_VALUE = 1.7928104528320314
+
+
+def _lp_spec(a, b, weight, left, right, C):
+    make = {"abs": abs_penalty, "linear": linear_penalty}
+    terms = {k: None if t is None else make[t[0]](t[1]) for k, t in (("left", left), ("right", right))}
+    return ProblemSpec(a, b, weighted_tv_integrand(weight), **terms, C=C)
+
+
+def _lp_direct_value(mesh, weight, left, right, C) -> float:
+    """min sum_c wbar_c/h_c |u_{c+1} - u_c| + g_a(u_0) + g_b(u_n) over all nodal values u,
+    with sum_c |u_{c+1} - u_c| <= C and |u_0| + |u_n| <= C, as one LP solved by HiGHS.
+
+    Columns: u (n + 1, free), s_c >= |u_{c+1} - u_c| (n), then e_a >= |u_0 - t_a|,
+    e_b >= |u_n - t_b|, m_a >= |u_0|, m_b >= |u_n|.  It uses neither the cheapest cell
+    nor the two-trace reduction.
+    """
+    from scipy.optimize import linprog
+
+    n = mesh.ncells
+    cost = mesh.cell_integrals(weight) / mesh.cell_volumes
+    ncol = 2 * n + 5
+    ea, eb, ma, mb = 2 * n + 1, 2 * n + 2, 2 * n + 3, 2 * n + 4
+    c = np.zeros(ncol)
+    c[n + 1 : 2 * n + 1] = cost
+    rows, rhs = [], []
+
+    def row(coef, bound):
+        r = np.zeros(ncol)
+        for j, v in coef.items():
+            r[j] += v
+        rows.append(r)
+        rhs.append(bound)
+
+    for k in range(n):
+        for sgn in (1.0, -1.0):  # +-(u_{k+1} - u_k) <= s_k
+            row({k + 1: sgn, k: -sgn, n + 1 + k: -1.0}, 0.0)
+    row({n + 1 + k: 1.0 for k in range(n)}, C)
+    for node, m in ((0, ma), (n, mb)):
+        row({node: 1.0, m: -1.0}, 0.0)
+        row({node: -1.0, m: -1.0}, 0.0)
+    row({ma: 1.0, mb: 1.0}, C)
+    for node, e, term in ((0, ea, left), (n, eb, right)):
+        if term is None:
+            continue
+        kind, par = term
+        if kind == "linear":
+            c[node] += par
+        else:
+            c[e] = 1.0
+            row({node: 1.0, e: -1.0}, par)
+            row({node: -1.0, e: -1.0}, -par)
+    bounds = [(None, None)] * (n + 1) + [(0, None)] * (n + 4)
+    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+class TestDirectMatchesLP:
+    """The direct value on a mesh equals an LP over all nodal values."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            L1_REPRO,
+            dict(a=0.0, b=1.0, weight=lambda x: (np.asarray(x, dtype=float) - 1) ** 2 + 0.3,
+                 left=("abs", 0.4), right=("linear", 0.7), C=2.0),
+            dict(a=1.0, b=4.0, weight=lambda x: 0.6 + 0 * np.asarray(x, dtype=float),
+                 left=("linear", -0.5), right=("abs", 1.2), C=2.0),
+            dict(a=0.0, b=1.0, weight=lambda x: 1.5 - np.sin(3 * np.asarray(x, dtype=float)),
+                 left=None, right=("linear", 0.3), C=1.0),
+            dict(a=-1.0, b=1.0, weight=lambda x: np.asarray(x, dtype=float) ** 2 + 0.2,
+                 left=("abs", -0.7), right=None, C=1.0),
+        ],
+        ids=["l1_reproducer", "abs_linear", "linear_abs", "neumann_linear", "abs_neumann"],
+    )
+    def test_direct_value_equals_lp(self, case):
+        spec = _lp_spec(**case)
+        levels = (2, 3, 4)
+        res = direct_minimize(spec, levels=levels)
+        for lev, val, u in zip(levels, res["values"], res["minimizers"]):
+            mesh = _level_mesh(spec, lev)
+            lp = _lp_direct_value(mesh, case["weight"], case["left"], case["right"], case["C"])
+            assert val == pytest.approx(lp, abs=1e-9)
+            lo, hi = u.trace()  # the minimizer is admissible
+            assert u.derivative().total_variation() <= abs(lo[0]) + abs(hi[0]) <= case["C"] + 1e-12
+
+    def test_l1_reproducer_all_three_minima(self):
+        res = relax_minimize(_lp_spec(**L1_REPRO), levels=(4, 6, 8))
+        for val in (res.inf_direct, res.min_extended, res.min_gym):
+            assert val == pytest.approx(L1_REPRO_VALUE, abs=1e-9)
+        assert res.agree_within(1e-2)
+        assert abs(res.beta[-0.306][0]) + abs(res.beta[0.614][0]) <= 3.0 + 1e-12
 
 
 def _transition_cells(u):
@@ -305,31 +416,20 @@ class TestRelaxMinimize:
         assert res.min_gym == pytest.approx(0.0, abs=5e-3)
 
     def test_nonconvex_boundary_term_refused(self):
-        bad = ProblemSpec(
-            0.0,
-            1.0,
-            weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float))),
-            {1.0: square_penalty(1.0).__class__(lambda u: -float(np.sum(u**2)), None, True, "-u^2")},
-            name="bad",
-        )
+        concave = BoundaryTerm(lambda u: -float(np.sum(u**2)), None, True, "-u^2")
+        bad = ProblemSpec(0.0, 1.0, _tv(), right=concave, name="bad")
         with pytest.raises(HypothesisError, match="convexity"):
             relax_minimize(bad, levels=(3,))
 
     def test_negative_recession_refused(self):
-        bad = ProblemSpec(
-            0.0,
-            1.0,
-            weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float))),
-            {1.0: linear_penalty(-1.0)},
-            name="bad2",
-        )
+        bad = ProblemSpec(0.0, 1.0, _tv(), right=linear_penalty(-1.0), name="bad2")
         with pytest.raises(HypothesisError, match="negative"):
             relax_minimize(bad, levels=(3,))
 
     def test_not_qslb_weight_refused(self):
         # a weight that is negative at the boundary breaks the sign condition
         f = weighted_tv_integrand(lambda x: np.asarray(x, dtype=float) - 0.5)
-        spec = ProblemSpec(0.0, 1.0, f, {0.0: square_penalty(0.0)}, name="badw")
+        spec = ProblemSpec(0.0, 1.0, f, left=square_penalty(0.0), name="badw")
         with pytest.raises(HypothesisError, match="quasi-sublinear"):
             relax_minimize(spec, levels=(3,))
 
@@ -343,8 +443,7 @@ class TestRelaxMinimize:
         assert res.toy_note == toy_report(EPS)
         assert relax_minimize(const_weight_spec(), levels=(4,)).toy_note is None
         # the note follows toy_eps, not the spec's name
-        f = weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        named_like_toy = ProblemSpec(0.0, 1.0, f, {1.0: square_penalty(1.0)}, name="toy(eps=0.5)")
+        named_like_toy = ProblemSpec(0.0, 1.0, _tv(), right=square_penalty(1.0), name="toy(eps=0.5)")
         assert relax_minimize(named_like_toy, levels=(4,)).toy_note is None
 
 
