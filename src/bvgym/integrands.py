@@ -69,14 +69,15 @@ class HomogeneousIntegrand:
     def __call__(self, A) -> np.ndarray | float:
         A = as_matrix(A, self.dims)
         r = mat_norm(A)
-        scalar = A.ndim == 2
-        Ab = A[None] if scalar else A
-        rb = np.atleast_1d(r)
-        out = np.zeros(rb.shape)
+        rb = r.reshape(-1)
+        Ab = A.reshape(rb.size, *A.shape[-2:])
+        out = np.zeros(rb.size)
         mask = rb > 0
+        # with no zero matrix, slicing passes the same flat batch as the mask, uncopied
+        sel = slice(None) if mask.all() else mask
         if np.any(mask):
-            out[mask] = rb[mask] * np.asarray(self.sphere_eval(Ab[mask] / rb[mask][..., None, None]))
-        return float(out[0]) if scalar else out.reshape(r.shape)
+            out[sel] = rb[sel] * np.asarray(self.sphere_eval(Ab[sel] / rb[sel][:, None, None]))
+        return float(out[0]) if A.ndim == 2 else out.reshape(r.shape)
 
     def on_sphere(self, S) -> np.ndarray | float:
         S = as_matrix(S, self.dims)

@@ -723,7 +723,8 @@ def _angle_in(theta, arc: tuple[float, float]) -> np.ndarray:
 
 
 def _arcs_overlap(a, b) -> bool:
-    return bool(np.any(_angle_in(np.linspace(a[0], a[0] + (a[1] - a[0]) % (2 * np.pi), 64), b)))
+    """Do the closed arcs meet?  Two arcs meet exactly when one's start lies on the other."""
+    return bool(_angle_in(a[0], b) or _angle_in(b[0], a))
 
 
 def _arc_edges(mesh: TriMesh, arc) -> np.ndarray:
@@ -777,15 +778,23 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None):
     # scatter order of the nodal gradient: triangle corners, then (i0, i1) per Gauss point
     scatter = np.concatenate([mesh.triangles.ravel(), np.tile(np.r_[i0, i1], q.shape[0])])
 
+    # the P1 gradient and, per corner, the x and y basis gradients as (3, nt) rows;
+    # per triangle, sums run over corners 0, 1, 2 and x before y, the order J is pinned in
+    G = mesh.gradient_operator()
+    nt = mesh.ncells
+    b0, b1 = (np.ascontiguousarray(mesh.basis_gradients[:, :, d].T) for d in (0, 1))
+
     def energy_and_grad(x, delta):
         u = np.zeros(nv)
         u[free_idx] = x
-        grads = mesh.gradients_of(u)[:, 0, :]  # (nt,2)
-        gn = np.sqrt(np.sum(grads**2, axis=1) + delta**2)
+        gx, gy = (G @ u).reshape(nt, 2).T
+        gn = np.sqrt(gx * gx + gy * gy + delta**2)
         val = float(weight @ (gn - delta))
         gn_safe = np.where(gn > 0, gn, 1.0)
-        dJdG = weight[:, None] * grads / gn_safe[:, None]
-        contrib = np.einsum("td,tid->ti", dJdG, mesh.basis_gradients)
+        dx, dy = weight * gx / gn_safe, weight * gy / gn_safe  # dJ/d(grad u) per triangle
+        contrib = np.empty((nt, 3))
+        for i in range(3):  # column by column: long loops instead of rows of three
+            contrib[:, i] = dx * b0[i] + dy * b1[i]
         diff = (1 - q) * u[i0] + q * u[i1] - ubar_q
         root = np.sqrt(1.0 + diff**2)
         # add the Gauss-point sums one at a time; a single total would round differently

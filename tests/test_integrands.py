@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvgym.integrands import (
+    HomogeneousIntegrand,
     Integrand,
+    as_matrix,
     check_linear_growth,
     convex_envelope_1d,
     estimate_recession,
@@ -205,3 +207,52 @@ class TestMeasureAction:
         mu = BVField.affine(unit_mesh, 1.0, 0.0).derivative()
         with pytest.raises(ValueError, match="recession required"):
             measure_action(make_integrand("sq"), mu)
+
+
+def masked_homogeneous_call(h: HomogeneousIntegrand, A):
+    """HomogeneousIntegrand.__call__ as it was: always mask, copy and scatter back."""
+    A = as_matrix(A, h.dims)
+    r = mat_norm(A)
+    scalar = A.ndim == 2
+    Ab = A[None] if scalar else A
+    rb = np.atleast_1d(r)
+    out = np.zeros(rb.shape)
+    mask = rb > 0
+    if np.any(mask):
+        out[mask] = rb[mask] * np.asarray(h.sphere_eval(Ab[mask] / rb[mask][..., None, None]))
+    return float(out[0]) if scalar else out.reshape(r.shape)
+
+
+def _recording_anisotropic(dims, seen):
+    wts = 1.0 + np.arange(dims[0] * dims[1], dtype=float).reshape(dims)
+
+    def sphere(S):
+        seen.append(S.copy())
+        return np.sqrt(np.sum(wts * S * S, axis=(-2, -1))) + 0.3 * S[..., 0, 0]
+
+    return sphere
+
+
+class TestHomogeneousCall:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]),
+        batch=st.sampled_from([(), (1,), (7,), (3, 4), (2, 5)]),
+        zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_masked_path_bit_for_bit(self, dims, batch, zero_frac, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal(batch + dims) * 10.0 ** rng.uniform(-8, 8, batch + (1, 1))
+        A[rng.random(batch) < zero_frac] = 0.0
+        seen_new, seen_ref = [], []
+        got = HomogeneousIntegrand(dims, _recording_anisotropic(dims, seen_new))(A)
+        ref = masked_homogeneous_call(HomogeneousIntegrand(dims, _recording_anisotropic(dims, seen_ref)), A)
+        if batch == ():
+            assert isinstance(got, float) and got == ref
+        else:
+            assert got.shape == ref.shape == batch and np.array_equal(got, ref)
+        # sphere_eval sees the same flattened (k, M, N) batch, or is not called at all
+        assert len(seen_new) == len(seen_ref) <= 1
+        for x, y in zip(seen_new, seen_ref):
+            assert x.shape == y.shape and np.array_equal(x, y)

@@ -92,3 +92,41 @@ def test_interval_mesh_rejects_nonfinite_or_repeated_nodes(nodes):
     # generate bins cells with whole-array index arithmetic, which has no error for a NaN node
     with pytest.raises(ValueError, match="finite and strictly increasing"):
         IntervalMesh(np.array(nodes))
+
+
+def reference_gradients_of(mesh: TriMesh, values: np.ndarray) -> np.ndarray:
+    """The einsum that computed per-triangle P1 gradients before the sparse operator."""
+    v = values if values.ndim == 2 else values[:, None]
+    return np.einsum("tiM,tid->tMd", v[mesh.triangles], mesh.basis_gradients)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("angle", [None, 0.3])
+def test_gradients_of_equals_einsum_bit_for_bit(level, angle):
+    rng = np.random.default_rng(level)
+    mesh = disk_mesh(level, None if angle is None else rotation_2d(angle))
+    for _ in range(3):  # refined 0, 1 and 2 times
+        nv = mesh.vertices.shape[0]
+        for shape in [(nv,), (nv, 1), (nv, 2), (nv, 3)]:
+            v = rng.standard_normal(shape)
+            got = mesh.gradients_of(v)
+            assert_identical(got, reference_gradients_of(mesh, v))
+            assert got.flags.c_contiguous
+        mesh = mesh.refine()
+
+
+def test_gradient_operator_layout_and_cache():
+    mesh = disk_mesh(2, rotation_2d(0.3))
+    G = mesh.gradient_operator()
+    nt, nv = mesh.triangles.shape[0], mesh.vertices.shape[0]
+    assert G.shape == (2 * nt, nv) and G.nnz == 6 * nt
+    dense = G.toarray()
+    t = np.arange(nt)
+    for i in range(3):
+        for d in range(2):
+            assert_identical(dense[2 * t + d, mesh.triangles[:, i]], mesh.basis_gradients[:, i, d])
+    # built once per mesh: later calls, and gradients_of, reuse the cached matrix
+    assert mesh.gradient_operator() is G
+    mesh.gradients_of(np.zeros(nv))
+    assert mesh.gradient_operator() is G
+    assert disk_mesh(2, rotation_2d(0.3)).gradient_operator() is not G

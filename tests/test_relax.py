@@ -29,7 +29,7 @@ from bvgym.relax import (
     toy_sequence_value,
     toy_spec,
 )
-from bvgym.relax import _level_mesh
+from bvgym.relax import _arcs_overlap, _level_mesh
 from bvgym.soucek import soucek_pair
 
 EPS = 0.5
@@ -509,7 +509,41 @@ class TestHigherDim:
         with pytest.raises(ValueError, match="refinements"):
             higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), level=1, refinements=refinements)
 
+    def test_pinned_cos2_table_and_stages(self):
+        res = higher_dim_J(0.25, lambda p: np.cos(2 * np.arctan2(p[:, 1], p[:, 0])), level=2, refinements=1)
+        # exact values of the einsum-based energy, before the sparse gradient operator
+        assert res["table"] == [{"nv": 81, "J": 1.7902885624456504}, {"nv": 289, "J": 1.7752592365998319}]
+        assert res["stages"] == [
+            {"nv": nv, "delta": delta, "nit": 500, "stop": "maxiter"}
+            for nv in (81, 289)
+            for delta in (1e-2, 1e-4, 1e-6)
+        ]
+        assert res["gamma1_length"] == 1.5679786039752392
+
     def test_overlapping_arcs_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), gamma1_angles=(0.0, 1.0),
                          gamma0_angles=(0.5, 2.0), level=1, refinements=0)
+
+
+class TestArcsOverlap:
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            ((-np.pi / 4, np.pi / 4), (0.001, 0.002), True),  # short arc inside a longer one
+            ((0.0, 1.0), (0.5, 2.0), True),  # partial overlap
+            ((0.0, 1.0), (1.0, 2.0), True),  # touching at one end
+            ((5.5, 0.5), (0.2, 0.3), True),  # inside an arc that wraps past angle 0
+            ((0.0, 1.0), (1.1, 2.0), False),
+            ((-np.pi / 4, np.pi / 4), (3 * np.pi / 4, 5 * np.pi / 4), False),
+            ((5.5, 0.5), (1.0, 5.0), False),
+        ],
+    )
+    def test_both_argument_orders(self, a, b, expected):
+        assert _arcs_overlap(a, b) is expected
+        assert _arcs_overlap(b, a) is expected
+
+    @pytest.mark.parametrize("gamma0", [(0.001, 0.002), (-1.0, 1.0)])
+    def test_dirichlet_arc_inside_or_around_robin_arc_rejected(self, gamma0):
+        with pytest.raises(ValueError, match="overlap"):
+            higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), gamma0_angles=gamma0, level=1, refinements=0)
