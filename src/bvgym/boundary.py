@@ -43,6 +43,8 @@ def validate_homogeneous(v: HomogeneousIntegrand, tol: float = 1e-8) -> None:
     for alpha in (0.5, 2.0):
         lhs = np.asarray(v(alpha * P))
         rhs = alpha * np.asarray(v(P))
+        if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+            raise NotHomogeneousError("integrand returns a non-finite value on the sphere sample")
         if np.max(np.abs(lhs - rhs)) > tol * (1.0 + np.max(np.abs(rhs))):
             raise NotHomogeneousError("integrand is not positively 1-homogeneous")
 
@@ -370,16 +372,17 @@ def jqcb_falsify(
     if rho.size == 1 or N == 1:
         # two-slope profiles on the half-interval
         dirs = unit_matrices((M, 1), 16)
-        best_gap, best = -np.inf, None
-        for s1 in dirs:
-            for s2 in dirs:
-                for t in (0.25, 0.5, 0.75):
-                    for m2 in (0.5, 1.0, 2.0):
-                        avg = t * s1 + (1 - t) * m2 * s2
-                        gap = float(v(avg)) - (t * float(v(s1)) + (1 - t) * m2 * float(v(s2)))
-                        if gap > best_gap:
-                            best_gap, best = gap, {"slopes": (s1, m2 * s2), "t": t}
-        return _jqcb_result(best, best_gap, tol)
+        # all (s1, s2, t, m2) candidates, s1 varying slowest and m2 fastest
+        i1, i2, t, m2 = (g.ravel() for g in np.meshgrid(
+            np.arange(len(dirs)), np.arange(len(dirs)), [0.25, 0.5, 0.75], [0.5, 1.0, 2.0],
+            indexing="ij"))
+        s1, s2, w2 = dirs[i1], dirs[i2], (1 - t) * m2
+        avg = t[:, None, None] * s1 + w2[:, None, None] * s2
+        gaps = np.asarray(v(avg)) - (t * np.asarray(v(s1)) + w2 * np.asarray(v(s2)))
+        gaps = np.where(np.isnan(gaps), -np.inf, gaps)  # a NaN gap never wins
+        k = int(np.argmax(gaps))  # the first largest gap wins ties
+        best = {"slopes": (s1[k], m2[k] * s2[k]), "t": float(t[k])}
+        return _jqcb_result(best, float(gaps[k]), tol)
 
     rng = np.random.default_rng(seed)
     hb = HalfBallProblem(rho, level=mesh_level, ncomp=M)

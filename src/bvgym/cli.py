@@ -98,6 +98,12 @@ PENALTIES = {
 }
 
 
+def _check_finite_param(key: str, entry: str, par: str) -> None:
+    """A `name:parameter` entry's parameter, when given, must be a finite number."""
+    if par.strip() and not np.isfinite(float(par)):
+        raise ValueError(f"{key} = {entry}: the parameter must be finite")
+
+
 def load_problem_config(path: str) -> tuple[ProblemSpec, dict]:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cp.read(path)
@@ -110,6 +116,7 @@ def load_problem_config(path: str) -> tuple[ProblemSpec, dict]:
     base, _, par = wname.partition(":")
     if base not in WEIGHTS:
         raise KeyError(f"unknown integrand weight {wname!r}; choose from {sorted(WEIGHTS)}")
+    _check_finite_param("[f] weight", wname, par)
     weight = WEIGHTS[base](par)
     from .integrands import weighted_tv_integrand
 
@@ -121,6 +128,7 @@ def load_problem_config(path: str) -> tuple[ProblemSpec, dict]:
         pb, _, ppar = name.partition(":")
         if pb not in PENALTIES:
             raise KeyError(f"unknown boundary penalty {name!r}; choose from {sorted(PENALTIES)}")
+        _check_finite_param(f"[g] {side}", name, ppar)
         terms[side] = PENALTIES[pb](ppar)
     C = float(cp.get("bounds", "C", fallback="10.0"))
     run = {

@@ -286,21 +286,31 @@ def _best_traces(
 ) -> tuple[float, float]:
     """(p, q) minimizing cost |q - p| + g_left(p) + g_right(q) over |p| + |q| <= C.
 
-    Nested golden section, outer over q in [-C, C], inner over p in
-    [-(C - |q|), C - |q|]: minimizing a jointly convex function over the
-    p-slices of a convex set leaves a convex profile in q.
+    For fixed q, p -> cost |q - p| + g_left(p) is convex and its minimizer on
+    [-C, C] is clip(q, L, U): L minimizes g_left(p) + cost p (where g_left'
+    crosses -cost) and U minimizes g_left(p) - cost p (where it crosses
+    +cost).  On the slice |p| <= C - |q| the minimizer is that value clipped
+    to the slice.  So one golden section each finds L and U (a Neumann left
+    side has L = -C, U = C), and a third minimizes the profile in q, which is
+    convex since minimizing a jointly convex function over the p-slices of a
+    convex set leaves a convex function of q.
     """
+    if left is None:
+        lo, hi = -C, C
+    else:
+        lo = _golden(lambda p: left(p) + cost * p, -C, C)
+        hi = _golden(lambda p: left(p) - cost * p, -C, C)
 
-    def inner(q):  # g_right(q) is constant here, so it is left out
+    def best_p(q):
         r = C - abs(q)
-        return _golden(lambda p: cost * abs(q - p) + _g(left, p), -r, r)
+        return min(max(min(max(q, lo), hi), -r), r)
 
     def profile(q):
-        p = inner(q)
+        p = best_p(q)
         return cost * abs(q - p) + _g(left, p) + _g(right, q)
 
     q = _golden(profile, -C, C)
-    return inner(q), q
+    return best_p(q), q
 
 
 def _cheapest_cell(spec: ProblemSpec, mesh: IntervalMesh) -> tuple[int, float]:

@@ -35,6 +35,26 @@ from bvgym.integrands import (
 RHO = np.array([1.0, 0.0])
 
 
+def _jqcb_1d_loop(v, tol=1e-8):
+    """Reference: the scalar loop over two-slope profiles that the 1D branch of
+    `jqcb_falsify` batches, with the same candidate order and tie-break."""
+    dirs = unit_matrices((v.dims[0], 1), 16)
+    best_gap, best = -np.inf, None
+    for s1 in dirs:
+        for s2 in dirs:
+            for t in (0.25, 0.5, 0.75):
+                for m2 in (0.5, 1.0, 2.0):
+                    avg = t * s1 + (1 - t) * m2 * s2
+                    gap = float(v(avg)) - (t * float(v(s1)) + (1 - t) * m2 * float(v(s2)))
+                    if gap > best_gap:
+                        best_gap, best = gap, {"slopes": (s1, m2 * s2), "t": t}
+    if not np.isfinite(best_gap):
+        return {"counterexample": None, "gap": best_gap, "status": "inconclusive"}
+    if best_gap > tol:
+        return {"counterexample": best, "gap": best_gap, "status": "disproved"}
+    return {"counterexample": None, "gap": best_gap, "status": "not disproved"}
+
+
 def _descend_one(hb, v, U0, iters):
     """Reference: the one-restart descent loop that `_descend` replaced, on the
     single-field einsum / np.add.at formulas of that version."""
@@ -151,6 +171,12 @@ class TestQslb1D:
         with pytest.raises(NotHomogeneousError):
             qslb_infimum(Affine((1, 1), bad.sphere_eval), 1.0)
 
+    @pytest.mark.parametrize("cp,cm", [(np.nan, np.nan), (1.0, np.nan), (np.inf, 1.0)])
+    def test_non_finite_integrand_rejected(self, cp, cm):
+        # NaN compares false against any tolerance, so it is checked on its own
+        with pytest.raises(NotHomogeneousError, match="non-finite"):
+            qslb_infimum(hom_piecewise_1d(cp, cm), 1.0)
+
 
 class TestQslb2D:
     def test_abs_is_qslb(self):
@@ -238,13 +264,40 @@ class TestJqcb:
         for v in (hom_abs((1, 2)), hom_linear([1.0, 0.0], (1, 2)), mixed_form(1.0, [0.2, 0.1])):
             assert jqcb_falsify(v, RHO)["counterexample"] is None
 
-    def test_nan_integrand_is_inconclusive(self):
-        # every gap is NaN, so the search has no evidence either way
+    def test_nan_integrand_is_refused(self):
         for dims, rho in (((1, 2), RHO), ((1, 1), 1.0)):
             v = HomogeneousIntegrand(dims, lambda S: np.full(S.shape[0], np.nan), name="nan")
-            res = jqcb_falsify(v, rho)
-            assert res["status"] == "inconclusive"
+            with pytest.raises(NotHomogeneousError, match="non-finite"):
+                jqcb_falsify(v, rho)
+
+    def test_nan_off_the_validation_sample_is_inconclusive(self):
+        # finite on the sample that validate_homogeneous checks, NaN everywhere else:
+        # every gap is NaN, so the search has no evidence either way
+        sample = unit_matrices((1, 2), 8)
+
+        def sphere(S):
+            hit = np.any(np.all(np.abs(S[:, None] - sample[None]) < 1e-12, axis=(-2, -1)), axis=1)
+            return np.where(hit, 1.0, np.nan)
+
+        res = jqcb_falsify(HomogeneousIntegrand((1, 2), sphere, name="nan_off_sample"), RHO)
+        assert res["status"] == "inconclusive"
+        assert res["counterexample"] is None
+
+    @pytest.mark.parametrize(
+        "v",
+        [hom_abs((1, 1)), hom_neg_abs((1, 1)), hom_piecewise_1d(0.3, -0.2), hom_linear([0.7]),
+         hom_abs((2, 1)), hom_linear([[0.3], [-0.5]])],
+        ids=["abs", "neg_abs", "pw1h", "linear", "abs_2x1", "linear_2x1"],
+    )
+    def test_batched_1d_search_matches_the_loop(self, v):
+        res, ref = jqcb_falsify(v, 1.0), _jqcb_1d_loop(v)
+        assert res["gap"] == ref["gap"] and res["status"] == ref["status"]
+        if ref["counterexample"] is None:
             assert res["counterexample"] is None
+        else:
+            assert res["counterexample"]["t"] == ref["counterexample"]["t"]
+            for a, b in zip(res["counterexample"]["slopes"], ref["counterexample"]["slopes"]):
+                assert np.array_equal(a, b)
 
     def test_status_follows_the_gap(self):
         assert jqcb_falsify(hom_neg_abs((1, 2)), RHO)["status"] == "disproved"

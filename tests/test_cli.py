@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bvgym.cli import main
+from bvgym.cli import _write_json, main
 
 
 def _reject_constant(name):
@@ -35,12 +35,17 @@ class TestSubcommands:
         # the per-level "stages" diagnostics stay out of the result record
         assert set(rec) == {"integrand", "normal", "inf_est", "verdict", "per_level"}
 
-    def test_qslb_check_nan_integrand_writes_null(self, tmp_path):
+    def test_qslb_check_nan_integrand_exits_1(self, tmp_path, capsys):
         code, out = run(tmp_path, "qslb-check", "--integrand", "pw1h:nan,nan", "--normal", "1")
-        assert code == 0
-        rec = json.loads((out / "qslb_result.json").read_text(), parse_constant=_reject_constant)
-        assert rec["verdict"] == "inconclusive"
-        assert rec["inf_est"] is None and rec["per_level"] == [None]
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_floats_written_as_null(self, tmp_path):
+        path = tmp_path / "rec.json"
+        _write_json(path, {"gap": float("nan"), "per_level": [float("-inf"), 1.5], "n": 2})
+        rec = json.loads(path.read_text(), parse_constant=_reject_constant)
+        assert rec == {"gap": None, "per_level": [None, 1.5], "n": 2}
 
     def test_qslb_check_writes_witness(self, tmp_path):
         code, out = run(tmp_path, "qslb-check", "--integrand", "linear_form:-1,0",
@@ -56,15 +61,11 @@ class TestSubcommands:
         rec = json.loads((out / "jqcb_result.json").read_text())
         assert rec["status"] == "disproved"
 
-    def test_jqcb_check_nan_integrand_inconclusive(self, tmp_path):
+    def test_jqcb_check_nan_integrand_exits_1(self, tmp_path, capsys):
         code, out = run(tmp_path, "jqcb-check", "--integrand", "pw1h:nan,nan", "--normal", "1")
-        assert code == 0
-        rec = json.loads((out / "jqcb_result.json").read_text())
-        assert rec["status"] == "inconclusive"
-        assert set(rec) == {"integrand", "normal", "gap", "status"}
-        # strict JSON: no NaN/Infinity tokens, the non-finite gap is null
-        strict = json.loads((out / "jqcb_result.json").read_text(), parse_constant=_reject_constant)
-        assert strict["gap"] is None
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_envelope(self, tmp_path):
         code, out = run(tmp_path, "envelope", "--integrand", "double_well_1d",
@@ -167,6 +168,26 @@ class TestErrorsAndDeterminism:
         code, out = run(tmp_path, "relax", "--config", str(cfg))
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,entry,key",
+        [
+            ("[g]\nleft = square_to:nan\nright = square_to:1.0", "square_to:nan", "[g] left"),
+            ("[g]\nright = abs_to:-inf", "abs_to:-inf", "[g] right"),
+            ("[g]\nleft = linear:inf", "linear:inf", "[g] left"),
+            ("[f]\nweight = const:nan\n[g]\nright = square_to:1.0", "const:nan", "[f] weight"),
+            ("[f]\nweight = toy:inf", "toy:inf", "[f] weight"),
+        ],
+        ids=["left_square_nan", "right_abs_-inf", "left_linear_inf", "const_weight_nan",
+             "toy_weight_inf"],
+    )
+    def test_relax_non_finite_parameter_exits_1(self, tmp_path, capsys, section, entry, key):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[domain]\na = 0.0\nb = 1.0\n{section}\n[run]\nlevels = 3\n")
+        code, out = run(tmp_path, "relax", "--config", str(cfg))
+        assert code == 1
+        assert f"{key} = {entry}: the parameter must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_tolerance_rejected(self, tmp_path, capsys):

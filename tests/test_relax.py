@@ -29,7 +29,7 @@ from bvgym.relax import (
     toy_sequence_value,
     toy_spec,
 )
-from bvgym.relax import _arcs_overlap, _level_mesh
+from bvgym.relax import _arcs_overlap, _best_traces, _level_mesh
 from bvgym.soucek import soucek_pair
 
 EPS = 0.5
@@ -292,6 +292,62 @@ class TestDirectMatchesLP:
             assert val == pytest.approx(L1_REPRO_VALUE, abs=1e-9)
         assert res.agree_within(1e-2)
         assert abs(res.beta[-0.306][0]) + abs(res.beta[0.614][0]) <= 3.0 + 1e-12
+
+
+# slopes 2|u - 0.6|, 1 and 1.5: costs 0.5 and 2.0 lie below and above the last two;
+# with C = 1 the targets -0.8 (left) and 0.9 (right) are not both reachable
+_TRACE_TERMS = {
+    "neumann": lambda side: None,
+    "square": lambda side: square_penalty(-0.8 if side == "left" else 0.6),
+    "abs": lambda side: abs_penalty(-0.8 if side == "left" else 0.9),
+    "linear": lambda side: linear_penalty(1.5 if side == "left" else -1.5),
+}
+
+
+def _counted(term, calls):
+    """The same boundary term, adding one to calls[0] per evaluation."""
+    if term is None:
+        return None
+
+    def g(u):
+        calls[0] += 1
+        return term.g(u)
+
+    return BoundaryTerm(g, term.g_inf, term.convex, term.name)
+
+
+class TestBestTraces:
+    """The two-trace problem min cost |q - p| + g_left(p) + g_right(q) over |p| + |q| <= C."""
+
+    @pytest.mark.parametrize("right", sorted(_TRACE_TERMS))
+    @pytest.mark.parametrize("left", sorted(_TRACE_TERMS))
+    def test_admissible_and_no_worse_than_a_grid(self, left, right):
+        gl, gr = _TRACE_TERMS[left]("left"), _TRACE_TERMS[right]("right")
+        for C in (1.0, 3.0, 10.0):
+            grid = np.linspace(-C, C, 401)
+            vl = np.array([0.0 if gl is None else gl(x) for x in grid])
+            vr = np.array([0.0 if gr is None else gr(x) for x in grid])
+            admissible = np.abs(grid)[:, None] + np.abs(grid)[None, :] <= C
+            for cost in (0.5, 2.0):
+                grid_min = np.min(
+                    np.where(admissible, cost * np.abs(grid[None, :] - grid[:, None])
+                             + vl[:, None] + vr[None, :], np.inf)
+                )
+                calls = [0]
+                p, q = _best_traces(cost, _counted(gl, calls), _counted(gr, calls), C)
+                assert abs(p) + abs(q) <= C + 1e-12
+                value = cost * abs(q - p) + (0.0 if gl is None else gl(p)) + (
+                    0.0 if gr is None else gr(q))
+                assert value <= grid_min + 1e-9
+                # three golden sections, not a search nested in a search
+                assert calls[0] <= 300
+
+    def test_bound_binds(self):
+        # (p + 0.8)^2 + 0.5 |q - p| + |q - 0.9| wants p = -0.55, q = 0.9 without the bound;
+        # on q - p = 1 (KKT multiplier 0.5) the minimizer is p = -0.3, q = 0.7
+        p, q = _best_traces(0.5, _TRACE_TERMS["square"]("left"), _TRACE_TERMS["abs"]("right"), 1.0)
+        assert abs(p) + abs(q) == pytest.approx(1.0, abs=1e-12)
+        assert (p, q) == pytest.approx((-0.3, 0.7), abs=1e-6)
 
 
 def _transition_cells(u):
