@@ -119,11 +119,12 @@ def interval_mesh(
     nodes = set(np.linspace(a, b, n + 1).tolist())
     h = (b - a) / n
     for p in grade_to:
-        if not (np.isclose(p, a) or np.isclose(p, b)):
+        at_a = np.isclose(p, a)
+        if not (at_a or np.isclose(p, b)):
             raise ValueError("grading is supported at the endpoints only")
         for j in range(1, grade_levels + 1):
             off = h * ratio**j
-            nodes.add(p + off if np.isclose(p, a) else p - off)
+            nodes.add(p + off if at_a else p - off)
     for x in extra_nodes:
         if a < x < b:
             nodes.add(float(x))

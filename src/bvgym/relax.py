@@ -699,7 +699,9 @@ def higher_dim_J(
     J(u) = int (dist^2(x, Gamma_1) + eps)|grad u| + int_{Gamma_1}
     sqrt(1 + (u - ubar)^2), with u = 0 on Gamma_0.  Meshes refine by midpoint
     subdivision (nested spaces), so the reported infima are nonincreasing.
-    "stages" lists the solver's per-stage records (see `_minimize_disk`).
+    Each table row brackets its mesh's minimum: "lower" <= min <= "J", and
+    "gap" = (J - lower) / J.  "stages" has the solver's record per mesh (see
+    `_minimize_disk`).
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
@@ -712,7 +714,8 @@ def higher_dim_J(
     warm = None
     for k in range(refinements + 1):
         val, u, st = _minimize_disk(mesh, eps, ubar, gamma1_angles, gamma0_angles, warm)
-        table.append({"nv": mesh.vertices.shape[0], "J": val})
+        lower = st[-1]["lower"]
+        table.append({"nv": mesh.vertices.shape[0], "J": val, "lower": lower, "gap": (val - lower) / val})
         stages += st
         if k < refinements:
             mesh, parents = mesh.refine_with_parents()
@@ -748,93 +751,129 @@ def _gamma_length(mesh: TriMesh, arc) -> float:
     return float(np.sum(mesh.boundary_edge_lengths()[_arc_edges(mesh, arc)]))
 
 
+# lagged diffusivity on the disk: stop once J - lower <= _GAP_TOL * J, or after _DISK_MAXIT solves
+_GAP_TOL = 3e-4
+_DISK_MAXIT = 200
+# the system is symmetric positive definite: order A + A', factor without pivoting
+_SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+
+_SEG_BLOCK = 8  # segments per block of _dist2_to_segments
+
+
+def _dist2_to_segments(p: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Squared distance from each point of p (n, 2) to the nearest segment of seg (ne, 2, 2).
+
+    Runs over _SEG_BLOCK segments at a time, in place: all segments at once
+    would hold several (n, ne) temporaries."""
+    px, py = p[:, :1], p[:, 1:]
+    best = np.full(p.shape[0], np.inf)
+    for lo in range(0, seg.shape[0], _SEG_BLOCK):
+        (ax, ay), (bx, by) = seg[lo : lo + _SEG_BLOCK].transpose(1, 2, 0)
+        dx, dy = bx - ax, by - ay
+        rx, ry = px - ax, py - ay
+        t = rx * dx
+        t += ry * dy
+        t /= dx * dx + dy * dy
+        np.clip(t, 0.0, 1.0, out=t)
+        rx -= t * dx
+        ry -= t * dy
+        rx *= rx
+        ry *= ry
+        rx += ry
+        np.minimum(best, rx.min(axis=1), out=best)
+    return best
+
+
 def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None):
-    """(J, DiskField, stages): three smoothed L-BFGS-B stages, each recorded as
-    {"nv", "delta", "nit", "stop"}; "stop" is "maxiter" at the iteration cap,
-    else "converged" if L-BFGS-B reported success, else "stalled"."""
-    from scipy.optimize import minimize as scipy_minimize
+    """(J, DiskField, stages) by lagged diffusivity (Vogel & Oman 1996), with a
+    duality gap as the stop rule.
+
+    On the free nodes (u = 0 on Gamma_0), J(u) = sum_T w_T |(Gu)_T| +
+    sum_q wL_q sqrt(1 + d_q^2) with d = Bu - ubar_q: w_T is the weight's
+    integral over triangle T, G the P1 gradient, B the map to the Gauss points
+    q on Gamma_1 and wL_q their weights.  Each step freezes
+    a_T = w_T / sqrt(|(Gu)_T|^2 + delta^2) and b_q = wL_q / sqrt(1 + d_q^2) and
+    solves (G' diag(a) G + B' diag(b) B) u = B' diag(b) ubar_q.  At the new u,
+    y = (a Gu, b d) has K'y = G'p + B's = 0 on the free nodes; divided by
+    theta >= 1 so that |p_T| <= w_T and |s_q| <= wL_q, it certifies by weak
+    duality lower = sum_q [wL_q sqrt(1 - (s_q/wL_q)^2) - s_q ubar_q] <= J(v)
+    for every admissible v.  J is the best value over the warm start and the
+    iterates, lower the best bound, and delta = min(1e-3, gap / (10 sum_T w_T))
+    keeps the smoothing bias under a tenth of the gap.  stages is one record
+    {"nv", "nit", "stop", "lower"}: "stop" is "gap" once J - lower <= _GAP_TOL * J,
+    else "maxiter" after _DISK_MAXIT solves.
+    """
+    from scipy.sparse import csc_matrix, csr_matrix
+    from scipy.sparse.linalg import splu
 
     from .meshes import _GL_W, _GL_X
 
-    nv = mesh.vertices.shape[0]
+    nv, nt = mesh.vertices.shape[0], mesh.ncells
     edges = mesh.boundary_edges()
     g1_edges = _arc_edges(mesh, gamma1)
     bn = mesh.boundary_nodes
     dir_nodes = bn[_angle_in(np.arctan2(mesh.vertices[bn, 1], mesh.vertices[bn, 0]), gamma0)]
     free_idx = np.setdiff1d(np.arange(nv), dir_nodes)
+    nf = free_idx.size
 
     seg_pts = mesh.vertices[edges[g1_edges]]  # (ne, 2, 2)
+    weight = mesh.cell_integrals(lambda p: _dist2_to_segments(p, seg_pts) + eps)  # per-triangle integral
 
-    def dist_to_gamma1(p):
-        p = np.asarray(p, dtype=float)
-        best = np.full(p.shape[0], np.inf)
-        for e in range(seg_pts.shape[0]):
-            a, bseg = seg_pts[e, 0], seg_pts[e, 1]
-            d = bseg - a
-            tloc = np.clip(((p - a) @ d) / (d @ d), 0.0, 1.0)
-            proj = a + tloc[:, None] * d
-            best = np.minimum(best, np.linalg.norm(p - proj, axis=1))
-        return best
+    # Gamma_1 quadrature: point k * ne + e lies at _GL_X[k] along edge e, from its first end
+    ne = g1_edges.size
+    e = np.tile(np.arange(ne), _GL_X.size)
+    x = np.repeat(_GL_X, ne)
+    ends = edges[g1_edges][e]  # (nq, 2)
+    phi = np.stack([1 - x, x], axis=1)  # the two P1 hat functions at each point
+    ubar_q = np.asarray(ubar(phi[:, :1] * seg_pts[e, 0] + phi[:, 1:] * seg_pts[e, 1]), dtype=float)
+    wL = np.repeat(_GL_W, ne) * mesh.boundary_edge_lengths()[g1_edges][e]
+    nq = x.size
 
-    weight = mesh.cell_integrals(lambda p: dist_to_gamma1(p) ** 2 + eps)  # per-tri integral
+    G = mesh.gradient_operator()[:, free_idx]
+    B = csr_matrix((phi.ravel(), ends.ravel(), np.arange(0, 2 * nq + 1, 2)), shape=(nq, nv))[:, free_idx]
 
-    # Gamma_1 quadrature, fixed per mesh: Gauss points q along each edge (i0, i1)
-    i0, i1 = edges[g1_edges, 0], edges[g1_edges, 1]
-    q = _GL_X[:, None]
-    ubar_q = np.empty((q.shape[0], g1_edges.size))
-    for k in range(q.shape[0]):
-        ubar_q[k] = ubar((1 - q[k]) * seg_pts[:, 0] + q[k] * seg_pts[:, 1])
-    wL = _GL_W[:, None] * mesh.boundary_edge_lengths()[g1_edges]
-    # scatter order of the nodal gradient: triangle corners, then (i0, i1) per Gauss point
-    scatter = np.concatenate([mesh.triangles.ravel(), np.tile(np.r_[i0, i1], q.shape[0])])
+    # the system's pattern, once: entry k of its CSC data is (P @ [a, b])[k]
+    bg = mesh.basis_gradients
+    pos = np.full(nv, -1)
+    pos[free_idx] = np.arange(nf)
+    tri, bnd = pos[mesh.triangles], pos[ends]
+    rows = np.concatenate([np.repeat(tri, 3, axis=1).ravel(), np.repeat(bnd, 2, axis=1).ravel()])
+    cols = np.concatenate([np.tile(tri, 3).ravel(), np.tile(bnd, 2).ravel()])
+    coef = np.concatenate([np.repeat(np.arange(nt), 9), nt + np.repeat(np.arange(nq), 4)])
+    vals = np.concatenate([np.einsum("tid,tjd->tij", bg, bg).ravel(), (phi[:, :, None] * phi[:, None, :]).ravel()])
+    keep = (rows >= 0) & (cols >= 0)
+    slots, slot = np.unique(cols[keep] * nf + rows[keep], return_inverse=True)
+    indices = slots % nf
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(slots // nf, minlength=nf))])
+    P = csr_matrix((vals[keep], (slot, coef[keep])), shape=(slots.size, nt + nq))
 
-    # the P1 gradient and, per corner, the x and y basis gradients as (3, nt) rows;
-    # per triangle, sums run over corners 0, 1, 2 and x before y, the order J is pinned in
-    G = mesh.gradient_operator()
-    nt = mesh.ncells
-    b0, b1 = (np.ascontiguousarray(mesh.basis_gradients[:, :, d].T) for d in (0, 1))
-
-    def energy_and_grad(x, delta):
-        u = np.zeros(nv)
-        u[free_idx] = x
+    def state(u):  # squared gradient per triangle, residual per Gauss point, J
         gx, gy = (G @ u).reshape(nt, 2).T
-        gn = np.sqrt(gx * gx + gy * gy + delta**2)
-        val = float(weight @ (gn - delta))
-        gn_safe = np.where(gn > 0, gn, 1.0)
-        dx, dy = weight * gx / gn_safe, weight * gy / gn_safe  # dJ/d(grad u) per triangle
-        contrib = np.empty((nt, 3))
-        for i in range(3):  # column by column: long loops instead of rows of three
-            contrib[:, i] = dx * b0[i] + dy * b1[i]
-        diff = (1 - q) * u[i0] + q * u[i1] - ubar_q
-        root = np.sqrt(1.0 + diff**2)
-        # add the Gauss-point sums one at a time; a single total would round differently
-        for row in (wL * root).sum(axis=1):
-            val += float(row)
-        dd = wL * diff / root
-        bnd = np.stack([(1 - q) * dd, q * dd], axis=1)  # (nq, 2, ne), in scatter order
-        # bincount adds in input order, so the sums match a sequential scatter bit for bit
-        gnodal = np.bincount(scatter, np.concatenate([contrib.ravel(), bnd.ravel()]), nv)
-        return val, gnodal[free_idx]
+        gn2 = gx * gx + gy * gy
+        d = B @ u - ubar_q
+        return gn2, d, float(weight @ np.sqrt(gn2) + wL @ np.sqrt(1.0 + d * d))
 
-    maxiter = 500
-    x = np.zeros(free_idx.size) if warm is None else np.asarray(warm, dtype=float)[free_idx]
-    best_x = x.copy()
-    best_val, _ = energy_and_grad(x, 0.0)
-    stages = []
-    for delta in (1e-2, 1e-4, 1e-6):
-        res = scipy_minimize(
-            lambda x, d=delta: energy_and_grad(x, d),
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-12},
-        )
-        stop = "maxiter" if res.nit >= maxiter else ("converged" if res.success else "stalled")
-        stages.append({"nv": nv, "delta": delta, "nit": int(res.nit), "stop": stop})
-        x = res.x
-        val, _ = energy_and_grad(x, 0.0)
-        if val < best_val:
-            best_val, best_x = val, x.copy()
-    u = np.zeros(nv)
-    u[free_idx] = best_x
-    return float(best_val), DiskField(mesh, u), stages
+    u = np.zeros(nf) if warm is None else np.asarray(warm, dtype=float)[free_idx]
+    gn2, d, J = state(u)
+    best_J, best_u, lower = J, u, -np.inf
+    total_w, delta, stop = float(weight.sum()), 1e-3, "maxiter"
+    for nit in range(1, _DISK_MAXIT + 1):
+        grad_scale, res_scale = np.sqrt(gn2 + delta * delta), np.sqrt(1.0 + d * d)
+        a, b = weight / grad_scale, wL / res_scale
+        A = csc_matrix((P @ np.concatenate([a, b]), indices, indptr), shape=(nf, nf))
+        u = splu(A, **_SPD_LU).solve(B.T @ (b * ubar_q))
+        gn2, d, J = state(u)
+        # |p_T| / w_T and |s_q| / wL_q of y = (a Gu, b d), then the scaled s / wL
+        theta = max(1.0, float(np.max(np.sqrt(gn2) / grad_scale)), float(np.max(np.abs(d) / res_scale)))
+        r = d / (res_scale * theta)
+        lower = max(lower, float(wL @ np.sqrt(np.maximum(0.0, 1.0 - r * r)) - (wL * r) @ ubar_q))
+        if J < best_J:
+            best_J, best_u = J, u
+        gap = best_J - lower
+        if gap <= _GAP_TOL * best_J:
+            stop = "gap"
+            break
+        delta = min(1e-3, gap / (10 * total_w))
+    full = np.zeros(nv)
+    full[free_idx] = best_u
+    return best_J, DiskField(mesh, full), [{"nv": nv, "nit": nit, "stop": stop, "lower": lower}]

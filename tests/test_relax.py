@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bvgym.integrands import SpatialIntegrand, mat_norm, weighted_tv_integrand
 from bvgym.measures import BVField
-from bvgym.meshes import interval_mesh
+from bvgym.meshes import _GL_W, _GL_X, disk_mesh, interval_mesh
 from bvgym.relax import (
     AdmissibilityError,
     BoundaryTerm,
@@ -29,7 +29,17 @@ from bvgym.relax import (
     toy_sequence_value,
     toy_spec,
 )
-from bvgym.relax import _arcs_overlap, _best_traces, _level_mesh
+from bvgym.relax import (
+    _GAP_TOL,
+    _SEG_BLOCK,
+    _angle_in,
+    _arc_edges,
+    _arcs_overlap,
+    _best_traces,
+    _dist2_to_segments,
+    _level_mesh,
+    _minimize_disk,
+)
 from bvgym.soucek import soucek_pair
 
 EPS = 0.5
@@ -519,10 +529,41 @@ def refine_calls(monkeypatch):
     return calls
 
 
+_SIN = lambda p: np.sin(np.arctan2(p[:, 1], p[:, 0]))
+_COS2 = lambda p: np.cos(2 * np.arctan2(p[:, 1], p[:, 0]))
+# J per level from the three smoothed L-BFGS-B stages that lagged diffusivity replaced; most
+# stages stopped at their 500-iteration cap, so these are upper bounds without a bracket
+_LBFGSB_SIN = [1.6923334356145068, 1.69104705744272, 1.6878420662762819]
+_LBFGSB_COS2 = [1.7902885624456504, 1.7752592365998319]
+
+
+def _assert_pinned(res, rows):
+    """rows: (nv, J, lower, nit) per mesh, each mesh stopped on its gap."""
+    for row, stage, (nv, J, lower, nit) in zip(res["table"], res["stages"], rows, strict=True):
+        assert row["nv"] == nv and row["J"] == pytest.approx(J, rel=1e-12)
+        assert row["lower"] == pytest.approx(lower, rel=1e-12)
+        assert row["gap"] == (row["J"] - row["lower"]) / row["J"]
+        assert stage == {"nv": nv, "nit": nit, "stop": "gap", "lower": row["lower"]}
+
+
+def _assert_brackets_hold(res, old_J):
+    """Each mesh's certificate is below the old solver's value, and J is at most a gap above it."""
+    for row, stage, old in zip(res["table"], res["stages"], old_J, strict=True):
+        assert row["lower"] <= row["J"]
+        assert old >= row["lower"]
+        assert row["J"] <= old + _GAP_TOL * row["J"]
+        if stage["stop"] == "gap":
+            assert row["gap"] <= _GAP_TOL
+
+
 class TestHigherDim:
     def test_zero_data_minimum_is_arc_length(self):
         res = higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), level=2, refinements=1)
-        assert res["inf_est"] == pytest.approx(res["gamma1_length"], abs=1e-9)
+        for row, stage in zip(res["table"], res["stages"], strict=True):
+            # u = 0 is optimal and certified by y = 0 at the first solve
+            assert row["J"] == pytest.approx(res["gamma1_length"], rel=1e-14)
+            assert row["lower"] == row["J"] and row["gap"] == 0.0
+            assert stage["nit"] == 1 and stage["stop"] == "gap"
 
     def test_large_eps_coarse_bounds(self):
         ubar = lambda p: 0.5 * np.ones(p.shape[0])
@@ -537,17 +578,13 @@ class TestHigherDim:
         assert all(b <= a + 1e-6 for a, b in zip(vals, vals[1:]))
 
     def test_pinned_table_and_stages(self, refine_calls):
-        res = higher_dim_J(0.35, lambda p: np.sin(np.arctan2(p[:, 1], p[:, 0])), level=1, refinements=2)
-        # J per level as computed before the scatter and mesh loops were vectorized
-        expected = [1.6923334356145068, 1.69104705744272, 1.6878420662762819]
-        assert [row["J"] for row in res["table"]] == pytest.approx(expected, rel=1e-12)
+        res = higher_dim_J(0.35, _SIN, level=1, refinements=2)
+        _assert_pinned(res, [(25, 1.692333435614507, 1.6923333826784663, 1),
+                             (81, 1.691188676643939, 1.6906876484011235, 53),
+                             (289, 1.6877351360688693, 1.6872497667445234, 58)])
+        _assert_brackets_hold(res, _LBFGSB_SIN)
         assert res["gamma1_length"] == 1.5597406542173138  # as before the arc selection was vectorized
         assert len(refine_calls) == 2  # no refinement after the last level
-        stages = res["stages"]
-        assert [s["nv"] for s in stages] == [25] * 3 + [81] * 3 + [289] * 3
-        assert [s["delta"] for s in stages] == [1e-2, 1e-4, 1e-6] * 3
-        assert all((s["stop"] == "maxiter") == (s["nit"] >= 500) for s in stages)
-        assert {s["stop"] for s in stages} >= {"maxiter", "converged"}
 
     @pytest.mark.parametrize("refinements", [0, 1])
     def test_refines_once_per_extra_level(self, refine_calls, refinements):
@@ -566,20 +603,78 @@ class TestHigherDim:
             higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), level=1, refinements=refinements)
 
     def test_pinned_cos2_table_and_stages(self):
-        res = higher_dim_J(0.25, lambda p: np.cos(2 * np.arctan2(p[:, 1], p[:, 0])), level=2, refinements=1)
-        # exact values of the einsum-based energy, before the sparse gradient operator
-        assert res["table"] == [{"nv": 81, "J": 1.7902885624456504}, {"nv": 289, "J": 1.7752592365998319}]
-        assert res["stages"] == [
-            {"nv": nv, "delta": delta, "nit": 500, "stop": "maxiter"}
-            for nv in (81, 289)
-            for delta in (1e-2, 1e-4, 1e-6)
-        ]
+        res = higher_dim_J(0.25, _COS2, level=2, refinements=1)
+        _assert_pinned(res, [(81, 1.7902914783390753, 1.789797924990904, 35),
+                             (289, 1.7734848918718167, 1.77296365049776, 36)])
+        _assert_brackets_hold(res, _LBFGSB_COS2)
         assert res["gamma1_length"] == 1.5679786039752392
 
     def test_overlapping_arcs_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), gamma1_angles=(0.0, 1.0),
                          gamma0_angles=(0.5, 2.0), level=1, refinements=0)
+
+
+def _disk_J(mesh, eps, ubar, u, gamma1=(-np.pi / 4, np.pi / 4)):
+    """The discrete disk energy, written out apart from the solver: distances to the
+    Gamma_1 segments by broadcasting over all of them, the arc terms edge by edge."""
+    edges = mesh.boundary_edges()[_arc_edges(mesh, gamma1)]
+    a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+    d = b - a
+
+    def dist2(p):
+        rel = p[:, None, :] - a
+        t = np.clip(np.sum(rel * d, axis=2) / np.sum(d * d, axis=1), 0.0, 1.0)
+        return np.min(np.sum((rel - t[:, :, None] * d) ** 2, axis=2), axis=1)
+
+    w = mesh.cell_integrals(lambda p: dist2(p) + eps)
+    tv = w @ np.linalg.norm(mesh.gradients_of(u)[:, 0], axis=1)
+    arc = 0.0
+    for x, wq in zip(_GL_X, _GL_W):
+        resid = (1 - x) * u[edges[:, 0]] + x * u[edges[:, 1]] - ubar((1 - x) * a + x * b)
+        arc += wq * np.linalg.norm(d, axis=1) @ np.sqrt(1 + resid**2)
+    return tv + arc
+
+
+class TestDiskCertificate:
+    """The solver's "lower" is a weak-duality bound: no admissible field has a smaller J."""
+
+    CASES = [(0.35, _SIN), (0.25, _COS2), (0.5, lambda p: np.full(p.shape[0], 0.3)),
+             (0.5, lambda p: np.zeros(p.shape[0]))]
+
+    @pytest.mark.parametrize("eps, ubar", CASES)
+    @pytest.mark.parametrize("refined", [False, True])  # nv = 25, 81
+    def test_random_fields_never_below_lower(self, eps, ubar, refined):
+        mesh = disk_mesh(1).refine() if refined else disk_mesh(1)
+        gamma0 = (3 * np.pi / 4, 5 * np.pi / 4)
+        J, field, (stage,) = _minimize_disk(mesh, eps, ubar, (-np.pi / 4, np.pi / 4), gamma0)
+        lower = stage["lower"]
+        assert stage["stop"] == "gap" and lower <= J <= lower + _GAP_TOL * J
+        assert _disk_J(mesh, eps, ubar, field.values) == pytest.approx(J, rel=1e-12)
+        bn = mesh.boundary_nodes
+        on_gamma0 = bn[_angle_in(np.arctan2(mesh.vertices[bn, 1], mesh.vertices[bn, 0]), gamma0)]
+        rng = np.random.default_rng(7)
+        for k in range(50):
+            # at scales 1e-4 .. 1: every other field is a perturbed minimizer, the rest pure noise
+            scale = 10.0 ** rng.uniform(-4, 0)
+            v = rng.standard_normal(mesh.vertices.shape[0]) * scale
+            if k % 2 == 0:
+                v += field.values
+            v[on_gamma0] = 0.0
+            assert _disk_J(mesh, eps, ubar, v) >= lower
+
+    def test_blocked_distances_match_segment_loop(self):
+        rng = np.random.default_rng(3)
+        mesh = disk_mesh(3)
+        seg = mesh.vertices[mesh.boundary_edges()[_arc_edges(mesh, (-np.pi / 4, np.pi / 4))]][:13]
+        p = rng.uniform(-1.2, 1.2, (500, 2))
+        p[:3] = seg[[0, 5, -1], 1]  # on Gamma_1
+        ref = np.full(p.shape[0], np.inf)
+        for a, b in seg:  # one segment at a time, as before the blocks
+            t = np.clip((p - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+            ref = np.minimum(ref, np.linalg.norm(p - a - t[:, None] * (b - a), axis=1))
+        assert seg.shape[0] % _SEG_BLOCK != 0 and seg.shape[0] > _SEG_BLOCK  # a full block and a short one
+        np.testing.assert_allclose(_dist2_to_segments(p, seg), ref**2, rtol=1e-12, atol=1e-30)
 
 
 class TestArcsOverlap:
