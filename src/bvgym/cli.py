@@ -21,7 +21,7 @@ import numpy as np
 from . import gym as gym_mod
 from . import relax as relax_mod
 from .boundary import jqcb_falsify, qslb_infimum
-from .integrands import convex_envelope_1d, hom_linear, hom_piecewise_1d, make_integrand
+from .integrands import convex_envelope_1d, hom_piecewise_1d, make_integrand
 from .measures import BVField
 from .meshes import interval_mesh
 from .relax import HypothesisError, ProblemSpec, toy_spec
@@ -65,21 +65,10 @@ def _parse_vector(s: str) -> np.ndarray:
 def _homogeneous_from_name(name: str, N: int):
     """1-homogeneous integrands for the boundary verifiers."""
     base, _, par = name.partition(":")
-    dims = (1, N)
-    if base in ("abs", "euclid_sqrt1p"):
-        from .integrands import hom_abs
-
-        return hom_abs(dims)
-    if base == "neg_abs":
-        from .integrands import hom_neg_abs
-
-        return hom_neg_abs(dims)
-    if base == "linear_form":
-        return hom_linear(_parse_vector(par), dims=dims)
     if base == "pw1h":
         cp, cm = (float(t) for t in par.split(","))
         return hom_piecewise_1d(cp, cm)
-    v = make_integrand(name, dims)
+    v = make_integrand(name, (1, N))
     if v.recession is None:
         raise KeyError(f"integrand {name!r} has no recession function to check")
     return v.recession
@@ -118,9 +107,6 @@ def load_problem_config(path: str) -> tuple[ProblemSpec, dict]:
         raise KeyError(f"unknown integrand weight {wname!r}; choose from {sorted(WEIGHTS)}")
     _check_finite_param("[f] weight", wname, par)
     weight = WEIGHTS[base](par)
-    from .integrands import weighted_tv_integrand
-
-    f = weighted_tv_integrand(weight, name=wname)
     terms = {}
     gsec = cp["g"] if "g" in cp else {}
     for side in ("left", "right"):
@@ -135,7 +121,7 @@ def load_problem_config(path: str) -> tuple[ProblemSpec, dict]:
         "levels": _parse_levels(cp.get("run", "levels", fallback="4,6,8")),
         "seed": int(cp.get("run", "seed", fallback="0")),
     }
-    spec = ProblemSpec(a, b, f, **terms, C=C, name=f"config:{Path(path).name}")
+    spec = ProblemSpec(a, b, weight, **terms, C=C, name=f"config:{Path(path).name}")
     return spec, run
 
 
@@ -237,6 +223,8 @@ def cmd_jqcb_check(args) -> int:
 
 def cmd_envelope(args) -> int:
     a, b, n = args.grid.split(",")
+    if not (np.isfinite(float(a)) and np.isfinite(float(b))):
+        raise ValueError(f"--grid {args.grid}: the grid ends must be finite")
     grid = np.linspace(float(a), float(b), int(n))
     v = make_integrand(args.integrand)
     env = convex_envelope_1d(v, grid)
@@ -270,9 +258,12 @@ def cmd_generate(args) -> int:
 def cmd_trace(args) -> int:
     if args.toy is not None:
         eps = args.toy
+        relax_mod.check_toy_eps(eps)
         mesh = interval_mesh(0, 1, 32)
         u = BVField.constant(mesh, eps / 2)
         pair = soucek_pair(u, {1.0: 1.0 - eps})
+    elif args.pair is None:
+        raise ValueError("trace needs a pair: give --pair FILE or --toy EPS")
     else:
         with open(args.pair) as f:
             rec = json.load(f)
@@ -311,6 +302,8 @@ def cmd_dm_convert(args) -> int:
 def cmd_characterize(args) -> int:
     if args.toy is not None:
         gm = relax_mod.toy_limit_gym(args.toy)
+    elif args.infile is None:
+        raise ValueError("characterize needs a measure: give --in FILE or --toy EPS")
     else:
         with open(args.infile) as f:
             gm = gym_mod.GenYoungMeasure.from_record(json.load(f))
@@ -403,10 +396,7 @@ def main(argv=None) -> int:
     except HypothesisError as e:
         print(f"hypothesis refused: {e}", file=sys.stderr)
         return 2
-    except (KeyError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (KeyError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -210,54 +210,20 @@ def default_sphere_grid(dims=(1, 1), n: int = 32) -> np.ndarray:
 # pairings
 
 
-def _weighted(g: Callable, v: Integrand) -> Callable:
-    if v.spatial_weight is None:
-        return g
-    w = v.spatial_weight
-    return lambda x: np.asarray(g(x)) * np.asarray(w(x))
-
-
 def pairing(gym: GenYoungMeasure, g: Callable, v: Integrand) -> float:
-    """<<Lambda, g x v>>: oscillation integral plus concentration integral."""
+    """<<Lambda, g x v>>: oscillation integral plus concentration integral.
+
+    g carries every dependence on x, a spatial weight w(x) included."""
     if v.recession is None:
         raise ValueError("recession required")
-    geff = _weighted(g, v)
     vvals = np.asarray(v(gym.matrix_grid))
     vinf = np.asarray(v.recession.on_sphere(gym.sphere_grid))
-    cell_g = gym.mesh.cell_integrals(geff)
+    cell_g = gym.mesh.cell_integrals(g)
     osc = float(cell_g @ (gym.nu @ vvals))
     conc = float((cell_g * gym.lam_density) @ (gym.nu_inf_cells @ vinf))
     for i, (p, m) in enumerate(gym.lam_atoms):
-        conc += _eval_at_point(geff, p) * m * float(gym.nu_inf_atoms[i] @ vinf)
+        conc += _eval_at_point(g, p) * m * float(gym.nu_inf_atoms[i] @ vinf)
     return osc + conc
-
-
-def pairing_spatial(gym: GenYoungMeasure, f) -> float:
-    """<<Lambda, f>> for a spatially varying integrand f(x, A)."""
-    if f.weight is not None:
-        base = Integrand(
-            gym.dims,
-            mat_norm,
-            f.growth_c,
-            HomogeneousIntegrand(gym.dims, lambda S: np.ones(S.shape[:-2])),
-            spatial_weight=f.weight,
-        )
-        return pairing(gym, _const_one, base)
-    total = 0.0
-    for j in range(gym.matrix_grid.shape[0]):
-        A = gym.matrix_grid[j]
-        contrib = gym.mesh.cell_integrals(lambda x, A=A: f.fn(x, np.broadcast_to(A, np.shape(x) + A.shape)))
-        total += float(contrib @ gym.nu[:, j])
-    for j in range(gym.sphere_grid.shape[0]):
-        S = gym.sphere_grid[j]
-        contrib = gym.mesh.cell_integrals(
-            lambda x, S=S: f.recession_fn(x, np.broadcast_to(S, np.shape(x) + S.shape))
-        )
-        total += float(contrib @ (gym.lam_density * gym.nu_inf_cells[:, j]))
-    for i, (p, m) in enumerate(gym.lam_atoms):
-        rec = f.recession_at(p)
-        total += m * float(gym.nu_inf_atoms[i] @ np.asarray(rec.on_sphere(gym.sphere_grid)))
-    return total
 
 
 def default_dictionary(dims=(1, 1)) -> list[tuple[str, Callable, Integrand]]:
@@ -411,19 +377,10 @@ def generate(
         nu_inf_atoms,
     )
 
-    tail_idx = list(range(max(0, len(Y_seq) - tail), len(Y_seq)))
-    pair_gaps = {}
     tail_gaps = []
-    for k in tail_idx:
-        worst = 0.0
-        for label, g, v in dictionary:
-            pk = pair_action(Y_seq[k], g, v)
-            pl = pairing(gym, g, v)
-            gap = abs(pk - pl)
-            worst = max(worst, gap)
-            if k == tail_idx[-1]:
-                pair_gaps[label] = gap
-        tail_gaps.append(worst)
+    for k in range(max(0, len(Y_seq) - tail), len(Y_seq)):
+        pair_gaps = {label: abs(pair_action(Y_seq[k], g, v) - pairing(gym, g, v)) for label, g, v in dictionary}
+        tail_gaps.append(float(np.max([0.0, *pair_gaps.values()])))  # np.max keeps a NaN gap: not converged
     converged = tail_gaps[-1] <= tol and all(g <= 10 * tol for g in tail_gaps)
     report = {
         "pair_gaps": pair_gaps,
@@ -651,13 +608,12 @@ class DiPernaMajdaMeasure:
     def pairing(self, g: Callable, v: Integrand) -> float:
         if v.recession is None:
             raise ValueError("recession required")
-        geff = _weighted(g, v)
         vv = np.asarray(v(self.matrix_grid)) / (1.0 + mat_norm(self.matrix_grid))
         vinf = np.asarray(v.recession.on_sphere(self.sphere_grid))
-        cell_g = self.mesh.cell_integrals(geff)
+        cell_g = self.mesh.cell_integrals(g)
         total = float((cell_g * self.sigma_density) @ (self.nuhat_interior @ vv + self.nuhat_sphere @ vinf))
         for i, (p, m) in enumerate(self.sigma_atoms):
-            total += _eval_at_point(geff, p) * m * float(self.nuhat_atom_sphere[i] @ vinf)
+            total += _eval_at_point(g, p) * m * float(self.nuhat_atom_sphere[i] @ vinf)
         return total
 
     def to_record(self) -> dict:

@@ -94,7 +94,6 @@ class Integrand:
     fn: Callable[[np.ndarray], np.ndarray]
     growth_c: float = 1.0
     recession: HomogeneousIntegrand | None = None
-    spatial_weight: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
     def __call__(self, A) -> np.ndarray | float:
@@ -103,50 +102,10 @@ class Integrand:
             return float(np.asarray(self.fn(A[None]))[0])
         return np.asarray(self.fn(A))
 
-    def weight_at(self, x) -> np.ndarray | float:
-        if self.spatial_weight is None:
-            return 1.0
-        return self.spatial_weight(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
-class SpatialIntegrand:
-    """f(x, A), continuous, with an optional recession function f_inf(x, .).
-
-    `weight` marks the separable case f(x, A) = weight(x) * base(A) with a
-    1-homogeneous nonnegative base; solvers exploit it for exact reductions.
-    """
-
-    dims: tuple[int, int]
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (x, batched A) -> values
-    recession_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    growth_c: float = 1.0
-    weight: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = ""
-
-    def recession_at(self, x) -> HomogeneousIntegrand:
-        if self.recession_fn is None:
-            raise ValueError(f"integrand {self.name!r} has no recession function")
-        x = np.asarray(x, dtype=float)
-        return HomogeneousIntegrand(self.dims, lambda S, _x=x: self.recession_fn(_x, S))
-
 
 def toy_weight(eps: float) -> Callable:
     """The weight (x - 1)^2 + eps of the toy model problem."""
     return lambda x, e=eps: (np.asarray(x, dtype=float) - 1.0) ** 2 + e
-
-
-def weighted_tv_integrand(weight, dims=(1, 1), name="weighted_abs", growth_c=None) -> SpatialIntegrand:
-    """f(x, A) = weight(x)|A| with its own recession; weight continuous, >= 0."""
-
-    def fn(x, A):
-        return weight(x) * mat_norm(A)
-
-    def rec(x, S):
-        return weight(x) * mat_norm(S)
-
-    c = growth_c if growth_c is not None else 1.0
-    return SpatialIntegrand(dims, fn, rec, growth_c=c, weight=weight, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -340,39 +299,28 @@ def lamination_upper_bound(v: Integrand, A, depth: int, budget: int = 64) -> flo
 def measure_action(v: Integrand, mu) -> "DiscreteMeasure":
     """Scalar measure v(mu): density v(D(x)) plus recession values on atoms.
 
-    The returned density is pre-multiplied by the cell average of the spatial
-    weight (when present) so that integrating the result against 1 reproduces
-    the weighted integral exactly for piecewise-constant densities.
+    Spatial weights belong to the test function of `pair_action`, not to v.
     """
     from .measures import Atom, DiscreteMeasure
 
     if v.recession is None:
         raise ValueError("recession required")
-    mesh = mu.mesh
-    D = mu.density
-    vals = np.asarray(v(D))
-    if v.spatial_weight is not None:
-        wbar = mesh.cell_integrals(v.spatial_weight) / mesh.cell_volumes
-        vals = vals * wbar
+    vals = np.asarray(v(mu.density))
     atoms = []
     for at in mu.atoms:
-        w = float(v.weight_at(at.point)) if v.spatial_weight is not None else 1.0
-        val = w * float(v.recession.on_sphere(at.direction)) * at.mass
+        val = float(v.recession.on_sphere(at.direction)) * at.mass
         if val != 0.0:
             atoms.append(Atom(at.point, abs(val), np.sign(val)))
-    return DiscreteMeasure(mesh, vals, atoms)
+    return DiscreteMeasure(mu.mesh, vals, atoms)
 
 
 def pair_action(mu, g: Callable, v: Integrand) -> float:
-    """Integral of g against the measure v(mu); exact for separable weights."""
-    act = measure_action(v, mu)
-    return float(act.integrate(g))
+    """Integral of g against the measure v(mu); a spatial weight w(x) is part of g."""
+    return float(measure_action(v, mu).integrate(g))
 
 
 # ---------------------------------------------------------------------------
 # catalog
-
-_EPS_DOC = "toy weight (x-1)^2 + eps"
 
 
 def _abs_grad(A):
@@ -428,7 +376,7 @@ def make_integrand(name: str, dims: tuple[int, int] = (1, 1)) -> Integrand:
     """Build a catalog integrand; parameterized entries use `name:params`.
 
     Catalog: abs, one, id, neg_abs, euclid_sqrt1p, sq, double_well_1d,
-    sin_log_1d, linear_form:b1,b2,..., toy_weighted_abs:eps.
+    sin_log_1d and linear_form:b1,b2,...
     """
     base, _, par = name.partition(":")
     M, N = dims
@@ -487,19 +435,7 @@ def make_integrand(name: str, dims: tuple[int, int] = (1, 1)) -> Integrand:
             h,
             name=f"linear_form:{par}",
         )
-    if base == "toy_weighted_abs":
-        if dims != (1, 1):
-            raise KeyError("toy_weighted_abs is scalar")
-        eps = float(par)
-        return Integrand(
-            dims,
-            mat_norm,
-            1.0 + eps,
-            hom_abs(dims),
-            spatial_weight=toy_weight(eps),
-            name=f"toy_weighted_abs:{par}",
-        )
     raise KeyError(
         f"unknown integrand {name!r}; catalog: abs, one, id, neg_abs, euclid_sqrt1p, sq, "
-        "double_well_1d, sin_log_1d, linear_form:..., toy_weighted_abs:eps"
+        "double_well_1d, sin_log_1d, linear_form:..."
     )

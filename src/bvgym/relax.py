@@ -26,13 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrands import (
-    HomogeneousIntegrand,
-    SpatialIntegrand,
-    mat_norm,
-    toy_weight,
-    weighted_tv_integrand,
-)
+from .integrands import HomogeneousIntegrand, make_integrand, mat_norm, toy_weight
 from .measures import BVField, DiscreteMeasure, DiskField
 from .meshes import IntervalMesh, TriMesh, disk_mesh, interval_mesh
 
@@ -56,7 +50,6 @@ class BoundaryTerm:
 
     g: Callable[[np.ndarray], float]
     g_inf: HomogeneousIntegrand | None = None
-    convex: bool = True
     name: str = ""
 
     def __call__(self, value) -> float:
@@ -65,13 +58,17 @@ class BoundaryTerm:
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """int_a^b w(x)|u'| dx + g_left(u(a)) + g_right(u(b)): `weight` is the continuous w,
+    C bounds the total variation and the traces, growth_c is the growth constant of w(x)|A|."""
+
     a: float
     b: float
-    f: SpatialIntegrand
+    weight: Callable[[np.ndarray], np.ndarray]
     _: KW_ONLY
     left: BoundaryTerm | None = None  # Robin term at a; None is a Neumann side
     right: BoundaryTerm | None = None  # Robin term at b; None is a Neumann side
     C: float = 10.0
+    growth_c: float = 1.0
     name: str = "problem"
     toy_eps: float | None = None  # set by toy_spec; marks the weighted-TV model problem
 
@@ -80,10 +77,6 @@ class ProblemSpec:
             raise ValueError(f"domain must be finite with a < b, got a={self.a!r}, b={self.b!r}")
         if not (np.isfinite(self.C) and self.C > 0):
             raise ValueError(f"infeasible bound C: C must be finite and > 0, got {self.C!r}")
-        if self.f.weight is None or tuple(self.f.dims) != (1, 1):
-            raise ValueError(
-                "ProblemSpec needs a separable scalar f = w(x)|A| (f.weight set, f.dims == (1, 1))"
-            )
 
     def _side(self, x: float) -> str | None:
         # relative to the domain, so that a domain shorter than 1e-8 keeps its two sides apart
@@ -105,9 +98,9 @@ class ProblemSpec:
 
     def validate_growth(self, samples, tol: float = 1e-9) -> bool:
         A = np.asarray(samples, dtype=float)
-        c = self.f.growth_c
+        c = self.growth_c
         for x in np.linspace(self.a, self.b, 7):
-            vals = np.asarray(self.f.fn(x, A))
+            vals = self.weight(x) * mat_norm(A)
             if np.any(vals > c * (1 + mat_norm(A)) + tol):
                 return False
             if np.any(vals < (-1 + mat_norm(A)) / c - tol):
@@ -117,7 +110,7 @@ class ProblemSpec:
 
 def square_penalty(target: float = 0.0) -> BoundaryTerm:
     return BoundaryTerm(
-        lambda u, t=target: float(((u - t) ** 2).sum()), None, True, f"(u-{target})^2"
+        lambda u, t=target: float(((u - t) ** 2).sum()), None, f"(u-{target})^2"
     )
 
 
@@ -127,7 +120,6 @@ def abs_penalty(target: float = 0.0) -> BoundaryTerm:
     return BoundaryTerm(
         lambda u, t=target: float(np.sqrt(((u - t) ** 2).sum())),
         hom_abs((1, 1)),
-        True,
         f"|u-{target}|",
     )
 
@@ -136,16 +128,20 @@ def linear_penalty(coeff: float) -> BoundaryTerm:
     from .integrands import hom_linear
 
     return BoundaryTerm(
-        lambda u, c=coeff: float(c * u.sum()), hom_linear([[coeff]]), True, f"{coeff}*u"
+        lambda u, c=coeff: float(c * u.sum()), hom_linear([[coeff]]), f"{coeff}*u"
     )
 
 
-def toy_spec(eps: float, C: float = 10.0) -> ProblemSpec:
+def check_toy_eps(eps: float) -> None:
+    """The toy model needs 0 < eps < 1 (a NaN fails too): the jump 1 - eps stays positive."""
     if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    f = weighted_tv_integrand(toy_weight(eps), name=f"toy_f(eps={eps})", growth_c=max(1.0 + eps, 1.0 / eps))
-    return ProblemSpec(0.0, 1.0, f, left=square_penalty(0.0), right=square_penalty(1.0), C=C,
-                       name=f"toy(eps={eps})", toy_eps=eps)
+        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
+
+
+def toy_spec(eps: float, C: float = 10.0) -> ProblemSpec:
+    check_toy_eps(eps)
+    return ProblemSpec(0.0, 1.0, toy_weight(eps), left=square_penalty(0.0), right=square_penalty(1.0), C=C,
+                       growth_c=max(1.0 + eps, 1.0 / eps), name=f"toy(eps={eps})", toy_eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +162,7 @@ def toy_field(n: int, eps: float, base_cells: int = 16, ramp_cells: int = 4) -> 
     """The explicit minimizing-sequence member: eps/2, then a ramp on (1-1/n, 1)."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    check_toy_eps(eps)
     nodes = set(np.linspace(0.0, 1.0, base_cells + 1).tolist())
     nodes.add(1.0 - 1.0 / n)
     for k in range(1, ramp_cells):
@@ -183,6 +180,7 @@ def toy_limit_gym(eps: float, ncells: int = 32):
     """The constructed concentration limit (delta_0, (1-eps) delta_1, delta_{+1})."""
     from .gym import GenYoungMeasure
 
+    check_toy_eps(eps)
     mesh = interval_mesh(0.0, 1.0, ncells)
     grid = np.array([[[0.0]], [[1.0]]])
     sphere = np.array([[[-1.0]], [[1.0]]])
@@ -315,7 +313,7 @@ def _best_traces(
 
 def _cheapest_cell(spec: ProblemSpec, mesh: IntervalMesh) -> tuple[int, float]:
     """The cell where a jump of size |q - p| costs least, |q - p| times its average weight."""
-    cavg = mesh.cell_integrals(spec.f.weight) / mesh.cell_volumes
+    cavg = mesh.cell_integrals(spec.weight) / mesh.cell_volumes
     c = int(np.argmin(cavg))
     return c, float(cavg[c])
 
@@ -335,7 +333,7 @@ def _level_mesh(spec: ProblemSpec, level: int) -> IntervalMesh:
 
 def _discrete_energy(spec: ProblemSpec, u: BVField) -> float:
     """Exact discrete energy of a nodal field (no jumps expected)."""
-    wbar = u.mesh.cell_integrals(spec.f.weight)
+    wbar = u.mesh.cell_integrals(spec.weight)
     tv = float(np.sum(wbar * np.abs(u.slopes())))
     lo, hi = u.trace()
     return tv + _g(spec.left, lo) + _g(spec.right, hi)
@@ -416,15 +414,15 @@ def admissibility_report(gym_measure, beta, spec: ProblemSpec, tol: float = 1e-8
 
 
 def eval_Fhat(gym_measure, beta, spec: ProblemSpec, strict: bool = True) -> float:
-    """Relaxed energy: measure pairing with f plus boundary terms at the outer trace."""
-    from .gym import pairing_spatial
+    """Relaxed energy: measure pairing with w(x)|A| plus boundary terms at the outer trace."""
+    from .gym import pairing
 
     beta = _beta_as_dict(spec, beta)
     if strict:
         problems = admissibility_report(gym_measure, beta, spec)
         if problems:
             raise AdmissibilityError("; ".join(problems))
-    val = pairing_spatial(gym_measure, spec.f)
+    val = pairing(gym_measure, spec.weight, make_integrand("abs"))
     for x, term in spec.robin_terms():
         val += term(beta[x])
     return float(val)
@@ -443,12 +441,10 @@ def eval_Fbar(pair, spec: ProblemSpec) -> float:
 
 
 def _discrete_f_of_measure(spec: ProblemSpec, alpha: DiscreteMeasure) -> float:
-    wbar = alpha.mesh.cell_integrals(spec.f.weight)
+    wbar = alpha.mesh.cell_integrals(spec.weight)
     total = float(np.sum(wbar * mat_norm(alpha.density)))
     for at in alpha.atoms:
-        x = float(np.asarray(at.point))
-        rec = spec.f.recession_at(x)
-        total += float(rec.on_sphere(np.asarray(at.direction))) * at.mass
+        total += float(spec.weight(np.asarray(at.point, dtype=float)) * mat_norm(at.direction)) * at.mass
     return total
 
 
@@ -558,8 +554,6 @@ def check_hypotheses(spec: ProblemSpec) -> list[str]:
 
     log = []
     for x, term in spec.robin_terms():
-        if not term.convex:
-            raise HypothesisError(f"boundary term at x={x:g} is not convex")
         us = np.linspace(-3, 3, 13)
         for i in range(us.size - 2):
             mid = 0.5 * (term(us[i]) + term(us[i + 2]))
@@ -572,7 +566,7 @@ def check_hypotheses(spec: ProblemSpec) -> list[str]:
             if np.min(vals) < -1e-9:
                 raise HypothesisError(f"recession of the boundary term at x={x:g} is negative")
         rho = -1.0 if spec._side(x) == "left" else 1.0
-        rec = spec.f.recession_at(x)
+        rec = HomogeneousIntegrand((1, 1), lambda S, c=spec.weight(np.asarray(x, dtype=float)): c * mat_norm(S))
         verdict = qslb_infimum(rec, rho)
         if verdict["verdict"] != "qslb":
             raise HypothesisError(
@@ -609,7 +603,7 @@ def relax_minimize(
 
     mesh = _level_mesh(spec, max(levels))
     cmin, cell_cost = _cheapest_cell(spec, mesh)
-    legs = np.array([float(spec.f.weight(spec.a)), cell_cost, float(spec.f.weight(spec.b))])
+    legs = np.array([float(spec.weight(spec.a)), cell_cost, float(spec.weight(spec.b))])
 
     # Moving total variation |bb - ba| from one outer trace to the other costs
     # the cheapest of: a boundary atom at a, the best interior cell, an atom

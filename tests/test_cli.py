@@ -11,6 +11,13 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _one_line_error(capsys) -> str:
+    """stderr of a run that must fail with one `error:` line and no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     return main(["--out", str(out)] + list(argv)), out
@@ -203,6 +210,49 @@ class TestErrorsAndDeterminism:
             assert code == 0
             outs.append((out / "toy_result.json").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["qslb-check", "jqcb-check"])
+    def test_linear_form_coefficient_count_exits_1(self, tmp_path, capsys, command):
+        # one coefficient for a 1x2 matrix must not broadcast to <(2, 2), A>
+        code, out = run(tmp_path, command, "--integrand", "linear_form:2", "--normal", "1,0")
+        assert code == 1
+        assert "linear_form expects 2 coefficients, got 1" in _one_line_error(capsys)
+        assert not out.exists()
+
+    def test_weighted_integrand_not_in_catalog(self, tmp_path, capsys):
+        # a spatial weight is the test function of a pairing, not a catalog integrand
+        code, out = run(tmp_path, "qslb-check", "--integrand", "toy_weighted_abs:0.5", "--normal", "1")
+        assert code == 1
+        assert "unknown integrand" in _one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags", [("trace", "--pair FILE or --toy EPS"),
+                                               ("characterize", "--in FILE or --toy EPS")],
+                             ids=["trace", "characterize"])
+    def test_missing_input_exits_1(self, tmp_path, capsys, command, flags):
+        code, out = run(tmp_path, command)
+        assert code == 1
+        assert flags in _one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["nan,1,5", "0,inf,5"])
+    def test_envelope_non_finite_grid_exits_1(self, tmp_path, capsys, grid):
+        code, out = run(tmp_path, "envelope", "--integrand", "abs", f"--grid={grid}")
+        assert code == 1
+        assert "the grid ends must be finite" in _one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("generate", "--sequence", "toy:nan", "--n", "10,30,100"), ("characterize", "--toy", "nan"),
+         ("trace", "--toy", "2")],
+        ids=["generate", "characterize", "trace"],
+    )
+    def test_toy_eps_outside_unit_interval_exits_1(self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, *argv)
+        assert code == 1
+        assert "eps must lie in (0, 1)" in _one_line_error(capsys)
+        assert not out.exists()
 
     def test_generate_nonconvergent_exits_1(self, tmp_path, capsys):
         # a window too coarse for the requested tolerance must be reported

@@ -25,7 +25,6 @@ from bvgym.gym import (
     generate_from_fields,
     gym_traces,
     pairing,
-    pairing_spatial,
     reconstruct_underlying,
     split,
     to_diperna_majda,
@@ -84,24 +83,6 @@ class TestPairing:
         rhs = 2.0 * pairing(gm, XSQ, v1) + pairing(gm, X, v1)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_spatial_pairing_non_separable(self):
-        # f(x, A) = (1 + x)|A| evaluated through the generic spatial path must
-        # match the separable weighted path
-        from bvgym.integrands import SpatialIntegrand, mat_norm, weighted_tv_integrand
-
-        w = lambda x: 1.0 + np.asarray(x, dtype=float)
-        generic = SpatialIntegrand(
-            (1, 1),
-            fn=lambda x, A: w(x) * mat_norm(A),
-            recession_fn=lambda x, S: w(x) * mat_norm(S),
-            growth_c=2.0,
-        )
-        separable = weighted_tv_integrand(w)
-        gm = toy_limit_gym(EPS)
-        assert pairing_spatial(gm, generic) == pytest.approx(
-            pairing_spatial(gm, separable), abs=1e-12
-        )
-
 
 class TestGenerate:
     def test_constant_sequence_exact(self):
@@ -155,6 +136,15 @@ class TestGenerate:
         ]
         with pytest.raises(GenerationError, match="does not generate"):
             generate(seq, matrix_grid=np.array([[[0.0]], [[-2.0]], [[2.0]]]), tol=1e-3)
+
+    def test_nan_pairing_gap_is_not_converged(self):
+        # a NaN gap must not pass as 0: max(0.0, nan) keeps 0.0
+        mesh = interval_mesh(0, 1, 8)
+        seq = [BVField.affine(mesh, 2.0, 0.0).derivative()] * 3
+        nan_g = lambda x: np.full(np.shape(x), np.nan)
+        dictionary = [("1*abs", ONE, ABS), ("nan*abs", nan_g, ABS)]
+        with pytest.raises(GenerationError, match="gap nan"):
+            generate(seq, matrix_grid=np.array([[[0.0]], [[2.0]]]), dictionary=dictionary, tol=1e-12)
 
     def test_first_moment_matches_weakstar_limit(self):
         # the center of mass of the constructed limit tracks Du_n weak*

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvgym.integrands import SpatialIntegrand, mat_norm, weighted_tv_integrand
 from bvgym.measures import BVField
 from bvgym.meshes import _GL_W, _GL_X, disk_mesh, interval_mesh
 from bvgym.relax import (
@@ -45,14 +44,14 @@ from bvgym.soucek import soucek_pair
 EPS = 0.5
 
 
-def _tv(**kw):
-    """f = |A|."""
-    return weighted_tv_integrand(lambda x: np.ones_like(np.asarray(x, dtype=float)), **kw)
+def _tv():
+    """The weight w = 1, so f = |A|."""
+    return lambda x: np.ones_like(np.asarray(x, dtype=float))
 
 
 def const_weight_spec(**kw):
     """f = |u'| with a Robin term (u-1)^2 at the right end only."""
-    return ProblemSpec(0.0, 1.0, _tv(name="tv"), right=square_penalty(1.0), name="convex_tv", **kw)
+    return ProblemSpec(0.0, 1.0, _tv(), right=square_penalty(1.0), name="convex_tv", **kw)
 
 
 class TestBoundarySlots:
@@ -93,18 +92,6 @@ class TestBoundarySlots:
     def test_invalid_domain_or_bound_rejected(self, a, b, C, field):
         with pytest.raises(ValueError, match=field):
             ProblemSpec(a, b, _tv(), right=square_penalty(1.0), C=C)
-
-    @pytest.mark.parametrize(
-        "f",
-        [
-            SpatialIntegrand((1, 1), lambda x, A: mat_norm(A), lambda x, S: mat_norm(S), name="generic"),
-            _tv(dims=(2, 1)),
-        ],
-        ids=["not_separable", "not_scalar"],
-    )
-    def test_only_separable_scalar_integrands(self, f):
-        with pytest.raises(ValueError, match=r"separable scalar f = w\(x\)\|A\|"):
-            ProblemSpec(0.0, 1.0, f, right=square_penalty(1.0))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -215,7 +202,7 @@ L1_REPRO_VALUE = 1.7928104528320314
 def _lp_spec(a, b, weight, left, right, C):
     make = {"abs": abs_penalty, "linear": linear_penalty}
     terms = {k: None if t is None else make[t[0]](t[1]) for k, t in (("left", left), ("right", right))}
-    return ProblemSpec(a, b, weighted_tv_integrand(weight), **terms, C=C)
+    return ProblemSpec(a, b, weight, **terms, C=C)
 
 
 def _lp_direct_value(mesh, weight, left, right, C) -> float:
@@ -323,7 +310,7 @@ def _counted(term, calls):
         calls[0] += 1
         return term.g(u)
 
-    return BoundaryTerm(g, term.g_inf, term.convex, term.name)
+    return BoundaryTerm(g, term.g_inf, term.name)
 
 
 class TestBestTraces:
@@ -482,7 +469,7 @@ class TestRelaxMinimize:
         assert res.min_gym == pytest.approx(0.0, abs=5e-3)
 
     def test_nonconvex_boundary_term_refused(self):
-        concave = BoundaryTerm(lambda u: -float(np.sum(u**2)), None, True, "-u^2")
+        concave = BoundaryTerm(lambda u: -float(np.sum(u**2)), None, "-u^2")
         bad = ProblemSpec(0.0, 1.0, _tv(), right=concave, name="bad")
         with pytest.raises(HypothesisError, match="convexity"):
             relax_minimize(bad, levels=(3,))
@@ -494,8 +481,8 @@ class TestRelaxMinimize:
 
     def test_not_qslb_weight_refused(self):
         # a weight that is negative at the boundary breaks the sign condition
-        f = weighted_tv_integrand(lambda x: np.asarray(x, dtype=float) - 0.5)
-        spec = ProblemSpec(0.0, 1.0, f, left=square_penalty(0.0), name="badw")
+        weight = lambda x: np.asarray(x, dtype=float) - 0.5
+        spec = ProblemSpec(0.0, 1.0, weight, left=square_penalty(0.0), name="badw")
         with pytest.raises(HypothesisError, match="quasi-sublinear"):
             relax_minimize(spec, levels=(3,))
 
