@@ -24,6 +24,8 @@ from .integrands import HomogeneousIntegrand, mat_norm, unit_matrices
 from .meshes import TriMesh, disk_mesh, rotation_to, triangle_geometry
 
 BASE_NORMAL = np.array([1.0, 0.0])
+QSLB_TOL = 1e-4  # "qslb" needs every level's estimate >= -QSLB_TOL; "not_qslb" one <= -10 QSLB_TOL
+JQCB_TOL = 1e-8  # a Jensen gap above this disproves the boundary inequality
 
 
 class NotHomogeneousError(ValueError):
@@ -38,14 +40,14 @@ def _checked_normal(rho) -> np.ndarray:
     return rho
 
 
-def validate_homogeneous(v: HomogeneousIntegrand, tol: float = 1e-8) -> None:
+def validate_homogeneous(v: HomogeneousIntegrand) -> None:
     P = unit_matrices(v.dims, 8)
     for alpha in (0.5, 2.0):
         lhs = np.asarray(v(alpha * P))
         rhs = alpha * np.asarray(v(P))
         if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
             raise NotHomogeneousError("integrand returns a non-finite value on the sphere sample")
-        if np.max(np.abs(lhs - rhs)) > tol * (1.0 + np.max(np.abs(rhs))):
+        if np.max(np.abs(lhs - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
             raise NotHomogeneousError("integrand is not positively 1-homogeneous")
 
 
@@ -183,11 +185,11 @@ class HalfBallProblem:
         U = np.outer(ramp * cut, a)
         return self.zeroed(U)
 
-    def laminate(self, a, period: float = 0.25, direction: np.ndarray | None = None) -> np.ndarray:
+    def laminate(self, a) -> np.ndarray:
+        """Zigzag of period 0.25 along the flat part, in a bump below it."""
         a = np.atleast_1d(np.asarray(a, dtype=float))
-        d = direction if direction is not None else self.tau
-        phase = (self.mesh.vertices @ d) / period
-        zig = np.abs(phase - np.floor(phase) - 0.5) * period
+        phase = self.coord_t / 0.25
+        zig = np.abs(phase - np.floor(phase) - 0.5) * 0.25
         bump = np.clip(1.0 - np.abs(self.coord_s + 0.4) / 0.35, 0.0, 1.0) * np.clip(
             1.0 - np.abs(self.coord_t) / 0.7, 0.0, 1.0
         )
@@ -256,14 +258,14 @@ def _descend(hb: HalfBallProblem, v: HomogeneousIntegrand, seeds: Sequence[np.nd
     return results, stop.tolist()
 
 
-def _qslb_inf_1d(v: HomogeneousIntegrand, n_dirs: int = 512) -> tuple[float, np.ndarray]:
+def _qslb_inf_1d(v: HomogeneousIntegrand) -> tuple[float, np.ndarray]:
     """Closed-form endpoint calculus: the infimum over the unit TV ball equals
     the minimum of v over the unit sphere of column matrices."""
     M = v.dims[0]
     if M == 1:
         cands = np.array([[[1.0]], [[-1.0]]])
     else:
-        cands = unit_matrices((M, 1), n_dirs)
+        cands = unit_matrices((M, 1), 512)
     vals = np.asarray(v.on_sphere(cands))
     i = int(np.argmin(vals))
     return float(vals[i]), cands[i]
@@ -274,7 +276,6 @@ def qslb_infimum(
     rho,
     mesh_level: int = 3,
     iter_budget: int = 2000,
-    tol: float = 1e-4,
     seed: int = 0,
 ) -> dict:
     """Numerical verdict on quasi-sublinear growth from below at the normal rho.
@@ -282,9 +283,9 @@ def qslb_infimum(
     Minimizes the half-ball integral of v over the unit total-variation ball
     of piecewise-affine test fields, restarting from rank-one seeded tents.
     Returns {"inf_est", "verdict", "witness", "per_level", "stages"}; "qslb"
-    requires a finite inf_est >= -tol on every level, "not_qslb" needs a level
-    reaching -10 tol, anything else (including a level where no descent gave a
-    finite estimate) is "inconclusive".  "stages" holds one record per level:
+    requires a finite inf_est >= -QSLB_TOL on every level, "not_qslb" needs a
+    level reaching -10 QSLB_TOL, anything else (including a level where no
+    descent gave a finite estimate) is "inconclusive".  "stages" holds one record per level:
     "level", "nt" (half-ball triangles), "seeds", "iters" (per seed) and the
     per-seed "stop" reasons of `_descend`.
     """
@@ -293,7 +294,7 @@ def qslb_infimum(
     M, N = v.dims
     if rho.size == 1 or N == 1:
         val, direction = _qslb_inf_1d(v)
-        verdict = "qslb" if val >= -tol else ("not_qslb" if val <= -10 * tol else "inconclusive")
+        verdict = "qslb" if val >= -QSLB_TOL else ("not_qslb" if val <= -10 * QSLB_TOL else "inconclusive")
         return {"inf_est": val, "verdict": verdict, "witness": None,
                 "worst_direction": direction, "per_level": [val], "stages": []}
 
@@ -320,9 +321,9 @@ def qslb_infimum(
         if best < best_all:
             best_all = best
             witness = hb.field(bestU) if bestU is not None else None
-    if any(b <= -10 * tol for b in per_level):
+    if any(b <= -10 * QSLB_TOL for b in per_level):
         verdict = "not_qslb"
-    elif all(np.isfinite(b) and b >= -tol for b in per_level):
+    elif all(np.isfinite(b) and b >= -QSLB_TOL for b in per_level):
         verdict = "qslb"
         witness = None
     else:
@@ -331,40 +332,39 @@ def qslb_infimum(
             "stages": stages}
 
 
-def rank_one_positivity(v: HomogeneousIntegrand, rho, a_samples=None, tol: float = 1e-8) -> dict:
-    """Necessary sign condition: v(a x rho) >= 0 on sampled unit vectors a."""
+def rank_one_positivity(v: HomogeneousIntegrand, rho) -> dict:
+    """Necessary sign condition: v(a x rho) >= -1e-8 on sampled unit vectors a
+    (+-1 for M = 1, else 128 directions)."""
     validate_homogeneous(v)
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     M = v.dims[0]
-    if a_samples is None:
-        if M == 1:
-            a_samples = np.array([[1.0], [-1.0]])
-        else:
-            a_samples = unit_matrices((M, 1), 128).reshape(-1, M)
+    if M == 1:
+        a_samples = np.array([[1.0], [-1.0]])
+    else:
+        a_samples = unit_matrices((M, 1), 128).reshape(-1, M)
     worst_val = np.inf
     worst_a = None
-    for a in np.asarray(a_samples, dtype=float):
+    for a in a_samples:
         A = np.outer(a, rho)
         nA = float(mat_norm(A))
         val = float(v(A)) / nA if nA > 0 else 0.0
         if val < worst_val:
             worst_val, worst_a = val, a
-    return {"ok": worst_val >= -tol, "worst": (worst_a, worst_val)}
+    return {"ok": worst_val >= -1e-8, "worst": (worst_a, worst_val)}
 
 
 def jqcb_falsify(
     v: HomogeneousIntegrand,
     rho,
     budget: int = 400,
-    tol: float = 1e-8,
-    mesh_level: int = 3,
     seed: int = 0,
 ) -> dict:
-    """Search for a Jensen violation v(avg grad) > avg v(grad) on the half-ball.
+    """Search for a Jensen violation v(avg grad) > avg v(grad) on the half-ball
+    (mesh level 3).
 
     Returns {"counterexample": field-or-None, "gap": best gap, "status"}, with
-    status "disproved", "not disproved" (never "holds") or "inconclusive" when
-    no candidate gave a finite gap.
+    status "disproved" (gap above JQCB_TOL), "not disproved" (never "holds") or
+    "inconclusive" when no candidate gave a finite gap.
     """
     validate_homogeneous(v)
     rho = _checked_normal(rho)
@@ -382,10 +382,10 @@ def jqcb_falsify(
         gaps = np.where(np.isnan(gaps), -np.inf, gaps)  # a NaN gap never wins
         k = int(np.argmax(gaps))  # the first largest gap wins ties
         best = {"slopes": (s1[k], m2[k] * s2[k]), "t": float(t[k])}
-        return _jqcb_result(best, float(gaps[k]), tol)
+        return _jqcb_result(best, float(gaps[k]))
 
     rng = np.random.default_rng(seed)
-    hb = HalfBallProblem(rho, level=mesh_level, ncomp=M)
+    hb = HalfBallProblem(rho, level=3, ncomp=M)
     dirs = unit_matrices((M, 1), 8).reshape(-1, M)
     library = [hb.tent(a, d, w) for a in dirs for d in (0.2, 0.4) for w in (0.5, 0.8)]
     library += [hb.laminate(a) for a in dirs]
@@ -398,15 +398,15 @@ def jqcb_falsify(
         gap = float(v(avg)) - float(areas @ np.asarray(v(grads)))
         if gap > best_gap:
             best_gap, best_field = gap, pa
-    return _jqcb_result(best_field, best_gap, tol)
+    return _jqcb_result(best_field, best_gap)
 
 
-def _jqcb_result(best, gap: float, tol: float) -> dict:
-    """A counterexample needs a finite gap above tol; no finite gap at all
+def _jqcb_result(best, gap: float) -> dict:
+    """A counterexample needs a finite gap above JQCB_TOL; no finite gap at all
     (e.g. every candidate's gap NaN) is "inconclusive", not "not disproved"."""
     if not np.isfinite(gap):
         return {"counterexample": None, "gap": gap, "status": "inconclusive"}
-    if gap > tol:
+    if gap > JQCB_TOL:
         return {"counterexample": best, "gap": gap, "status": "disproved"}
     return {"counterexample": None, "gap": gap, "status": "not disproved"}
 
@@ -431,7 +431,6 @@ def rotation_equivariance_check(
     rho2,
     mesh_level: int = 2,
     iter_budget: int = 600,
-    seed: int = 0,
 ) -> dict:
     """Gap between the half-ball infimum at rho1 and the rotated problem at rho2.
 
@@ -441,8 +440,8 @@ def rotation_equivariance_check(
     rho1 = _checked_normal(rho1)
     rho2 = _checked_normal(rho2)
     R = rotation_to(rho1 / np.linalg.norm(rho1), rho2 / np.linalg.norm(rho2))
-    r1 = qslb_infimum(v, rho1, mesh_level, iter_budget, seed=seed)
-    r2 = qslb_infimum(rotated_integrand(v, R), rho2, mesh_level, iter_budget, seed=seed)
+    r1 = qslb_infimum(v, rho1, mesh_level, iter_budget)
+    r2 = qslb_infimum(rotated_integrand(v, R), rho2, mesh_level, iter_budget)
     return {"gap": abs(r1["inf_est"] - r2["inf_est"]), "inf1": r1["inf_est"], "inf2": r2["inf_est"]}
 
 
@@ -450,11 +449,12 @@ def rotation_equivariance_check(
 # sphere measures generated by concentrating test fields
 
 
-def hrho_element(field, rho=None, merge_tol: float = 1e-12) -> SphereMeasure:
+def hrho_element(field) -> SphereMeasure:
     """Pushforward of |grad phi| Lebesgue through the direction map.
 
     `field` is a PAField (already restricted to the half-ball) or a
-    (HalfBallProblem, nodal values) pair.  Total mass equals the half-ball
+    (HalfBallProblem, nodal values) pair.  Directions that agree after rounding
+    to multiples of 1e-12 merge into one atom.  Total mass equals the half-ball
     total variation of the field.
     """
     if isinstance(field, tuple):
@@ -467,7 +467,7 @@ def hrho_element(field, rho=None, merge_tol: float = 1e-12) -> SphereMeasure:
         if norms[t] <= 0:
             continue
         d = grads[t] / norms[t]
-        key = tuple(np.round(d.ravel() / merge_tol).astype(np.int64).tolist())
+        key = tuple(np.round(d.ravel() / 1e-12).astype(np.int64).tolist())
         w = float(areas[t] * norms[t])
         if key in buckets:
             w0, d0 = buckets[key]
@@ -497,7 +497,5 @@ def hrho_convex_combination(hb: HalfBallProblem, U1: np.ndarray, U2: np.ndarray,
     verts = np.concatenate([pa1.vertices / 3.0, x0[None, :] + pa2.vertices / 3.0])
     off = pa1.vertices.shape[0]
     tris = np.concatenate([pa1.triangles, pa2.triangles + off])
-    v1 = pa1.values if pa1.values.ndim == 2 else pa1.values[:, None]
-    v2 = pa2.values if pa2.values.ndim == 2 else pa2.values[:, None]
-    vals = np.concatenate([3.0 * t * v1, 3.0 * (1.0 - t) * v2])
+    vals = np.concatenate([3.0 * t * pa1.values, 3.0 * (1.0 - t) * pa2.values])
     return PAField(verts, tris, vals)

@@ -66,7 +66,10 @@ def _homogeneous_from_name(name: str, N: int):
     """1-homogeneous integrands for the boundary verifiers."""
     base, _, par = name.partition(":")
     if base == "pw1h":
-        cp, cm = (float(t) for t in par.split(","))
+        try:
+            cp, cm = (float(t) for t in par.split(","))
+        except ValueError:
+            raise ValueError(f"integrand {name!r}: expected pw1h:c+,c- with two numbers") from None
         return hom_piecewise_1d(cp, cm)
     v = make_integrand(name, (1, N))
     if v.recession is None:
@@ -397,7 +400,9 @@ def main(argv=None) -> int:
         print(f"hypothesis refused: {e}", file=sys.stderr)
         return 2
     except (KeyError, FileNotFoundError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument, quotes included
+        message = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

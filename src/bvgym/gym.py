@@ -24,6 +24,7 @@ from .measures import Atom, BVField, DiscreteMeasure, _on_boundary, _point_from,
 from .meshes import IntervalMesh, TriMesh, mesh_from_record
 
 PROB_TOL = 1e-12
+CHARACTERIZATION_TOL = 1e-6  # slack of the inequalities (ii)-(iv) in check_characterization
 
 
 class GenerationError(ValueError):
@@ -159,17 +160,14 @@ def _zero_index(grid: np.ndarray) -> int:
     return i
 
 
-def dirac_gym(
-    mesh, A0, matrix_grid: np.ndarray | None = None, sphere_grid: np.ndarray | None = None
-) -> GenYoungMeasure:
+def dirac_gym(mesh, A0, matrix_grid: np.ndarray | None = None) -> GenYoungMeasure:
     """The trivial measure (delta_{A0}, 0, -) of a constant sequence."""
     A0 = np.asarray(A0, dtype=float)
     if A0.ndim == 0:
         A0 = A0.reshape(1, 1)
     if matrix_grid is None:
         matrix_grid = np.stack([np.zeros_like(A0), A0]) if mat_norm(A0) > 0 else A0[None]
-    if sphere_grid is None:
-        sphere_grid = default_sphere_grid(A0.shape)
+    sphere_grid = default_sphere_grid(A0.shape)
     K = matrix_grid.shape[0]
     nu = np.zeros((mesh.ncells, K))
     nu[:, _grid_index(matrix_grid, A0)] = 1.0
@@ -186,24 +184,26 @@ def dirac_gym(
     )
 
 
-def default_matrix_grid(dims=(1, 1), radius: float = 4.0, n: int = 129) -> np.ndarray:
+def default_matrix_grid(dims=(1, 1), radius: float = 4.0) -> np.ndarray:
+    """129 equispaced scalars on [-radius, radius]; for matrices, zero and 16
+    unit directions at 7 magnitudes up to radius."""
     M, N = dims
     if (M, N) == (1, 1):
-        return np.linspace(-radius, radius, n).reshape(-1, 1, 1)
+        return np.linspace(-radius, radius, 129).reshape(-1, 1, 1)
     from .integrands import unit_matrices
 
     dirs = unit_matrices(dims, 16)
-    mags = np.linspace(0.0, radius, max(2, n // 16))
+    mags = np.linspace(0.0, radius, 8)
     grid = [np.zeros((M, N))]
     for r in mags[1:]:
         grid += [r * d for d in dirs]
     return np.array(grid)
 
 
-def default_sphere_grid(dims=(1, 1), n: int = 32) -> np.ndarray:
+def default_sphere_grid(dims=(1, 1)) -> np.ndarray:
     from .integrands import unit_matrices
 
-    return unit_matrices(dims, n)
+    return unit_matrices(dims, 32)
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +295,18 @@ def generate(
     Y_seq: Sequence[DiscreteMeasure],
     window_h: float = 1.0 / 32,
     matrix_grid: np.ndarray | None = None,
-    sphere_grid: np.ndarray | None = None,
     overflow_radius: float = 8.0,
     dictionary=None,
     tol: float = 1e-2,
     tail: int = 3,
-    boundary_snap: float | None = None,
 ) -> tuple[GenYoungMeasure, dict]:
     """Empirical generalized Young measure of a derivative-measure sequence.
 
     Per spatial window, density values of the last member with norm below the
     overflow radius are histogrammed (Lebesgue-weighted) onto the matrix grid;
     the remaining mass, together with all atoms, is booked as concentration
-    with a directional histogram on the sphere grid.  A posteriori the pairing
+    with a directional histogram on `default_sphere_grid`; a window's atom
+    within window_h of an endpoint snaps to it.  A posteriori the pairing
     against the (g, v) dictionary is compared with the tail of the sequence;
     disagreement beyond tol raises GenerationError.
     """
@@ -323,12 +322,9 @@ def generate(
     dims = Y_seq[-1].density.shape[1:]
     if matrix_grid is None:
         matrix_grid = default_matrix_grid(dims, radius=overflow_radius / 2)
-    if sphere_grid is None:
-        sphere_grid = default_sphere_grid(dims)
+    sphere_grid = default_sphere_grid(dims)
     if dictionary is None:
         dictionary = default_dictionary(dims)
-    if boundary_snap is None:
-        boundary_snap = window_h
 
     nwin = max(1, int(round((b - a) / window_h)))
     wnodes = np.linspace(a, b, nwin + 1)
@@ -355,9 +351,9 @@ def generate(
         if conc_mass[w] <= 0:
             continue
         x = conc_pos[w] / conc_mass[w]
-        if x - a <= boundary_snap:
+        if x - a <= window_h:
             x = a
-        elif b - x <= boundary_snap:
+        elif b - x <= window_h:
             x = b
         atoms.append((x, conc_mass[w]))
         rows.append(conc_dir[w] / conc_mass[w])
@@ -410,10 +406,10 @@ def reconstruct_underlying(gym: GenYoungMeasure, anchor_mean) -> BVField:
     if gym.mesh.dim != 1:
         raise ValueError("reconstruction implemented on interval meshes")
     mom = first_moment(gym)
-    slopes = mom.density[:, :, 0] if mom.density.ndim == 3 else mom.density
+    slopes = mom.density[:, :, 0]
     mesh = gym.mesh
     jumps = {float(np.asarray(at.point)): at.value for at in mom.interior_atoms()}
-    ncomp = slopes.shape[1] if slopes.ndim == 2 else 1
+    ncomp = slopes.shape[1]
     vals = np.zeros((mesh.ncells, 2, ncomp))
     cur = np.zeros(ncomp)
     for c in range(mesh.ncells):
@@ -478,7 +474,6 @@ def combine_orthogonal(
     theta: GenYoungMeasure,
     in_S: Callable,
     in_T: Callable,
-    tol: float = PROB_TOL,
 ) -> GenYoungMeasure:
     """chi_S psi + chi_T theta for measures that are trivial on each other's set.
 
@@ -507,7 +502,7 @@ def combine_orthogonal(
         src, other = (psi, theta) if s else (theta, psi)
         triv = np.zeros(psi.nu.shape[1])
         triv[zi] = 1.0
-        if np.max(np.abs(other.nu[c] - triv)) > tol or other.lam_density[c] > tol:
+        if np.max(np.abs(other.nu[c] - triv)) > PROB_TOL or other.lam_density[c] > PROB_TOL:
             raise OrthogonalityError(f"orthogonality violated on cell {c}")
         nu[c] = src.nu[c]
         lamd[c] = src.lam_density[c]
@@ -519,7 +514,7 @@ def combine_orthogonal(
             if inside(p):
                 atoms.append((p, m))
                 rows.append(src.nu_inf_atoms[i])
-            elif m > tol:
+            elif m > PROB_TOL:
                 raise OrthogonalityError(f"atom at {p} of the {label}-factor lies outside {label}")
     return GenYoungMeasure(
         mesh,
@@ -559,7 +554,7 @@ def atom_moment(gym: GenYoungMeasure, i: int) -> np.ndarray:
     return (gym.nu_inf_atoms[i] @ S).reshape(M, N)
 
 
-def boundary_rank_one_report(gym: GenYoungMeasure, tol: float = 1e-8) -> list[dict]:
+def boundary_rank_one_report(gym: GenYoungMeasure) -> list[dict]:
     """Check <nu_inf, id> = a x normal at boundary atoms of lam."""
     out = []
     for i in gym.boundary_atom_indices():
@@ -572,7 +567,7 @@ def boundary_rank_one_report(gym: GenYoungMeasure, tol: float = 1e-8) -> list[di
         rho = np.atleast_1d(gym.mesh.outer_normal(p))
         a = mom @ rho
         residual = float(mat_norm(mom - np.outer(a, rho)))
-        out.append({"point": p, "ok": residual <= tol * max(1.0, float(mat_norm(mom))), "residual": residual})
+        out.append({"point": p, "ok": residual <= 1e-8 * max(1.0, float(mat_norm(mom))), "residual": residual})
     return out
 
 
@@ -600,10 +595,6 @@ class DiPernaMajdaMeasure:
             raise ValueError("nuhat rows must sum to 1")
         if np.min(self.sigma_density) < -PROB_TOL:
             raise ValueError("sigma must be nonnegative")
-
-    def sigma(self) -> DiscreteMeasure:
-        atoms = tuple(Atom(p, m, 1.0) for p, m in self.sigma_atoms if m > 0)
-        return DiscreteMeasure(self.mesh, self.sigma_density, atoms)
 
     def pairing(self, g: Callable, v: Integrand) -> float:
         if v.recession is None:
@@ -731,24 +722,19 @@ def check_characterization(
     gym: GenYoungMeasure,
     u: BVField,
     family: Sequence[Integrand] | None = None,
-    qslb_family: Callable | None = None,
-    tol: float = 1e-6,
-    allowed_cell_violations: int = 1,
 ) -> dict:
     """Verify the four defining conditions of a gradient Young measure.
 
     (i) finite mass; (ii) per-cell Jensen inequality against quasiconvex test
-    integrands with at most `allowed_cell_violations` exceptional cells;
-    (iii) the singular inequality between Du^s and the interior concentration;
-    (iv) nonnegativity of <nu_inf, v_inf> at boundary atoms for integrands
-    flagged quasi-sublinear from below at the local normal.
+    integrands with at most one exceptional cell; (iii) the singular inequality
+    between Du^s and the interior concentration; (iv) nonnegativity of
+    <nu_inf, v_inf> at boundary atoms for the `default_qslb_family` at the
+    local normal.  Each inequality may fail by CHARACTERIZATION_TOL.
     """
     if family is None:
         family = default_quasiconvex_family(gym.dims)
     if not family:
         raise ValueError("empty test family")
-    if qslb_family is None:
-        qslb_family = lambda x, rho: default_qslb_family(x, rho, gym.dims)
 
     report: dict = {}
     mass = gym.mass_norm()
@@ -769,10 +755,10 @@ def check_characterization(
         rhs = gym.nu @ vv + gym.lam_density * (gym.nu_inf_cells @ vinf)
         margins = rhs - lhs
         worst_ii = min(worst_ii, float(np.min(margins)))
-        bad_cells += list(np.nonzero(margins < -tol)[0])
+        bad_cells += list(np.nonzero(margins < -CHARACTERIZATION_TOL)[0])
     bad_cells = sorted(set(int(c) for c in bad_cells))
     report["ii"] = {
-        "pass": len(bad_cells) <= allowed_cell_violations,
+        "pass": len(bad_cells) <= 1,
         "worst": worst_ii,
         "violating_cells": bad_cells,
     }
@@ -792,7 +778,7 @@ def check_characterization(
             lhs = float(v.recession.on_sphere(np.asarray(at.direction))) * at.mass if at else 0.0
             rhs = float(gym.nu_inf_atoms[i] @ vinfs[v.name]) * m
             worst_iii = min(worst_iii, rhs - lhs)
-            if rhs - lhs < -tol:
+            if rhs - lhs < -CHARACTERIZATION_TOL:
                 ok_iii = False
     for key, at in du_atoms.items():
         if key in keys_seen:
@@ -800,7 +786,7 @@ def check_characterization(
         for v in family:
             lhs = float(v.recession.on_sphere(np.asarray(at.direction))) * at.mass
             worst_iii = min(worst_iii, -lhs)
-            if lhs > tol:
+            if lhs > CHARACTERIZATION_TOL:
                 ok_iii = False
     report["iii"] = {"pass": ok_iii, "worst": worst_iii if np.isfinite(worst_iii) else 0.0}
 
@@ -808,13 +794,13 @@ def check_characterization(
     bad_iv = []
     for i in bidx:
         p, m = gym.lam_atoms[i]
-        if m <= tol:
+        if m <= CHARACTERIZATION_TOL:
             continue  # exceptional sets carry zero lam-mass
         rho = gym.mesh.outer_normal(p)
-        for h in qslb_family(p, rho):
+        for h in default_qslb_family(p, rho, gym.dims):
             val = float(gym.nu_inf_atoms[i] @ np.asarray(h.on_sphere(gym.sphere_grid)))
             worst_iv = min(worst_iv, val)
-            if val < -tol:
+            if val < -CHARACTERIZATION_TOL:
                 bad_iv.append({"point": p, "integrand": h.name, "value": val})
     report["iv"] = {
         "pass": not bad_iv,

@@ -8,7 +8,7 @@ form from the start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,11 +70,11 @@ class DiscreteMeasure:
             raise ValueError("measures live on different meshes")
         return DiscreteMeasure(self.mesh, self.density + other.density, self.atoms + other.atoms)
 
-    def interior_atoms(self, tol: float = 1e-12) -> tuple[Atom, ...]:
-        return tuple(a for a in self.atoms if not _on_boundary(self.mesh, a.point, tol))
+    def interior_atoms(self) -> tuple[Atom, ...]:
+        return tuple(a for a in self.atoms if not _on_boundary(self.mesh, a.point))
 
-    def boundary_atoms(self, tol: float = 1e-12) -> tuple[Atom, ...]:
-        return tuple(a for a in self.atoms if _on_boundary(self.mesh, a.point, tol))
+    def boundary_atoms(self) -> tuple[Atom, ...]:
+        return tuple(a for a in self.atoms if _on_boundary(self.mesh, a.point))
 
     def to_record(self) -> dict:
         return {
@@ -128,10 +128,11 @@ def _same_mesh(m1, m2) -> bool:
     return m1.vertices.shape == m2.vertices.shape and np.allclose(m1.vertices, m2.vertices)
 
 
-def _on_boundary(mesh, point, tol: float = 1e-12) -> bool:
+def _on_boundary(mesh, point) -> bool:
+    """Within 1e-12 of an endpoint in 1D, within 1e-9 of a boundary vertex in 2D."""
     if mesh.dim == 1:
         x = float(np.asarray(point))
-        return abs(x - mesh.a) <= tol or abs(x - mesh.b) <= tol
+        return abs(x - mesh.a) <= 1e-12 or abs(x - mesh.b) <= 1e-12
     p = np.asarray(point, dtype=float)
     bverts = mesh.vertices[mesh.boundary_nodes]
     return bool(np.min(np.linalg.norm(bverts - p[None], axis=1)) <= 1e-9)
@@ -282,11 +283,6 @@ class BVField:
             axis=0
         )
 
-    def __sub__(self, other: "BVField") -> "BVField":
-        if not _same_mesh(self.mesh, other.mesh):
-            raise ValueError("fields live on different meshes")
-        return BVField(self.mesh, self.values - other.values)
-
     def __add__(self, other: "BVField") -> "BVField":
         if not _same_mesh(self.mesh, other.mesh):
             raise ValueError("fields live on different meshes")
@@ -329,17 +325,6 @@ class DiskField:
         grads = self.mesh.gradients_of(self.values)  # (nt, M, 2)
         return DiscreteMeasure(self.mesh, grads)
 
-    def boundary_values(self) -> np.ndarray:
-        return np.asarray(self.values)[self.mesh.boundary_nodes]
-
-    def l1_norm(self) -> float:
-        v = np.asarray(self.values)
-        if v.ndim == 1:
-            v = v[:, None]
-        mags = np.linalg.norm(v, axis=1)
-        tri_avg = mags[self.mesh.triangles].mean(axis=1)
-        return float(np.sum(tri_avg * self.mesh.cell_volumes))
-
 
 # ---------------------------------------------------------------------------
 # boundary/interior splitting of null sequences
@@ -348,7 +333,6 @@ class DiskField:
 def decompose_boundary_interior(
     fields: Sequence[BVField],
     r_schedule: Sequence[float],
-    null_tol: float = 1e-2,
 ) -> tuple[list[BVField], list[BVField]]:
     """Split an L1-null sequence into boundary collars and an interior rest.
 
@@ -356,9 +340,10 @@ def decompose_boundary_interior(
     the collar part c_k carries the variation inside the collars (shifted to
     vanish at the cut), the rest d_k is frozen there, so per cell
     |Dc_k| + |Dd_k| = |Du_k| exactly and Dd_k never charges the boundary.
+    The last field's L1 norm must be at most max(1e-2, half the first one's).
     """
     norms = [u.l1_norm() for u in fields]
-    if norms and norms[-1] > max(null_tol, 0.5 * norms[0]):
+    if norms and norms[-1] > max(1e-2, 0.5 * norms[0]):
         raise ValueError("decomposition requires null limit")
     cs, ds = [], []
     for k, u in enumerate(fields):

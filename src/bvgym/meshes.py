@@ -105,14 +105,13 @@ def interval_mesh(
     n: int = 16,
     grade_to: tuple[float, ...] = (),
     grade_levels: int = 40,
-    ratio: float = 0.5,
     extra_nodes: tuple[float, ...] = (),
 ) -> IntervalMesh:
     """Uniform n-cell mesh, geometrically refined toward the points in grade_to.
 
     Grading splits the cell adjacent to a tagged endpoint into `grade_levels`
-    geometric layers with the given ratio (default 0.5), so the smallest cell
-    has width ~ (b-a)/n * ratio**grade_levels.
+    geometric layers of ratio 0.5, so the smallest cell has width
+    (b-a)/n * 0.5**grade_levels.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -123,7 +122,7 @@ def interval_mesh(
         if not (at_a or np.isclose(p, b)):
             raise ValueError("grading is supported at the endpoints only")
         for j in range(1, grade_levels + 1):
-            off = h * ratio**j
+            off = h * 0.5**j
             nodes.add(p + off if at_a else p - off)
     for x in extra_nodes:
         if a < x < b:

@@ -39,6 +39,9 @@ class HypothesisError(ValueError):
     """A structural hypothesis needed for the relaxation identity fails."""
 
 
+ADMISSIBILITY_TOL = 1e-8  # slack of every test in admissibility_report
+
+
 # ---------------------------------------------------------------------------
 # problem specification
 
@@ -96,14 +99,15 @@ class ProblemSpec:
         """(point, term) for each Robin side, left first."""
         return [(x, t) for x, t in ((self.a, self.left), (self.b, self.right)) if t is not None]
 
-    def validate_growth(self, samples, tol: float = 1e-9) -> bool:
+    def validate_growth(self, samples) -> bool:
+        """(|A| - 1)/c <= w(x)|A| <= c(1 + |A|), up to 1e-9, at 7 points x and the samples A."""
         A = np.asarray(samples, dtype=float)
         c = self.growth_c
         for x in np.linspace(self.a, self.b, 7):
             vals = self.weight(x) * mat_norm(A)
-            if np.any(vals > c * (1 + mat_norm(A)) + tol):
+            if np.any(vals > c * (1 + mat_norm(A)) + 1e-9):
                 return False
-            if np.any(vals < (-1 + mat_norm(A)) / c - tol):
+            if np.any(vals < (-1 + mat_norm(A)) / c - 1e-9):
                 return False
         return True
 
@@ -158,15 +162,18 @@ def toy_sequence_value(eps: float, n: int) -> float:
     return (1 - eps) * (1.0 / (3 * n**2) + eps) + eps**2 / 2
 
 
-def toy_field(n: int, eps: float, base_cells: int = 16, ramp_cells: int = 4) -> BVField:
-    """The explicit minimizing-sequence member: eps/2, then a ramp on (1-1/n, 1)."""
+def toy_field(n: int, eps: float) -> BVField:
+    """The explicit minimizing-sequence member: eps/2, then a ramp on (1-1/n, 1).
+
+    Its mesh is 16 uniform cells plus the ramp's start and 3 nodes splitting
+    the ramp into 4 cells."""
     if n < 2:
         raise ValueError("n must be >= 2")
     check_toy_eps(eps)
-    nodes = set(np.linspace(0.0, 1.0, base_cells + 1).tolist())
+    nodes = set(np.linspace(0.0, 1.0, 17).tolist())
     nodes.add(1.0 - 1.0 / n)
-    for k in range(1, ramp_cells):
-        nodes.add(1.0 - 1.0 / n + k / (n * ramp_cells))
+    for k in range(1, 4):
+        nodes.add(1.0 - 1.0 / n + k / (n * 4))
     mesh = IntervalMesh(np.array(sorted(nodes)))
     nodal = np.where(
         mesh.nodes <= 1.0 - 1.0 / n,
@@ -176,12 +183,12 @@ def toy_field(n: int, eps: float, base_cells: int = 16, ramp_cells: int = 4) -> 
     return BVField.from_nodal(mesh, nodal)
 
 
-def toy_limit_gym(eps: float, ncells: int = 32):
-    """The constructed concentration limit (delta_0, (1-eps) delta_1, delta_{+1})."""
+def toy_limit_gym(eps: float):
+    """The constructed concentration limit (delta_0, (1-eps) delta_1, delta_{+1}) on 32 cells."""
     from .gym import GenYoungMeasure
 
     check_toy_eps(eps)
-    mesh = interval_mesh(0.0, 1.0, ncells)
+    mesh = interval_mesh(0.0, 1.0, 32)
     grid = np.array([[[0.0]], [[1.0]]])
     sphere = np.array([[[-1.0]], [[1.0]]])
     nu = np.zeros((mesh.ncells, 2))
@@ -231,11 +238,11 @@ def eval_toy(u: BVField, which: str, eps: float, beta: tuple[float, float] | Non
     raise ValueError(f"unknown functional {which!r}; use I, I1 or I2")
 
 
-def toy_report(eps: float, n_values: Sequence[int] = (10, 100, 1000)) -> dict:
-    """Closed-form infimum, sequence values, and the printed-limit discrepancy."""
+def toy_report(eps: float) -> dict:
+    """Closed-form infimum, sequence values at n = 10, 100, 1000, and the printed-limit discrepancy."""
     derived = toy_infimum(eps)
     quoted = (4 * eps - eps**2) / 4  # appears in print for the same limit; differs by eps^2/4
-    seq = {n: eval_toy(toy_field(n, eps), "I", eps) for n in n_values}
+    seq = {n: eval_toy(toy_field(n, eps), "I", eps) for n in (10, 100, 1000)}
     u_limit = BVField.constant(interval_mesh(0, 1, 16), eps / 2)
     i1_limit_field = eval_toy(u_limit, "I1", eps)
     return {
@@ -385,30 +392,30 @@ def _beta_as_dict(spec: ProblemSpec, beta) -> dict:
     return {spec.a: np.atleast_1d(float(b0)), spec.b: np.atleast_1d(float(b1))}
 
 
-def admissibility_report(gym_measure, beta, spec: ProblemSpec, tol: float = 1e-8) -> list[str]:
+def admissibility_report(gym_measure, beta, spec: ProblemSpec) -> list[str]:
     """Named violations of the relaxed admissible set; empty when admissible."""
     from .gym import atom_moment, gym_traces
 
     problems = []
     beta = _beta_as_dict(spec, beta)
     mass = gym_measure.mass_norm()
-    if mass > spec.C + tol:
+    if mass > spec.C + ADMISSIBILITY_TOL:
         problems.append(f"mass_bound_exceeded({mass:.3g}>{spec.C:.3g})")
-    if sum(float(np.sum(np.abs(v))) for v in beta.values()) > spec.C + tol:
+    if sum(float(np.sum(np.abs(v))) for v in beta.values()) > spec.C + ADMISSIBILITY_TOL:
         problems.append("trace_bound_exceeded")
     if gym_measure.underlying is None:
         problems.append("no_underlying_deformation")
     else:
         traces = gym_traces(gym_measure)
         for x, v in traces["outer"].items():
-            if float(np.max(np.abs(beta[x] - v))) > tol:
+            if float(np.max(np.abs(beta[x] - v))) > ADMISSIBILITY_TOL:
                 problems.append(f"beta_not_outer_trace(at={x:g})")
     for i in gym_measure.boundary_atom_indices():
         p, m = gym_measure.lam_atoms[i]
         x = float(np.asarray(p))
-        if m > tol and spec.term_at(x) is not None:
+        if m > ADMISSIBILITY_TOL and spec.term_at(x) is not None:
             mom = atom_moment(gym_measure, i)
-            if abs(float(mat_norm(mom)) - 1.0) > tol:
+            if abs(float(mat_norm(mom)) - 1.0) > ADMISSIBILITY_TOL:
                 problems.append(f"oscillating_boundary_direction_on_gamma_R(at={x:g})")
     return problems
 
@@ -545,10 +552,12 @@ class RelaxationResult:
 
 
 def check_hypotheses(spec: ProblemSpec) -> list[str]:
-    """Verify the relaxation hypotheses on the Robin boundary; raise on failure.
+    """Verify the relaxation hypotheses; raise on failure.
 
-    The Jensen-type boundary inequality can only be falsified, so a clean
-    search is recorded as "not disproved" rather than "holds".
+    On the Robin boundary, the Jensen-type inequality can only be falsified,
+    so a clean search is recorded as "not disproved" rather than "holds".
+    After the boundary checks, the weight must be finite and positive at 129
+    equispaced points of [a, b], ends included.
     """
     from .boundary import jqcb_falsify, qslb_infimum
 
@@ -577,22 +586,23 @@ def check_hypotheses(spec: ProblemSpec) -> list[str]:
         if jq["counterexample"] is not None:
             raise HypothesisError(f"boundary Jensen inequality disproved at x={x:g}")
         log.append(f"x={x:g}: qslb verified, boundary Jensen inequality {jq['status']}")
+    xs = np.linspace(spec.a, spec.b, 129)
+    ws = np.broadcast_to(np.asarray(spec.weight(xs), dtype=float), xs.shape)
+    bad = np.flatnonzero(~(np.isfinite(ws) & (ws > 0)))
+    if bad.size:
+        i = bad[0]
+        raise HypothesisError(f"weight must be finite and positive, but w({xs[i]:g}) = {ws[i]:g}")
     return log
 
 
-def relax_minimize(
-    spec: ProblemSpec,
-    levels: Sequence[int] = (4, 6, 8, 10),
-    window_h: float = 1.0 / 32,
-    generation_tol: float = 5e-2,
-) -> RelaxationResult:
+def relax_minimize(spec: ProblemSpec, levels: Sequence[int] = (4, 6, 8, 10)) -> RelaxationResult:
     """Compute and compare the direct, extended, and measure-level minima.
 
     The relaxed family consists of a BV part (endpoint competitors with the
     transition in the cheapest cell) plus boundary concentration atoms, with
     the outer trace determined by the trace-difference identity.  The measure
-    generated by the direct minimizing sequence is evaluated in the relaxed
-    functional as a consistency check.
+    generated by the direct minimizing sequence (windows of 1/32, tolerance
+    5e-2) is evaluated in the relaxed functional as a consistency check.
     """
     from .gym import generate_from_fields, gym_traces
     from .soucek import soucek_pair, to_gym
@@ -627,7 +637,7 @@ def relax_minimize(
                 pg, pb = _oscillation_probe(gym_star, beta, spec, x, mass, theta)
                 min_gym = min(min_gym, eval_Fhat(pg, pb, spec, strict=False))
 
-    gen_gym, _ = generate_from_fields(direct["minimizers"], window_h=window_h, tol=generation_tol)
+    gen_gym, _ = generate_from_fields(direct["minimizers"], window_h=1.0 / 32, tol=5e-2)
     gym_attained = eval_Fhat(gen_gym, gym_traces(gen_gym)["outer"], spec, strict=False)
 
     toy_note = None if spec.toy_eps is None else toy_report(spec.toy_eps)
@@ -692,10 +702,12 @@ def higher_dim_J(
 
     J(u) = int (dist^2(x, Gamma_1) + eps)|grad u| + int_{Gamma_1}
     sqrt(1 + (u - ubar)^2), with u = 0 on Gamma_0.  Meshes refine by midpoint
-    subdivision (nested spaces), so the reported infima are nonincreasing.
-    Each table row brackets its mesh's minimum: "lower" <= min <= "J", and
-    "gap" = (J - lower) / J.  "stages" has the solver's record per mesh (see
-    `_minimize_disk`).
+    subdivision (nested spaces), so the prolonged coarse field is admissible
+    on the finer mesh: a row whose J rounds above the previous row's carries
+    the previous J, and the reported infima are nonincreasing.  Each table row
+    brackets its mesh's minimum: "lower" <= min <= "J" ("lower" is capped at
+    J, in the row and in its stage record), and "gap" = (J - lower) / J.
+    "stages" has the solver's record per mesh (see `_minimize_disk`).
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
@@ -708,7 +720,9 @@ def higher_dim_J(
     warm = None
     for k in range(refinements + 1):
         val, u, st = _minimize_disk(mesh, eps, ubar, gamma1_angles, gamma0_angles, warm)
-        lower = st[-1]["lower"]
+        if table:  # only rounding lifts J above the admissible prolonged coarse field
+            val = min(val, table[-1]["J"])
+        st[-1]["lower"] = lower = min(st[-1]["lower"], val)
         table.append({"nv": mesh.vertices.shape[0], "J": val, "lower": lower, "gap": (val - lower) / val})
         stages += st
         if k < refinements:

@@ -116,17 +116,18 @@ class TracePair:
         }
 
 
-def _poly_basis_1d(max_degree: int = 4):
+def _poly_basis_1d():
+    """Monomials x^k with derivatives, k <= 4."""
     return [
         (lambda x, k=k: np.asarray(x, dtype=float) ** k, lambda x, k=k: k * np.asarray(x, dtype=float) ** (k - 1) if k else np.zeros_like(np.asarray(x, dtype=float)))
-        for k in range(max_degree + 1)
+        for k in range(5)
     ]
 
 
-def _harmonic_basis_2d(max_degree: int = 4):
-    """Real/imaginary parts of z^k with gradients, k <= max_degree."""
+def _harmonic_basis_2d():
+    """Real/imaginary parts of z^k with gradients, k <= 4."""
     basis = []
-    for k in range(max_degree + 1):
+    for k in range(5):
         for part in ("re",) if k == 0 else ("re", "im"):
 
             def phi(p, k=k, part=part):
@@ -147,14 +148,14 @@ def _harmonic_basis_2d(max_degree: int = 4):
     return basis
 
 
-def outer_trace(pair: SoucekPair, green_tol: float = GREEN_TOL) -> TracePair:
-    """Outer trace via the Green identity; raises on inconsistent pairs."""
+def outer_trace(pair: SoucekPair) -> TracePair:
+    """Outer trace via the Green identity; raises on a pair whose Green residual exceeds GREEN_TOL."""
     if pair.mesh.dim == 1:
-        return _outer_trace_1d(pair, green_tol)
-    return _outer_trace_disk(pair, green_tol)
+        return _outer_trace_1d(pair)
+    return _outer_trace_disk(pair)
 
 
-def _outer_trace_1d(pair: SoucekPair, green_tol: float) -> TracePair:
+def _outer_trace_1d(pair: SoucekPair) -> TracePair:
     u: BVField = pair.u
     mesh = u.mesh
     lo, hi = u.trace()
@@ -166,17 +167,17 @@ def _outer_trace_1d(pair: SoucekPair, green_tol: float) -> TracePair:
         A = at.value.reshape(-1, 1)
         outer[x] = outer[x] + rho * A[:, 0]
     residual = 0.0
-    for phi, dphi in _poly_basis_1d(4):
+    for phi, dphi in _poly_basis_1d():
         lhs = phi(mesh.b) * 1.0 * outer[mesh.b] + phi(mesh.a) * (-1.0) * outer[mesh.a]
         term_u = u.integrate_against(dphi)
         term_alpha = np.atleast_2d(pair.alpha.integrate(phi))[:, 0]
         residual = max(residual, float(np.max(np.abs(lhs - term_u - term_alpha))))
-    if residual > green_tol:
+    if residual > GREEN_TOL:
         raise InconsistentPairError(f"inconsistent pair: Green residual {residual:.3e}")
     return TracePair(inner, outer, (), residual)
 
 
-def _outer_trace_disk(pair: SoucekPair, green_tol: float) -> TracePair:
+def _outer_trace_disk(pair: SoucekPair) -> TracePair:
     u: DiskField = pair.u
     mesh = u.mesh
     vals = np.asarray(u.values, dtype=float)
@@ -200,7 +201,7 @@ def _outer_trace_disk(pair: SoucekPair, green_tol: float) -> TracePair:
     p0 = mesh.vertices[edges[:, 0]]
     p1 = mesh.vertices[edges[:, 1]]
     residual = 0.0
-    for phi, dphi in _harmonic_basis_2d(4):
+    for phi, dphi in _harmonic_basis_2d():
         lhs = np.zeros(2)
         for q, w in zip(_GL_X, _GL_W):
             pts = (1 - q) * p0 + q * p1
@@ -213,7 +214,7 @@ def _outer_trace_disk(pair: SoucekPair, green_tol: float) -> TracePair:
         for at in pair.boundary_part():
             term_alpha = term_alpha + float(phi(np.asarray(at.point))) * at.value.reshape(2)
         residual = max(residual, float(np.max(np.abs(lhs - term_u - term_alpha))))
-    if residual > green_tol:
+    if residual > GREEN_TOL:
         raise InconsistentPairError(f"inconsistent pair: Green residual {residual:.3e}")
     return TracePair(inner_nodal, dict(inner_nodal), tuple(atoms), residual)
 
@@ -241,7 +242,7 @@ def side(pair: SoucekPair) -> SoucekPair:
     return SoucekPair(zero, DiscreteMeasure(mesh, dens, pair.boundary_part()))
 
 
-def rank_one_boundary_check(pair: SoucekPair, tol: float = RANK_ONE_TOL) -> bool:
+def rank_one_boundary_check(pair: SoucekPair) -> bool:
     """Every boundary atom of alpha must be a(x) x normal(x)."""
     mesh = pair.mesh
     for at in pair.boundary_part():
@@ -250,7 +251,7 @@ def rank_one_boundary_check(pair: SoucekPair, tol: float = RANK_ONE_TOL) -> bool
             continue  # any M x 1 matrix is trivially rank one along the normal
         rho = mesh.outer_normal(np.asarray(at.point, dtype=float))
         a = A @ rho
-        if float(np.linalg.norm(A - np.outer(a, rho))) > tol * max(1.0, at.mass):
+        if float(np.linalg.norm(A - np.outer(a, rho))) > RANK_ONE_TOL * max(1.0, at.mass):
             return False
     return True
 

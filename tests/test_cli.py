@@ -12,9 +12,11 @@ def _reject_constant(name):
 
 
 def _one_line_error(capsys) -> str:
-    """stderr of a run that must fail with one `error:` line and no traceback."""
+    """stderr of a run that must fail with one `error:` line and no traceback; the
+    message is printed as written, not as the repr of an exception argument."""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not err.startswith(("error: '", 'error: "'))
     return err
 
 
@@ -120,7 +122,7 @@ class TestErrorsAndDeterminism:
     def test_unknown_integrand_exits_1(self, tmp_path, capsys):
         code, _ = run(tmp_path, "qslb-check", "--integrand", "nope", "--normal", "1,0")
         assert code == 1
-        assert "unknown integrand" in capsys.readouterr().err
+        assert _one_line_error(capsys).startswith("error: unknown integrand 'nope'; catalog:")
 
     def test_hypothesis_refusal_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
@@ -252,6 +254,26 @@ class TestErrorsAndDeterminism:
         code, out = run(tmp_path, *argv)
         assert code == 1
         assert "eps must lie in (0, 1)" in _one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["qslb-check", "jqcb-check"])
+    @pytest.mark.parametrize("integrand", ["pw1h:1", "pw1h:1,2,3", "pw1h", "pw1h:1,x"])
+    def test_pw1h_parameter_count_exits_1(self, tmp_path, capsys, command, integrand):
+        code, out = run(tmp_path, command, "--integrand", integrand, "--normal", "1")
+        assert code == 1
+        err = _one_line_error(capsys)
+        assert "pw1h:c+,c-" in err and "unpack" not in err
+        assert not out.exists()
+
+    def test_relax_negative_weight_exits_2(self, tmp_path, capsys):
+        # with both sides Neumann only the weight check sees the sign of w
+        cfg = tmp_path / "neg.ini"
+        cfg.write_text("[domain]\na = 0.0\nb = 1.0\n[f]\nweight = const:-1\n[run]\nlevels = 3\n")
+        code, out = run(tmp_path, "relax", "--config", str(cfg))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis refused: ") and err.count("\n") == 1
+        assert "w(0) = -1" in err
         assert not out.exists()
 
     def test_generate_nonconvergent_exits_1(self, tmp_path, capsys):

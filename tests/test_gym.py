@@ -466,6 +466,37 @@ class TestCharacterization:
         witness = fam[names.index(worst["integrand"])]
         assert qslb_infimum(witness, rho, mesh_level=2, iter_budget=400)["verdict"] == "qslb"
 
+    @staticmethod
+    def _jump_gym(lam_atoms):
+        """u jumps by +1 at 0.5; nu = delta_0, and each lam-atom's nu_inf is delta_{+1}."""
+        mesh = interval_mesh(0, 1, 16)
+        u = BVField.step(mesh, 0.5, 0, 1)
+        gm = GenYoungMeasure(
+            mesh, np.array([[[0.0]]]), np.ones((16, 1)), np.zeros(16), lam_atoms,
+            np.array([[[-1.0]], [[1.0]]]), np.full((16, 2), 0.5), np.array([[0.0, 1.0]] * len(lam_atoms)),
+        )
+        return gm, u
+
+    def test_interior_atom_matching_the_jump_passes_iii(self):
+        gm, u = self._jump_gym(((0.5, 1.0),))
+        report = check_characterization(gm, u)
+        assert report["iii"] == {"pass": True, "worst": 0.0}
+        assert report["all_pass"]
+
+    def test_interior_atom_with_half_the_jump_fails_iii(self):
+        gm, u = self._jump_gym(((0.5, 0.5),))
+        report = check_characterization(gm, u)
+        assert not report["iii"]["pass"]
+        assert report["iii"]["worst"] == pytest.approx(-0.5)  # |.|: 0.5 of lam-mass against |Du^s| = 1
+        assert report["i"]["pass"] and report["ii"]["pass"] and report["iv"]["pass"]
+
+    def test_jump_without_interior_atom_fails_iii(self):
+        gm, u = self._jump_gym(())
+        report = check_characterization(gm, u)
+        assert not report["iii"]["pass"]
+        assert report["iii"]["worst"] == pytest.approx(-1.0)  # the unmatched jump's full |Du^s|
+        assert not report["all_pass"]
+
     def test_empty_family_rejected(self, unit_mesh):
         gm = dirac_gym(unit_mesh, 0.0)
         with pytest.raises(ValueError, match="empty"):

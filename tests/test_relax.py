@@ -486,6 +486,22 @@ class TestRelaxMinimize:
         with pytest.raises(HypothesisError, match="quasi-sublinear"):
             relax_minimize(spec, levels=(3,))
 
+    @pytest.mark.parametrize(
+        "weight,shown",
+        [(lambda x: np.asarray(x, dtype=float) - 0.5, "w(0) = -0.5"),
+         (lambda x: -np.ones_like(np.asarray(x, dtype=float)), "w(0) = -1"),
+         (lambda x: np.asarray(x, dtype=float), "w(0) = 0"),
+         (lambda x: 1.0 / (np.asarray(x, dtype=float) - 1.0) ** 2, "w(1) = inf"),
+         (lambda x: np.where(np.asarray(x) > 0.5, np.nan, 1.0), "w(0.507812) = nan")],
+        ids=["x-0.5", "const-1", "zero-at-a", "inf-at-b", "nan-inside"],
+    )
+    def test_non_positive_weight_refused(self, weight, shown):
+        # with both sides Neumann no boundary check looks at w, and the minimum would be -C
+        with np.errstate(divide="ignore"):
+            with pytest.raises(HypothesisError, match="weight must be finite and positive") as err:
+                relax_minimize(ProblemSpec(0, 1, weight))
+        assert shown in str(err.value)
+
     def test_hypothesis_log_records_not_disproved(self):
         res = relax_minimize(toy_spec(EPS), levels=(4, 6))
         assert all("not disproved" in line for line in res.hypothesis_log)
@@ -559,10 +575,23 @@ class TestHigherDim:
         assert res["inf_est"] >= L - 1e-9  # integrand is at least 1 on the arc
         assert res["inf_est"] <= L * np.sqrt(1.25) + 1e-9  # competitor u = 0
 
-    def test_refinement_monotone(self):
-        res = higher_dim_J(0.5, lambda p: 0.3 * np.ones(p.shape[0]), level=2, refinements=2)
+    @staticmethod
+    def _assert_monotone_bracketed(res):
         vals = [row["J"] for row in res["table"]]
-        assert all(b <= a + 1e-6 for a, b in zip(vals, vals[1:]))
+        assert all(b <= a for a, b in zip(vals, vals[1:]))
+        assert all(row["lower"] <= row["J"] for row in res["table"])
+        assert [st["lower"] for st in res["stages"]] == [row["lower"] for row in res["table"]]
+        assert res["inf_est"] == vals[-1]
+
+    def test_refinement_monotone(self):
+        # u = 0.3 is optimal on every mesh, and each finer mesh sums the same energy in another order
+        res = higher_dim_J(0.5, lambda p: 0.3 * np.ones(p.shape[0]), level=2, refinements=2)
+        self._assert_monotone_bracketed(res)
+
+    def test_refinement_monotone_when_zero_is_optimal(self):
+        # u = 0 is optimal: the solver's J and lower agree on every mesh up to rounding
+        res = higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), level=1, refinements=2)
+        self._assert_monotone_bracketed(res)
 
     def test_pinned_table_and_stages(self, refine_calls):
         res = higher_dim_J(0.35, _SIN, level=1, refinements=2)
