@@ -91,8 +91,7 @@ class PAField:
     def gradients(self) -> tuple[np.ndarray, np.ndarray]:
         """(areas, per-triangle gradients (nt, M, 2))."""
         areas, basis = triangle_geometry(self.vertices, self.triangles)
-        vals = self.values if self.values.ndim == 2 else self.values[:, None]
-        return areas, np.einsum("tiM,tid->tMd", vals[self.triangles], basis)
+        return areas, np.einsum("tiM,tid->tMd", self.values[self.triangles], basis)
 
     def total_variation(self) -> float:
         areas, grads = self.gradients()

@@ -22,10 +22,10 @@ from . import gym as gym_mod
 from . import relax as relax_mod
 from .boundary import jqcb_falsify, qslb_infimum
 from .integrands import convex_envelope_1d, hom_piecewise_1d, make_integrand
-from .measures import BVField
+from .measures import BVField, DiscreteMeasure
 from .meshes import interval_mesh
 from .relax import HypothesisError, ProblemSpec, toy_spec
-from .soucek import outer_trace, soucek_pair
+from .soucek import SoucekPair, outer_trace, soucek_pair
 
 
 def _finite_or_null(x):
@@ -120,10 +120,7 @@ def load_problem_config(path: str) -> tuple[ProblemSpec, dict]:
         _check_finite_param(f"[g] {side}", name, ppar)
         terms[side] = PENALTIES[pb](ppar)
     C = float(cp.get("bounds", "C", fallback="10.0"))
-    run = {
-        "levels": _parse_levels(cp.get("run", "levels", fallback="4,6,8")),
-        "seed": int(cp.get("run", "seed", fallback="0")),
-    }
+    run = {"levels": _parse_levels(cp.get("run", "levels", fallback="4,6,8"))}
     spec = ProblemSpec(a, b, weight, **terms, C=C, name=f"config:{Path(path).name}")
     return spec, run
 
@@ -153,7 +150,7 @@ def cmd_toy(args) -> int:
         raise ValueError(f"--levels must be at least 2, got {args.levels}")
     out = Path(args.out)
     levels = tuple(range(max(2, args.levels - 4), args.levels + 1, 2))
-    res = relax_mod.relax_minimize(toy_spec(args.eps, C=args.C), levels=levels)
+    res = relax_mod.relax_minimize(toy_spec(args.eps), levels=levels)
     rec = res.to_record()
     rec["closed_form_infimum"] = relax_mod.toy_infimum(args.eps)
     _write_json(out / "toy_result.json", rec)
@@ -270,9 +267,6 @@ def cmd_trace(args) -> int:
     else:
         with open(args.pair) as f:
             rec = json.load(f)
-        from .measures import DiscreteMeasure
-        from .soucek import SoucekPair
-
         pair = SoucekPair(BVField.from_record(rec["u"]), DiscreteMeasure.from_record(rec["alpha"]))
     tp = outer_trace(pair)
     rec = tp.to_record()
@@ -336,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toy", help="solve the weighted-TV model problem")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--levels", type=int, default=8)
-    p.add_argument("--C", type=float, default=10.0)
     p.add_argument("--emit-plot-data", action="store_true")
     p.set_defaults(func=cmd_toy)
 
@@ -393,7 +386,6 @@ def main(argv=None) -> int:
         if getattr(args, name, None) is not None and getattr(args, name) <= 0:
             print(f"error: {name} must be positive", file=sys.stderr)
             return 1
-    np.random.seed(args.seed)
     try:
         return args.func(args)
     except HypothesisError as e:

@@ -19,7 +19,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrands import HomogeneousIntegrand, Integrand, make_integrand, mat_norm, pair_action
+from .integrands import (
+    HomogeneousIntegrand,
+    Integrand,
+    hom_abs,
+    hom_linear,
+    make_integrand,
+    mat_norm,
+    pair_action,
+    unit_matrices,
+)
 from .measures import Atom, BVField, DiscreteMeasure, _on_boundary, _point_from, _same_mesh
 from .meshes import IntervalMesh, TriMesh, mesh_from_record
 
@@ -190,8 +199,6 @@ def default_matrix_grid(dims=(1, 1), radius: float = 4.0) -> np.ndarray:
     M, N = dims
     if (M, N) == (1, 1):
         return np.linspace(-radius, radius, 129).reshape(-1, 1, 1)
-    from .integrands import unit_matrices
-
     dirs = unit_matrices(dims, 16)
     mags = np.linspace(0.0, radius, 8)
     grid = [np.zeros((M, N))]
@@ -201,8 +208,6 @@ def default_matrix_grid(dims=(1, 1), radius: float = 4.0) -> np.ndarray:
 
 
 def default_sphere_grid(dims=(1, 1)) -> np.ndarray:
-    from .integrands import unit_matrices
-
     return unit_matrices(dims, 32)
 
 
@@ -703,8 +708,6 @@ def default_quasiconvex_family(dims=(1, 1)) -> list[Integrand]:
 def default_qslb_family(x, rho, dims=(1, 1)) -> list[HomogeneousIntegrand]:
     """1-homogeneous integrands known to be quasi-sublinear from below at
     (x, rho): nonnegative ones, and for N = 2 the forms vanishing on a x rho."""
-    from .integrands import hom_abs, hom_linear
-
     fam = [hom_abs(dims)]
     M, N = dims
     if N == 2:

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .measures import Atom, DiscreteMeasure
+
 Matrix = np.ndarray
 
 # estimate_recession: Cauchy tolerance of the ray estimates, and the size of the ray jitter
@@ -296,8 +298,6 @@ def measure_action(v: Integrand, mu) -> "DiscreteMeasure":
 
     Spatial weights belong to the test function of `pair_action`, not to v.
     """
-    from .measures import Atom, DiscreteMeasure
-
     if v.recession is None:
         raise ValueError("recession required")
     vals = np.asarray(v(mu.density))

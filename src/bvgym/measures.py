@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .meshes import IntervalMesh, TriMesh, mesh_from_record
+from .meshes import _GL_W, _GL_X, IntervalMesh, TriMesh, mesh_from_record
 
 
 @dataclass(frozen=True)
@@ -256,8 +256,6 @@ class BVField:
         return left[:, None, :] * (1 - s)[None, :, None] + right[:, None, :] * s[None, :, None]
 
     def l1_norm(self) -> float:
-        from .meshes import _GL_W, _GL_X
-
         vals = self.eval_cells(_GL_X)
         mags = np.abs(vals) if vals.ndim == 2 else np.linalg.norm(vals, axis=2)
         return float(np.sum(mags @ _GL_W * self.mesh.cell_volumes))
@@ -270,8 +268,6 @@ class BVField:
 
     def integrate_against(self, g: Callable) -> np.ndarray:
         """Exact integral of g(x) u(x) dx for polynomial g (fixed Gauss rule)."""
-        from .meshes import _GL_W, _GL_X
-
         left = self.mesh.nodes[:-1][:, None]
         h = self.mesh.cell_volumes[:, None]
         pts = left + h * _GL_X[None, :]

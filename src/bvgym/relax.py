@@ -26,9 +26,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrands import HomogeneousIntegrand, make_integrand, mat_norm, toy_weight
+from .gym import GenYoungMeasure, atom_moment, generate_from_fields, gym_traces, pairing
+from .integrands import (
+    HomogeneousIntegrand,
+    hom_abs,
+    hom_linear,
+    make_integrand,
+    mat_norm,
+    toy_weight,
+    unit_matrices,
+)
 from .measures import BVField, DiscreteMeasure, DiskField
-from .meshes import IntervalMesh, TriMesh, disk_mesh, interval_mesh
+from .meshes import _GL_W, _GL_X, IntervalMesh, TriMesh, disk_mesh, interval_mesh
+from .soucek import outer_trace, soucek_pair, to_gym
 
 
 class AdmissibilityError(ValueError):
@@ -62,7 +72,7 @@ class BoundaryTerm:
 @dataclass(frozen=True)
 class ProblemSpec:
     """int_a^b w(x)|u'| dx + g_left(u(a)) + g_right(u(b)): `weight` is the continuous w,
-    C bounds the total variation and the traces, growth_c is the growth constant of w(x)|A|."""
+    C bounds the total variation and the traces."""
 
     a: float
     b: float
@@ -71,7 +81,6 @@ class ProblemSpec:
     left: BoundaryTerm | None = None  # Robin term at a; None is a Neumann side
     right: BoundaryTerm | None = None  # Robin term at b; None is a Neumann side
     C: float = 10.0
-    growth_c: float = 1.0
     name: str = "problem"
     toy_eps: float | None = None  # set by toy_spec; marks the weighted-TV model problem
 
@@ -99,18 +108,6 @@ class ProblemSpec:
         """(point, term) for each Robin side, left first."""
         return [(x, t) for x, t in ((self.a, self.left), (self.b, self.right)) if t is not None]
 
-    def validate_growth(self, samples) -> bool:
-        """(|A| - 1)/c <= w(x)|A| <= c(1 + |A|), up to 1e-9, at 7 points x and the samples A."""
-        A = np.asarray(samples, dtype=float)
-        c = self.growth_c
-        for x in np.linspace(self.a, self.b, 7):
-            vals = self.weight(x) * mat_norm(A)
-            if np.any(vals > c * (1 + mat_norm(A)) + 1e-9):
-                return False
-            if np.any(vals < (-1 + mat_norm(A)) / c - 1e-9):
-                return False
-        return True
-
 
 def square_penalty(target: float = 0.0) -> BoundaryTerm:
     return BoundaryTerm(
@@ -119,8 +116,6 @@ def square_penalty(target: float = 0.0) -> BoundaryTerm:
 
 
 def abs_penalty(target: float = 0.0) -> BoundaryTerm:
-    from .integrands import hom_abs
-
     return BoundaryTerm(
         lambda u, t=target: float(np.sqrt(((u - t) ** 2).sum())),
         hom_abs((1, 1)),
@@ -129,8 +124,6 @@ def abs_penalty(target: float = 0.0) -> BoundaryTerm:
 
 
 def linear_penalty(coeff: float) -> BoundaryTerm:
-    from .integrands import hom_linear
-
     return BoundaryTerm(
         lambda u, c=coeff: float(c * u.sum()), hom_linear([[coeff]]), f"{coeff}*u"
     )
@@ -144,8 +137,8 @@ def check_toy_eps(eps: float) -> None:
 
 def toy_spec(eps: float, C: float = 10.0) -> ProblemSpec:
     check_toy_eps(eps)
-    return ProblemSpec(0.0, 1.0, toy_weight(eps), left=square_penalty(0.0), right=square_penalty(1.0), C=C,
-                       growth_c=max(1.0 + eps, 1.0 / eps), name=f"toy(eps={eps})", toy_eps=eps)
+    return ProblemSpec(0.0, 1.0, toy_weight(eps), left=square_penalty(0.0), right=square_penalty(1.0),
+                       C=C, name=f"toy(eps={eps})", toy_eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +178,6 @@ def toy_field(n: int, eps: float) -> BVField:
 
 def toy_limit_gym(eps: float):
     """The constructed concentration limit (delta_0, (1-eps) delta_1, delta_{+1}) on 32 cells."""
-    from .gym import GenYoungMeasure
-
     check_toy_eps(eps)
     mesh = interval_mesh(0.0, 1.0, 32)
     grid = np.array([[[0.0]], [[1.0]]])
@@ -394,8 +385,6 @@ def _beta_as_dict(spec: ProblemSpec, beta) -> dict:
 
 def admissibility_report(gym_measure, beta, spec: ProblemSpec) -> list[str]:
     """Named violations of the relaxed admissible set; empty when admissible."""
-    from .gym import atom_moment, gym_traces
-
     problems = []
     beta = _beta_as_dict(spec, beta)
     mass = gym_measure.mass_norm()
@@ -422,8 +411,6 @@ def admissibility_report(gym_measure, beta, spec: ProblemSpec) -> list[str]:
 
 def eval_Fhat(gym_measure, beta, spec: ProblemSpec, strict: bool = True) -> float:
     """Relaxed energy: measure pairing with w(x)|A| plus boundary terms at the outer trace."""
-    from .gym import pairing
-
     beta = _beta_as_dict(spec, beta)
     if strict:
         problems = admissibility_report(gym_measure, beta, spec)
@@ -438,8 +425,6 @@ def eval_Fhat(gym_measure, beta, spec: ProblemSpec, strict: bool = True) -> floa
 def eval_Fbar(pair, spec: ProblemSpec) -> float:
     """Extended energy of a Soucek pair: df(x, alpha) plus boundary terms at the
     outer trace (singular trace parts priced by the recession of g)."""
-    from .soucek import outer_trace
-
     val = _discrete_f_of_measure(spec, pair.alpha)
     tp = outer_trace(pair)
     for x, term in spec.robin_terms():
@@ -463,8 +448,6 @@ def tilde_transform(gym_measure, beta, spec: ProblemSpec) -> tuple:
     limit of the normalization), which is logged.  The trace keeps only its
     absolutely continuous part, which in 1D is everything.
     """
-    from .gym import GenYoungMeasure, atom_moment
-
     if gym_measure.mesh.dim != 1:
         raise NotImplementedError("the tilde transform is implemented on interval domains")
     beta = _beta_as_dict(spec, beta)
@@ -554,13 +537,14 @@ class RelaxationResult:
 def check_hypotheses(spec: ProblemSpec) -> list[str]:
     """Verify the relaxation hypotheses; raise on failure.
 
-    On the Robin boundary, the Jensen-type inequality can only be falsified,
-    so a clean search is recorded as "not disproved" rather than "holds".
-    After the boundary checks, the weight must be finite and positive at 129
-    equispaced points of [a, b], ends included.
+    Each Robin boundary term must pass a midpoint convexity test and have a
+    nonnegative recession.  Then the weight must be finite and positive at
+    129 equispaced points of [a, b], ends included.  For f = w(x)|A| that
+    one condition gives linear growth and both hypotheses on the recession
+    w(x)|A| at a Robin point: it is nonnegative, so its half-ball integral is
+    too (quasi-sublinear growth from below), and it is convex, so Jensen's
+    inequality holds on the half-ball (the boundary Jensen inequality).
     """
-    from .boundary import jqcb_falsify, qslb_infimum
-
     log = []
     for x, term in spec.robin_terms():
         us = np.linspace(-3, 3, 13)
@@ -569,23 +553,12 @@ def check_hypotheses(spec: ProblemSpec) -> list[str]:
             if term(us[i + 1]) > mid + 1e-9:
                 raise HypothesisError(f"boundary term at x={x:g} fails the midpoint convexity test")
         if term.g_inf is not None:
-            from .integrands import unit_matrices
-
             vals = np.asarray(term.g_inf.on_sphere(unit_matrices(term.g_inf.dims, 16)))
             if np.min(vals) < -1e-9:
                 raise HypothesisError(f"recession of the boundary term at x={x:g} is negative")
-        rho = -1.0 if spec._side(x) == "left" else 1.0
-        rec = HomogeneousIntegrand((1, 1), lambda S, c=spec.weight(np.asarray(x, dtype=float)): c * mat_norm(S))
-        verdict = qslb_infimum(rec, rho)
-        if verdict["verdict"] != "qslb":
-            raise HypothesisError(
-                f"recession cost at x={x:g} is not quasi-sublinear from below "
-                f"(inf {verdict['inf_est']:.3g})"
-            )
-        jq = jqcb_falsify(rec, rho)
-        if jq["counterexample"] is not None:
-            raise HypothesisError(f"boundary Jensen inequality disproved at x={x:g}")
-        log.append(f"x={x:g}: qslb verified, boundary Jensen inequality {jq['status']}")
+        w = float(spec.weight(np.asarray(x, dtype=float)))
+        log.append(f"x={x:g}: recession w(x)|A| with w(x) = {w:g} finite and > 0 is nonnegative "
+                   f"(qslb holds) and convex (boundary Jensen inequality holds)")
     xs = np.linspace(spec.a, spec.b, 129)
     ws = np.broadcast_to(np.asarray(spec.weight(xs), dtype=float), xs.shape)
     bad = np.flatnonzero(~(np.isfinite(ws) & (ws > 0)))
@@ -600,13 +573,15 @@ def relax_minimize(spec: ProblemSpec, levels: Sequence[int] = (4, 6, 8, 10)) -> 
 
     The relaxed family consists of a BV part (endpoint competitors with the
     transition in the cheapest cell) plus boundary concentration atoms, with
-    the outer trace determined by the trace-difference identity.  The measure
+    the outer trace determined by the trace-difference identity.  min_gym is
+    the strict F-hat of that one candidate.  An admissible measure with an
+    oscillating boundary atom of mass m at a Robin point x costs no less: the
+    atom adds w(x) m and moves the outer trace by at most m (triangle
+    inequality), while the candidate moves it at the cheapest leg, which
+    costs at most w(x) per unit (see `tilde_transform`).  The measure
     generated by the direct minimizing sequence (windows of 1/32, tolerance
     5e-2) is evaluated in the relaxed functional as a consistency check.
     """
-    from .gym import generate_from_fields, gym_traces
-    from .soucek import soucek_pair, to_gym
-
     _check_levels(levels)
     hypothesis_log = check_hypotheses(spec)
     direct = direct_minimize(spec, levels)
@@ -630,12 +605,6 @@ def relax_minimize(spec: ProblemSpec, levels: Sequence[int] = (4, 6, 8, 10)) -> 
     gym_star = to_gym(pair)
     beta = {spec.a: np.atleast_1d(ba), spec.b: np.atleast_1d(bb)}
     min_gym = eval_Fhat(gym_star, beta, spec, strict=True)
-    # probe oscillating boundary directions; by the tilde inequality none may win
-    for x, _ in spec.robin_terms():
-        for mass in (0.1, 0.5):
-            for theta in (0.25, 0.5, 0.75):
-                pg, pb = _oscillation_probe(gym_star, beta, spec, x, mass, theta)
-                min_gym = min(min_gym, eval_Fhat(pg, pb, spec, strict=False))
 
     gen_gym, _ = generate_from_fields(direct["minimizers"], window_h=1.0 / 32, tol=5e-2)
     gym_attained = eval_Fhat(gen_gym, gym_traces(gen_gym)["outer"], spec, strict=False)
@@ -653,37 +622,6 @@ def relax_minimize(spec: ProblemSpec, levels: Sequence[int] = (4, 6, 8, 10)) -> 
         hypothesis_log=hypothesis_log,
         toy_note=toy_note,
     )
-
-
-def _oscillation_probe(gym_star, beta, spec: ProblemSpec, x: float, mass: float, theta: float):
-    """Variant of a candidate with an extra oscillating boundary atom at x."""
-    from .gym import GenYoungMeasure
-
-    sphere = np.array([[[-1.0]], [[1.0]]])
-    old = gym_star
-    # re-express the candidate on the +-1 sphere grid
-    rows = []
-    for i in range(len(old.lam_atoms)):
-        mom = old.nu_inf_atoms[i] @ old.sphere_grid.reshape(old.sphere_grid.shape[0], -1)
-        rows.append([max(0.0, -float(mom[0])), max(0.0, float(mom[0]))])
-    atoms = list(old.lam_atoms) + [(x, mass)]
-    rows.append([1.0 - theta, theta])
-    probe = GenYoungMeasure(
-        old.mesh,
-        old.matrix_grid,
-        old.nu,
-        old.lam_density,
-        tuple(atoms),
-        sphere,
-        np.full((old.mesh.ncells, 2), 0.5),
-        np.array(rows),
-        underlying=old.underlying,
-    )
-    rho = -1.0 if spec._side(x) == "left" else 1.0
-    moment = 2 * theta - 1.0
-    new_beta = dict(beta)
-    new_beta[x] = beta[x] + rho * moment * mass
-    return probe, new_beta
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +751,6 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None):
     """
     from scipy.sparse import csc_matrix, csr_matrix
     from scipy.sparse.linalg import splu
-
-    from .meshes import _GL_W, _GL_X
 
     nv, nt = mesh.vertices.shape[0], mesh.ncells
     edges = mesh.boundary_edges()

@@ -18,8 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .gym import GenYoungMeasure, check_characterization, first_moment, reconstruct_underlying
+from .integrands import unit_matrices
 from .measures import Atom, BVField, DiscreteMeasure, DiskField, weakstar_gap
-from .meshes import _GL_W, _GL_X
+from .meshes import _GL_W, _GL_X, _TRI_BARY, _TRI_W
 
 GREEN_TOL = 1e-9
 RANK_ONE_TOL = 1e-8
@@ -221,8 +223,6 @@ def _outer_trace_disk(pair: SoucekPair) -> TracePair:
 
 def _int_u_gradphi(mesh, vals: np.ndarray, dphi) -> np.ndarray:
     """Exact integral of u * grad(phi) for P1 u and polynomial phi (deg <= 4)."""
-    from .meshes import _TRI_BARY, _TRI_W
-
     p = mesh.vertices[mesh.triangles]  # (nt,3,2)
     pts = np.einsum("qi,tid->tqd", _TRI_BARY, p)  # (nt,q,2)
     uq = np.einsum("qi,ti->tq", _TRI_BARY, vals[mesh.triangles])
@@ -262,8 +262,6 @@ def rank_one_boundary_check(pair: SoucekPair) -> bool:
 
 def from_gym(gym_measure, check: bool = True) -> SoucekPair:
     """Center of mass of a gradient Young measure as a Soucek pair."""
-    from .gym import check_characterization, first_moment, reconstruct_underlying
-
     u = gym_measure.underlying
     if u is None:
         u = reconstruct_underlying(gym_measure, anchor_mean=np.zeros(gym_measure.dims[0]))
@@ -278,8 +276,6 @@ def from_gym(gym_measure, check: bool = True) -> SoucekPair:
 
 def to_gym(pair: SoucekPair):
     """Dirac-type Young measure of a pair: (delta_{grad u}, |alpha^s|, delta_dir)."""
-    from .gym import GenYoungMeasure
-
     mesh = pair.mesh
     dens = pair.alpha.density  # (ncells, M, N)
     flat = dens.reshape(mesh.ncells, -1)
@@ -306,8 +302,6 @@ def to_gym(pair: SoucekPair):
             key = len(sphere) - 1
         sidx.append(key)
     if not sphere:
-        from .integrands import unit_matrices
-
         sphere = list(unit_matrices((M, N), 2)[:1])
     sphere = np.array(sphere)
     S = sphere.shape[0]

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -14,6 +15,11 @@ DISK_SOLVE = (
     "higher_dim_J(0.35, lambda p: np.sin(np.arctan2(p[:, 1], p[:, 0])), level=1, refinements=1); "
     "print('scipy.optimize' in sys.modules)"
 )
+# the relaxation checks its hypotheses from the weight alone, without the half-ball verifiers
+RELAX_ONLY = (
+    "import sys; from bvgym.relax import relax_minimize, toy_spec; "
+    "relax_minimize(toy_spec(0.5), levels=(3,)); print('bvgym.boundary' in sys.modules)"
+)
 
 
 def _run(code: str) -> str:
@@ -29,3 +35,18 @@ def test_no_scipy_at_import():
 
 def test_disk_solve_loads_no_scipy_optimize():
     assert _run(DISK_SOLVE) == "False"
+
+
+def test_relax_does_not_load_the_boundary_verifiers():
+    assert _run(RELAX_ONLY) == "False"
+
+
+def test_package_imports_sit_at_module_top():
+    """Only third-party imports (scipy, kept lazy) may sit inside a function."""
+    late = []
+    for path in sorted(Path(bvgym.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                late += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                         if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert late == []

@@ -187,10 +187,6 @@ class TestDirectMinimize:
         with pytest.raises(ValueError, match="infeasible"):
             toy_spec(0.5, C=-1.0)
 
-    def test_growth_bounds_hold(self):
-        spec = toy_spec(0.5)
-        assert spec.validate_growth(np.linspace(-50, 50, 21).reshape(-1, 1, 1))
-
 
 # The search must cover all of |beta_a| + |beta_b| <= C here: the best traces
 # (0.959, -1.741) have |beta_b| > C/2 = 1.5.  The value is one HiGHS LP at level 8.
@@ -468,6 +464,13 @@ class TestRelaxMinimize:
         assert res.agree_within(5e-3)
         assert res.min_gym == pytest.approx(0.0, abs=5e-3)
 
+    def test_binding_bound_keeps_min_gym_admissible(self):
+        # at C = 0.3 the traces sit on |beta_a| + |beta_b| = C; min_gym is still
+        # the value of an admissible measure, so it cannot undercut the other two
+        res = relax_minimize(toy_spec(0.05, C=0.3), levels=(4, 6))
+        assert res.agree_within(1e-6)
+        assert res.min_gym == pytest.approx(0.505, abs=1e-6)
+
     def test_nonconvex_boundary_term_refused(self):
         concave = BoundaryTerm(lambda u: -float(np.sum(u**2)), None, "-u^2")
         bad = ProblemSpec(0.0, 1.0, _tv(), right=concave, name="bad")
@@ -480,31 +483,38 @@ class TestRelaxMinimize:
             relax_minimize(bad, levels=(3,))
 
     def test_not_qslb_weight_refused(self):
-        # a weight that is negative at the boundary breaks the sign condition
+        # a weight that is negative at a Robin end makes the recession w(x)|A| negative there
         weight = lambda x: np.asarray(x, dtype=float) - 0.5
         spec = ProblemSpec(0.0, 1.0, weight, left=square_penalty(0.0), name="badw")
-        with pytest.raises(HypothesisError, match="quasi-sublinear"):
+        with pytest.raises(HypothesisError, match="weight must be finite and positive"):
             relax_minimize(spec, levels=(3,))
 
     @pytest.mark.parametrize(
-        "weight,shown",
-        [(lambda x: np.asarray(x, dtype=float) - 0.5, "w(0) = -0.5"),
-         (lambda x: -np.ones_like(np.asarray(x, dtype=float)), "w(0) = -1"),
-         (lambda x: np.asarray(x, dtype=float), "w(0) = 0"),
-         (lambda x: 1.0 / (np.asarray(x, dtype=float) - 1.0) ** 2, "w(1) = inf"),
-         (lambda x: np.where(np.asarray(x) > 0.5, np.nan, 1.0), "w(0.507812) = nan")],
-        ids=["x-0.5", "const-1", "zero-at-a", "inf-at-b", "nan-inside"],
+        "weight,right,shown",
+        [(lambda x: np.asarray(x, dtype=float) - 0.5, None, "w(0) = -0.5"),
+         (lambda x: -np.ones_like(np.asarray(x, dtype=float)), None, "w(0) = -1"),
+         (lambda x: np.asarray(x, dtype=float), None, "w(0) = 0"),
+         (lambda x: 1.0 / (np.asarray(x, dtype=float) - 1.0) ** 2, None, "w(1) = inf"),
+         (lambda x: np.where(np.asarray(x) > 0.5, np.nan, 1.0), None, "w(0.507812) = nan"),
+         (lambda x: 1.0 / (np.asarray(x, dtype=float) - 1.0) ** 2, square_penalty(1.0), "w(1) = inf")],
+        ids=["x-0.5", "const-1", "zero-at-a", "inf-at-b", "nan-inside", "inf-at-robin-b"],
     )
-    def test_non_positive_weight_refused(self, weight, shown):
-        # with both sides Neumann no boundary check looks at w, and the minimum would be -C
+    def test_non_positive_weight_refused(self, weight, right, shown):
+        # with both sides Neumann the minimum would be -C; at a Robin end the same
+        # check stands for both hypotheses on the recession w(x)|A|
         with np.errstate(divide="ignore"):
             with pytest.raises(HypothesisError, match="weight must be finite and positive") as err:
-                relax_minimize(ProblemSpec(0, 1, weight))
+                relax_minimize(ProblemSpec(0, 1, weight, right=right))
         assert shown in str(err.value)
 
-    def test_hypothesis_log_records_not_disproved(self):
+    def test_hypothesis_log_names_the_weight_per_robin_side(self):
         res = relax_minimize(toy_spec(EPS), levels=(4, 6))
-        assert all("not disproved" in line for line in res.hypothesis_log)
+        assert res.hypothesis_log == [
+            f"x={x:g}: recession w(x)|A| with w(x) = {w:g} finite and > 0 is nonnegative "
+            "(qslb holds) and convex (boundary Jensen inequality holds)"
+            for x, w in ((0, 1 + EPS), (1, EPS))
+        ]
+        assert relax_minimize(ProblemSpec(0.0, 1.0, _tv()), levels=(3,)).hypothesis_log == []
 
     def test_toy_note_only_for_toy_spec(self):
         assert toy_spec(EPS).toy_eps == EPS
