@@ -116,9 +116,8 @@ class HalfBallProblem:
             raise ValueError("HalfBallProblem meshes are 2D; use the closed-form 1D path")
         self.rot = rotation_to(BASE_NORMAL, normal)
         self.mesh: TriMesh = disk_mesh(level, rotation=self.rot)
-        base = disk_mesh(level)  # selection in base coordinates is exact
-        centers = base.cell_centers
-        self.sel = np.nonzero(centers[:, 0] < 0)[0]
+        # the half-ball D_rho = {x . normal < 0}; no triangle centre lies near the dividing diameter
+        self.sel = np.nonzero(self.mesh.cell_centers @ normal < 0)[0]
         self.tri = self.mesh.triangles[self.sel]
         self._slots: dict[int, np.ndarray] = {}  # stack width -> scatter index
         self.areas = self.mesh.cell_volumes[self.sel]

@@ -25,7 +25,7 @@ from .integrands import convex_envelope_1d, hom_piecewise_1d, make_integrand
 from .measures import BVField, DiscreteMeasure
 from .meshes import interval_mesh
 from .relax import HypothesisError, ProblemSpec, toy_spec
-from .soucek import SoucekPair, outer_trace, soucek_pair
+from .soucek import SoucekPair, outer_trace
 
 
 def _finite_or_null(x):
@@ -257,11 +257,7 @@ def cmd_generate(args) -> int:
 
 def cmd_trace(args) -> int:
     if args.toy is not None:
-        eps = args.toy
-        relax_mod.check_toy_eps(eps)
-        mesh = interval_mesh(0, 1, 32)
-        u = BVField.constant(mesh, eps / 2)
-        pair = soucek_pair(u, {1.0: 1.0 - eps})
+        pair = relax_mod.toy_limit_pair(args.toy)
     elif args.pair is None:
         raise ValueError("trace needs a pair: give --pair FILE or --toy EPS")
     else:

@@ -138,10 +138,6 @@ def _on_boundary(mesh, point) -> bool:
     return bool(np.min(np.linalg.norm(bverts - p[None], axis=1)) <= 1e-9)
 
 
-def total_variation(mu: DiscreteMeasure) -> float:
-    return mu.total_variation()
-
-
 def weakstar_gap(
     mu_seq: Sequence[DiscreteMeasure], mu: DiscreteMeasure, tests: Sequence[Callable]
 ) -> float:
@@ -290,22 +286,6 @@ class BVField:
     @staticmethod
     def from_record(rec: dict) -> "BVField":
         return BVField(mesh_from_record(rec["mesh"]), np.asarray(rec["values"], dtype=float))
-
-
-def derivative(u: "BVField | DiskField") -> DiscreteMeasure:
-    return u.derivative()
-
-
-def trace(u: BVField, gamma: str | None = None):
-    """BV trace: endpoint values of the absolutely continuous representative."""
-    lo, hi = u.trace()
-    if gamma in (None, "both"):
-        return {u.mesh.a: lo, u.mesh.b: hi}
-    if gamma in ("a", "left"):
-        return {u.mesh.a: lo}
-    if gamma in ("b", "right"):
-        return {u.mesh.b: hi}
-    raise ValueError(f"unknown boundary tag {gamma!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ visible instead of silently asserted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Sequence
 
@@ -61,12 +62,13 @@ class BoundaryTerm:
     """Robin penalty g(u) at one boundary point; g_inf is its recession
     (None for superlinear g, which forbids singular trace mass there)."""
 
-    g: Callable[[np.ndarray], float]
+    g: Callable[[float], float]
     g_inf: HomogeneousIntegrand | None = None
     name: str = ""
 
     def __call__(self, value) -> float:
-        return float(self.g(np.array(value, dtype=float, ndmin=1)))
+        """g at a scalar trace; a one-element array is accepted, a longer one raises ValueError."""
+        return float(self.g(np.asarray(value, dtype=float).item()))
 
 
 @dataclass(frozen=True)
@@ -110,23 +112,16 @@ class ProblemSpec:
 
 
 def square_penalty(target: float = 0.0) -> BoundaryTerm:
-    return BoundaryTerm(
-        lambda u, t=target: float(((u - t) ** 2).sum()), None, f"(u-{target})^2"
-    )
+    return BoundaryTerm(lambda u, t=target: (u - t) * (u - t), None, f"(u-{target})^2")
 
 
 def abs_penalty(target: float = 0.0) -> BoundaryTerm:
-    return BoundaryTerm(
-        lambda u, t=target: float(np.sqrt(((u - t) ** 2).sum())),
-        hom_abs((1, 1)),
-        f"|u-{target}|",
-    )
+    # sqrt(d * d) is the norm of the 1-vector d bit for bit; abs(d) differs where d * d under- or overflows
+    return BoundaryTerm(lambda u, t=target: math.sqrt((u - t) * (u - t)), hom_abs((1, 1)), f"|u-{target}|")
 
 
 def linear_penalty(coeff: float) -> BoundaryTerm:
-    return BoundaryTerm(
-        lambda u, c=coeff: float(c * u.sum()), hom_linear([[coeff]]), f"{coeff}*u"
-    )
+    return BoundaryTerm(lambda u, c=coeff: c * u, hom_linear([[coeff]]), f"{coeff}*u")
 
 
 def check_toy_eps(eps: float) -> None:
@@ -142,7 +137,7 @@ def toy_spec(eps: float, C: float = 10.0) -> ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# the explicit minimizing sequence and the three toy functionals
+# the explicit minimizing sequence and the weak* limit of the toy problem
 
 
 def toy_infimum(eps: float) -> float:
@@ -163,11 +158,8 @@ def toy_field(n: int, eps: float) -> BVField:
     if n < 2:
         raise ValueError("n must be >= 2")
     check_toy_eps(eps)
-    nodes = set(np.linspace(0.0, 1.0, 17).tolist())
-    nodes.add(1.0 - 1.0 / n)
-    for k in range(1, 4):
-        nodes.add(1.0 - 1.0 / n + k / (n * 4))
-    mesh = IntervalMesh(np.array(sorted(nodes)))
+    ramp = tuple(1.0 - 1.0 / n + k / (n * 4) for k in range(4))
+    mesh = interval_mesh(0, 1, 16, extra_nodes=ramp)
     nodal = np.where(
         mesh.nodes <= 1.0 - 1.0 / n,
         eps / 2,
@@ -176,66 +168,25 @@ def toy_field(n: int, eps: float) -> BVField:
     return BVField.from_nodal(mesh, nodal)
 
 
-def toy_limit_gym(eps: float):
-    """The constructed concentration limit (delta_0, (1-eps) delta_1, delta_{+1}) on 32 cells."""
+def toy_limit_pair(eps: float):
+    """The weak* limit of the toy sequence as a Soucek pair: u = eps/2 on 32 cells
+    and the boundary atom 1 - eps at x = 1, so the outer trace there is 1 - eps/2."""
     check_toy_eps(eps)
-    mesh = interval_mesh(0.0, 1.0, 32)
-    grid = np.array([[[0.0]], [[1.0]]])
-    sphere = np.array([[[-1.0]], [[1.0]]])
-    nu = np.zeros((mesh.ncells, 2))
-    nu[:, 0] = 1.0
-    u = BVField.constant(mesh, eps / 2)
-    return GenYoungMeasure(
-        mesh,
-        grid,
-        nu,
-        np.zeros(mesh.ncells),
-        ((1.0, 1.0 - eps),),
-        sphere,
-        np.full((mesh.ncells, 2), 0.5),
-        np.array([[0.0, 1.0]]),
-        underlying=u,
-    )
+    return soucek_pair(BVField.constant(interval_mesh(0, 1, 32), eps / 2), {1.0: 1.0 - eps})
 
 
-def eval_toy(u: BVField, which: str, eps: float, beta: tuple[float, float] | None = None) -> float:
-    """Exact quadrature of the toy functionals I, I1, I2 on a BV field."""
-    w = toy_weight(eps)
-    mesh = u.mesh
-    slopes = np.abs(u.slopes() if u.values.ndim == 2 else mat_norm(u.derivative().density))
-    wbar = mesh.cell_integrals(w)
-    tv_term = float(np.sum(wbar * np.ravel(slopes)))
-    jump_term = sum(w(x) * float(np.linalg.norm(j)) for x, j in u.jumps())
-    lo, hi = u.trace()
-    u0, u1 = float(lo[0]), float(hi[0])
-    if which == "I":
-        if u.jumps():
-            raise ValueError("I is the W^{1,1} functional; the field has jumps")
-        return tv_term + u0**2 + (u1 - 1.0) ** 2
-    if which == "I1":
-        return tv_term + jump_term + u0**2 + (u1 - 1.0) ** 2
-    if which == "I2":
-        if beta is None:
-            raise ValueError("I2 requires outer boundary values (beta0, beta1)")
-        b0, b1 = beta
-        return (
-            tv_term
-            + jump_term
-            + (1.0 + eps) * abs(u0 - b0)
-            + b0**2
-            + eps * abs(b1 - u1)
-            + (b1 - 1.0) ** 2
-        )
-    raise ValueError(f"unknown functional {which!r}; use I, I1 or I2")
+def toy_limit_gym(eps: float):
+    """The concentration limit (delta_0, (1-eps) delta_1, delta_{+1}): `to_gym` of `toy_limit_pair`."""
+    return to_gym(toy_limit_pair(eps))
 
 
 def toy_report(eps: float) -> dict:
     """Closed-form infimum, sequence values at n = 10, 100, 1000, and the printed-limit discrepancy."""
+    spec = toy_spec(eps)
     derived = toy_infimum(eps)
     quoted = (4 * eps - eps**2) / 4  # appears in print for the same limit; differs by eps^2/4
-    seq = {n: eval_toy(toy_field(n, eps), "I", eps) for n in (10, 100, 1000)}
-    u_limit = BVField.constant(interval_mesh(0, 1, 16), eps / 2)
-    i1_limit_field = eval_toy(u_limit, "I1", eps)
+    seq = {n: _discrete_energy(spec, toy_field(n, eps)) for n in (10, 100, 1000)}
+    i1_limit_field = _discrete_energy(spec, toy_limit_pair(eps).u)
     return {
         "eps": eps,
         "infimum": derived,

@@ -275,51 +275,32 @@ def from_gym(gym_measure, check: bool = True) -> SoucekPair:
 
 
 def to_gym(pair: SoucekPair):
-    """Dirac-type Young measure of a pair: (delta_{grad u}, |alpha^s|, delta_dir)."""
+    """Dirac-type Young measure of a pair: (delta_{grad u}, |alpha^s|, delta_dir).
+
+    The matrix grid holds the distinct cell densities and the sphere grid the
+    distinct atom directions (one default point when there are no atoms); each
+    row of nu and of nu_inf at the atoms is one-hot."""
     mesh = pair.mesh
     dens = pair.alpha.density  # (ncells, M, N)
-    flat = dens.reshape(mesh.ncells, -1)
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
     M, N = dens.shape[1], dens.shape[2]
-    grid = [np.zeros((M, N))] + [row.reshape(M, N) for row in uniq if np.any(row != 0)]
-    grid = np.array(grid)
-    kidx = {tuple(g.ravel()): i for i, g in enumerate(grid)}
-    nu = np.zeros((mesh.ncells, grid.shape[0]))
-    for c in range(mesh.ncells):
-        nu[c, kidx[tuple(flat[c])]] = 1.0
+    grid, cell_k = np.unique(dens.reshape(mesh.ncells, -1), axis=0, return_inverse=True)
     atoms = pair.alpha.atoms
-    dirs = [np.asarray(a.direction, dtype=float).reshape(M, N) for a in atoms]
-    sphere = []
-    sidx = []
-    for d in dirs:
-        key = None
-        for i, s in enumerate(sphere):
-            if np.max(np.abs(s - d)) <= 1e-14:
-                key = i
-                break
-        if key is None:
-            sphere.append(d)
-            key = len(sphere) - 1
-        sidx.append(key)
-    if not sphere:
-        sphere = list(unit_matrices((M, N), 2)[:1])
-    sphere = np.array(sphere)
+    if atoms:
+        dirs = np.array([np.asarray(a.direction, dtype=float).reshape(M * N) for a in atoms])
+        sphere, atom_k = np.unique(dirs, axis=0, return_inverse=True)
+    else:
+        sphere, atom_k = unit_matrices((M, N), 2)[:1].reshape(1, M * N), np.zeros(0, dtype=int)
     S = sphere.shape[0]
-    nia = np.zeros((len(atoms), S))
-    for j, i in enumerate(sidx):
-        nia[j, i] = 1.0
-    lam_atoms = tuple((a.point, a.mass) for a in atoms)
-    u = pair.u if isinstance(pair.u, BVField) else None
     return GenYoungMeasure(
         mesh,
-        grid,
-        nu,
+        grid.reshape(-1, M, N),
+        np.eye(grid.shape[0])[cell_k.ravel()],
         np.zeros(mesh.ncells),
-        lam_atoms,
-        sphere,
+        tuple((a.point, a.mass) for a in atoms),
+        sphere.reshape(S, M, N),
         np.full((mesh.ncells, S), 1.0 / S),
-        nia,
-        underlying=u,
+        np.eye(S)[atom_k.ravel()],
+        underlying=pair.u if isinstance(pair.u, BVField) else None,
     )
 
 

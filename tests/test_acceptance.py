@@ -32,14 +32,17 @@ from bvgym.integrands import (
 from bvgym.measures import BVField
 from bvgym.meshes import interval_mesh
 from bvgym.relax import (
-    eval_toy,
+    _discrete_energy,
+    eval_Fbar,
     relax_minimize,
     toy_field,
     toy_infimum,
+    toy_limit_pair,
     toy_report,
     toy_sequence_value,
     toy_spec,
 )
+from bvgym.soucek import soucek_pair
 
 from conftest import ONE, X, XSQ, oscillation_field, random_gym, resample, union_mesh
 
@@ -67,16 +70,18 @@ def test_criterion_2_explicit_sequence_values():
     worst = 0.0
     for eps in (0.1, 0.5):
         for n in (10, 100, 1000):
-            got = eval_toy(toy_field(n, eps), "I", eps)
+            got = _discrete_energy(toy_spec(eps), toy_field(n, eps))
             worst = max(worst, abs(got - toy_sequence_value(eps, n)))
     report(2, worst <= 1e-9, f"I(u_n) matches the closed form; worst gap {worst:.2e}")
 
 
 def test_criterion_3_non_lower_semicontinuity():
+    # I1, the functional that also prices jumps, is F-bar of the pair with no boundary atom
     eps = 0.5
-    limit_est = eval_toy(toy_field(10**4, eps), "I1", eps)
-    u_weak = BVField.constant(interval_mesh(0, 1, 16), eps / 2)
-    at_limit = eval_toy(u_weak, "I1", eps)
+    spec = toy_spec(eps)
+    limit_est = eval_Fbar(soucek_pair(toy_field(10**4, eps)), spec)
+    u_weak = toy_limit_pair(eps).u
+    at_limit = eval_Fbar(soucek_pair(u_weak), spec)
     gap = at_limit - limit_est
     ok = abs(gap - 0.25) <= 1e-6 and limit_est < at_limit
     rep = toy_report(eps)
@@ -228,7 +233,7 @@ def test_criterion_9_diperna_majda_round_trip():
 
 
 def test_criterion_10_soucek_traces():
-    from bvgym.soucek import outer_trace, soucek_pair
+    from bvgym.soucek import outer_trace
 
     eps = 0.5
     worst_resid = 0.0
@@ -250,8 +255,7 @@ def test_criterion_10_soucek_traces():
     outer_gap = max(
         abs(float(tr["outer"][0.0][0]) - eps / 2), abs(float(tr["outer"][1.0][0]) - (1 - eps / 2))
     )
-    u_limit = BVField.constant(interval_mesh(0, 1, 16), eps / 2)
-    lo, hi = u_limit.trace()
+    lo, hi = toy_limit_pair(eps).u.trace()
     inner_exact = float(lo[0]) == eps / 2 and float(hi[0]) == eps / 2
     ok = outer_gap <= 1e-2 and inner_exact
     report(

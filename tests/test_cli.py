@@ -103,6 +103,17 @@ class TestSubcommands:
         assert rec["outer"]["1.0"] == [0.75]
         assert rec["inner"]["1.0"] == [0.25]
 
+    def test_trace_pair_file(self, tmp_path):
+        from bvgym.relax import toy_limit_pair
+
+        path = tmp_path / "pair.json"
+        _write_json(path, toy_limit_pair(0.5).to_record())
+        code, out = run(tmp_path, "trace", "--pair", str(path))
+        assert code == 0
+        rec = json.loads((out / "trace_result.json").read_text())
+        assert rec["outer"]["1.0"] == [0.75] and rec["inner"]["1.0"] == [0.25]
+        assert rec["green_residual"] <= 1e-9
+
     def test_relax_from_config(self, tmp_path):
         cfg = tmp_path / "toy.ini"
         cfg.write_text(
@@ -285,6 +296,43 @@ class TestErrorsAndDeterminism:
         err = capsys.readouterr().err
         assert err.startswith("hypothesis refused: ") and err.count("\n") == 1
         assert "w(0) = -1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,message",
+        [("[f]\nweight = nope:1", "unknown integrand weight 'nope:1'"),
+         ("[g]\nleft = nope:1", "unknown boundary penalty 'nope:1'")],
+        ids=["weight", "penalty"],
+    )
+    def test_relax_unknown_name_exits_1(self, tmp_path, capsys, section, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"{section}\n[run]\nlevels = 3\n")
+        code, out = run(tmp_path, "relax", "--config", str(cfg))
+        assert code == 1
+        assert _one_line_error(capsys).startswith(f"error: {message}; choose from")
+        assert not out.exists()
+
+    def test_generate_unknown_sequence_exits_1(self, tmp_path, capsys):
+        code, out = run(tmp_path, "generate", "--sequence", "nope:1")
+        assert code == 1
+        assert "unknown sequence kind 'nope'" in _one_line_error(capsys)
+        assert not out.exists()
+
+    def test_integrand_without_recession_exits_1(self, tmp_path, capsys):
+        code, out = run(tmp_path, "qslb-check", "--integrand", "sq", "--normal", "1,0")
+        assert code == 1
+        assert "integrand 'sq' has no recession function" in _one_line_error(capsys)
+        assert not out.exists()
+
+    def test_characterize_without_underlying_exits_1(self, tmp_path, capsys):
+        from bvgym.gym import dirac_gym
+        from bvgym.meshes import interval_mesh
+
+        path = tmp_path / "dirac.json"
+        _write_json(path, dirac_gym(interval_mesh(0, 1, 8), 0.0).to_record())
+        code, out = run(tmp_path, "characterize", "--in", str(path))
+        assert code == 1
+        assert "requires an underlying deformation" in _one_line_error(capsys)
         assert not out.exists()
 
     def test_generate_nonconvergent_exits_1(self, tmp_path, capsys):

@@ -7,9 +7,6 @@ from bvgym.measures import (
     DiscreteMeasure,
     charge_profile,
     decompose_boundary_interior,
-    derivative,
-    total_variation,
-    trace,
     weakstar_gap,
 )
 from bvgym.meshes import IntervalMesh, interval_mesh
@@ -20,13 +17,13 @@ from conftest import ONE, X, XSQ, oscillation_field, resample, union_mesh
 
 class TestDerivative:
     def test_affine_field(self, unit_mesh):
-        mu = derivative(BVField.affine(unit_mesh, 3.0, -1.0))
+        mu = BVField.affine(unit_mesh, 3.0, -1.0).derivative()
         assert np.allclose(mu.density, 3.0)
         assert mu.atoms == ()
 
     def test_step_gives_single_atom(self, unit_mesh):
         u = BVField.step(unit_mesh, 0.5, 0.0, -0.7)
-        mu = derivative(u)
+        mu = u.derivative()
         assert np.allclose(mu.density, 0.0)
         (atom,) = mu.atoms
         assert float(np.asarray(atom.point)) == pytest.approx(0.5)
@@ -35,7 +32,7 @@ class TestDerivative:
 
     def test_toy_sequence_density(self):
         n, eps = 50, 0.3
-        mu = derivative(toy_field(n, eps))
+        mu = toy_field(n, eps).derivative()
         centers = mu.mesh.cell_centers
         ramp = centers > 1 - 1 / n
         assert np.allclose(mu.density[ramp, 0, 0], n * (1 - eps))
@@ -93,11 +90,11 @@ class TestJumpsMatchLoop:
 
 class TestTotalVariation:
     def test_zero(self, unit_mesh):
-        assert total_variation(DiscreteMeasure(unit_mesh, np.zeros(unit_mesh.ncells))) == 0.0
+        assert DiscreteMeasure(unit_mesh, np.zeros(unit_mesh.ncells)).total_variation() == 0.0
 
     def test_toy(self):
         n, eps = 100, 0.5
-        assert total_variation(derivative(toy_field(n, eps))) == pytest.approx(1 - eps)
+        assert toy_field(n, eps).derivative().total_variation() == pytest.approx(1 - eps)
 
     def test_two_atoms(self, unit_mesh):
         mu = DiscreteMeasure(
@@ -105,7 +102,7 @@ class TestTotalVariation:
             np.zeros(unit_mesh.ncells),
             (Atom(0.2, 0.3, 1.0), Atom(0.9, 0.7, -1.0)),
         )
-        assert total_variation(mu) == pytest.approx(1.0)
+        assert mu.total_variation() == pytest.approx(1.0)
 
 
 class TestWeakStarGap:
@@ -115,7 +112,7 @@ class TestWeakStarGap:
 
     def test_toy_moment_bound(self):
         eps, n = 0.5, 1000
-        seq = [derivative(toy_field(m, eps)) for m in (10, 100, n)]
+        seq = [toy_field(m, eps).derivative() for m in (10, 100, n)]
         limit_mesh = interval_mesh(0, 1, 8)
         limit = DiscreteMeasure(
             limit_mesh, np.zeros((limit_mesh.ncells, 1, 1)), (Atom(1.0, 1 - eps, [[1.0]]),)
@@ -126,7 +123,7 @@ class TestWeakStarGap:
     def test_oscillation_riemann_lebesgue(self):
         zero = DiscreteMeasure(interval_mesh(0, 1, 4), np.zeros((3 + 1, 1, 1)))
         gaps = [
-            weakstar_gap([derivative(oscillation_field(k))], zero, [ONE, X, XSQ])
+            weakstar_gap([oscillation_field(k).derivative()], zero, [ONE, X, XSQ])
             for k in (8, 16, 32, 64)
         ]
         assert all(b <= a for a, b in zip(gaps, gaps[1:]))
@@ -143,12 +140,12 @@ class TestWeakStarGap:
     def test_tv_lower_semicontinuity_surrogate(self):
         eps = 0.5
         seq_fields = [toy_field(m, eps) for m in (10, 100, 1000)]
-        tvs = [total_variation(derivative(u)) for u in seq_fields]
+        tvs = [u.derivative().total_variation() for u in seq_fields]
         limit_mesh = interval_mesh(0, 1, 8)
         limit = DiscreteMeasure(
             limit_mesh, np.zeros((limit_mesh.ncells, 1, 1)), (Atom(1.0, 1 - eps, [[1.0]]),)
         )
-        assert total_variation(limit) <= min(tvs) + 1e-9
+        assert limit.total_variation() <= min(tvs) + 1e-9
 
 
 class TestDecomposition:
@@ -219,26 +216,19 @@ class TestDecomposition:
 
 class TestTrace:
     def test_constant(self, unit_mesh):
-        tr = trace(BVField.constant(unit_mesh, 0.7))
-        assert tr[0.0] == pytest.approx(0.7) and tr[1.0] == pytest.approx(0.7)
+        lo, hi = BVField.constant(unit_mesh, 0.7).trace()
+        assert lo[0] == pytest.approx(0.7) and hi[0] == pytest.approx(0.7)
 
     def test_toy_field_endpoints(self):
         eps, n = 0.5, 64
-        tr = trace(toy_field(n, eps))
-        assert float(tr[0.0][0]) == pytest.approx(eps / 2)
-        assert float(tr[1.0][0]) == pytest.approx(1 - eps / 2)
+        lo, hi = toy_field(n, eps).trace()
+        assert float(lo[0]) == pytest.approx(eps / 2)
+        assert float(hi[0]) == pytest.approx(1 - eps / 2)
 
     def test_interior_step_does_not_move_trace(self, unit_mesh):
-        u = BVField.step(unit_mesh, 0.5, 0.2, 0.9)
-        tr = trace(u)
-        assert float(tr[0.0][0]) == pytest.approx(0.2)
-        assert float(tr[1.0][0]) == pytest.approx(0.9)
-
-    def test_tagged_form(self, unit_mesh):
-        u = BVField.constant(unit_mesh, 1.0)
-        assert list(trace(u, "a")) == [0.0]
-        with pytest.raises(ValueError, match="tag"):
-            trace(u, "c")
+        lo, hi = BVField.step(unit_mesh, 0.5, 0.2, 0.9).trace()
+        assert float(lo[0]) == pytest.approx(0.2)
+        assert float(hi[0]) == pytest.approx(0.9)
 
 
 class TestSerialization:

@@ -15,7 +15,6 @@ from bvgym.relax import (
     direct_minimize,
     eval_Fbar,
     eval_Fhat,
-    eval_toy,
     higher_dim_J,
     linear_penalty,
     relax_minimize,
@@ -24,12 +23,14 @@ from bvgym.relax import (
     toy_field,
     toy_infimum,
     toy_limit_gym,
+    toy_limit_pair,
     toy_report,
     toy_sequence_value,
     toy_spec,
 )
 from bvgym.relax import (
     _GAP_TOL,
+    _discrete_energy,
     _SEG_BLOCK,
     _angle_in,
     _arc_edges,
@@ -94,47 +95,66 @@ class TestBoundarySlots:
             ProblemSpec(a, b, _tv(), right=square_penalty(1.0), C=C)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3),
-        st.floats(-1e3, 1e3),
-    )
-    def test_penalties_match_np_sum_bit_for_bit(self, values, par):
-        u = np.array(values)
-        assert square_penalty(par)(values) == float(np.sum((u - par) ** 2))
-        assert abs_penalty(par)(values) == float(np.sqrt(np.sum((u - par) ** 2)))
-        assert linear_penalty(par)(values) == float(par * np.sum(u))
-        assert square_penalty(par)(values[0]) == float(np.sum((u[:1] - par) ** 2))
+    @given(st.floats(-1e6, 1e6), st.floats(-1e3, 1e3))
+    def test_penalties_match_np_sum_bit_for_bit(self, value, par):
+        # a scalar trace and a one-element array give the bits of the old np.sum forms
+        u = np.array([value])
+        for x in (value, u):
+            assert square_penalty(par)(x) == float(np.sum((u - par) ** 2))
+            assert abs_penalty(par)(x) == float(np.sqrt(np.sum((u - par) ** 2)))
+            assert linear_penalty(par)(x) == float(par * np.sum(u))
+
+    @pytest.mark.parametrize("term", [square_penalty(0.0), abs_penalty(1.0), linear_penalty(2.0)],
+                             ids=["square", "abs", "linear"])
+    def test_vector_trace_refused(self, term):
+        with pytest.raises(ValueError):
+            term([0.5, 1.0])
 
 
 class TestToyClosedForms:
+    """I is the discrete energy of a nodal field; I1 and I2 are F-bar of its pair,
+    without and with the boundary atoms that move the outer trace to beta."""
+
     def test_sequence_value_formula(self):
         for eps in (0.1, 0.3, 0.5):
             for n in (10, 100, 1000):
                 u = toy_field(n, eps)
-                assert eval_toy(u, "I", eps) == pytest.approx(
+                assert _discrete_energy(toy_spec(eps), u) == pytest.approx(
                     toy_sequence_value(eps, n), abs=1e-12
                 )
 
     def test_I1_at_weak_limit(self):
-        u = BVField.constant(interval_mesh(0, 1, 16), EPS / 2)
-        assert eval_toy(u, "I1", EPS) == pytest.approx(EPS**2 / 4 + (1 - EPS / 2) ** 2)
-        assert eval_toy(u, "I1", EPS) == pytest.approx(0.625)
+        val = eval_Fbar(soucek_pair(toy_limit_pair(EPS).u), toy_spec(EPS))
+        assert val == pytest.approx(EPS**2 / 4 + (1 - EPS / 2) ** 2)
+        assert val == pytest.approx(0.625)
 
     def test_I2_recovers_infimum(self):
         u = BVField.constant(interval_mesh(0, 1, 16), EPS / 2)
-        val = eval_toy(u, "I2", EPS, beta=(EPS / 2, 1 - EPS / 2))
+        (u0,), (u1,) = u.trace()
+        b0, b1 = EPS / 2, 1 - EPS / 2
+        val = eval_Fbar(soucek_pair(u, {0.0: u0 - b0, 1.0: b1 - u1}), toy_spec(EPS))
         assert val == pytest.approx(toy_infimum(EPS))
+        # the limit pair is that same (u, alpha) on 32 cells
+        assert eval_Fbar(toy_limit_pair(EPS), toy_spec(EPS)) == pytest.approx(toy_infimum(EPS), abs=1e-12)
 
-    def test_I_rejects_jumps(self, unit_mesh):
+    def test_I2_prices_both_boundary_legs(self):
+        # (1 + eps)|u0 - b0| + b0^2 + eps |b1 - u1| + (b1 - 1)^2 at u = 0.3
+        u = BVField.constant(interval_mesh(0, 1, 16), 0.3)
+        b0, b1 = -0.1, 0.8
+        val = eval_Fbar(soucek_pair(u, {0.0: 0.3 - b0, 1.0: b1 - 0.3}), toy_spec(EPS))
+        expected = (1 + EPS) * 0.4 + b0**2 + EPS * 0.5 + (b1 - 1) ** 2
+        assert val == pytest.approx(expected, abs=1e-12)
+
+    def test_I1_prices_jumps_at_the_weight(self, unit_mesh):
+        # a unit jump at 0.5 costs w(0.5) = 0.25 + eps; both traces pay nothing
         u = BVField.step(unit_mesh, 0.5, 0.0, 1.0)
-        with pytest.raises(ValueError, match="jumps"):
-            eval_toy(u, "I", EPS)
-        assert eval_toy(u, "I1", EPS) > 0
+        assert eval_Fbar(soucek_pair(u), toy_spec(EPS)) == pytest.approx(0.25 + EPS, abs=1e-12)
 
     def test_non_lsc_witness(self):
         # the functional value drops strictly below its value at the weak limit
-        limit_val = eval_toy(BVField.constant(interval_mesh(0, 1, 8), EPS / 2), "I1", EPS)
-        seq_val = eval_toy(toy_field(10**4, EPS), "I1", EPS)
+        spec = toy_spec(EPS)
+        limit_val = eval_Fbar(soucek_pair(BVField.constant(interval_mesh(0, 1, 8), EPS / 2)), spec)
+        seq_val = eval_Fbar(soucek_pair(toy_field(10**4, EPS)), spec)
         assert seq_val < limit_val - 0.2
         assert limit_val - toy_infimum(EPS) == pytest.approx(0.25, abs=1e-9)
 
@@ -372,8 +392,7 @@ class TestRelaxedFunctionals:
         assert "beta_not_outer_trace(at=1)" in admissibility_report(gm, bad_beta, toy_spec(EPS))
 
     def test_Fbar_matches_Fhat_on_pairs(self):
-        mesh = interval_mesh(0, 1, 16)
-        pair = soucek_pair(BVField.constant(mesh, EPS / 2), {1.0: 1.0 - EPS})
+        pair = toy_limit_pair(EPS)
         from bvgym.soucek import to_gym
 
         val_bar = eval_Fbar(pair, toy_spec(EPS))
@@ -438,6 +457,100 @@ class TestTildeTransform:
             before = eval_Fhat(gm, beta, spec, strict=False)
             after = eval_Fhat(tilde, tbeta, spec, strict=False)
             assert after <= before + 1e-10
+
+
+def _one_atom_gym(mesh, point, mass, sphere, row, u):
+    """A measure with nu = delta_0, no lam density and one lam atom at `point`."""
+    from bvgym.gym import GenYoungMeasure
+
+    S = len(sphere)
+    zero = np.zeros((1,) + np.asarray(sphere).shape[1:])
+    return GenYoungMeasure(
+        mesh, zero, np.ones((mesh.ncells, 1)), np.zeros(mesh.ncells), ((point, mass),),
+        np.asarray(sphere, dtype=float), np.full((mesh.ncells, S), 1.0 / S), np.array([row]), underlying=u,
+    )
+
+
+class TestAdmissibilityReport:
+    """Each named violation on a measure that has it and no other."""
+
+    def test_mass_bound_exceeded(self):
+        from bvgym.gym import gym_traces
+        from bvgym.soucek import to_gym
+
+        # a tent 0 -> 1 -> 0 has total variation 2 and traces 0
+        mesh = interval_mesh(0, 1, 16)
+        gm = to_gym(soucek_pair(BVField.from_nodal(mesh, 1.0 - np.abs(2.0 * mesh.nodes - 1.0))))
+        spec = toy_spec(EPS, C=1.0)
+        assert admissibility_report(gm, gym_traces(gm)["outer"], spec) == ["mass_bound_exceeded(2>1)"]
+        with pytest.raises(AdmissibilityError, match="mass_bound_exceeded"):
+            eval_Fhat(gm, gym_traces(gm)["outer"], spec)
+
+    def test_trace_bound_exceeded(self):
+        from bvgym.gym import dirac_gym
+
+        mesh = interval_mesh(0, 1, 16)
+        gm = dirac_gym(mesh, 0.0).with_underlying(BVField.constant(mesh, 0.4))
+        assert admissibility_report(gm, (0.4, 0.4), toy_spec(EPS, C=0.5)) == ["trace_bound_exceeded"]
+        assert admissibility_report(gm, (0.4, 0.4), toy_spec(EPS, C=0.8)) == []
+
+    def test_no_underlying_deformation(self):
+        gm = toy_limit_gym(EPS).with_underlying(None)
+        beta = (EPS / 2, 1 - EPS / 2)
+        assert admissibility_report(gm, beta, toy_spec(EPS)) == ["no_underlying_deformation"]
+
+    def test_oscillating_direction_on_robin_side_only(self):
+        from bvgym.gym import gym_traces
+
+        mesh = interval_mesh(0, 1, 16)
+        # nu_inf = 3/4 delta_{-1} + 1/4 delta_{+1} at x = 1: first moment -1/2, not a unit direction
+        gm = _one_atom_gym(mesh, 1.0, 0.4, [[[-1.0]], [[1.0]]], [0.75, 0.25], BVField.constant(mesh, 0.0))
+        beta = gym_traces(gm)["outer"]
+        spec = toy_spec(EPS)
+        assert admissibility_report(gm, beta, spec) == ["oscillating_boundary_direction_on_gamma_R(at=1)"]
+        with pytest.raises(AdmissibilityError, match="oscillating"):
+            eval_Fhat(gm, beta, spec)
+        # on a Neumann side the same atom is admissible
+        neumann_right = ProblemSpec(0.0, 1.0, spec.weight, left=spec.left)
+        assert admissibility_report(gm, beta, neumann_right) == []
+
+
+class TestTildeTransformRows:
+    def test_atoms_off_the_robin_part_keep_their_rows(self):
+        from bvgym.gym import GenYoungMeasure
+
+        mesh = interval_mesh(0, 1, 16)
+        spec = ProblemSpec(0.0, 1.0, toy_spec(EPS).weight, left=square_penalty(0.0))  # x = 1 is Neumann
+        sphere = np.array([[[-1.0]], [[1.0]]])
+        rows = np.array([[0.2, 0.8], [0.7, 0.3], [1.0, 0.0]])
+        gm = GenYoungMeasure(
+            mesh, np.array([[[0.0]]]), np.ones((mesh.ncells, 1)), np.zeros(mesh.ncells),
+            ((0.5, 0.3), (1.0, 0.4), (0.0, 0.2)), sphere, np.full((mesh.ncells, 2), 0.5), rows,
+            underlying=BVField.constant(mesh, 0.0),
+        )
+        tilde, _, log = tilde_transform(gm, (0.0, 0.0), spec)
+        assert not log
+        # the interior atom and the Neumann-side atom are kept as they are; the Robin
+        # atom at 0 already has a Dirac direction, -1, which is on the grid
+        assert tilde.lam_atoms == ((0.5, 0.3), (1.0, 0.4), (0.0, 0.2))
+        assert np.array_equal(tilde.sphere_grid, sphere)
+        assert np.array_equal(tilde.nu_inf_atoms, rows)
+
+    def test_collapsed_direction_off_the_grid_is_appended(self):
+        mesh = interval_mesh(0, 1, 16)
+        e1, e2 = [[1.0], [0.0]], [[0.0], [1.0]]
+        gm = _one_atom_gym(mesh, 1.0, 0.6, [e1, e2], [0.5, 0.5], BVField.constant(mesh, np.zeros(2)))
+        tilde, _, log = tilde_transform(gm, {0.0: np.zeros(2), 1.0: np.full(2, 0.3)}, toy_spec(EPS))
+        assert not log
+        r = np.sqrt(0.5)  # |<nu_inf, id>| = |(1/2, 1/2)|
+        assert tilde.sphere_grid.shape == (3, 2, 1)
+        assert np.allclose(tilde.sphere_grid[2, :, 0], [r, r], rtol=0, atol=1e-15)
+        assert np.array_equal(tilde.nu_inf_atoms, [[0.0, 0.0, 1.0]])
+        ((point, mass),) = tilde.lam_atoms
+        assert point == 1.0 and mass == pytest.approx(0.6 * r, abs=1e-15)
+        # the cells' rows gain a zero column for the new direction
+        assert np.array_equal(tilde.nu_inf_cells[:, 2], np.zeros(mesh.ncells))
+        assert np.array_equal(tilde.nu_inf_cells[:, :2], gm.nu_inf_cells)
 
 
 class TestRelaxMinimize:
