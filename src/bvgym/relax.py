@@ -590,25 +590,40 @@ def higher_dim_J(
     """Direct minimization of the disk analogue with a Dirichlet arc.
 
     J(u) = int (dist^2(x, Gamma_1) + eps)|grad u| + int_{Gamma_1}
-    sqrt(1 + (u - ubar)^2), with u = 0 on Gamma_0.  Meshes refine by midpoint
-    subdivision (nested spaces), so the prolonged coarse field is admissible
+    sqrt(1 + (u - ubar)^2), with u = 0 on Gamma_0, minimized on each mesh by
+    primal-dual Newton (`_minimize_disk`) until a linearized-dual certificate
+    puts the mesh's minimum within a relative gap of _GAP_TOL = 1e-6.  Meshes
+    refine by midpoint subdivision (nested spaces), and each refined mesh
+    starts from the coarse solve: u prolonged, each child triangle's dual
+    p_child = w_child p_parent / w_parent, and the final smoothing delta; on
+    the benchmark's disk-2d tasks that takes 4 to 23 solves per mesh.  Every
+    mesh's weight measures distance to the coarsest mesh's Gamma_1 segments,
+    which refinement does not move.  The prolonged coarse field is admissible
     on the finer mesh: a row whose J rounds above the previous row's carries
     the previous J, and the reported infima are nonincreasing.  Each table row
     brackets its mesh's minimum: "lower" <= min <= "J" ("lower" is capped at
     J, in the row and in its stage record), and "gap" = (J - lower) / J.
-    "stages" has the solver's record per mesh (see `_minimize_disk`).
+    "stages" has the solver's record per mesh (see `_minimize_disk`).  Raises
+    ValueError when eps is not finite and positive, level or refinements is
+    not an int, the arcs meet, Gamma_1 holds no boundary edge of the coarsest
+    mesh, or ubar does not give one finite value per Gamma_1 Gauss point.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
-    if not isinstance(refinements, (int, np.integer)) or refinements < 0:
+    for name, value in (("level", level), ("refinements", refinements)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if refinements < 0:
         raise ValueError(f"refinements must be an int >= 0, got {refinements!r}")
     if _arcs_overlap(gamma1_angles, gamma0_angles):
         raise ValueError("Dirichlet and Robin arcs overlap")
     mesh = coarsest = disk_mesh(level)
+    # midpoint refinement keeps the Gamma_1 segments' union, so every mesh measures the weight's distance to these
+    seg = coarsest.vertices[coarsest.boundary_edges()[_arc_edges(coarsest, gamma1_angles)]]
     table, stages = [], []
     warm = None
     for k in range(refinements + 1):
-        val, u, st = _minimize_disk(mesh, eps, ubar, gamma1_angles, gamma0_angles, warm)
+        val, u, st, q = _minimize_disk(mesh, eps, ubar, gamma1_angles, gamma0_angles, warm, seg)
         if table:  # only rounding lifts J above the admissible prolonged coarse field
             val = min(val, table[-1]["J"])
         st[-1]["lower"] = lower = min(st[-1]["lower"], val)
@@ -616,7 +631,8 @@ def higher_dim_J(
         stages += st
         if k < refinements:
             mesh, parents = mesh.refine_with_parents()
-            warm = 0.5 * (u.values[parents[:, 0]] + u.values[parents[:, 1]])
+            # the children of coarse triangle t are fine triangles 4t .. 4t+3: p_child = w_child p_parent / w_parent
+            warm = (0.5 * (u.values[parents[:, 0]] + u.values[parents[:, 1]]), np.repeat(q, 4, axis=0), st[-1]["delta"])
     return {
         "inf_est": table[-1]["J"],
         "table": table,
@@ -648,9 +664,10 @@ def _gamma_length(mesh: TriMesh, arc) -> float:
     return float(np.sum(mesh.boundary_edge_lengths()[_arc_edges(mesh, arc)]))
 
 
-# lagged diffusivity on the disk: stop once J - lower <= _GAP_TOL * J, or after _DISK_MAXIT solves
-_GAP_TOL = 3e-4
+# primal-dual Newton on the disk: stop once J - lower <= _GAP_TOL * J, or after _DISK_MAXIT solves
+_GAP_TOL = 1e-6
 _DISK_MAXIT = 200
+_DELTA0, _DELTA_MIN = 1e-2, 1e-10  # the smoothing starts at _DELTA0; each cut divides it by 5
 # the system is symmetric positive definite: order A + A', factor without pivoting
 _SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 
@@ -681,24 +698,36 @@ def _dist2_to_segments(p: np.ndarray, seg: np.ndarray) -> np.ndarray:
     return best
 
 
-def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None):
-    """(J, DiskField, stages) by lagged diffusivity (Vogel & Oman 1996), with a
-    duality gap as the stop rule.
+def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None):
+    """(J, DiskField, stages, q) by primal-dual Newton (Chan, Golub & Mulet 1999),
+    with a duality gap as the stop rule.
 
-    On the free nodes (u = 0 on Gamma_0), J(u) = sum_T w_T |(Gu)_T| +
-    sum_q wL_q sqrt(1 + d_q^2) with d = Bu - ubar_q: w_T is the weight's
-    integral over triangle T, G the P1 gradient, B the map to the Gauss points
-    q on Gamma_1 and wL_q their weights.  Each step freezes
-    a_T = w_T / sqrt(|(Gu)_T|^2 + delta^2) and b_q = wL_q / sqrt(1 + d_q^2) and
-    solves (G' diag(a) G + B' diag(b) B) u = B' diag(b) ubar_q.  At the new u,
-    y = (a Gu, b d) has K'y = G'p + B's = 0 on the free nodes; divided by
-    theta >= 1 so that |p_T| <= w_T and |s_q| <= wL_q, it certifies by weak
-    duality lower = sum_q [wL_q sqrt(1 - (s_q/wL_q)^2) - s_q ubar_q] <= J(v)
-    for every admissible v.  J is the best value over the warm start and the
-    iterates, lower the best bound, and delta = min(1e-3, gap / (10 sum_T w_T))
-    keeps the smoothing bias under a tenth of the gap.  stages is one record
-    {"nv", "nit", "stop", "lower"}: "stop" is "gap" once J - lower <= _GAP_TOL * J,
-    else "maxiter" after _DISK_MAXIT solves.
+    On the free nodes (u = 0 on Gamma_0), J(u) = sum_T w_T |g_T| +
+    sum_q wL_q f(d_q) with g = Gu, d = Bu - ubar_q and f(d) = sqrt(1 + d^2):
+    w_T is the weight's integral over triangle T (its distance term measured to
+    the segments seg, by default this mesh's Gamma_1 edges), G the P1
+    gradient, B the map to the Gauss points q on Gamma_1 and wL_q their
+    weights.  J_delta smooths |g_T| to rho_T = sqrt(|g_T|^2 + delta^2).  The
+    dual p_T = w_T q_T, |q_T| <= 1, enters each step's one SPD system
+    A du = -grad J_delta(u), A = G' M G + B' diag(wL f''(d)) B with the 2x2
+    blocks M_T = w_T (I - sym(q_T g_T')/rho_T) / rho_T.  u takes an Armijo step
+    on J_delta, q moves toward z = (w g/rho + M G du)/w by 0.99 times the
+    largest step that keeps |q_T| <= 1 (at most a full step), and delta is cut
+    by 5, down to _DELTA_MIN, after a full primal and dual step or once
+    |grad J_delta| < 1e-3 delta.
+
+    The linearized dual y = (w z, s), s = wL (f'(d) + f''(d) B du), satisfies
+    G'p + B's = grad J_delta + A du = 0 on the free nodes up to the solve's
+    rounding; divided by theta >= 1 so that |p_T| <= w_T and |s_q| <= wL_q, it
+    certifies by weak duality lower = sum_q [wL_q sqrt(1 - (s_q/wL_q)^2) -
+    s_q ubar_q] <= J(v) for every admissible v.  J is the best value over the
+    start and the iterates, lower the best bound.  warm = (u, q, delta) starts
+    from a nodal field, a dual direction per triangle and a smoothing; by
+    default u = 0, q = 0, delta = _DELTA0.  stages is one record
+    {"nv", "nit", "stop", "lower", "delta"}: "nit" counts the solves, "delta"
+    is the final smoothing, and "stop" is "gap" once J and lower are finite and
+    J - lower <= _GAP_TOL * J, else "maxiter" after _DISK_MAXIT solves.  q is
+    the final dual direction, for a warm start on a refined mesh.
     """
     from scipy.sparse import csc_matrix, csr_matrix
     from scipy.sparse.linalg import splu
@@ -706,13 +735,16 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None):
     nv, nt = mesh.vertices.shape[0], mesh.ncells
     edges = mesh.boundary_edges()
     g1_edges = _arc_edges(mesh, gamma1)
+    if g1_edges.size == 0:
+        raise ValueError(f"gamma1_angles {tuple(gamma1)} hold no boundary edge of the mesh with nv = {nv}")
     bn = mesh.boundary_nodes
     dir_nodes = bn[_angle_in(np.arctan2(mesh.vertices[bn, 1], mesh.vertices[bn, 0]), gamma0)]
     free_idx = np.setdiff1d(np.arange(nv), dir_nodes)
     nf = free_idx.size
 
     seg_pts = mesh.vertices[edges[g1_edges]]  # (ne, 2, 2)
-    weight = mesh.cell_integrals(lambda p: _dist2_to_segments(p, seg_pts) + eps)  # per-triangle integral
+    seg = seg_pts if seg is None else seg
+    weight = mesh.cell_integrals(lambda p: _dist2_to_segments(p, seg) + eps)  # per-triangle integral
 
     # Gamma_1 quadrature: point k * ne + e lies at _GL_X[k] along edge e, from its first end
     ne = g1_edges.size
@@ -720,55 +752,90 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None):
     x = np.repeat(_GL_X, ne)
     ends = edges[g1_edges][e]  # (nq, 2)
     phi = np.stack([1 - x, x], axis=1)  # the two P1 hat functions at each point
-    ubar_q = np.asarray(ubar(phi[:, :1] * seg_pts[e, 0] + phi[:, 1:] * seg_pts[e, 1]), dtype=float)
-    wL = np.repeat(_GL_W, ne) * mesh.boundary_edge_lengths()[g1_edges][e]
     nq = x.size
+    ubar_q = np.asarray(ubar(phi[:, :1] * seg_pts[e, 0] + phi[:, 1:] * seg_pts[e, 1]), dtype=float)
+    if ubar_q.shape != (nq,) or not np.all(np.isfinite(ubar_q)):
+        raise ValueError(f"ubar must give {nq} finite values at the Gamma_1 Gauss points, "
+                         f"got shape {ubar_q.shape} with {np.count_nonzero(~np.isfinite(ubar_q))} non-finite")
+    wL = np.repeat(_GL_W, ne) * mesh.boundary_edge_lengths()[g1_edges][e]
 
     G = mesh.gradient_operator()[:, free_idx]
     B = csr_matrix((phi.ravel(), ends.ravel(), np.arange(0, 2 * nq + 1, 2)), shape=(nq, nv))[:, free_idx]
 
-    # the system's pattern, once: entry k of its CSC data is (P @ [a, b])[k]
+    # the system's pattern, once: one slot per (T, i, j) and (q, i, j) entry on free nodes
     bg = mesh.basis_gradients
     pos = np.full(nv, -1)
     pos[free_idx] = np.arange(nf)
     tri, bnd = pos[mesh.triangles], pos[ends]
     rows = np.concatenate([np.repeat(tri, 3, axis=1).ravel(), np.repeat(bnd, 2, axis=1).ravel()])
     cols = np.concatenate([np.tile(tri, 3).ravel(), np.tile(bnd, 2).ravel()])
-    coef = np.concatenate([np.repeat(np.arange(nt), 9), nt + np.repeat(np.arange(nq), 4)])
-    vals = np.concatenate([np.einsum("tid,tjd->tij", bg, bg).ravel(), (phi[:, :, None] * phi[:, None, :]).ravel()])
     keep = (rows >= 0) & (cols >= 0)
     slots, slot = np.unique(cols[keep] * nf + rows[keep], return_inverse=True)
     indices = slots % nf
     indptr = np.concatenate([[0], np.cumsum(np.bincount(slots // nf, minlength=nf))])
-    P = csr_matrix((vals[keep], (slot, coef[keep])), shape=(slots.size, nt + nq))
+    # entry (T, i, j) of G'MG is M_00 K[0] + M_01 K[1] + M_11 K[2]; entry (q, i, j) of B'DB is D_q phi_i phi_j
+    bx, by = bg[:, :, 0], bg[:, :, 1]
+    K = np.stack([bx[:, :, None] * bx[:, None, :], bx[:, :, None] * by[:, None, :] + by[:, :, None] * bx[:, None, :],
+                  by[:, :, None] * by[:, None, :]]).reshape(3, nt, 9)
+    phi2 = (phi[:, :, None] * phi[:, None, :]).reshape(nq, 4)
 
-    def state(u):  # squared gradient per triangle, residual per Gauss point, J
-        gx, gy = (G @ u).reshape(nt, 2).T
-        gn2 = gx * gx + gy * gy
+    def state(u):  # gradient per triangle, residual per Gauss point, J
+        g = (G @ u).reshape(nt, 2)
         d = B @ u - ubar_q
-        return gn2, d, float(weight @ np.sqrt(gn2) + wL @ np.sqrt(1.0 + d * d))
+        return g, d, float(weight @ np.hypot(g[:, 0], g[:, 1]) + wL @ np.hypot(1.0, d))
 
-    u = np.zeros(nf) if warm is None else np.asarray(warm, dtype=float)[free_idx]
-    gn2, d, J = state(u)
-    best_J, best_u, lower = J, u, -np.inf
-    total_w, delta, stop = float(weight.sum()), 1e-3, "maxiter"
+    def smoothed(g, d, delta):  # J_delta, in hypot form: no square overflows
+        return weight @ np.hypot(np.hypot(g[:, 0], g[:, 1]), delta) + wL @ np.hypot(1.0, d)
+
+    def dot(a, b):  # per row
+        return np.einsum("td,td->t", a, b)
+
+    if warm is None:
+        u, q, delta = np.zeros(nf), np.zeros((nt, 2)), _DELTA0
+    else:
+        u, q, delta = warm
+        u = np.asarray(u, dtype=float)[free_idx]
+    g, d, J = state(u)
+    best_J, best_u, lower, stop = J, u, -np.inf, "maxiter"
     for nit in range(1, _DISK_MAXIT + 1):
-        grad_scale, res_scale = np.sqrt(gn2 + delta * delta), np.sqrt(1.0 + d * d)
-        a, b = weight / grad_scale, wL / res_scale
-        A = csc_matrix((P @ np.concatenate([a, b]), indices, indptr), shape=(nf, nf))
-        u = splu(A, **_SPD_LU).solve(B.T @ (b * ubar_q))
-        gn2, d, J = state(u)
-        # |p_T| / w_T and |s_q| / wL_q of y = (a Gu, b d), then the scaled s / wL
-        theta = max(1.0, float(np.max(np.sqrt(gn2) / grad_scale)), float(np.max(np.abs(d) / res_scale)))
-        r = d / (res_scale * theta)
+        rho = np.hypot(np.hypot(g[:, 0], g[:, 1]), delta)
+        gh = g / rho[:, None]  # |gh_T| < 1
+        fd = np.hypot(1.0, d)
+        f1, f2 = d / fd, (1.0 / fd) ** 3  # f'(d), f''(d)
+        grad = G.T @ (weight[:, None] * gh).ravel() + B.T @ (wL * f1)
+        # M_T = (w_T / rho_T) (I - sym(q_T gh_T'))
+        m = weight / rho * np.stack([1 - q[:, 0] * gh[:, 0], -0.5 * (q[:, 0] * gh[:, 1] + q[:, 1] * gh[:, 0]),
+                                     1 - q[:, 1] * gh[:, 1]])
+        entries = np.concatenate([np.einsum("ct,ctk->tk", m, K).ravel(), ((wL * f2)[:, None] * phi2).ravel()])
+        A = csc_matrix((np.bincount(slot, weights=entries[keep], minlength=slots.size), indices, indptr), shape=(nf, nf))
+        du = splu(A, **_SPD_LU).solve(-grad)
+        dg, dd = (G @ du).reshape(nt, 2), B @ du
+        # the linearized dual (w z, wL sigma): z = (w gh + M dg) / w; divided by theta it lies in the box
+        z = gh + (dg - 0.5 * (q * dot(gh, dg)[:, None] + gh * dot(q, dg)[:, None])) / rho[:, None]
+        sigma = f1 + f2 * dd
+        theta = max(1.0, float(np.max(np.hypot(z[:, 0], z[:, 1]))), float(np.max(np.abs(sigma))))
+        r = sigma / theta
         lower = max(lower, float(wL @ np.sqrt(np.maximum(0.0, 1.0 - r * r)) - (wL * r) @ ubar_q))
+        # u: Armijo backtracking on J_delta, no move if 40 halvings fail
+        J0, slope = smoothed(g, d, delta), float(grad @ du)
+        alpha = next((a for a in 0.5 ** np.arange(40.0)
+                      if smoothed(g + a * dg, d + a * dd, delta) <= J0 + 1e-4 * a * slope), 0.0)
+        # q: 0.99 of the step to the unit ball's boundary, at most a full step
+        dq = z - q
+        aa, bb, cc = dot(dq, dq), dot(q, dq), dot(q, q) - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            to_edge = np.where(aa > 0, (np.sqrt(np.maximum(0.0, bb * bb - aa * cc)) - bb) / aa, np.inf)
+        beta = min(1.0, 0.99 * float(np.min(to_edge)))
+        q = q + beta * dq
+        u = u + alpha * du
+        g, d, J = state(u)
         if J < best_J:
             best_J, best_u = J, u
-        gap = best_J - lower
-        if gap <= _GAP_TOL * best_J:
+        if np.isfinite(best_J) and np.isfinite(lower) and best_J - lower <= _GAP_TOL * best_J:
             stop = "gap"
             break
-        delta = min(1e-3, gap / (10 * total_w))
+        if (alpha == 1.0 and beta == 1.0) or np.linalg.norm(grad) < 1e-3 * delta:
+            delta = max(delta / 5, _DELTA_MIN)
     full = np.zeros(nv)
     full[free_idx] = best_u
-    return best_J, DiskField(mesh, full), [{"nv": nv, "nit": nit, "stop": stop, "lower": lower}]
+    return best_J, DiskField(mesh, full), [{"nv": nv, "nit": nit, "stop": stop, "lower": lower, "delta": delta}], q

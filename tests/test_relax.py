@@ -663,13 +663,21 @@ _LBFGSB_SIN = [1.6923334356145068, 1.69104705744272, 1.6878420662762819]
 _LBFGSB_COS2 = [1.7902885624456504, 1.7752592365998319]
 
 
+# (J, lower) per level from the lagged-diffusivity (IRLS) solver that primal-dual Newton replaced,
+# each certified to a 3e-4 relative gap
+_IRLS_SIN = [(1.692333435614507, 1.6923333826784663), (1.691188676643939, 1.6906876484011235),
+             (1.6877351360688693, 1.6872497667445234)]
+_IRLS_COS2 = [(1.7902914783390753, 1.789797924990904), (1.7734848918718167, 1.77296365049776)]
+
+
 def _assert_pinned(res, rows):
-    """rows: (nv, J, lower, nit) per mesh, each mesh stopped on its gap."""
-    for row, stage, (nv, J, lower, nit) in zip(res["table"], res["stages"], rows, strict=True):
+    """rows: (nv, J, lower, nit, delta) per mesh, each mesh stopped on its gap."""
+    for row, stage, (nv, J, lower, nit, delta) in zip(res["table"], res["stages"], rows, strict=True):
         assert row["nv"] == nv and row["J"] == pytest.approx(J, rel=1e-12)
         assert row["lower"] == pytest.approx(lower, rel=1e-12)
         assert row["gap"] == (row["J"] - row["lower"]) / row["J"]
-        assert stage == {"nv": nv, "nit": nit, "stop": "gap", "lower": row["lower"]}
+        assert stage == {"nv": nv, "nit": nit, "stop": "gap", "lower": row["lower"],
+                         "delta": pytest.approx(delta, rel=1e-12)}
 
 
 def _assert_brackets_hold(res, old_J):
@@ -680,6 +688,12 @@ def _assert_brackets_hold(res, old_J):
         assert row["J"] <= old + _GAP_TOL * row["J"]
         if stage["stop"] == "gap":
             assert row["gap"] <= _GAP_TOL
+
+
+def _assert_brackets_meet(res, old_rows):
+    """Each mesh's bracket [lower, J] meets the old solver's: both bound the same minimum."""
+    for row, (old_J, old_lower) in zip(res["table"], old_rows, strict=True):
+        assert old_J >= row["lower"] and old_lower <= row["J"]
 
 
 class TestHigherDim:
@@ -718,10 +732,11 @@ class TestHigherDim:
 
     def test_pinned_table_and_stages(self, refine_calls):
         res = higher_dim_J(0.35, _SIN, level=1, refinements=2)
-        _assert_pinned(res, [(25, 1.692333435614507, 1.6923333826784663, 1),
-                             (81, 1.691188676643939, 1.6906876484011235, 53),
-                             (289, 1.6877351360688693, 1.6872497667445234, 58)])
+        _assert_pinned(res, [(25, 1.692333435614507, 1.6923333305486297, 2, 0.002),
+                             (81, 1.6910439010478422, 1.6910433107969323, 17, 3.2e-06),
+                             (289, 1.6877173546420923, 1.687715818700406, 12, 3.2e-06)])
         _assert_brackets_hold(res, _LBFGSB_SIN)
+        _assert_brackets_meet(res, _IRLS_SIN)
         assert res["gamma1_length"] == 1.5597406542173138  # as before the arc selection was vectorized
         assert len(refine_calls) == 2  # no refinement after the last level
 
@@ -736,17 +751,71 @@ class TestHigherDim:
         with pytest.raises(ValueError, match="eps"):
             higher_dim_J(eps, lambda p: np.zeros(p.shape[0]), level=1, refinements=0)
 
-    @pytest.mark.parametrize("refinements", [-1, 1.5, "2"])
+    @pytest.mark.parametrize("refinements", [-1, 1.5, "2", True])
     def test_invalid_refinements_rejected(self, refinements):
         with pytest.raises(ValueError, match="refinements"):
             higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), level=1, refinements=refinements)
 
+    @pytest.mark.parametrize("level", [1.0, True, "2", 0])
+    def test_invalid_level_rejected(self, level):
+        with pytest.raises(ValueError, match="level"):
+            higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), level=level, refinements=0)
+
+    @pytest.mark.parametrize("ubar", [lambda p: np.full(p.shape[0], np.inf), lambda p: np.full(p.shape[0], np.nan),
+                                      lambda p: np.where(p[:, 1] > 0, np.inf, 0.0), lambda p: 0.3,
+                                      lambda p: np.zeros((p.shape[0], 1))])
+    def test_bad_ubar_rejected(self, ubar):
+        with pytest.raises(ValueError, match="ubar"):
+            higher_dim_J(0.5, ubar, level=1, refinements=1)
+
+    def test_arc_without_edges_rejected(self):
+        # no boundary edge midpoint of the coarsest mesh lies on this short arc
+        with pytest.raises(ValueError, match="gamma1_angles"):
+            higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), gamma1_angles=(0.0, 0.01), level=1, refinements=1)
+
+    @pytest.mark.parametrize("ubar", [1e200, -1e200])
+    def test_huge_data_stays_finite(self, ubar):
+        # with eps = 5 the weight outweighs the arc term's slope, so u = 0 is optimal; f(d) = hypot(1, d)
+        res = higher_dim_J(5.0, lambda p: np.full(p.shape[0], ubar), level=1, refinements=1)
+        for row, stage in zip(res["table"], res["stages"], strict=True):
+            assert row["J"] == pytest.approx(abs(ubar) * res["gamma1_length"], rel=1e-12)
+            assert stage["stop"] == "gap" and row["gap"] <= _GAP_TOL
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_energy_never_stops_on_gap(self):
+        # finite data whose arc term sums past the largest double: inf - lower <= inf must not count
+        res = higher_dim_J(5.0, lambda p: np.full(p.shape[0], 1.5e308), level=1, refinements=0)
+        assert res["table"][0]["J"] == np.inf and res["stages"][0]["stop"] == "maxiter"
+
     def test_pinned_cos2_table_and_stages(self):
         res = higher_dim_J(0.25, _COS2, level=2, refinements=1)
-        _assert_pinned(res, [(81, 1.7902914783390753, 1.789797924990904, 35),
-                             (289, 1.7734848918718167, 1.77296365049776, 36)])
+        _assert_pinned(res, [(81, 1.7902826060073251, 1.7902815348827814, 18, 3.2e-06),
+                             (289, 1.773120359427005, 1.7731188984470878, 17, 3.2e-06)])
         _assert_brackets_hold(res, _LBFGSB_COS2)
+        _assert_brackets_meet(res, _IRLS_COS2)
         assert res["gamma1_length"] == 1.5679786039752392
+
+    def test_meets_cutting_plane_lp_bracket(self):
+        # an independent cutting-plane LP on the same mesh put its minimum in [1.697682, 1.697683]
+        row = higher_dim_J(0.35, _SIN, level=2, refinements=1)["table"][1]
+        assert row["nv"] == 289 and row["gap"] <= _GAP_TOL
+        assert row["lower"] <= 1.697683 and row["J"] >= 1.697682
+
+    def test_cold_and_warm_start_agree(self):
+        res = higher_dim_J(0.35, _SIN, level=2, refinements=1)  # nv = 289 starts from the nv = 81 solve
+        J, _, (stage,), _ = _minimize_disk(disk_mesh(2).refine(), 0.35, _SIN, (-np.pi / 4, np.pi / 4),
+                                           (3 * np.pi / 4, 5 * np.pi / 4))
+        warm, warm_stage = res["table"][1], res["stages"][1]
+        assert warm_stage["stop"] == stage["stop"] == "gap"
+        assert warm["gap"] <= _GAP_TOL and J - stage["lower"] <= _GAP_TOL * J
+        assert max(warm["lower"], stage["lower"]) <= min(warm["J"], J)
+
+    @pytest.mark.parametrize("eps, ubar, level", [(0.35, _SIN, 1), (0.25, _COS2, 1), (0.5, lambda p: 0.3 + 0 * p[:, 0], 2)])
+    def test_stages_carry_final_delta(self, eps, ubar, level):
+        res = higher_dim_J(eps, ubar, level=level, refinements=1)
+        for stage in res["stages"]:
+            assert set(stage) == {"nv", "nit", "stop", "lower", "delta"}
+            assert 0 < stage["delta"] <= 1e-2
 
     def test_overlapping_arcs_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -786,7 +855,7 @@ class TestDiskCertificate:
     def test_random_fields_never_below_lower(self, eps, ubar, refined):
         mesh = disk_mesh(1).refine() if refined else disk_mesh(1)
         gamma0 = (3 * np.pi / 4, 5 * np.pi / 4)
-        J, field, (stage,) = _minimize_disk(mesh, eps, ubar, (-np.pi / 4, np.pi / 4), gamma0)
+        J, field, (stage,), _ = _minimize_disk(mesh, eps, ubar, (-np.pi / 4, np.pi / 4), gamma0)
         lower = stage["lower"]
         assert stage["stop"] == "gap" and lower <= J <= lower + _GAP_TOL * J
         assert _disk_J(mesh, eps, ubar, field.values) == pytest.approx(J, rel=1e-12)
