@@ -146,9 +146,9 @@ class HalfBallProblem:
         G = np.matmul(U.take(self.tri, axis=0).transpose(0, 2, 1), self.basis)
         return G.reshape(G.shape[0], -1, self.ncomp, 2)
 
-    def objective(self, U: np.ndarray, v: HomogeneousIntegrand) -> np.ndarray:
-        """Half-ball integral of v for each field of a stack, shape (S,)."""
-        return np.asarray(v(self.gradients(U))).T @ self.areas
+    def objective(self, G: np.ndarray, v: HomogeneousIntegrand) -> np.ndarray:
+        """Half-ball integral of v for each field of a stack, shape (S,), from G = gradients(U)."""
+        return np.asarray(v(G)).T @ self.areas
 
     def tv(self, U: np.ndarray) -> np.ndarray:
         return mat_norm(self.gradients(U)).T @ self.areas
@@ -200,20 +200,21 @@ class HalfBallProblem:
 
 
 def _fd_grad(v: HomogeneousIntegrand, G: np.ndarray) -> np.ndarray:
-    """dv/dA per triangle, analytic when available, else central differences."""
+    """dv/dA per triangle, analytic when available, else central differences.
+
+    The 2 M N perturbed copies of G (+h then -h for each entry, in C order) go to
+    v as one stack."""
     gf = getattr(v, "grad_fn", None)
     if callable(gf):
         return np.asarray(gf(G))
-    out = np.zeros_like(G)
     h = 1e-6
-    for m in range(G.shape[-2]):
-        for d in range(G.shape[-1]):
-            Gp = G.copy()
-            Gp[..., m, d] += h
-            Gm = G.copy()
-            Gm[..., m, d] -= h
-            out[..., m, d] = (np.asarray(v(Gp)) - np.asarray(v(Gm))) / (2 * h)
-    return out
+    M, N = G.shape[-2:]
+    P = np.repeat(G[None], 2 * M * N, axis=0)
+    for k in range(M * N):
+        P[2 * k, ..., k // N, k % N] += h
+        P[2 * k + 1, ..., k // N, k % N] -= h
+    vals = np.asarray(v(P)).reshape(M * N, 2, *G.shape[:-2])
+    return np.moveaxis((vals[:, 0] - vals[:, 1]) / (2 * h), 0, -1).reshape(G.shape)
 
 
 def _descend(hb: HalfBallProblem, v: HomogeneousIntegrand, seeds: Sequence[np.ndarray], iters: int):
@@ -230,12 +231,13 @@ def _descend(hb: HalfBallProblem, v: HomogeneousIntegrand, seeds: Sequence[np.nd
     stop = np.where(tv < 1e-12, "degenerate", "maxiter")
     live = np.flatnonzero(stop == "maxiter")  # the seeds still descending
     U = U[:, live] / tv[live, None]
+    G = hb.gradients(U.reshape(nv, -1))  # the gradient stack of U, kept for the next step
     best, bestU = np.full(S, np.inf), np.zeros((nv, S, hb.ncomp))
-    best[live], bestU[:, live] = hb.objective(U.reshape(nv, -1), v), U
+    best[live], bestU[:, live] = hb.objective(G, v), U
     for k in range(iters):
         if not live.size:
             break
-        g = hb.nodal_gradient(_fd_grad(v, hb.gradients(U.reshape(nv, -1)))).reshape(U.shape)
+        g = hb.nodal_gradient(_fd_grad(v, G)).reshape(U.shape)
         gn = np.sqrt(np.einsum("nsm,nsm->s", g, g))
         keep = ~(gn < 1e-14)
         if not keep.all():
@@ -249,7 +251,8 @@ def _descend(hb: HalfBallProblem, v: HomogeneousIntegrand, seeds: Sequence[np.nd
             stop[live[~keep]] = "collapsed"
             live, U, tv = live[keep], U[:, keep], tv[keep]
         U = U / tv[:, None]
-        vals = hb.objective(U.reshape(nv, -1), v)
+        G = hb.gradients(U.reshape(nv, -1))
+        vals = hb.objective(G, v)
         better = vals < best[live]
         best[live[better]], bestU[:, live[better]] = vals[better], U[:, better]
     results = [None if r == "degenerate" else (float(best[s]), bestU[:, s]) for s, r in enumerate(stop)]
@@ -334,8 +337,10 @@ def rank_one_positivity(v: HomogeneousIntegrand, rho) -> dict:
     """Necessary sign condition: v(a x rho) >= -1e-8 on sampled unit vectors a
     (+-1 for M = 1, else 128 directions)."""
     validate_homogeneous(v)
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    M = v.dims[0]
+    rho = _checked_normal(rho)
+    M, N = v.dims
+    if rho.size != N:
+        raise ValueError(f"normal {rho.tolist()} has {rho.size} components; v.dims = {v.dims} needs {N}")
     if M == 1:
         a_samples = np.array([[1.0], [-1.0]])
     else:

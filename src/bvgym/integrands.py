@@ -37,8 +37,21 @@ def as_matrix(A, dims: tuple[int, int]) -> Matrix:
 
 
 def mat_norm(A: Matrix) -> np.ndarray:
-    """Frobenius norm over the trailing matrix axes (batched)."""
-    return np.sqrt(np.sum(np.square(A), axis=(-2, -1)))
+    """Frobenius norm over the trailing matrix axes (batched).
+
+    Below 8 entries np.sum adds a C-ordered float matrix left to right (it unrolls
+    8-way from 8 on), so adding the squares one entry at a time over the whole stack
+    gives its sums bit for bit without a reduction per tiny matrix; other shapes,
+    layouts and dtypes take np.sum."""
+    sq = np.square(A)
+    n = sq.shape[-2] * sq.shape[-1] if sq.ndim >= 2 else 0
+    if not (0 < n < 8 and sq.dtype.kind == "f" and sq.flags.c_contiguous):
+        return np.sqrt(np.sum(sq, axis=(-2, -1)))
+    flat = sq.reshape(*sq.shape[:-2], n)
+    total = flat[..., 0]
+    for k in range(1, n):
+        total = total + flat[..., k]
+    return np.sqrt(total)
 
 
 def unit_matrices(dims: tuple[int, int], n: int = 16) -> np.ndarray:
@@ -78,11 +91,13 @@ class HomogeneousIntegrand:
         rb = r.reshape(-1)
         Ab = A.reshape(rb.size, *A.shape[-2:])
         out = np.zeros(rb.size)
-        mask = rb > 0
-        # with no zero matrix, slicing passes the same flat batch as the mask, uncopied
-        sel = slice(None) if mask.all() else mask
-        if np.any(mask):
-            out[sel] = rb[sel] * np.asarray(self.sphere_eval(Ab[sel] / rb[sel][:, None, None]))
+        # sphere_eval sees the nonzero matrices as one flat batch in order; with no zero
+        # matrix that is the whole batch, uncopied
+        pos = rb > 0
+        sel = slice(None) if pos.all() else np.flatnonzero(pos)
+        rs = rb[sel]
+        if rs.size:
+            out[sel] = rs * np.asarray(self.sphere_eval(Ab[sel] / rs[:, None, None]))
         return float(out[0]) if A.ndim == 2 else out.reshape(r.shape)
 
     def on_sphere(self, S) -> np.ndarray | float:

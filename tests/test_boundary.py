@@ -99,6 +99,80 @@ def _descend_one(hb, v, U0, iters):
     return best, bestU
 
 
+def _fd_grad_loop(v, G):
+    """Reference: `_fd_grad` with one call of v per perturbed copy of G, as it was
+    before the copies went to v as one stack."""
+    gf = getattr(v, "grad_fn", None)
+    if callable(gf):
+        return np.asarray(gf(G))
+    out = np.zeros_like(G)
+    h = 1e-6
+    for m in range(G.shape[-2]):
+        for d in range(G.shape[-1]):
+            Gp = G.copy()
+            Gp[..., m, d] += h
+            Gm = G.copy()
+            Gm[..., m, d] -= h
+            out[..., m, d] = (np.asarray(v(Gp)) - np.asarray(v(Gm))) / (2 * h)
+    return out
+
+
+def _descend_three_grads(hb, v, seeds, iters):
+    """Reference: the stacked descent as it was before it kept the gradient stack
+    of each iterate; every iteration takes gradients three times (for the finite
+    differences, the TV and the objective)."""
+
+    def objective(U):
+        return np.asarray(v(hb.gradients(U))).T @ hb.areas
+
+    nv, S = hb.mesh.vertices.shape[0], len(seeds)
+    U = np.stack([hb.zeroed(U0) for U0 in seeds], axis=1)
+    tv = hb.tv(U.reshape(nv, -1))
+    stop = np.where(tv < 1e-12, "degenerate", "maxiter")
+    live = np.flatnonzero(stop == "maxiter")
+    U = U[:, live] / tv[live, None]
+    best, bestU = np.full(S, np.inf), np.zeros((nv, S, hb.ncomp))
+    best[live], bestU[:, live] = objective(U.reshape(nv, -1)), U
+    for k in range(iters):
+        if not live.size:
+            break
+        g = hb.nodal_gradient(_fd_grad_loop(v, hb.gradients(U.reshape(nv, -1)))).reshape(U.shape)
+        gn = np.sqrt(np.einsum("nsm,nsm->s", g, g))
+        keep = ~(gn < 1e-14)
+        if not keep.all():
+            stop[live[~keep]] = "stalled"
+            live, U, g, gn = live[keep], U[:, keep], g[:, keep], gn[keep]
+        step = 0.3 * np.sqrt(np.einsum("nsm,nsm->s", U, U)) / (gn * np.sqrt(k + 1.0))
+        U = U - step[:, None] * g
+        tv = hb.tv(U.reshape(nv, -1))
+        keep = ~(tv < 1e-12)
+        if not keep.all():
+            stop[live[~keep]] = "collapsed"
+            live, U, tv = live[keep], U[:, keep], tv[keep]
+        U = U / tv[:, None]
+        vals = objective(U.reshape(nv, -1))
+        better = vals < best[live]
+        best[live[better]], bestU[:, live[better]] = vals[better], U[:, better]
+    results = [None if r == "degenerate" else (float(best[s]), bestU[:, s]) for s, r in enumerate(stop)]
+    return results, stop.tolist()
+
+
+def _collapsing_seed(hb, B):
+    """A seed whose first step of descent on <B, A> leaves no gradient on the half-ball.
+
+    The constant dv/dA = B gives the same nodal gradient g at every iterate, and g
+    lives on nodes of half-ball triangles.  The seed is g plus a field on the other
+    nodes, scaled so that the first step, 0.3 |U| / |g| times g, is exactly the
+    seed's half-ball part."""
+    nt = hb.tri.shape[0]
+    g = hb.nodal_gradient(np.broadcast_to(np.asarray(B, dtype=float), (nt, hb.ncomp, 2)))
+    away = hb.free.copy()
+    away[hb.tri] = False
+    out = np.where(away[:, None], 1.0, 0.0)
+    out *= np.linalg.norm(g) * np.sqrt(1 / 0.09 - 1) / np.linalg.norm(out)
+    return g + out
+
+
 def _without_grad_fn(v: HomogeneousIntegrand) -> HomogeneousIntegrand:
     """The same integrand on the finite-difference path."""
     return HomogeneousIntegrand(v.dims, v.sphere_eval, name=v.name + "-fd")
@@ -236,6 +310,17 @@ class TestRankOne:
         v = hom_abs((1, 2))
         res = rank_one_positivity(v, RHO)
         assert res["ok"] and res["worst"][1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("normal", [(0.0, 0.0), (np.nan, 1.0)])
+    def test_invalid_normal_rejected(self, normal):
+        # neg_abs fails at every valid normal; a zero or NaN normal must not pass it
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            rank_one_positivity(hom_neg_abs((1, 2)), normal)
+
+    @pytest.mark.parametrize("normal", [(1.0,), (1.0, 0.0, 0.0)])
+    def test_normal_of_wrong_length_rejected(self, normal):
+        with pytest.raises(ValueError, match=r"normal .* v\.dims = \(1, 2\)"):
+            rank_one_positivity(hom_neg_abs((1, 2)), normal)
 
 
 class TestJqcb:
@@ -444,6 +529,70 @@ class TestBatchedDescent:
         assert stage["stop"] == ["stalled" if f else "maxiter" for f in flat]
         assert stage["seeds"] == len(flat) and stage["level"] == 1
         assert stage["nt"] == hb.tri.shape[0] and stage["iters"] == max(10, 200 // len(flat))
+
+
+class TestStackedFiniteDifferences:
+    """`_fd_grad` hands all 2 M N perturbed copies of G to v in one call; each
+    derivative must equal the one call per copy it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(1, 2), (2, 2), (2, 3)]), batch=st.sampled_from([(1, 1), (7, 3), (20, 6)]),
+           zero_frac=st.sampled_from([0.0, 0.4, 1.0]), seed=st.integers(0, 2**16))
+    def test_matches_per_copy_loop_bit_for_bit(self, dims, batch, zero_frac, seed):
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal(batch + dims) * 10.0 ** rng.uniform(-3, 3, batch + (1, 1))
+        G[rng.random(batch) < zero_frac] = 0.0
+        B = rng.standard_normal(dims)
+        vs = [_without_grad_fn(hom_abs(dims)), _without_grad_fn(hom_linear(B, dims))]
+        if dims[1] == 2:
+            vs.append(_aniso(dims[0], B[0] / np.linalg.norm(B[0])))
+        for v in vs:
+            assert v.grad_fn is None
+            got = _fd_grad(v, G)
+            assert got.shape == G.shape and np.array_equal(got, _fd_grad_loop(v, G))
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_matches_on_tent_stacks(self, M):
+        # tents are zero outside a slab, so the stack holds zero cells
+        hb = HalfBallProblem(np.array([0.6, 0.8]), level=2, ncomp=M)
+        seeds = TestBatchedDescent._seeds(hb)
+        G = hb.gradients(np.concatenate(seeds, axis=1))
+        assert np.any(mat_norm(G) == 0.0)
+        v = _aniso(M, np.array([0.6, -0.8]))
+        assert np.array_equal(_fd_grad(v, G), _fd_grad_loop(v, G))
+
+
+class TestDescentKeepsGradients:
+    """`_descend` reuses the gradient stack of each iterate for the next step's
+    dv/dA; its restarts must match the three-gradient loop bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["abs", "aniso-fd", "linear", "row2"])
+    def test_matches_three_gradient_loop(self, kind):
+        if kind == "row2":
+            v = _second_row_norm()
+            hb = HalfBallProblem(RHO, level=1, ncomp=2)
+            seeds = [hb.tent([1.0, 0.0]), hb.tent([0.0, 1.0]), hb.tent([0.6, 0.8])]
+            expected = {"stalled", "maxiter"}
+        else:
+            B = np.array([[0.3, -0.7]])
+            v = {"abs": hom_abs((1, 2)), "aniso-fd": _aniso(1, np.array([0.6, 0.8])),
+                 "linear": hom_linear(B, (1, 2))}[kind]
+            hb = HalfBallProblem(np.array([0.6, 0.8]), level=2, ncomp=1)
+            seeds = TestBatchedDescent._seeds(hb)
+            seeds.insert(1, np.zeros((hb.mesh.vertices.shape[0], 1)))
+            expected = {"degenerate", "maxiter"}
+            if kind == "linear":
+                seeds.insert(3, _collapsing_seed(hb, B))
+                expected.add("collapsed")
+        results, stop = _descend(hb, v, seeds, 20)
+        ref_results, ref_stop = _descend_three_grads(hb, v, seeds, 20)
+        assert set(stop) == expected
+        assert stop == ref_stop
+        for res, ref in zip(results, ref_results):
+            if ref is None:
+                assert res is None
+            else:
+                assert res[0] == ref[0] and np.array_equal(res[1], ref[1])
 
 
 class TestRotation:

@@ -259,3 +259,33 @@ class TestHomogeneousCall:
         assert len(seen_new) == len(seen_ref) <= 1
         for x, y in zip(seen_new, seen_ref):
             assert x.shape == y.shape and np.array_equal(x, y)
+
+
+def _mat_norm_by_np_sum(A):
+    """Reference: the reduction `mat_norm` replaced for small C-ordered matrices."""
+    return np.sqrt(np.sum(np.square(A), axis=(-2, -1)))
+
+
+class TestMatNorm:
+    @pytest.mark.parametrize("dims", [(M, N) for M in (1, 2, 3) for N in (1, 2, 3)] + [(2, 4)])
+    @settings(max_examples=8, deadline=None)
+    @given(batch=st.sampled_from([(0,), (1,), (40,), (6, 5)]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_np_sum_bit_for_bit(self, dims, batch, seed):
+        # entries of one matrix are of one size, so the order of their sum shows in
+        # the last bit; the matrices' sizes spread over 1e-30 to 1e30
+        rng = np.random.default_rng(seed)
+        shape = batch + dims
+        A = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30, batch + (1, 1))
+        A[rng.random(batch) < 0.2] = 0.0
+        keep = rng.random(batch[-1]) < 0.6
+        views = [A, A[..., keep, :, :], A[..., ::2, :, :], np.asfortranarray(A), A.swapaxes(-2, -1)]
+        for X in views:
+            got = mat_norm(X)
+            assert got.shape == X.shape[:-2]
+            assert np.array_equal(got, _mat_norm_by_np_sum(X))
+
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+    def test_single_matrix_gives_a_scalar(self, dims):
+        A = np.arange(1.0, 1.0 + dims[0] * dims[1]).reshape(dims) * 1e-30
+        got = mat_norm(A)
+        assert isinstance(got, np.float64) and got == _mat_norm_by_np_sum(A)
