@@ -32,11 +32,14 @@ class NotHomogeneousError(ValueError):
     pass
 
 
-def _checked_normal(rho) -> np.ndarray:
-    """The normal as a float vector; raises ValueError unless it is finite and nonzero."""
+def _checked_normal(rho, dims: tuple[int, int]) -> np.ndarray:
+    """The normal as a float vector; raises ValueError unless it is finite,
+    nonzero and has the N components of an M x N integrand."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if not (np.all(np.isfinite(rho)) and np.any(rho)):
         raise ValueError(f"normal must be finite and nonzero, got {rho.tolist()}")
+    if rho.size != dims[1]:
+        raise ValueError(f"normal {rho.tolist()} has {rho.size} components; v.dims = {tuple(dims)} needs {dims[1]}")
     return rho
 
 
@@ -107,13 +110,11 @@ class HalfBallProblem:
     """
 
     def __init__(self, normal, level: int = 3, ncomp: int = 1):
-        normal = _checked_normal(normal)
+        normal = _checked_normal(normal, (ncomp, 2))  # the half-ball is 2D
         normal = normal / np.linalg.norm(normal)
         self.normal = normal
         self.level = level
         self.ncomp = ncomp
-        if normal.size != 2:
-            raise ValueError("HalfBallProblem meshes are 2D; use the closed-form 1D path")
         self.rot = rotation_to(BASE_NORMAL, normal)
         self.mesh: TriMesh = disk_mesh(level, rotation=self.rot)
         # the half-ball D_rho = {x . normal < 0}; no triangle centre lies near the dividing diameter
@@ -291,9 +292,9 @@ def qslb_infimum(
     per-seed "stop" reasons of `_descend`.
     """
     validate_homogeneous(v)
-    rho = _checked_normal(rho)
+    rho = _checked_normal(rho, v.dims)
     M, N = v.dims
-    if rho.size == 1 or N == 1:
+    if N == 1:
         val, direction = _qslb_inf_1d(v)
         verdict = "qslb" if val >= -QSLB_TOL else ("not_qslb" if val <= -10 * QSLB_TOL else "inconclusive")
         return {"inf_est": val, "verdict": verdict, "witness": None,
@@ -337,10 +338,8 @@ def rank_one_positivity(v: HomogeneousIntegrand, rho) -> dict:
     """Necessary sign condition: v(a x rho) >= -1e-8 on sampled unit vectors a
     (+-1 for M = 1, else 128 directions)."""
     validate_homogeneous(v)
-    rho = _checked_normal(rho)
-    M, N = v.dims
-    if rho.size != N:
-        raise ValueError(f"normal {rho.tolist()} has {rho.size} components; v.dims = {v.dims} needs {N}")
+    rho = _checked_normal(rho, v.dims)
+    M = v.dims[0]
     if M == 1:
         a_samples = np.array([[1.0], [-1.0]])
     else:
@@ -370,9 +369,9 @@ def jqcb_falsify(
     "inconclusive" when no candidate gave a finite gap.
     """
     validate_homogeneous(v)
-    rho = _checked_normal(rho)
+    rho = _checked_normal(rho, v.dims)
     M, N = v.dims
-    if rho.size == 1 or N == 1:
+    if N == 1:
         # two-slope profiles on the half-interval
         dirs = unit_matrices((M, 1), 16)
         # all (s1, s2, t, m2) candidates, s1 varying slowest and m2 fastest
@@ -440,8 +439,8 @@ def rotation_equivariance_check(
     The rotated problem uses A |-> v(A R) with rho2 = R rho1 on the image mesh,
     which is exactly isometric to the original, so the gap is float noise.
     """
-    rho1 = _checked_normal(rho1)
-    rho2 = _checked_normal(rho2)
+    rho1 = _checked_normal(rho1, v.dims)
+    rho2 = _checked_normal(rho2, v.dims)
     R = rotation_to(rho1 / np.linalg.norm(rho1), rho2 / np.linalg.norm(rho2))
     r1 = qslb_infimum(v, rho1, mesh_level, iter_budget)
     r2 = qslb_infimum(rotated_integrand(v, R), rho2, mesh_level, iter_budget)

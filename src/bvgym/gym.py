@@ -29,7 +29,8 @@ from .integrands import (
     pair_action,
     unit_matrices,
 )
-from .measures import Atom, BVField, DiscreteMeasure, _on_boundary, _point_from, _same_mesh
+from .measures import (RANK_ONE_TOL, Atom, BVField, DiscreteMeasure, _key, _on_boundary, _point_from, _same_mesh,
+                       fold_traces, normal_projection)
 from .meshes import IntervalMesh, TriMesh, mesh_from_record
 
 PROB_TOL = 1e-12
@@ -311,7 +312,8 @@ def generate(
     overflow radius are histogrammed (Lebesgue-weighted) onto the matrix grid;
     the remaining mass, together with all atoms, is booked as concentration
     with a directional histogram on `default_sphere_grid`; a window's atom
-    within window_h of an endpoint snaps to it.  A posteriori the pairing
+    within window_h of an endpoint snaps to it, and every interior atom is
+    made a node of the window mesh.  A posteriori the pairing
     against the (g, v) dictionary is compared with the tail of the sequence;
     disagreement beyond tol raises GenerationError.
     """
@@ -366,15 +368,20 @@ def generate(
         atoms.append((x, m))
         rows.append(drow / m)
     nu_inf_atoms = np.array(rows).reshape(len(atoms), S)
+    # every interior atom becomes a node, where the underlying field can jump;
+    # both halves of a split window keep its nu row
+    cuts = {x for x, _ in atoms if not _on_boundary(wmesh, x)}.difference(wnodes.tolist())
+    nodes = np.sort(np.concatenate([wnodes, list(cuts)]))
+    ncells = nodes.size - 1
 
     gym = GenYoungMeasure(
-        wmesh,
+        IntervalMesh(nodes),
         matrix_grid,
-        nu_rows,
-        np.zeros(nwin),
+        nu_rows[np.searchsorted(wnodes, nodes[:-1], "right") - 1],
+        np.zeros(ncells),
         tuple(atoms),
         sphere_grid,
-        np.full((nwin, S), 1.0 / S),
+        np.full((ncells, S), 1.0 / S),
         nu_inf_atoms,
     )
 
@@ -413,14 +420,13 @@ def reconstruct_underlying(gym: GenYoungMeasure, anchor_mean) -> BVField:
     mom = first_moment(gym)
     slopes = mom.density[:, :, 0]
     mesh = gym.mesh
-    jumps = {float(np.asarray(at.point)): at.value for at in mom.interior_atoms()}
+    jumps = {_key(at.point): at.value for at in mom.interior_atoms()}
     ncomp = slopes.shape[1]
     vals = np.zeros((mesh.ncells, 2, ncomp))
     cur = np.zeros(ncomp)
     for c in range(mesh.ncells):
-        x = mesh.nodes[c]
-        if c > 0 and float(mesh.nodes[c]) in jumps:
-            cur = cur + np.ravel(jumps[float(mesh.nodes[c])])
+        if c > 0 and _key(mesh.nodes[c]) in jumps:
+            cur = cur + np.ravel(jumps[_key(mesh.nodes[c])])
         vals[c, 0] = cur
         cur = cur + np.atleast_1d(slopes[c]) * mesh.cell_volumes[c]
         vals[c, 1] = cur
@@ -560,19 +566,14 @@ def atom_moment(gym: GenYoungMeasure, i: int) -> np.ndarray:
 
 
 def boundary_rank_one_report(gym: GenYoungMeasure) -> list[dict]:
-    """Check <nu_inf, id> = a x normal at boundary atoms of lam."""
+    """Check <nu_inf, id> = a x normal at boundary atoms of lam (`normal_projection`)."""
     out = []
     for i in gym.boundary_atom_indices():
         p, m = gym.lam_atoms[i]
         if m <= 0:
             continue
-        mom = atom_moment(gym, i)
-        if float(mat_norm(mom)) == 0.0:
-            continue
-        rho = np.atleast_1d(gym.mesh.outer_normal(p))
-        a = mom @ rho
-        residual = float(mat_norm(mom - np.outer(a, rho)))
-        out.append({"point": p, "ok": residual <= 1e-8 * max(1.0, float(mat_norm(mom))), "residual": residual})
+        _, residual = normal_projection(atom_moment(gym, i), gym.mesh.outer_normal(p))
+        out.append({"point": p, "ok": residual <= RANK_ONE_TOL, "residual": residual})
     return out
 
 
@@ -766,32 +767,22 @@ def check_characterization(
         "violating_cells": bad_cells,
     }
 
-    du_atoms = {float(np.asarray(a.point)) if gym.mesh.dim == 1 else tuple(a.point): a for a in grads.interior_atoms()}
+    # (iii) at each interior jump of u or lam-atom location, against all lam-atoms there
+    du_atoms = {_key(a.point): a for a in grads.interior_atoms()}
     bidx = gym.boundary_atom_indices()  # ascending; (iv) walks them in this order
-    on_boundary = set(bidx)
-    lam_interior = [(i, p, m) for i, (p, m) in enumerate(gym.lam_atoms) if i not in on_boundary]
+    lam_at: dict = {}
+    for i, (p, _) in enumerate(gym.lam_atoms):
+        if i not in bidx:
+            lam_at.setdefault(_key(p), []).append(i)
     worst_iii = np.inf
-    ok_iii = True
-    keys_seen = set()
-    for i, p, m in lam_interior:
-        key = float(np.asarray(p)) if gym.mesh.dim == 1 else tuple(p)
-        keys_seen.add(key)
+    for key in lam_at.keys() | du_atoms.keys():
         at = du_atoms.get(key)
         for v in family:
             lhs = float(v.recession.on_sphere(np.asarray(at.direction))) * at.mass if at else 0.0
-            rhs = float(gym.nu_inf_atoms[i] @ vinfs[v.name]) * m
+            rhs = sum(float(gym.nu_inf_atoms[i] @ vinfs[v.name]) * gym.lam_atoms[i][1] for i in lam_at.get(key, ()))
             worst_iii = min(worst_iii, rhs - lhs)
-            if rhs - lhs < -CHARACTERIZATION_TOL:
-                ok_iii = False
-    for key, at in du_atoms.items():
-        if key in keys_seen:
-            continue
-        for v in family:
-            lhs = float(v.recession.on_sphere(np.asarray(at.direction))) * at.mass
-            worst_iii = min(worst_iii, -lhs)
-            if lhs > CHARACTERIZATION_TOL:
-                ok_iii = False
-    report["iii"] = {"pass": ok_iii, "worst": worst_iii if np.isfinite(worst_iii) else 0.0}
+    report["iii"] = {"pass": bool(worst_iii >= -CHARACTERIZATION_TOL),
+                     "worst": worst_iii if np.isfinite(worst_iii) else 0.0}
 
     worst_iv = np.inf
     bad_iv = []
@@ -823,13 +814,7 @@ def gym_traces(gym: GenYoungMeasure, u: BVField | None = None) -> dict:
         raise ValueError("not a gradient GYM: no underlying deformation available")
     if gym.mesh.dim != 1:
         raise ValueError("traces implemented on interval meshes")
-    lo, hi = u.trace()
-    inner = {gym.mesh.a: np.atleast_1d(lo), gym.mesh.b: np.atleast_1d(hi)}
-    outer = {k: v.copy() for k, v in inner.items()}
-    for i in gym.boundary_atom_indices():
-        p, m = gym.lam_atoms[i]
-        x = float(np.asarray(p))
-        rho = gym.mesh.outer_normal(x)
-        mom = atom_moment(gym, i)  # (M, 1) in 1D
-        outer[x] = outer[x] + m * rho * mom[:, 0]
+    inner, outer = fold_traces(
+        u, [(gym.lam_atoms[i][0], gym.lam_atoms[i][1] * atom_moment(gym, i)) for i in gym.boundary_atom_indices()]
+    )
     return {"inner": inner, "outer": outer}

@@ -15,6 +15,8 @@ import numpy as np
 
 from .meshes import _GL_W, _GL_X, IntervalMesh, TriMesh, mesh_from_record
 
+RANK_ONE_TOL = 1e-8  # largest normal_projection residual of a rank-one boundary value a x rho
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -120,6 +122,12 @@ def _point_from(p):
     return float(arr) if arr.ndim == 0 else arr
 
 
+def _key(point):
+    """Hashable atom location: the float in 1D, coordinates rounded to 1e-12 in 2D."""
+    arr = np.asarray(point, dtype=float)
+    return float(arr) if arr.ndim == 0 else tuple(np.round(arr, 12).tolist())
+
+
 def _same_mesh(m1, m2) -> bool:
     if m1.dim != m2.dim:
         return False
@@ -136,6 +144,31 @@ def _on_boundary(mesh, point) -> bool:
     p = np.asarray(point, dtype=float)
     bverts = mesh.vertices[mesh.boundary_nodes]
     return bool(np.min(np.linalg.norm(bverts - p[None], axis=1)) <= 1e-9)
+
+
+def normal_projection(A, rho) -> tuple[np.ndarray, float]:
+    """Split a boundary value A (M x N) into a = A rho and the residual
+    |A - a x rho| / max(1, |A|); A has the rank-one form a x rho of a boundary
+    part of a gradient measure iff the residual is at most RANK_ONE_TOL."""
+    A = np.asarray(A, dtype=float)
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    a = A @ rho
+    return a, float(np.linalg.norm(A - np.outer(a, rho)) / max(1.0, np.linalg.norm(A)))
+
+
+def fold_traces(u: BVField, boundary_values) -> tuple[dict, dict]:
+    """Inner and outer traces of a 1D field: the outer trace at an endpoint is
+    the inner one plus normal * value for each boundary (point, M x 1 value)
+    whose outer normal points to that endpoint."""
+    mesh = u.mesh
+    lo, hi = u.trace()
+    inner = {mesh.a: lo.copy(), mesh.b: hi.copy()}
+    outer = {k: v.copy() for k, v in inner.items()}
+    for point, value in boundary_values:
+        rho = mesh.outer_normal(point)
+        x = mesh.a if rho < 0 else mesh.b
+        outer[x] = outer[x] + rho * np.asarray(value).reshape(-1, 1)[:, 0]
+    return inner, outer
 
 
 def weakstar_gap(

@@ -20,11 +20,11 @@ import numpy as np
 
 from .gym import GenYoungMeasure, check_characterization, first_moment, reconstruct_underlying
 from .integrands import unit_matrices
-from .measures import Atom, BVField, DiscreteMeasure, DiskField, weakstar_gap
+from .measures import (RANK_ONE_TOL, Atom, BVField, DiscreteMeasure, DiskField, _key, fold_traces, normal_projection,
+                       weakstar_gap)
 from .meshes import _GL_W, _GL_X, _TRI_BARY, _TRI_W
 
 GREEN_TOL = 1e-9
-RANK_ONE_TOL = 1e-8
 PAIR_TOL = 1e-12
 
 
@@ -65,11 +65,6 @@ class SoucekPair:
             "alpha": self.alpha.to_record(),
             "beta": beta.to_record(),
         }
-
-
-def _key(point):
-    arr = np.asarray(point, dtype=float)
-    return float(arr) if arr.ndim == 0 else tuple(np.round(arr, 12).tolist())
 
 
 def soucek_pair(u: BVField | DiskField, boundary_values: dict | None = None) -> SoucekPair:
@@ -160,14 +155,7 @@ def outer_trace(pair: SoucekPair) -> TracePair:
 def _outer_trace_1d(pair: SoucekPair) -> TracePair:
     u: BVField = pair.u
     mesh = u.mesh
-    lo, hi = u.trace()
-    inner = {mesh.a: np.atleast_1d(lo).copy(), mesh.b: np.atleast_1d(hi).copy()}
-    outer = {k: v.copy() for k, v in inner.items()}
-    for at in pair.boundary_part():
-        rho = mesh.outer_normal(float(np.asarray(at.point)))
-        x = mesh.a if rho < 0 else mesh.b
-        A = at.value.reshape(-1, 1)
-        outer[x] = outer[x] + rho * A[:, 0]
+    inner, outer = fold_traces(u, [(at.point, at.value) for at in pair.boundary_part()])
     residual = 0.0
     for phi, dphi in _poly_basis_1d():
         lhs = phi(mesh.b) * 1.0 * outer[mesh.b] + phi(mesh.a) * (-1.0) * outer[mesh.a]
@@ -189,12 +177,10 @@ def _outer_trace_disk(pair: SoucekPair) -> TracePair:
     atoms = []
     for at in pair.boundary_part():
         x = np.asarray(at.point, dtype=float)
-        rho = mesh.outer_normal(x)
-        A = at.value.reshape(1, 2)
-        a = float((A @ rho)[0])
-        if float(np.linalg.norm(A - a * rho[None, :])) > RANK_ONE_TOL * max(1.0, at.mass):
+        a, residual = normal_projection(at.value.reshape(1, 2), mesh.outer_normal(x))
+        if residual > RANK_ONE_TOL:
             raise InconsistentPairError("boundary atom of alpha is not aligned with the normal")
-        atoms.append((x, np.atleast_1d(a)))
+        atoms.append((x, a))
 
     edges = mesh.boundary_edges()
     normals = mesh.boundary_edge_normals()
@@ -243,17 +229,12 @@ def side(pair: SoucekPair) -> SoucekPair:
 
 
 def rank_one_boundary_check(pair: SoucekPair) -> bool:
-    """Every boundary atom of alpha must be a(x) x normal(x)."""
-    mesh = pair.mesh
-    for at in pair.boundary_part():
-        A = at.value
-        if mesh.dim == 1:
-            continue  # any M x 1 matrix is trivially rank one along the normal
-        rho = mesh.outer_normal(np.asarray(at.point, dtype=float))
-        a = A @ rho
-        if float(np.linalg.norm(A - np.outer(a, rho))) > RANK_ONE_TOL * max(1.0, at.mass):
-            return False
-    return True
+    """Every boundary atom of alpha must be a(x) x normal(x) (`normal_projection`);
+    in 1D every M x 1 value is."""
+    return all(
+        normal_projection(at.value, pair.mesh.outer_normal(at.point))[1] <= RANK_ONE_TOL
+        for at in pair.boundary_part()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -735,6 +735,23 @@ class TestInvalidNormals:
         with pytest.raises(ValueError, match="finite and nonzero"):
             HalfBallProblem(normal, level=1)
 
+    @pytest.mark.parametrize("call, v, normal", [
+        ("qslb", hom_abs((2, 1)), [1.0, 0.0]),  # once returned the verdict "qslb"
+        ("qslb", hom_linear([0, 1], (1, 2)), [1.0]),  # once an IndexError
+        ("jqcb", hom_neg_abs((1, 2)), [1.0]),  # once a shape error
+        ("jqcb", hom_abs((1, 1)), [1.0, 0.0]),
+        ("rotation", hom_abs((1, 2)), [1.0, 0.0, 0.0]),
+    ])
+    def test_wrong_length_rejected(self, call, v, normal):
+        match = rf"normal \[.*\] has {len(normal)} components; v\.dims = \({v.dims[0]}, {v.dims[1]}\)"
+        with pytest.raises(ValueError, match=match):
+            if call == "qslb":
+                qslb_infimum(v, normal, mesh_level=1, iter_budget=20)
+            elif call == "jqcb":
+                jqcb_falsify(v, normal, budget=2)
+            else:
+                rotation_equivariance_check(v, RHO, normal, mesh_level=1, iter_budget=20)
+
     def test_zero_1d_normal_rejected(self):
         with pytest.raises(ValueError, match="finite and nonzero"):
             qslb_infimum(hom_abs((1, 1)), 0.0)

@@ -227,7 +227,9 @@ class TestGenerateBinning:
         res, _ = generate([Y], **kw)
         with mock.patch.object(gym, "_bin_windows", _bin_windows_loop):
             ref, _ = generate([Y], **kw)
-        assert res.mesh.ncells == nwin
+        # the windows, split at every interior atom
+        interior = [x for x, _ in res.lam_atoms if a < x < b]
+        assert _same_bits(res.mesh.nodes, np.union1d(np.linspace(a, b, nwin + 1), interior))
         assert _same_bits(res.nu, ref.nu)
         assert _same_bits(res.lam_atoms, ref.lam_atoms)
         assert _same_bits(res.nu_inf_atoms, ref.nu_inf_atoms)
@@ -429,6 +431,34 @@ class TestCharacterization:
         assert report["ii"]["worst"] >= -1e-6
         assert report["iv"]["worst"] >= -1e-6
 
+    def test_interior_concentration_becomes_a_jump(self):
+        # ramps 0 -> 1 over (0.3 - 1/n, 0.3) concentrate at a point inside a window
+        fields = []
+        for n in (100, 300, 1000):
+            ramp = (0.3 - 1 / n, 0.3)
+            mesh = interval_mesh(0, 1, 16, extra_nodes=ramp)
+            fields.append(BVField.from_nodal(mesh, np.clip((mesh.nodes - ramp[0]) * n, 0.0, 1.0)))
+        gm, rep = generate_from_fields(fields)
+        ((x, m),) = gm.lam_atoms
+        assert 0.299 < x < 0.3 and m == pytest.approx(1.0)
+        assert x in gm.mesh.nodes
+        tr = gym_traces(gm)
+        h = rep["window_h"]
+        assert abs(tr["inner"][0.0][0]) <= h and abs(tr["inner"][1.0][0] - 1.0) <= h
+        assert np.allclose(tr["outer"][0.0], tr["inner"][0.0]) and np.allclose(tr["outer"][1.0], tr["inner"][1.0])
+        assert check_characterization(gm, gm.underlying)["all_pass"]
+        assert rep["max_gap"] <= rep["tol"]
+
+    def test_lam_atoms_at_one_point_add_up_in_iii(self, unit_mesh):
+        # a jump of 1 at 0.5 against two lam-atoms of mass 0.5 there: (iii) holds with equality
+        u = BVField.step(unit_mesh, 0.5, 0.0, 1.0)
+        gm = GenYoungMeasure(
+            unit_mesh, np.array([[[0.0]]]), np.ones((unit_mesh.ncells, 1)), np.zeros(unit_mesh.ncells),
+            ((0.5, 0.5), (0.5, 0.5)), np.array([[[1.0]]]), np.ones((unit_mesh.ncells, 1)), np.ones((2, 1)),
+        )
+        report = check_characterization(gm, u)
+        assert report["iii"]["pass"] and abs(report["iii"]["worst"]) <= 1e-12
+
     def test_dirac_equalities(self, unit_mesh):
         gm = dirac_gym(unit_mesh, 1.7)
         u = BVField.affine(unit_mesh, 1.7, 0.0)
@@ -533,6 +563,15 @@ class TestTraces:
         u = BVField.constant(mesh, 0.3)
         tr = gym_traces(gm, u)
         assert np.allclose(tr["outer"][0.0], 0.3) and np.allclose(tr["outer"][1.0], 0.3)
+
+    def test_atom_just_inside_an_endpoint_folds_onto_it(self):
+        # 1 - 1e-13 is a boundary atom; its moment lands on the endpoint its normal points to
+        from bvgym.soucek import outer_trace, soucek_pair, to_gym
+
+        pair = soucek_pair(BVField.constant(interval_mesh(0, 1, 8), 0.0), {1 - 1e-13: 0.7})
+        tr = gym_traces(to_gym(pair))
+        assert tr["outer"][1.0][0] == outer_trace(pair).outer[1.0][0] == pytest.approx(0.7)
+        assert tr["outer"][0.0][0] == 0.0
 
     def test_requires_underlying(self, unit_mesh):
         gm = dirac_gym(unit_mesh, 0.0)

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from bvgym.measures import (
+    RANK_ONE_TOL,
     Atom,
     BVField,
     DiscreteMeasure,
+    _key,
     charge_profile,
     decompose_boundary_interior,
+    fold_traces,
+    normal_projection,
     weakstar_gap,
 )
 from bvgym.meshes import IntervalMesh, interval_mesh
@@ -229,6 +233,37 @@ class TestTrace:
         lo, hi = BVField.step(unit_mesh, 0.5, 0.2, 0.9).trace()
         assert float(lo[0]) == pytest.approx(0.2)
         assert float(hi[0]) == pytest.approx(0.9)
+
+
+    def test_fold_maps_each_atom_to_its_endpoint(self, unit_mesh):
+        u = BVField.affine(unit_mesh, 1.0, 0.25)
+        inner, outer = fold_traces(u, [(0.0, 0.5), (1 - 1e-13, [[0.75]]), (1.0, 0.25)])
+        assert inner == {0.0: pytest.approx([0.25]), 1.0: pytest.approx([1.25])}
+        assert outer[0.0][0] == 0.25 - 0.5  # the outer normal at 0 is -1
+        assert outer[1.0][0] == 1.25 + 0.75 + 0.25
+
+
+class TestNormalProjection:
+    def test_rank_one_value_has_zero_residual(self):
+        rho = np.array([0.6, 0.8])
+        a, res = normal_projection(np.outer([2.0, -1.0], rho), rho)
+        assert np.allclose(a, [2.0, -1.0]) and res <= 1e-15
+
+    def test_tangential_value_fails(self):
+        a, res = normal_projection(np.array([[0.0, 3.0]]), np.array([1.0, 0.0]))
+        assert a[0] == 0.0 and res == 1.0 > RANK_ONE_TOL  # |A - a x rho| / max(1, |A|) = 3 / 3
+
+    def test_every_1d_value_is_rank_one(self):
+        a, res = normal_projection(np.array([[0.3], [-2.0]]), -1.0)
+        assert np.array_equal(a, [-0.3, 2.0]) and res == 0.0
+
+
+class TestKey:
+    def test_1d_key_is_the_float(self):
+        assert _key(np.float64(0.25)) == 0.25 and _key(np.array(0.25)) == 0.25
+
+    def test_2d_key_rounds_to_1e_12(self):
+        assert _key(np.array([0.6, 0.8])) == _key(np.array([0.6 + 1e-14, 0.8 - 1e-14])) == (0.6, 0.8)
 
 
 class TestSerialization:

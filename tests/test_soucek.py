@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bvgym.gym import first_moment, pairing, default_dictionary
+from bvgym.gym import first_moment, gym_traces, pairing, default_dictionary
 from bvgym.measures import BVField, DiscreteMeasure, DiskField
-from bvgym.meshes import disk_mesh, interval_mesh
+from bvgym.meshes import IntervalMesh, disk_mesh, interval_mesh
 from bvgym.relax import toy_field, toy_limit_gym
 from bvgym.soucek import (
     GREEN_TOL,
@@ -73,6 +75,26 @@ class TestOuterTrace1D:
         alpha = DiscreteMeasure(unit_mesh, np.zeros((unit_mesh.ncells, 1, 1)))
         with pytest.raises(InconsistentPairError):
             SoucekPair(u, alpha)
+
+
+class TestTraceProperties:
+    """On random 1D pairs the one trace fold serves both the pair and its Young measure."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.sampled_from([1, 2]), ncells=st.integers(1, 24),
+           domain=st.sampled_from([(0.0, 1.0), (-0.306, 0.614), (1.0, 2.5)]))
+    def test_gym_outer_trace_equals_pair_outer_trace(self, seed, M, ncells, domain):
+        rng = np.random.default_rng(seed)
+        a, b = domain
+        mesh = IntervalMesh(np.unique(np.concatenate([[a, b], rng.uniform(a, b, ncells - 1)])))
+        u = BVField(mesh, rng.normal(0, 2, (mesh.ncells, 2) + ((M,) if M > 1 else ())))  # jumps included
+        pair = soucek_pair(u, {a: rng.normal(0, 1, (M, 1)), b: rng.normal(0, 1, (M, 1))})
+        tp = outer_trace(pair)
+        assert tp.green_residual <= GREEN_TOL
+        outer = gym_traces(to_gym(pair))["outer"]
+        assert outer.keys() == tp.outer.keys() == {a, b}
+        for x in outer:
+            assert np.array_equal(outer[x], tp.outer[x])
 
 
 class TestOuterTraceDisk:
