@@ -43,6 +43,12 @@ def _checked_normal(rho, dims: tuple[int, int]) -> np.ndarray:
     return rho
 
 
+def _refuse_beyond_2d(dims: tuple[int, int]) -> None:
+    """Raises ValueError for an M x N integrand with N > 2: the half-ball is 2D."""
+    if dims[1] > 2:
+        raise ValueError(f"v.dims = {tuple(dims)} has N = {dims[1]}; the half-ball is 2D, so N must be 1 or 2")
+
+
 def validate_homogeneous(v: HomogeneousIntegrand) -> None:
     P = unit_matrices(v.dims, 8)
     for alpha in (0.5, 2.0):
@@ -170,8 +176,9 @@ class HalfBallProblem:
     def field(self, U: np.ndarray) -> PAField:
         """Restriction of the nodal field to the half-ball triangles."""
         U = self.zeroed(U)
-        used = np.unique(self.tri)
-        remap = -np.ones(self.mesh.vertices.shape[0], dtype=int)
+        nv = self.mesh.vertices.shape[0]
+        used = np.flatnonzero(np.bincount(self.tri.ravel(), minlength=nv))  # np.unique would import numpy.ma
+        remap = -np.ones(nv, dtype=int)
         remap[used] = np.arange(used.size)
         return PAField(self.mesh.vertices[used], remap[self.tri], U[used])
 
@@ -300,6 +307,7 @@ def qslb_infimum(
         return {"inf_est": val, "verdict": verdict, "witness": None,
                 "worst_direction": direction, "per_level": [val], "stages": []}
 
+    _refuse_beyond_2d(v.dims)
     rng = np.random.default_rng(seed)
     per_level, stages = [], []
     witness = None
@@ -386,6 +394,7 @@ def jqcb_falsify(
         best = {"slopes": (s1[k], m2[k] * s2[k]), "t": float(t[k])}
         return _jqcb_result(best, float(gaps[k]))
 
+    _refuse_beyond_2d(v.dims)
     rng = np.random.default_rng(seed)
     hb = HalfBallProblem(rho, level=3, ncomp=M)
     dirs = unit_matrices((M, 1), 8).reshape(-1, M)

@@ -596,7 +596,8 @@ def higher_dim_J(
     refine by midpoint subdivision (nested spaces), and each refined mesh
     starts from the coarse solve: u prolonged, each child triangle's dual
     p_child = w_child p_parent / w_parent, and the final smoothing delta; on
-    the benchmark's disk-2d tasks that takes 4 to 23 solves per mesh.  Every
+    the benchmark's disk-2d tasks that takes 4 to 21 solves per mesh, since
+    each triangle's dual takes its own step (see `_minimize_disk`).  Every
     mesh's weight measures distance to the coarsest mesh's Gamma_1 segments,
     which refinement does not move.  The prolonged coarse field is admissible
     on the finer mesh: a row whose J rounds above the previous row's carries
@@ -711,10 +712,13 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
     dual p_T = w_T q_T, |q_T| <= 1, enters each step's one SPD system
     A du = -grad J_delta(u), A = G' M G + B' diag(wL f''(d)) B with the 2x2
     blocks M_T = w_T (I - sym(q_T g_T')/rho_T) / rho_T.  u takes an Armijo step
-    on J_delta, q moves toward z = (w g/rho + M G du)/w by 0.99 times the
-    largest step that keeps |q_T| <= 1 (at most a full step), and delta is cut
-    by 5, down to _DELTA_MIN, after a full primal and dual step or once
-    |grad J_delta| < 1e-3 delta.
+    on J_delta, and each q_T moves toward z_T, z = (w g/rho + M G du)/w, by its
+    own step beta_T: 0.99 times the largest step that keeps |q_T| <= 1, at
+    most a full step.  So |q_T| < 1 stays strict, each M_T stays SPD, and a
+    q_T next to the unit sphere holds back only its own triangle (one global
+    step, the minimum over T, stalls near 0 on a refined mesh's prolonged dual).
+    delta is cut by 5, down to _DELTA_MIN, after a full primal step with
+    beta_T = 1 in every triangle, or once |grad J_delta| < 1e-3 delta.
 
     The linearized dual y = (w z, s), s = wL (f'(d) + f''(d) B du), satisfies
     G'p + B's = grad J_delta + A du = 0 on the free nodes up to the solve's
@@ -820,13 +824,13 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
         J0, slope = smoothed(g, d, delta), float(grad @ du)
         alpha = next((a for a in 0.5 ** np.arange(40.0)
                       if smoothed(g + a * dg, d + a * dd, delta) <= J0 + 1e-4 * a * slope), 0.0)
-        # q: 0.99 of the step to the unit ball's boundary, at most a full step
+        # q: each triangle takes 0.99 of its own step to the unit ball's boundary, at most a full step
         dq = z - q
         aa, bb, cc = dot(dq, dq), dot(q, dq), dot(q, q) - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             to_edge = np.where(aa > 0, (np.sqrt(np.maximum(0.0, bb * bb - aa * cc)) - bb) / aa, np.inf)
-        beta = min(1.0, 0.99 * float(np.min(to_edge)))
-        q = q + beta * dq
+        beta = np.minimum(1.0, 0.99 * to_edge)
+        q = q + beta[:, None] * dq
         u = u + alpha * du
         g, d, J = state(u)
         if J < best_J:
@@ -834,7 +838,7 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
         if np.isfinite(best_J) and np.isfinite(lower) and best_J - lower <= _GAP_TOL * best_J:
             stop = "gap"
             break
-        if (alpha == 1.0 and beta == 1.0) or np.linalg.norm(grad) < 1e-3 * delta:
+        if (alpha == 1.0 and beta.min() == 1.0) or np.linalg.norm(grad) < 1e-3 * delta:
             delta = max(delta / 5, _DELTA_MIN)
     full = np.zeros(nv)
     full[free_idx] = best_u

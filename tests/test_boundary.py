@@ -752,6 +752,18 @@ class TestInvalidNormals:
             else:
                 rotation_equivariance_check(v, RHO, normal, mesh_level=1, iter_budget=20)
 
+    @pytest.mark.parametrize("call", ["qslb", "jqcb"])
+    @pytest.mark.parametrize("v", [hom_abs((1, 3)), hom_abs((2, 3))])
+    def test_beyond_2d_refused_before_the_half_ball(self, call, v):
+        # the normal fits v.dims, but the half-ball is 2D; once the error named the half-ball's (M, 2)
+        with mock.patch("bvgym.boundary.HalfBallProblem") as half_ball:
+            with pytest.raises(ValueError, match=rf"v\.dims = \({v.dims[0]}, 3\) has N = 3; the half-ball is 2D"):
+                if call == "qslb":
+                    qslb_infimum(v, [1.0, 0.0, 0.0], mesh_level=1, iter_budget=20)
+                else:
+                    jqcb_falsify(v, [1.0, 0.0, 0.0], budget=2)
+        half_ball.assert_not_called()
+
     def test_zero_1d_normal_rejected(self):
         with pytest.raises(ValueError, match="finite and nonzero"):
             qslb_infimum(hom_abs((1, 1)), 0.0)

@@ -172,6 +172,13 @@ class TestErrorsAndDeterminism:
         assert "normal must be finite and nonzero" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["qslb-check", "jqcb-check"])
+    def test_three_component_normal_exits_1(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, command, "--integrand", "abs", "--normal", "1,0,0")
+        assert code == 1
+        assert "v.dims = (1, 3) has N = 3; the half-ball is 2D" in _one_line_error(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("levels", ["0", "1", "-3"])
     def test_invalid_levels_exits_1(self, tmp_path, capsys, levels):
         code, out = run(tmp_path, "toy", "--eps", "0.5", "--levels", levels)

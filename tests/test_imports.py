@@ -21,6 +21,13 @@ RELAX_ONLY = (
     "relax_minimize(toy_spec(0.5), levels=(3,)); print('bvgym.boundary' in sys.modules)"
 )
 
+# the half-ball verifiers never call a plain 1-D np.unique, whose first call imports numpy.ma
+QSLB_CHECK = (
+    "import sys; from bvgym.cli import main; "
+    "main(['--out', {out!r}, 'qslb-check', '--integrand', 'abs', '--normal', '1,0']); "
+    "print('numpy.ma' in sys.modules)"
+)
+
 
 def _run(code: str) -> str:
     src = str(Path(bvgym.__file__).resolve().parents[1])  # the same bvgym as this test run
@@ -39,6 +46,10 @@ def test_disk_solve_loads_no_scipy_optimize():
 
 def test_relax_does_not_load_the_boundary_verifiers():
     assert _run(RELAX_ONLY) == "False"
+
+
+def test_qslb_check_does_not_load_numpy_ma(tmp_path):
+    assert _run(QSLB_CHECK.format(out=str(tmp_path / "out"))).splitlines()[-1] == "False"
 
 
 def test_package_imports_sit_at_module_top():

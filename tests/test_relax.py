@@ -733,8 +733,8 @@ class TestHigherDim:
     def test_pinned_table_and_stages(self, refine_calls):
         res = higher_dim_J(0.35, _SIN, level=1, refinements=2)
         _assert_pinned(res, [(25, 1.692333435614507, 1.6923333305486297, 2, 0.002),
-                             (81, 1.6910439010478422, 1.6910433107969323, 17, 3.2e-06),
-                             (289, 1.6877173546420923, 1.687715818700406, 12, 3.2e-06)])
+                             (81, 1.6910439010840004, 1.691043310796932, 16, 3.2e-06),
+                             (289, 1.6877173398022485, 1.6877165210240705, 12, 3.2e-06)])
         _assert_brackets_hold(res, _LBFGSB_SIN)
         _assert_brackets_meet(res, _IRLS_SIN)
         assert res["gamma1_length"] == 1.5597406542173138  # as before the arc selection was vectorized
@@ -789,11 +789,21 @@ class TestHigherDim:
 
     def test_pinned_cos2_table_and_stages(self):
         res = higher_dim_J(0.25, _COS2, level=2, refinements=1)
-        _assert_pinned(res, [(81, 1.7902826060073251, 1.7902815348827814, 18, 3.2e-06),
-                             (289, 1.773120359427005, 1.7731188984470878, 17, 3.2e-06)])
+        _assert_pinned(res, [(81, 1.7902826060062655, 1.790281534884195, 17, 3.2e-06),
+                             (289, 1.7731203562346858, 1.7731190048697607, 12, 3.2e-06)])
         _assert_brackets_hold(res, _LBFGSB_COS2)
         _assert_brackets_meet(res, _IRLS_COS2)
         assert res["gamma1_length"] == 1.5679786039752392
+
+    def test_benchmark_configs_certified_within_solve_budget(self):
+        # the two disk-2d configurations without jitter: a prolonged q_T next to the unit sphere
+        # must hold back only its own triangle's dual step, not every triangle's
+        nits = []
+        for eps, ubar, level in ((0.35, _SIN, 2), (0.25, _COS2, 3)):
+            res = higher_dim_J(eps, ubar, level=level, refinements=2)
+            assert [stage["stop"] for stage in res["stages"]] == ["gap"] * 3
+            nits += [stage["nit"] for stage in res["stages"]]
+        assert sum(nits) <= 90, nits
 
     def test_meets_cutting_plane_lp_bracket(self):
         # an independent cutting-plane LP on the same mesh put its minimum in [1.697682, 1.697683]
