@@ -202,29 +202,12 @@ class TriMesh:
         vals = np.asarray(g(pts.reshape(-1, 2))).reshape(self.ncells, _TRI_W.size)
         return (vals * _TRI_W[None, :]).sum(axis=1) * self.cell_volumes
 
-    def gradient_operator(self):
-        """Sparse (2·nt, nv) CSR map from nodal values to per-triangle gradients.
-
-        Row 2t+d holds basis_gradients[t, i, d] for corners i = 0, 1, 2 in that
-        order, so a product sums each triangle's corners in that order.  Built
-        once per mesh and cached.
-        """
-        if "gradop" not in self._cache:
-            from scipy.sparse import csr_matrix
-
-            nt = self.ncells
-            data = self.basis_gradients.transpose(0, 2, 1).ravel()  # (t, d, i)
-            cols = np.repeat(self.triangles, 2, axis=0).ravel()
-            indptr = np.arange(0, 6 * nt + 1, 3)
-            self._cache["gradop"] = csr_matrix((data, cols, indptr), shape=(2 * nt, self.vertices.shape[0]))
-        return self._cache["gradop"]
-
     def gradients_of(self, values: np.ndarray) -> np.ndarray:
         """Per-triangle gradient of a P1 field; values (nv,) or (nv, M) -> (nt, M, 2)."""
         v = np.asarray(values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
-        g = (self.gradient_operator() @ v).reshape(self.ncells, 2, -1).transpose(0, 2, 1)
+        g = np.einsum("tiM,tid->tMd", v[self.triangles], self.basis_gradients)
         return np.ascontiguousarray(g)  # C order: numpy reductions group sums by layout
 
     def boundary_edges(self) -> np.ndarray:
@@ -270,7 +253,8 @@ class TriMesh:
         a, b, c = self.triangles.T
         tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
         mesh = TriMesh(verts, tris, np.array([], dtype=int), self.kind_label)
-        bnodes = np.unique(mesh.boundary_edges())
+        # the sorted boundary nodes, without the plain 1-D np.unique whose first call imports numpy.ma
+        bnodes = np.flatnonzero(np.bincount(mesh.boundary_edges().ravel(), minlength=verts.shape[0]))
         return TriMesh(verts, tris, bnodes, self.kind_label, mesh._cache), parents
 
     def to_record(self) -> dict:

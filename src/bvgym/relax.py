@@ -669,8 +669,88 @@ def _gamma_length(mesh: TriMesh, arc) -> float:
 _GAP_TOL = 1e-6
 _DISK_MAXIT = 200
 _DELTA0, _DELTA_MIN = 1e-2, 1e-10  # the smoothing starts at _DELTA0; each cut divides it by 5
-# the system is symmetric positive definite: order A + A', factor without pivoting
-_SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+
+
+def _bfs_levels(rows, cols, n, start) -> list[np.ndarray]:
+    """Breadth-first level sets, each sorted, of start's component in the graph with edges rows[k] -> cols[k]."""
+    seen = np.zeros(n, dtype=bool)
+    seen[start] = True
+    front, levels = np.array([start]), []
+    while front.size:
+        levels.append(front)
+        inside = np.zeros(n, dtype=bool)
+        inside[front] = True
+        reached = np.zeros(n, dtype=bool)
+        reached[cols[inside[rows]]] = True
+        reached &= ~seen
+        seen |= reached
+        front = np.flatnonzero(reached)
+    return levels
+
+
+class _LevelBlocks:
+    """Solver for SPD systems on one symmetric pattern (rows[k], cols[k]) over n nodes.
+
+    The nodes are ordered by breadth-first level sets (Cuthill & McKee 1969),
+    each component swept from a pseudo-peripheral node: the last level of a
+    sweep from its first node.  An entry joins equal or adjacent levels, so in
+    that order the matrix is block tridiagonal, with diagonal blocks D_k and
+    upper blocks C_k (level k to k + 1; zero between components).  Each entry
+    on or above the block diagonal has one place in a flat buffer of those
+    blocks.  solve runs one forward block-LDL' (block Thomas) sweep, W_k =
+    S_k^-1 [C_k | r_k], S_{k+1} = D_{k+1} - C_k' W_k[:, :-1], r_{k+1} -=
+    C_k' W_k[:, -1], and one back substitution.  Its cost grows like n b^2
+    with b the largest level, about sqrt(n) on a 2D mesh.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int):
+        self.levels, placed = [], np.zeros(n, dtype=bool)
+        while not placed.all():
+            root = int(np.argmin(placed))  # the first node of a component not yet swept
+            component = _bfs_levels(rows, cols, n, _bfs_levels(rows, cols, n, root)[-1][0])
+            placed[np.concatenate(component)] = True
+            self.levels += component
+        self.order = np.concatenate(self.levels)
+        sizes = [nodes.size for nodes in self.levels]
+        self.level, local = np.empty(n, dtype=int), np.empty(n, dtype=int)
+        for k, nodes in enumerate(self.levels):
+            self.level[nodes], local[nodes] = k, np.arange(nodes.size)
+        # the buffer holds D_0, C_0, D_1, C_1, ..., D_last; entries below the block diagonal are dropped
+        nxt = sizes[1:] + [0]
+        start = np.cumsum([0] + [x for s, t in zip(sizes, nxt) for x in (s * s, s * t)])
+        first = np.cumsum([0] + sizes)
+        # per level: the slices of D_k and C_k, their sizes, and the level's first place in the order
+        self.blocks = [(slice(*start[2 * k : 2 * k + 2]), slice(*start[2 * k + 1 : 2 * k + 3]), s, t, first[k])
+                       for k, (s, t) in enumerate(zip(sizes, nxt))]
+        self.size = int(start[-1])
+        lr, lc = self.level[rows], self.level[cols]
+        self.upper = lc >= lr
+        lr, lc = lr[self.upper], lc[self.upper]
+        # an entry of D_k (lc = lr) or C_k (lc = lr + 1), whose rows are sizes[lc] long
+        self.dest = start[lr + lc] + local[rows[self.upper]] * np.asarray(sizes)[lc] + local[cols[self.upper]]
+
+    def solve(self, values: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x with A x = b, where A holds values[k] at (rows[k], cols[k])."""
+        buf = np.zeros(self.size)
+        buf[self.dest] = values[self.upper]
+        y, steps, CW = b[self.order], [], None
+        for d, c, s, t, lo in self.blocks:
+            S, r = buf[d].reshape(s, s), y[lo : lo + s]
+            if CW is not None:
+                S, r = S - CW[:, :-1], r - CW[:, -1]
+            if t == 0:  # the last level
+                break
+            C = buf[c].reshape(s, t)
+            W = np.linalg.solve(S, np.column_stack([C, r]))
+            CW = C.T @ W
+            steps.append(W)
+        x = [np.linalg.solve(S, r)]
+        for W in reversed(steps):
+            x.append(W[:, -1] - W[:, :-1] @ x[-1])
+        out = np.empty(y.size)
+        out[self.order] = np.concatenate(x[::-1])
+        return out
+
 
 _SEG_BLOCK = 8  # segments per block of _dist2_to_segments
 
@@ -711,7 +791,8 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
     weights.  J_delta smooths |g_T| to rho_T = sqrt(|g_T|^2 + delta^2).  The
     dual p_T = w_T q_T, |q_T| <= 1, enters each step's one SPD system
     A du = -grad J_delta(u), A = G' M G + B' diag(wL f''(d)) B with the 2x2
-    blocks M_T = w_T (I - sym(q_T g_T')/rho_T) / rho_T.  u takes an Armijo step
+    blocks M_T = w_T (I - sym(q_T g_T')/rho_T) / rho_T, solved by
+    _LevelBlocks on a pattern built once per mesh.  u takes an Armijo step
     on J_delta, and each q_T moves toward z_T, z = (w g/rho + M G du)/w, by its
     own step beta_T: 0.99 times the largest step that keeps |q_T| <= 1, at
     most a full step.  So |q_T| < 1 stays strict, each M_T stays SPD, and a
@@ -733,9 +814,6 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
     J - lower <= _GAP_TOL * J, else "maxiter" after _DISK_MAXIT solves.  q is
     the final dual direction, for a warm start on a refined mesh.
     """
-    from scipy.sparse import csc_matrix, csr_matrix
-    from scipy.sparse.linalg import splu
-
     nv, nt = mesh.vertices.shape[0], mesh.ncells
     edges = mesh.boundary_edges()
     g1_edges = _arc_edges(mesh, gamma1)
@@ -743,7 +821,9 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
         raise ValueError(f"gamma1_angles {tuple(gamma1)} hold no boundary edge of the mesh with nv = {nv}")
     bn = mesh.boundary_nodes
     dir_nodes = bn[_angle_in(np.arctan2(mesh.vertices[bn, 1], mesh.vertices[bn, 0]), gamma0)]
-    free_idx = np.setdiff1d(np.arange(nv), dir_nodes)
+    free = np.ones(nv, dtype=bool)
+    free[dir_nodes] = False
+    free_idx = np.flatnonzero(free)
     nf = free_idx.size
 
     seg_pts = mesh.vertices[edges[g1_edges]]  # (ne, 2, 2)
@@ -763,20 +843,27 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
                          f"got shape {ubar_q.shape} with {np.count_nonzero(~np.isfinite(ubar_q))} non-finite")
     wL = np.repeat(_GL_W, ne) * mesh.boundary_edge_lengths()[g1_edges][e]
 
-    G = mesh.gradient_operator()[:, free_idx]
-    B = csr_matrix((phi.ravel(), ends.ravel(), np.arange(0, 2 * nq + 1, 2)), shape=(nq, nv))[:, free_idx]
-
-    # the system's pattern, once: one slot per (T, i, j) and (q, i, j) entry on free nodes
+    # free node numbers per triangle corner and Gauss-point end; a Dirichlet node is nf, which reads 0
     bg = mesh.basis_gradients
-    pos = np.full(nv, -1)
+    pos = np.full(nv, nf)
     pos[free_idx] = np.arange(nf)
     tri, bnd = pos[mesh.triangles], pos[ends]
+    corners = np.concatenate([tri.ravel(), bnd.ravel()])
+
+    def apply(u):  # (G u per triangle, B u per Gauss point)
+        v = np.append(u, 0.0)
+        return np.einsum("ti,tid->td", v[tri], bg), np.einsum("qi,qi->q", v[bnd], phi)
+
+    def adjoint(y, s):  # G'y + B's on the free nodes
+        w = np.concatenate([np.einsum("tid,td->ti", bg, y).ravel(), (phi * s[:, None]).ravel()])
+        return np.bincount(corners, weights=w, minlength=nf + 1)[:nf]
+
+    # the system's pattern, once: one slot per (T, i, j) and (q, i, j) entry on free nodes
     rows = np.concatenate([np.repeat(tri, 3, axis=1).ravel(), np.repeat(bnd, 2, axis=1).ravel()])
     cols = np.concatenate([np.tile(tri, 3).ravel(), np.tile(bnd, 2).ravel()])
-    keep = (rows >= 0) & (cols >= 0)
-    slots, slot = np.unique(cols[keep] * nf + rows[keep], return_inverse=True)
-    indices = slots % nf
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(slots // nf, minlength=nf))])
+    keep = (rows < nf) & (cols < nf)
+    slots, slot = np.unique(rows[keep] * nf + cols[keep], return_inverse=True)
+    blocks = _LevelBlocks(slots // nf, slots % nf, nf)
     # entry (T, i, j) of G'MG is M_00 K[0] + M_01 K[1] + M_11 K[2]; entry (q, i, j) of B'DB is D_q phi_i phi_j
     bx, by = bg[:, :, 0], bg[:, :, 1]
     K = np.stack([bx[:, :, None] * bx[:, None, :], bx[:, :, None] * by[:, None, :] + by[:, :, None] * bx[:, None, :],
@@ -784,8 +871,8 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
     phi2 = (phi[:, :, None] * phi[:, None, :]).reshape(nq, 4)
 
     def state(u):  # gradient per triangle, residual per Gauss point, J
-        g = (G @ u).reshape(nt, 2)
-        d = B @ u - ubar_q
+        g, d = apply(u)
+        d -= ubar_q
         return g, d, float(weight @ np.hypot(g[:, 0], g[:, 1]) + wL @ np.hypot(1.0, d))
 
     def smoothed(g, d, delta):  # J_delta, in hypot form: no square overflows
@@ -806,14 +893,13 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
         gh = g / rho[:, None]  # |gh_T| < 1
         fd = np.hypot(1.0, d)
         f1, f2 = d / fd, (1.0 / fd) ** 3  # f'(d), f''(d)
-        grad = G.T @ (weight[:, None] * gh).ravel() + B.T @ (wL * f1)
+        grad = adjoint(weight[:, None] * gh, wL * f1)
         # M_T = (w_T / rho_T) (I - sym(q_T gh_T'))
         m = weight / rho * np.stack([1 - q[:, 0] * gh[:, 0], -0.5 * (q[:, 0] * gh[:, 1] + q[:, 1] * gh[:, 0]),
                                      1 - q[:, 1] * gh[:, 1]])
         entries = np.concatenate([np.einsum("ct,ctk->tk", m, K).ravel(), ((wL * f2)[:, None] * phi2).ravel()])
-        A = csc_matrix((np.bincount(slot, weights=entries[keep], minlength=slots.size), indices, indptr), shape=(nf, nf))
-        du = splu(A, **_SPD_LU).solve(-grad)
-        dg, dd = (G @ du).reshape(nt, 2), B @ du
+        du = blocks.solve(np.bincount(slot, weights=entries[keep], minlength=slots.size), -grad)
+        dg, dd = apply(du)
         # the linearized dual (w z, wL sigma): z = (w gh + M dg) / w; divided by theta it lies in the box
         z = gh + (dg - 0.5 * (q * dot(gh, dg)[:, None] + gh * dot(q, dg)[:, None])) / rho[:, None]
         sigma = f1 + f2 * dd

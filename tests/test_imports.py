@@ -6,14 +6,14 @@ from pathlib import Path
 
 import bvgym
 
-# scipy loads lazily, inside the solvers that need it, so importing the package stays cheap
+# scipy is a test-only dependency: importing the package never loads it
 IMPORT_LINE = "import bvgym.cli, bvgym.relax, bvgym.meshes, bvgym.boundary, bvgym.gym, bvgym.soucek"
 CHECK = IMPORT_LINE + "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-# the disk solver factors sparse systems and never calls scipy.optimize
+# the disk solver runs on numpy alone, without a plain 1-D np.unique, whose first call imports numpy.ma
 DISK_SOLVE = (
     "import sys, numpy as np; from bvgym.relax import higher_dim_J; "
     "higher_dim_J(0.35, lambda p: np.sin(np.arctan2(p[:, 1], p[:, 0])), level=1, refinements=1); "
-    "print('scipy.optimize' in sys.modules)"
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))"
 )
 # the relaxation checks its hypotheses from the weight alone, without the half-ball verifiers
 RELAX_ONLY = (
@@ -40,8 +40,8 @@ def test_no_scipy_at_import():
     assert _run(CHECK) == "[]"
 
 
-def test_disk_solve_loads_no_scipy_optimize():
-    assert _run(DISK_SOLVE) == "False"
+def test_disk_solve_loads_no_scipy_and_no_numpy_ma():
+    assert _run(DISK_SOLVE) == "[]"
 
 
 def test_relax_does_not_load_the_boundary_verifiers():
@@ -53,7 +53,7 @@ def test_qslb_check_does_not_load_numpy_ma(tmp_path):
 
 
 def test_package_imports_sit_at_module_top():
-    """Only third-party imports (scipy, kept lazy) may sit inside a function."""
+    """No import of the package's own modules sits inside a function."""
     late = []
     for path in sorted(Path(bvgym.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):

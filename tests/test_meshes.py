@@ -113,20 +113,3 @@ def test_gradients_of_equals_einsum_bit_for_bit(level, angle):
             assert_identical(got, reference_gradients_of(mesh, v))
             assert got.flags.c_contiguous
         mesh = mesh.refine()
-
-
-def test_gradient_operator_layout_and_cache():
-    mesh = disk_mesh(2, rotation_2d(0.3))
-    G = mesh.gradient_operator()
-    nt, nv = mesh.triangles.shape[0], mesh.vertices.shape[0]
-    assert G.shape == (2 * nt, nv) and G.nnz == 6 * nt
-    dense = G.toarray()
-    t = np.arange(nt)
-    for i in range(3):
-        for d in range(2):
-            assert_identical(dense[2 * t + d, mesh.triangles[:, i]], mesh.basis_gradients[:, i, d])
-    # built once per mesh: later calls, and gradients_of, reuse the cached matrix
-    assert mesh.gradient_operator() is G
-    mesh.gradients_of(np.zeros(nv))
-    assert mesh.gradient_operator() is G
-    assert disk_mesh(2, rotation_2d(0.3)).gradient_operator() is not G

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvgym import relax
 from bvgym.measures import BVField
 from bvgym.meshes import _GL_W, _GL_X, disk_mesh, interval_mesh
 from bvgym.relax import (
@@ -30,6 +31,7 @@ from bvgym.relax import (
 )
 from bvgym.relax import (
     _GAP_TOL,
+    _LevelBlocks,
     _discrete_energy,
     _SEG_BLOCK,
     _angle_in,
@@ -893,6 +895,62 @@ class TestDiskCertificate:
             ref = np.minimum(ref, np.linalg.norm(p - a - t[:, None] * (b - a), axis=1))
         assert seg.shape[0] % _SEG_BLOCK != 0 and seg.shape[0] > _SEG_BLOCK  # a full block and a short one
         np.testing.assert_allclose(_dist2_to_segments(p, seg), ref**2, rtol=1e-12, atol=1e-30)
+
+
+def _spd_fill(rows, cols, n, rng):
+    """Random values on a symmetric pattern, strictly diagonally dominant with a positive diagonal: SPD."""
+    A = np.zeros((n, n))
+    A[rows, cols] = rng.uniform(-1.0, 1.0, rows.size)
+    A = A + A.T
+    A[np.arange(n), np.arange(n)] = np.abs(A).sum(axis=1) + rng.uniform(0.01, 1.0, n)
+    return A
+
+
+def _assert_solves(blocks, rows, cols, A, rng):
+    b = rng.standard_normal(A.shape[0])
+    ref = np.linalg.solve(A, b)
+    got = blocks.solve(A[rows, cols], b)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestLevelBlocks:
+    """The disk solver's block-tridiagonal SPD solve on BFS level sets."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2), st.sampled_from([(3 * np.pi / 4, 5 * np.pi / 4), (np.pi / 2, np.pi)]),
+           st.integers(0, 2**32 - 1))
+    def test_disk_patterns_match_dense_solve(self, level, refinements, gamma0, seed):
+        mesh = disk_mesh(level)
+        for _ in range(refinements):
+            mesh = mesh.refine()
+        built = []
+
+        class Recorded(_LevelBlocks):
+            def __init__(self, rows, cols, n):
+                super().__init__(rows, cols, n)
+                built.append((rows, cols, n, self))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relax, "_LevelBlocks", Recorded)
+            # zero data: u = 0 is certified at the first solve, so this only builds the pattern
+            _minimize_disk(mesh, 0.5, lambda p: np.zeros(p.shape[0]), (-np.pi / 4, np.pi / 4), gamma0)
+        (rows, cols, n, blocks), = built
+        assert np.array_equal(np.sort(blocks.order), np.arange(n))
+        assert np.all(np.abs(blocks.level[rows] - blocks.level[cols]) <= 1)
+        rng = np.random.default_rng(seed)
+        _assert_solves(blocks, rows, cols, _spd_fill(rows, cols, n, rng), rng)
+
+    def test_components_and_isolated_node(self):
+        # a path 0 - 3 - 5, a triangle 1, 2, 6 and the isolated node 4, each node with its diagonal entry
+        edges = np.array([(0, 3), (3, 5), (1, 2), (2, 6), (1, 6)])
+        rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(7)])
+        cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(7)])
+        blocks = _LevelBlocks(rows, cols, 7)
+        # the path is swept from its end 5, the triangle from 2, the isolated node alone
+        assert [nodes.tolist() for nodes in blocks.levels] == [[5], [3], [0], [2], [1, 6], [4]]
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            _assert_solves(blocks, rows, cols, _spd_fill(rows, cols, 7, rng), rng)
 
 
 class TestArcsOverlap:
