@@ -26,7 +26,7 @@ from .integrands import (
     hom_linear,
     make_integrand,
     mat_norm,
-    pair_action,
+    measure_action,
     unit_matrices,
 )
 from .measures import (RANK_ONE_TOL, Atom, BVField, DiscreteMeasure, _key, _on_boundary, _point_from, _same_mesh,
@@ -385,9 +385,19 @@ def generate(
         nu_inf_atoms,
     )
 
+    # gaps equal abs(pair_action(Y_k, g, v) - pairing(gym, g, v)) with each distinct g integrated once per Y_k
+    limits = [pairing(gym, g, v) for _, g, v in dictionary]
+    by_g: dict[Callable, list[int]] = {}
+    for j, (_, g, _) in enumerate(dictionary):
+        by_g.setdefault(g, []).append(j)
     tail_gaps = []
     for k in range(max(0, len(Y_seq) - tail), len(Y_seq)):
-        pair_gaps = {label: abs(pair_action(Y_seq[k], g, v) - pairing(gym, g, v)) for label, g, v in dictionary}
+        gaps = [0.0] * len(dictionary)
+        for g, js in by_g.items():
+            cell = Y_seq[k].mesh.cell_integrals(g)
+            for j in js:
+                gaps[j] = abs(float(measure_action(dictionary[j][2], Y_seq[k])._integrate_cells(cell, g)) - limits[j])
+        pair_gaps = {label: gap for (label, _, _), gap in zip(dictionary, gaps)}
         tail_gaps.append(float(np.max([0.0, *pair_gaps.values()])))  # np.max keeps a NaN gap: not converged
     converged = tail_gaps[-1] <= tol and all(g <= 10 * tol for g in tail_gaps)
     report = {

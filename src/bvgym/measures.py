@@ -54,7 +54,10 @@ class DiscreteMeasure:
 
     def integrate(self, g: Callable) -> np.ndarray | float:
         """Integral of a continuous scalar function against the measure."""
-        cell = self.mesh.cell_integrals(g)
+        return self._integrate_cells(self.mesh.cell_integrals(g), g)
+
+    def _integrate_cells(self, cell: np.ndarray, g: Callable) -> np.ndarray | float:
+        """`integrate(g)` given `cell = self.mesh.cell_integrals(g)`, for callers that reuse it."""
         total = np.asarray(np.tensordot(cell, self.density, axes=(0, 0)), dtype=float)
         for a in self.atoms:
             total = total + float(g(np.asarray(a.point, dtype=float))) * a.value

@@ -84,11 +84,10 @@ class IntervalMesh:
 
     def cell_integrals(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Per-cell integrals of a scalar function, Gauss quadrature per cell."""
-        left = self.nodes[:-1][:, None]
-        h = self.cell_volumes[:, None]
-        pts = left + h * _GL_X[None, :]
+        h = self.cell_volumes
+        pts = self.nodes[:-1][:, None] + h[:, None] * _GL_X[None, :]
         vals = np.asarray(g(pts), dtype=float)
-        return (vals * _GL_W[None, :]).sum(axis=1) * self.cell_volumes
+        return (vals * _GL_W[None, :]).sum(axis=1) * h
 
     def refine(self) -> "IntervalMesh":
         mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])

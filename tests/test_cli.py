@@ -52,9 +52,41 @@ class TestSubcommands:
 
     def test_non_finite_floats_written_as_null(self, tmp_path):
         path = tmp_path / "rec.json"
-        _write_json(path, {"gap": float("nan"), "per_level": [float("-inf"), 1.5], "n": 2})
-        rec = json.loads(path.read_text(), parse_constant=_reject_constant)
-        assert rec == {"gap": None, "per_level": [None, 1.5], "n": 2}
+        cases = [
+            ({"gap": float("nan"), "per_level": [float("-inf"), 1.5], "n": 2},
+             {"gap": None, "per_level": [None, 1.5], "n": 2}),
+            ({"rows": ((1.0, float("inf")), {"x": (np.float64("nan"),)}), "y": np.float64(2.5)},
+             {"rows": [[1.0, None], {"x": [None]}], "y": 2.5}),
+            ({"v": np.float64("-inf"), "w": {"z": {"u": float("nan")}}}, {"v": None, "w": {"z": {"u": None}}}),
+        ]
+        for record, expected in cases:
+            _write_json(path, record)
+            rec = json.loads(path.read_text(), parse_constant=_reject_constant)
+            assert rec == expected
+
+    def test_finite_record_is_one_sorted_line(self, tmp_path):
+        path = tmp_path / "rec.json"
+        record = {"z": [1.0, (2, 0.1 + 0.2)], "a": {"y": np.float64(1 / 3), "b": None, "x": True}, "m": "s"}
+        _write_json(path, record)
+        assert path.read_text() == json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
+        assert path.read_text().count("\n") == 1
+
+    def test_gym_record_round_trips_bit_for_bit(self, tmp_path):
+        from bvgym.gym import GenYoungMeasure, default_dictionary, generate_from_fields, pairing
+        from bvgym.relax import toy_field
+
+        gm, _ = generate_from_fields([toy_field(n, 0.3) for n in (100, 300, 1000)])
+        path = tmp_path / "lambda.json"
+        _write_json(path, gm.to_record())
+        back = GenYoungMeasure.from_record(json.loads(path.read_text()))
+        for name in ("matrix_grid", "nu", "lam_density", "sphere_grid", "nu_inf_cells", "nu_inf_atoms"):
+            a, b = getattr(gm, name), getattr(back, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert gm.mesh.nodes.tobytes() == back.mesh.nodes.tobytes()
+        assert back.underlying.values.tobytes() == gm.underlying.values.tobytes()
+        assert back.lam_atoms == gm.lam_atoms
+        for _, g, v in default_dictionary():
+            assert pairing(back, g, v) == pairing(gm, g, v)
 
     def test_qslb_check_writes_witness(self, tmp_path):
         code, out = run(tmp_path, "qslb-check", "--integrand", "linear_form:-1,0",
@@ -95,6 +127,23 @@ class TestSubcommands:
         assert code3 == 0
         rec3 = json.loads((out3 / "characterize_result.json").read_text())
         assert rec3["all_pass"]
+
+    def test_dm_convert_roundtrip_reports_nan_gap_as_null(self, tmp_path, monkeypatch):
+        import bvgym.gym as gym
+
+        code, out = run(tmp_path, "generate", "--sequence", "toy:0.5", "--n", "100,300,1000")
+        assert code == 0
+        calls, pairing = [], gym.pairing
+
+        def one_nan(*args):  # the fourth pairing, of the converted-back measure, is NaN
+            calls.append(args)
+            return float("nan") if len(calls) == 4 else pairing(*args)
+
+        monkeypatch.setattr(gym, "pairing", one_nan)
+        code, out2 = run(tmp_path, "dm-convert", "--in", str(out / "lambda.json"), "--roundtrip")
+        assert code == 0 and len(calls) > 4
+        rec = json.loads((out2 / "dm_convert_report.json").read_text(), parse_constant=_reject_constant)
+        assert rec["max_pairing_gap"] is None
 
     def test_trace_toy(self, tmp_path):
         code, out = run(tmp_path, "trace", "--toy", "0.5")

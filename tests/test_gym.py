@@ -30,7 +30,7 @@ from bvgym.gym import (
     to_diperna_majda,
 )
 from bvgym.gym import _grid_index, _zero_index
-from bvgym.integrands import hom_linear, make_integrand, mat_norm
+from bvgym.integrands import hom_linear, make_integrand, mat_norm, pair_action
 from bvgym.measures import Atom, BVField, DiscreteMeasure, weakstar_gap
 from bvgym.meshes import IntervalMesh, disk_mesh, interval_mesh
 from bvgym.relax import toy_field, toy_limit_gym
@@ -256,6 +256,38 @@ class TestGenerateBinning:
             args = (Y, wnodes, gym.default_matrix_grid(), gym.default_sphere_grid(), radius)
             for got, want in zip(gym._bin_windows(*args), _bin_windows_loop(*args)):
                 assert _same_bits(got, want)
+
+
+class TestGenerateTailGaps:
+    """The tail check integrates each g once per member and takes each limit pairing
+    once; its gaps must equal the per-pair loop below bit for bit."""
+
+    @staticmethod
+    def _per_pair_loop(Y_seq, gm, dictionary, tail=3):
+        per_member = [{label: abs(pair_action(Y, g, v) - pairing(gm, g, v)) for label, g, v in dictionary}
+                      for Y in Y_seq[-tail:]]
+        return per_member[-1], [float(np.max([0.0, *d.values()])) for d in per_member]
+
+    @pytest.mark.parametrize("case", ["toy", "oscillation", "M2-atoms"])
+    def test_matches_per_pair_loop(self, case):
+        if case == "toy":
+            Y_seq, kw = [toy_field(n, EPS).derivative() for n in (100, 300, 1000)], {}
+            dictionary = default_dictionary()
+        elif case == "oscillation":
+            Y_seq, kw = [oscillation_field(k).derivative() for k in (8, 16, 32, 64)], dict(window_h=1 / 16)
+            dictionary = default_dictionary()
+        else:  # each g split over two runs of the dictionary, so the gaps must keep its order
+            rng = np.random.default_rng(5)
+            Y_seq = [TestGenerateBinning._member(rng, -0.306, 0.614, 8, (2, 1), False, 2.0, 3) for _ in range(3)]
+            kw = dict(window_h=0.92 / 8, overflow_radius=2.0)
+            d = default_dictionary((2, 1))
+            dictionary = d[::2] + d[1::2]
+        gm, report = generate(Y_seq, dictionary=dictionary, tol=np.inf, **kw)
+        pair_gaps, tail_gaps = self._per_pair_loop(Y_seq, gm, dictionary)
+        assert list(report["pair_gaps"]) == list(pair_gaps) == [label for label, _, _ in dictionary]
+        assert _same_bits(list(report["pair_gaps"].values()), list(pair_gaps.values()))
+        assert _same_bits(report["tail_gaps"], tail_gaps)
+        assert report["max_gap"] == tail_gaps[-1] > 0.0
 
 
 class TestSplit:
