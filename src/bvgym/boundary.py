@@ -5,12 +5,15 @@ growth from below (qslb) holds iff the integral of v(grad phi) over the
 half-ball D_rho = B intersect {x . rho < 0} is nonnegative for every test
 field vanishing on the sphere.  1-homogeneity makes the sign of the infimum
 over the unit total-variation ball scale-invariant, so the verdict reduces
-to the sign of a normalized finite-element minimization.  In 1D the infimum
-is a closed-form minimum over directions.
+to the sign of a normalized minimization.  For N = 1, and for scalar fields
+(M = 1) on the 2D half-ball, the infimum is a one-variable concave dual over
+sphere measures with zero tangential moment, bracketed by `_sphere_lower`
+without a mesh; for M >= 2 it is a finite-element descent.
 
-Verdicts are numerical, not certificates: only falsification ("not_qslb",
-or a Jensen counterexample for jqcb) is certain; "inconclusive" is a
-first-class outcome.
+Verdicts are numerical: the scalar bracket is exact only for integrands that
+are piecewise smooth between its samples, and for M >= 2 only falsification
+("not_qslb", or a Jensen counterexample for jqcb) is certain; "inconclusive"
+is a first-class outcome.
 """
 
 from __future__ import annotations
@@ -24,8 +27,12 @@ from .integrands import HomogeneousIntegrand, mat_norm, unit_matrices
 from .meshes import TriMesh, disk_mesh, rotation_to, triangle_geometry
 
 BASE_NORMAL = np.array([1.0, 0.0])
-QSLB_TOL = 1e-4  # "qslb" needs every level's estimate >= -QSLB_TOL; "not_qslb" one <= -10 QSLB_TOL
+# "qslb" needs lower (M = 1) or every level's estimate >= -QSLB_TOL; "not_qslb" upper or one <= -10 QSLB_TOL
+QSLB_TOL = 1e-4
 JQCB_TOL = 1e-8  # a Jensen gap above this disproves the boundary inequality
+SPHERE_SAMPLES = 4096  # equally spaced directions of the M = 1 moment-duality bracket
+BISECTION_STEPS = 64  # halvings of the bracket |b| <= max v - min v on the dual variable
+GOLDEN_STEPS = 48  # golden-section steps polishing each active direction between its neighbours
 
 
 class NotHomogeneousError(ValueError):
@@ -267,17 +274,135 @@ def _descend(hb: HalfBallProblem, v: HomogeneousIntegrand, seeds: Sequence[np.nd
     return results, stop.tolist()
 
 
-def _qslb_inf_1d(v: HomogeneousIntegrand) -> tuple[float, np.ndarray]:
-    """Closed-form endpoint calculus: the infimum over the unit TV ball equals
-    the minimum of v over the unit sphere of column matrices."""
-    M = v.dims[0]
-    if M == 1:
-        cands = np.array([[[1.0]], [[-1.0]]])
-    else:
-        cands = unit_matrices((M, 1), 512)
-    vals = np.asarray(v.on_sphere(cands))
-    i = int(np.argmin(vals))
-    return float(vals[i]), cands[i]
+def _circle() -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the SPHERE_SAMPLES angles 2 pi k / SPHERE_SAMPLES, built from one
+    quadrant, so sin is exactly 0 at 0 and pi and exactly +-1 at pi/2 and 3 pi/2."""
+    t = 2 * np.pi * np.arange(SPHERE_SAMPLES // 4) / SPHERE_SAMPLES
+    c, s = np.cos(t), np.sin(t)
+    return np.concatenate([c, -s, -c, s]), np.concatenate([s, c, -s, -c])
+
+
+def _golden_min(f, a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section search of f on every interval [a_i, d_i] at once, one call of f
+    per step; returns the best point of each search and its value."""
+    r = (np.sqrt(5.0) - 1.0) / 2.0
+    b, c = d - r * (d - a), a + r * (d - a)
+    fb, fc = f(b), f(c)
+    left = fb <= fc
+    x, fx = np.where(left, b, c), np.minimum(fb, fc)
+    for _ in range(GOLDEN_STEPS):
+        # the minimum lies in [a, c] when f(b) <= f(c), else in [b, d]
+        a, d = np.where(left, a, b), np.where(left, c, d)
+        new = np.where(left, d - r * (d - a), a + r * (d - a))
+        fnew = f(new)
+        b, c, fb, fc = (np.where(left, new, c), np.where(left, b, new),
+                        np.where(left, fnew, fc), np.where(left, fb, fnew))
+        better = fnew < fx
+        x, fx = np.where(better, new, x), np.where(better, fnew, fx)
+        left = fb <= fc
+    return x, fx
+
+
+def _dual_max(vals: np.ndarray, s: np.ndarray) -> float:
+    """b* maximizing the concave phi(b) = min_k (vals_k - b s_k), by bisection on the sign
+    of the active s_k in |b| <= max vals - min vals: phi(0) = min vals, and phi(b) <=
+    max vals - |b| since s = +-1 is sampled."""
+    hi = float(vals.max() - vals.min())
+    lo, b = -hi, 0.0
+    for _ in range(BISECTION_STEPS):
+        b = 0.5 * (lo + hi)
+        k = np.argmin(vals - b * s)
+        if s[k] == 0:  # 0 is a supergradient: b is optimal
+            break
+        lo, hi = (lo, b) if s[k] > 0 else (b, hi)
+    return b
+
+
+def _sphere_values(v: HomogeneousIntegrand, S: np.ndarray) -> np.ndarray:
+    vals = np.asarray(v.on_sphere(S), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NotHomogeneousError("integrand returns a non-finite value on the sphere sample")
+    return vals
+
+
+def _sphere_lower(v: HomogeneousIntegrand, rho: np.ndarray) -> dict:
+    """Moment-duality bracket on the half-ball infimum for N = 1, and for M = 1, N = 2.
+
+    Normalized to unit total variation, the half-ball fields of a scalar v generate
+    exactly the probability measures mu on the unit circle with zero tau-moment, so the
+    infimum is max_b phi(b), phi(b) = min_S [v(S) - b <S, tau>] (concave in b).  On
+    SPHERE_SAMPLES equally spaced directions S_k = cos t_k rho + sin t_k tau, with
+    s_k = sin t_k, `_dual_max` finds b*.  phi(b*) is the sampled minimum of
+    v_k - b* s_k, polished by golden section between the neighbouring samples of each
+    discrete local minimum within the largest neighbour step of it.  The polished
+    directions then join the sample, b* is found again on it, and phi is the minimum
+    over that augmented sample and a fresh polish of the grid; "lower" is the larger
+    of the two values, each the minimum of v - b <., tau> over every point it saw, so
+    "lower" <= "upper" up to rounding.  For N = 1 there is no tau:
+    b is empty, and the bound is the minimum over +-1 (M = 1) or 512 unit columns.
+
+    Returns {"lower", "upper", "certificate", "witness", "worst_direction"}: "upper" is
+    the integral of v against "witness", the better of the best sampled direction
+    with s = 0 and the two-atom measure on the best ones with s > 0 and s < 0 (at the
+    second b*), weighted to zero tau-moment.  Both are limits of half-ball fields, so
+    "upper" bounds the infimum from above; "lower" bounds it from below when v is
+    piecewise smooth between samples.  "certificate" is the b* of "lower" as a list
+    ([] for N = 1), "worst_direction" the direction where v - b* <., tau> is smallest.
+    """
+    M, N = v.dims
+    if N == 1:
+        S = np.array([[[1.0]], [[-1.0]]]) if M == 1 else unit_matrices((M, 1), 512)
+        vals = _sphere_values(v, S)
+        i = int(np.argmin(vals))
+        return {"lower": float(vals[i]), "upper": float(vals[i]), "certificate": [],
+                "witness": SphereMeasure(S[[i]], np.ones(1)), "worst_direction": S[i]}
+    rho = rho / np.linalg.norm(rho)
+    tau = np.array([-rho[1], rho[0]])
+    h = 2 * np.pi / SPHERE_SAMPLES
+
+    def along(t):
+        return (np.cos(t)[:, None] * rho + np.sin(t)[:, None] * tau)[:, None, :]
+
+    c, s_grid = _circle()
+    S_grid = (c[:, None] * rho + s_grid[:, None] * tau)[:, None, :]
+    v_grid = _sphere_values(v, S_grid)
+
+    def phi(b, S, vals, s):
+        """(phi(b), the direction attaining it, the polished angles): the minimum of
+        vals - b s over the sample S, whose first SPHERE_SAMPLES entries are the grid
+        in angle order, and over the polish of the grid's local minima."""
+        g = vals - b * s
+        grid = g[:SPHERE_SAMPLES]
+        up, down = np.roll(grid, -1), np.roll(grid, 1)
+        # a plateau, or wiggles at rounding level (1e-12 of the values), needs no polish
+        noise = 1e-12 * (np.abs(v_grid).max() + abs(b))
+        local = (grid <= up) & (grid <= down) & (np.maximum(up, down) - grid > noise)
+        t = h * np.flatnonzero(local & (grid <= g.min() + np.max(np.abs(up - grid))))
+        i = int(np.argmin(g))
+        if t.size:
+            t, gt = _golden_min(lambda t: _sphere_values(v, along(t)) - b * np.sin(t), t - h, t + h)
+            if gt.min() < g[i]:
+                return float(gt.min()), along(t[[np.argmin(gt)]])[0], t
+        return float(g[i]), S[i], t
+
+    b = _dual_max(v_grid, s_grid)
+    lower, worst, t = phi(b, S_grid, v_grid, s_grid)
+    S = np.concatenate([S_grid, along(t)])
+    s = np.concatenate([s_grid, np.sin(t)])
+    vals = np.concatenate([v_grid, _sphere_values(v, S[s_grid.size:])])
+    b2 = _dual_max(vals, s)
+    lower2, worst2, _ = phi(b2, S, vals, s)
+    if lower2 > lower:
+        lower, worst, b = lower2, worst2, b2
+    g = vals - b2 * s  # on a zero-moment measure, the integral of g is that of v
+    zero, pos, neg = np.flatnonzero(s == 0), np.flatnonzero(s > 0), np.flatnonzero(s < 0)
+    z, k, j = zero[np.argmin(g[zero])], pos[np.argmin(g[pos])], neg[np.argmin(g[neg])]
+    w = np.array([-s[j], s[k]]) / (s[k] - s[j])
+    atoms, weights = (np.array([k, j]), w) if w @ g[[k, j]] < g[z] else (np.array([z]), np.ones(1))
+    upper = float(weights @ vals[atoms])
+    return {"lower": min(lower, upper),  # absorbs rounding: lower <= upper by construction
+            "upper": upper, "certificate": [b], "witness": SphereMeasure(S[atoms], weights),
+            "worst_direction": worst}
 
 
 def qslb_infimum(
@@ -289,8 +414,16 @@ def qslb_infimum(
 ) -> dict:
     """Numerical verdict on quasi-sublinear growth from below at the normal rho.
 
-    Minimizes the half-ball integral of v over the unit total-variation ball
-    of piecewise-affine test fields, restarting from rank-one seeded tents.
+    For N = 1, and for scalar fields (M = 1) on the 2D half-ball, the verdict comes
+    from the moment-duality bracket `_sphere_lower` and no mesh is built: "qslb" iff
+    lower >= -QSLB_TOL, "not_qslb" iff upper <= -10 QSLB_TOL (the witness is then
+    the SphereMeasure attaining upper), else "inconclusive"; inf_est = lower, the
+    result also holds "lower", "upper", "certificate" and "worst_direction", and
+    "per_level" and "stages" are empty.  mesh_level, iter_budget and seed apply to
+    M >= 2 only.
+
+    For M >= 2 it minimizes the half-ball integral of v over the unit total-variation
+    ball of piecewise-affine test fields, restarting from rank-one seeded tents.
     Returns {"inf_est", "verdict", "witness", "per_level", "stages"}; "qslb"
     requires a finite inf_est >= -QSLB_TOL on every level, "not_qslb" needs a
     level reaching -10 QSLB_TOL, anything else (including a level where no
@@ -300,14 +433,16 @@ def qslb_infimum(
     """
     validate_homogeneous(v)
     rho = _checked_normal(rho, v.dims)
-    M, N = v.dims
-    if N == 1:
-        val, direction = _qslb_inf_1d(v)
-        verdict = "qslb" if val >= -QSLB_TOL else ("not_qslb" if val <= -10 * QSLB_TOL else "inconclusive")
-        return {"inf_est": val, "verdict": verdict, "witness": None,
-                "worst_direction": direction, "per_level": [val], "stages": []}
-
     _refuse_beyond_2d(v.dims)
+    M, N = v.dims
+    if M == 1 or N == 1:
+        res = _sphere_lower(v, rho)
+        verdict = ("qslb" if res["lower"] >= -QSLB_TOL
+                   else "not_qslb" if res["upper"] <= -10 * QSLB_TOL else "inconclusive")
+        if verdict == "qslb":
+            res["witness"] = None
+        return {"inf_est": res["lower"], "verdict": verdict, "per_level": [], "stages": [], **res}
+
     rng = np.random.default_rng(seed)
     per_level, stages = [], []
     witness = None
@@ -445,8 +580,11 @@ def rotation_equivariance_check(
 ) -> dict:
     """Gap between the half-ball infimum at rho1 and the rotated problem at rho2.
 
-    The rotated problem uses A |-> v(A R) with rho2 = R rho1 on the image mesh,
-    which is exactly isometric to the original, so the gap is float noise.
+    The rotated problem uses A |-> v(A R) with rho2 = R rho1.  For M = 1 (and N = 1)
+    the bracket samples the sphere in each normal's own frame, so both problems see
+    the same sphere values up to rounding; for M >= 2 the descent runs on the image
+    mesh, which is exactly isometric to the original.  Either way the gap is float
+    noise.
     """
     rho1 = _checked_normal(rho1, v.dims)
     rho2 = _checked_normal(rho2, v.dims)

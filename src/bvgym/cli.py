@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -65,7 +66,9 @@ def _parse_vector(s: str) -> np.ndarray:
 
 
 def _homogeneous_from_name(name: str, N: int):
-    """1-homogeneous integrands for the boundary verifiers."""
+    """1-homogeneous scalar (1, N) integrands for the boundary verifiers.  The CLI is
+    scalar-only: every qslb-check verdict comes from the moment-duality bracket, so
+    its result holds lower, upper and certificate and its witness is a SphereMeasure."""
     base, _, par = name.partition(":")
     if base == "pw1h":
         try:
@@ -195,16 +198,12 @@ def cmd_qslb_check(args) -> int:
     normal = _parse_vector(args.normal)
     v = _homogeneous_from_name(args.integrand, normal.size)
     res = qslb_infimum(v, normal, mesh_level=args.level, iter_budget=args.budget, seed=args.seed)
-    rec = {"integrand": args.integrand, "normal": normal.tolist(), "inf_est": res["inf_est"],
-           "verdict": res["verdict"], "per_level": res["per_level"]}
+    rec = {k: res[k] for k in ("inf_est", "verdict", "per_level", "lower", "upper", "certificate")}
+    rec.update(integrand=args.integrand, normal=normal.tolist())
     out = Path(args.out)
-    if res["witness"] is not None:
+    if res["witness"] is not None:  # a probability measure with zero tau-moment
         wfile = out / "qslb_witness.json"
-        _write_json(wfile, {
-            "vertices": res["witness"].vertices.tolist(),
-            "triangles": res["witness"].triangles.tolist(),
-            "values": res["witness"].values.tolist(),
-        })
+        _write_json(wfile, {"points": res["witness"].points.tolist(), "weights": res["witness"].weights.tolist()})
         rec["witness_file"] = str(wfile)
     _write_json(out / "qslb_result.json", rec)
     print(f"qslb-check {args.integrand} normal={args.normal}: {res['verdict']} "
@@ -319,7 +318,10 @@ def cmd_characterize(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged,
+    each call gets a fresh namespace, and no default is mutable."""
     ap = argparse.ArgumentParser(prog="bvgym", description=__doc__)
     ap.add_argument("--out", default="bvgym_out", help="output directory for records and tables")
     ap.add_argument("--seed", type=int, default=0)
@@ -335,11 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_relax)
 
-    p = sub.add_parser("qslb-check", help="quasi-sublinear-from-below verdict")
+    p = sub.add_parser("qslb-check", help="quasi-sublinear-from-below verdict of a scalar integrand")
     p.add_argument("--integrand", required=True)
     p.add_argument("--normal", required=True, help='e.g. "1,0"')
-    p.add_argument("--level", type=int, default=3)
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--level", type=int, default=3,
+                   help="finest half-ball mesh level of the descent; applies to M >= 2 only, so not to "
+                        "the scalar integrands here, which the moment-duality bracket decides")
+    p.add_argument("--budget", type=int, default=2000,
+                   help="descent iterations over all levels; applies to M >= 2 only, as --level")
     p.set_defaults(func=cmd_qslb_check)
 
     p = sub.add_parser("jqcb-check", help="boundary Jensen inequality falsifier")
@@ -378,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     for name in ("tol", "window", "budget"):
         if getattr(args, name, None) is not None and getattr(args, name) <= 0:
             print(f"error: {name} must be positive", file=sys.stderr)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvgym.boundary import (
+    QSLB_TOL,
     HalfBallProblem,
     _descend,
     _fd_grad,
@@ -31,6 +32,7 @@ from bvgym.integrands import (
     mat_norm,
     unit_matrices,
 )
+from bvgym.meshes import rotation_to
 
 RHO = np.array([1.0, 0.0])
 
@@ -198,11 +200,28 @@ def _second_row_norm() -> HomogeneousIntegrand:
     return HomogeneousIntegrand((2, 2), lambda S: mat_norm(S[..., 1:, :]), name="row2", grad_fn=grad)
 
 
+def _level_descents(v, rho, mesh_level, budget, descend):
+    """Best value per level of the restarts the M >= 2 descent of `qslb_infimum` runs
+    (rank-one tents and two random fields, iterations split over the levels), for
+    any M: scalar verdicts no longer descend."""
+    M = v.dims[0]
+    rng = np.random.default_rng(0)
+    dirs = unit_matrices((M, 1), 8).reshape(-1, M)
+    best = []
+    for lev in range(1, mesh_level + 1):
+        hb = HalfBallProblem(rho, level=lev, ncomp=M)
+        seeds = [hb.tent(a, depth, 0.8) for a in dirs for depth in (0.2, 0.4)]
+        seeds += [hb.random_seed(rng) for _ in range(2)]
+        results, _ = descend(hb, v, seeds, max(10, budget // (mesh_level * len(seeds))))
+        best.append(min(r[0] for r in results if r is not None))
+    return best
+
+
 def mixed_form(weight_abs: float, B: np.ndarray) -> HomogeneousIntegrand:
-    """w |A| + <B, A>: 1-homogeneous with an explicit subgradient."""
-    B = np.asarray(B, dtype=float).reshape(1, 2)
-    habs = hom_abs((1, 2))
-    hlin = hom_linear(B, (1, 2))
+    """w |A| + <B, A>: 1-homogeneous with an explicit subgradient; a 1-D B is one row."""
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    habs = hom_abs(B.shape)
+    hlin = hom_linear(B, B.shape)
 
     def sphere(S):
         return weight_abs * np.asarray(habs.on_sphere(S)) + np.asarray(hlin.on_sphere(S))
@@ -210,7 +229,7 @@ def mixed_form(weight_abs: float, B: np.ndarray) -> HomogeneousIntegrand:
     def grad(A):
         return weight_abs * habs.grad_fn(A) + np.broadcast_to(B, A.shape)
 
-    return HomogeneousIntegrand((1, 2), sphere, name="mixed", grad_fn=grad)
+    return HomogeneousIntegrand(B.shape, sphere, name="mixed", grad_fn=grad)
 
 
 class TestQslb1D:
@@ -253,9 +272,16 @@ class TestQslb1D:
 
 
 class TestQslb2D:
+    """Scalar verdicts (M = 1) come from the moment-duality bracket, M = 2 verdicts
+    from the half-ball descent; the `_m2` tests check the same forms on the descent."""
+
     def test_abs_is_qslb(self):
         res = qslb_infimum(hom_abs((1, 2)), RHO, mesh_level=2, iter_budget=600)
         assert res["verdict"] == "qslb"
+
+    def test_abs_is_qslb_m2(self):
+        res = qslb_infimum(hom_abs((2, 2)), RHO, mesh_level=2, iter_budget=600)
+        assert res["verdict"] == "qslb" and len(res["per_level"]) == 2
 
     def test_normal_form_fails_with_witness(self):
         v = hom_linear(-RHO, dims=(1, 2))
@@ -263,35 +289,245 @@ class TestQslb2D:
         assert res["verdict"] == "not_qslb"
         assert res["inf_est"] <= -0.1
         assert res["witness"] is not None
+        # the witness measure itself certifies the negative value: a probability
+        # measure with zero tau-moment, so a limit of half-ball fields
+        mu = res["witness"]
+        tau = np.array([-RHO[1], RHO[0]])
+        assert mu.total_mass == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert abs(mu.weights @ (mu.points[:, 0, :] @ tau)) <= 1e-12
+        assert mu.pair(v) <= -0.1
+
+    def test_normal_form_fails_with_witness_m2(self):
+        v = hom_linear(np.array([-RHO, -RHO]), dims=(2, 2))
+        res = qslb_infimum(v, RHO, mesh_level=3, iter_budget=4000)
+        assert res["verdict"] == "not_qslb"
+        assert res["inf_est"] <= -0.1
         # the witness field itself certifies the negative value
         pa = res["witness"]
+        assert isinstance(pa, PAField)
         areas, grads = pa.gradients()
         val = float(areas @ np.asarray(v(grads))) / pa.total_variation()
         assert val <= -0.1
 
-    def test_tangential_form_is_qslb(self):
+    @staticmethod
+    def _tangential_verdict(M):
         tau = np.array([0.0, 1.0])
-        res = qslb_infimum(hom_linear(-tau, dims=(1, 2)), RHO, mesh_level=2, iter_budget=600)
-        assert res["verdict"] == "qslb"
+        B = np.array([-tau, tau][:M])
+        return qslb_infimum(hom_linear(B, dims=(M, 2)), RHO, mesh_level=2, iter_budget=600)["verdict"]
 
-    def test_scale_invariance_of_verdict(self):
-        v = hom_linear(-RHO, dims=(1, 2))
+    def test_tangential_form_is_qslb(self):
+        assert self._tangential_verdict(1) == "qslb"
+
+    def test_tangential_form_is_qslb_m2(self):
+        assert self._tangential_verdict(2) == "qslb"
+
+    @staticmethod
+    def _check_scale_invariance(M):
+        v = hom_linear(np.array([-RHO] * M), dims=(M, 2))
         v3 = HomogeneousIntegrand(
-            (1, 2), lambda S: 3.0 * np.asarray(v.on_sphere(S)), grad_fn=lambda A: 3.0 * v.grad_fn(A)
+            (M, 2), lambda S: 3.0 * np.asarray(v.on_sphere(S)), grad_fn=lambda A: 3.0 * v.grad_fn(A)
         )
         r1 = qslb_infimum(v, RHO, mesh_level=2, iter_budget=800)
         r3 = qslb_infimum(v3, RHO, mesh_level=2, iter_budget=800)
         assert r1["verdict"] == r3["verdict"] == "not_qslb"
         assert r3["inf_est"] == pytest.approx(3.0 * r1["inf_est"], rel=1e-6)
 
-    def test_necessity_chain(self):
+    def test_scale_invariance_of_verdict(self):
+        self._check_scale_invariance(1)
+
+    def test_scale_invariance_of_verdict_m2(self):
+        self._check_scale_invariance(2)
+
+    @staticmethod
+    def _check_necessity_chain(M):
         # rank-one negativity forces a not_qslb verdict at level >= 3
         for B in (-RHO, np.array([-0.6, 0.8])):
-            v = hom_linear(B, dims=(1, 2))
+            v = hom_linear(np.array([B] + [np.zeros(2)] * (M - 1)), dims=(M, 2))
             r1 = rank_one_positivity(v, RHO)
             if not r1["ok"]:
                 res = qslb_infimum(v, RHO, mesh_level=3, iter_budget=3000)
                 assert res["verdict"] == "not_qslb"
+
+    def test_necessity_chain(self):
+        self._check_necessity_chain(1)
+
+    def test_necessity_chain_m2(self):
+        self._check_necessity_chain(2)
+
+
+def _frame_form(rho, f, name):
+    """The scalar integrand with sphere values f(cos t, sin t), t the angle from rho toward tau."""
+    rho = np.asarray(rho, dtype=float)
+    tau = np.array([-rho[1], rho[0]])
+    return HomogeneousIntegrand((1, 2), lambda S: f(S[..., 0, :] @ rho, S[..., 0, :] @ tau), name=name)
+
+
+def piecewise_form(weight_abs: float, coeffs, angles) -> HomogeneousIntegrand:
+    """w |A| + sum_i c_i max(0, <A, d_i>), d_i = (cos a_i, sin a_i): kinked along lines."""
+    D = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    c = np.asarray(coeffs, dtype=float)
+    habs = hom_abs((1, 2))
+
+    def sphere(S):
+        return weight_abs + np.maximum(0.0, S[..., 0, :] @ D.T) @ c
+
+    def grad(A):
+        return weight_abs * habs.grad_fn(A) + (((A[..., 0, :] @ D.T > 0) * c) @ D)[..., None, :]
+
+    return HomogeneousIntegrand((1, 2), sphere, name="piecewise", grad_fn=grad)
+
+
+def _qslb_inf_1d(v):
+    """Reference: the closed-form 1D path that the moment-duality bracket replaced,
+    the minimum of v over +-1 (M = 1) or 512 unit columns."""
+    M = v.dims[0]
+    cands = np.array([[[1.0]], [[-1.0]]]) if M == 1 else unit_matrices((M, 1), 512)
+    vals = np.asarray(v.on_sphere(cands))
+    i = int(np.argmin(vals))
+    return float(vals[i]), cands[i]
+
+
+class TestMomentDuality:
+    """Scalar verdicts: lower = max_b min_S [v(S) - b <S, tau>] and the two-atom
+    measure of zero tau-moment above it."""
+
+    RHO = np.array([0.6, 0.8])
+    ROWS = {  # sphere values in the frame of rho, and the exact half-ball infimum
+        "abs": (lambda c, s: np.ones_like(c), 1.0),
+        "aniso": (lambda c, s: np.sqrt(c * c + 4.0 * s * s), 1.0),
+        "tau": (lambda c, s: s, 0.0),
+        "rho": (lambda c, s: c, -1.0),
+        "neg_abs": (lambda c, s: -np.ones_like(c), -1.0),
+        "cos4": (lambda c, s: np.cos(4.0 * np.arctan2(s, c)), -1.0),
+        "kink1.5": (lambda c, s: 1.0 - 1.5 * np.maximum(0.0, s), 0.25),
+        "kink2.05": (lambda c, s: 1.0 - 2.05 * np.maximum(0.0, s), -0.025),
+        "kink2.2": (lambda c, s: 1.0 - 2.2 * np.maximum(0.0, s), -0.1),
+    }
+
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_closed_form_rows(self, row):
+        f, exact = self.ROWS[row]
+        res = qslb_infimum(_frame_form(self.RHO, f, row), self.RHO)
+        assert res["lower"] == pytest.approx(exact, rel=0, abs=1e-6)
+        assert res["upper"] == pytest.approx(exact, rel=0, abs=1e-6)
+        assert res["inf_est"] == res["lower"] <= res["upper"]
+        assert res["verdict"] == ("qslb" if exact >= 0 else "not_qslb")
+        assert res["per_level"] == [] and res["stages"] == []
+
+    @pytest.mark.parametrize("offset", [0.25, 0.5, 0.77])
+    def test_polish_finds_a_kink_between_samples(self, offset):
+        # v = -1 + 2 |sin(t - t0)| is -1 only at t0 and t0 + pi, a zero-moment pair,
+        # so the infimum is -1; with t0 between samples the sampled minimum overshoots
+        # by about 2 offset h
+        from bvgym.boundary import SPHERE_SAMPLES
+
+        t0 = (5 + offset) * 2 * np.pi / SPHERE_SAMPLES
+        v = _frame_form(self.RHO, lambda c, s: -1.0 + 2.0 * np.abs(s * np.cos(t0) - c * np.sin(t0)), "cusp")
+        res = qslb_infimum(v, self.RHO)
+        assert res["lower"] == pytest.approx(-1.0, rel=0, abs=1e-9)
+        assert res["upper"] == pytest.approx(-1.0, rel=0, abs=1e-9)
+        assert res["lower"] <= res["upper"]
+        worst = res["worst_direction"][0]
+        angle = np.arctan2(worst @ np.array([-0.8, 0.6]), worst @ self.RHO)
+        assert min(abs(angle - t0), abs(abs(angle - t0) - np.pi)) <= 1e-9
+
+    @pytest.mark.parametrize("mesh_level", [1, 3, 4])
+    def test_kink_2p05_is_never_qslb(self, mesh_level):
+        # the level-3 and level-4 descents called this "qslb" (+0.024, +0.019); an
+        # interior zigzag with gradients +-tau in equal parts gives -0.025
+        v = _frame_form(self.RHO, self.ROWS["kink2.05"][0], "kink2.05")
+        res = qslb_infimum(v, self.RHO, mesh_level=mesh_level, iter_budget=4000)
+        assert res["verdict"] == "not_qslb"
+        mu = res["witness"]
+        tau = np.array([-0.8, 0.6])
+        assert mu.weights.size == 2 and mu.total_mass == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert abs(mu.weights @ (mu.points[:, 0, :] @ tau)) <= 1e-12
+        assert mu.pair(v) == pytest.approx(res["upper"], rel=0, abs=1e-12)
+        assert res["lower"] <= res["upper"] <= -10 * QSLB_TOL
+
+    @settings(max_examples=12, deadline=None)
+    @given(angle=st.floats(0.0, 2 * np.pi), kind=st.sampled_from(["mixed", "piecewise"]),
+           w=st.floats(0.0, 2.0), seed=st.integers(0, 2**16))
+    def test_bracket_is_below_the_descent(self, angle, kind, w, seed):
+        # every descent value is a test field's, so it lies above the infimum and
+        # hence above lower (the polish leaves ~1e-10 on kinks between samples)
+        rng = np.random.default_rng(seed)
+        rho = np.array([np.cos(angle), np.sin(angle)])
+        if kind == "mixed":
+            v = mixed_form(w, rng.uniform(-1.5, 1.5, 2))
+        else:
+            v = piecewise_form(w, rng.uniform(-2.0, 2.0, 3), rng.uniform(0.0, 2 * np.pi, 3))
+        res = qslb_infimum(v, rho)
+        assert res["lower"] <= res["upper"]
+        if res["witness"] is not None:
+            assert res["witness"].pair(v) == pytest.approx(res["upper"], rel=0, abs=1e-12)
+        descents = _level_descents(v, rho, 3, 360, _descend)[1:]  # levels 2 and 3
+        assert res["lower"] <= min(descents) + 1e-9
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lower_is_below_the_augmented_sample(self, seed, monkeypatch):
+        # the second b* is found on the grid plus the polished directions, and phi at
+        # either b* is a minimum over that whole sample, so lower <= upper by construction
+        import bvgym.boundary as boundary
+
+        calls, dual_max = [], boundary._dual_max
+        monkeypatch.setattr(boundary, "_dual_max", lambda vals, s: calls.append((vals, s)) or dual_max(vals, s))
+        rng = np.random.default_rng(seed)
+        angle = rng.uniform(0.0, 2 * np.pi)
+        rho = np.array([np.cos(angle), np.sin(angle)])
+        if seed % 2:
+            v = mixed_form(rng.uniform(0.0, 2.0), rng.uniform(-1.5, 1.5, 2))
+        else:
+            v = piecewise_form(rng.uniform(0.0, 2.0), rng.uniform(-2.0, 2.0, 3), rng.uniform(0.0, 2 * np.pi, 3))
+        res = qslb_infimum(v, rho)
+        (grid, _), (vals, s) = calls
+        assert vals.size > grid.size  # the polish added directions
+        b = res["certificate"][0]
+        assert res["lower"] <= (vals - b * s).min() + 1e-14
+        assert res["lower"] <= res["upper"]
+
+    @pytest.mark.parametrize("angle", [0.0, 0.9, 2.5, 4.0])
+    def test_default_family_is_qslb(self, angle):
+        from bvgym.gym import default_qslb_family
+
+        rho = np.array([np.cos(angle), np.sin(angle)])
+        for h in default_qslb_family(np.zeros(2), rho, (1, 2)):
+            res = qslb_infimum(h, rho)
+            assert res["lower"] >= -QSLB_TOL and res["verdict"] == "qslb", h.name
+
+    @settings(max_examples=30, deadline=None)
+    @given(M=st.integers(1, 3), kind=st.sampled_from(["abs", "neg_abs", "linear", "piecewise"]),
+           seed=st.integers(0, 2**16))
+    def test_1d_path_pinned(self, M, kind, seed):
+        # N = 1: the bracket is the minimum over the same directions, bit for bit
+        rng = np.random.default_rng(seed)
+        if kind == "piecewise":
+            v = hom_piecewise_1d(*rng.uniform(-1, 1, 2))
+        else:
+            v = {"abs": hom_abs((M, 1)), "neg_abs": hom_neg_abs((M, 1)),
+                 "linear": hom_linear(rng.standard_normal((M, 1)), (M, 1))}[kind]
+        res = qslb_infimum(v, 1.0)
+        val, direction = _qslb_inf_1d(v)
+        assert res["inf_est"] == res["lower"] == res["upper"] == val
+        assert np.array_equal(res["worst_direction"], direction)
+        assert res["certificate"] == [] and res["per_level"] == []
+
+    def test_no_mesh_for_scalar_verdicts(self, monkeypatch):
+        import bvgym.boundary as boundary
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scalar verdict built a mesh")
+
+        monkeypatch.setattr(boundary, "disk_mesh", refuse)
+        res = qslb_infimum(mixed_form(1.0, [0.4, -0.2]), self.RHO, mesh_level=3, iter_budget=2000)
+        assert res["verdict"] == "qslb" and res["certificate"]
+        with pytest.raises(AssertionError, match="built a mesh"):
+            qslb_infimum(hom_abs((2, 2)), self.RHO, mesh_level=1, iter_budget=20)
+
+    def test_rotation_is_exact_for_scalars(self):
+        v = mixed_form(2.0, [0.5, -0.3])
+        for rho2 in (np.array([0.0, 1.0]), np.array([-0.28, 0.96])):
+            assert rotation_equivariance_check(v, self.RHO, rho2)["gap"] <= 1e-12
 
 
 class TestRankOne:
@@ -494,10 +730,17 @@ class TestBatchedDescent:
         def one_at_a_time(hb, v, seeds, iters):
             return [_descend_one(hb, v, U0, iters) for U0 in seeds], ["maxiter"] * len(seeds)
 
+        tol = 1e-12 if v.grad_fn is not None else 1e-2 if kind == "aniso2x2-fd" else 1e-9
+        if v.dims[0] == 1:
+            # scalar verdicts take the moment-duality bracket, so the descents run here directly
+            res = _level_descents(v, rho, level, budget, _descend)
+            ref = _level_descents(v, rho, level, budget, one_at_a_time)
+            assert res == pytest.approx(ref, rel=0, abs=tol)
+            assert min(res) == pytest.approx(min(ref), rel=0, abs=tol)
+            return
         res = qslb_infimum(v, rho, mesh_level=level, iter_budget=budget)
         with mock.patch.object(boundary, "_descend", one_at_a_time):
             ref = qslb_infimum(v, rho, mesh_level=level, iter_budget=budget)
-        tol = 1e-12 if v.grad_fn is not None else 1e-2 if kind == "aniso2x2-fd" else 1e-9
         assert res["verdict"] == ref["verdict"]
         assert res["per_level"] == pytest.approx(ref["per_level"], rel=0, abs=tol)
         assert res["inf_est"] == pytest.approx(ref["inf_est"], rel=0, abs=tol)
@@ -596,8 +839,14 @@ class TestDescentKeepsGradients:
 
 
 class TestRotation:
+    # M = 1 takes the bracket in rho's frame, M = 2 (the `_m2` tests) the descent
+    # on the rotated mesh
     def test_identity_rotation(self):
         res = rotation_equivariance_check(hom_abs((1, 2)), RHO, RHO, mesh_level=2, iter_budget=300)
+        assert res["gap"] <= 1e-12
+
+    def test_identity_rotation_m2(self):
+        res = rotation_equivariance_check(hom_abs((2, 2)), RHO, RHO, mesh_level=2, iter_budget=300)
         assert res["gap"] <= 1e-12
 
     def test_isotropic_any_rotation(self):
@@ -606,10 +855,37 @@ class TestRotation:
         )
         assert res["gap"] <= 1e-12
 
+    def test_isotropic_any_rotation_m2(self):
+        res = rotation_equivariance_check(
+            hom_abs((2, 2)), RHO, np.array([0.0, 1.0]), mesh_level=2, iter_budget=300
+        )
+        assert res["gap"] <= 1e-12
+
     def test_anisotropic_quarter_turn(self):
         v = mixed_form(2.0, [0.5, -0.3])
         res = rotation_equivariance_check(v, RHO, np.array([0.0, 1.0]), mesh_level=2, iter_budget=400)
         assert res["gap"] <= 1e-6
+
+    def test_anisotropic_quarter_turn_m2(self):
+        v = mixed_form(2.0, [[0.5, -0.3], [0.2, 0.4]])
+        res = rotation_equivariance_check(v, RHO, np.array([0.0, 1.0]), mesh_level=2, iter_budget=400)
+        assert res["gap"] <= 1e-6
+
+    def test_m2_descent_sees_an_isometric_problem(self):
+        # the rotated half-ball mesh is the image of the original one, so every
+        # level's estimate agrees, not only the minimum
+        v = mixed_form(2.0, [[0.5, -0.3], [0.2, 0.4]])
+        rho2 = np.array([-0.28, 0.96])
+        R = rotation_to(RHO, rho2)
+        hb1, hb2 = HalfBallProblem(RHO, level=3, ncomp=2), HalfBallProblem(rho2, level=3, ncomp=2)
+        assert np.array_equal(hb1.sel, hb2.sel)
+        assert np.allclose(hb2.mesh.vertices, hb1.mesh.vertices @ R.T, rtol=0, atol=1e-15)
+        assert hb2.areas == pytest.approx(hb1.areas, rel=1e-13)
+        r1 = qslb_infimum(v, RHO, mesh_level=3, iter_budget=600)
+        r2 = qslb_infimum(rotated_integrand(v, R), rho2, mesh_level=3, iter_budget=600)
+        assert len(r1["per_level"]) == 3
+        assert r2["per_level"] == pytest.approx(r1["per_level"], rel=0, abs=1e-9)
+        assert r1["verdict"] == r2["verdict"]
 
     def test_rotated_integrand_values(self):
         v = hom_linear([1.0, 0.0], (1, 2))
@@ -771,9 +1047,10 @@ class TestInvalidNormals:
     def test_empty_search_is_inconclusive(self, monkeypatch):
         import bvgym.boundary as boundary
 
-        # every restart skipped, as if each seed had zero total variation
+        # every restart skipped, as if each seed had zero total variation; M = 2,
+        # since scalar integrands take the moment-duality bracket, not the descent
         monkeypatch.setattr(boundary, "_descend",
                             lambda hb, v, seeds, iters: ([None] * len(seeds), ["degenerate"] * len(seeds)))
-        res = qslb_infimum(hom_abs((1, 2)), RHO, mesh_level=1, iter_budget=20)
+        res = qslb_infimum(hom_abs((2, 2)), RHO, mesh_level=1, iter_budget=20)
         assert res["verdict"] == "inconclusive"
         assert res["inf_est"] == np.inf and res["witness"] is None

@@ -42,7 +42,9 @@ class TestSubcommands:
         rec = json.loads((out / "qslb_result.json").read_text())
         assert rec["verdict"] == "qslb"
         # the per-level "stages" diagnostics stay out of the result record
-        assert set(rec) == {"integrand", "normal", "inf_est", "verdict", "per_level"}
+        assert set(rec) == {"integrand", "normal", "inf_est", "verdict", "per_level", "lower", "upper",
+                            "certificate"}
+        assert rec["inf_est"] == rec["lower"] == rec["upper"] == 1.0 and rec["certificate"] == [0.0]
 
     def test_qslb_check_nan_integrand_exits_1(self, tmp_path, capsys):
         code, out = run(tmp_path, "qslb-check", "--integrand", "pw1h:nan,nan", "--normal", "1")
@@ -94,7 +96,27 @@ class TestSubcommands:
         assert code == 0
         rec = json.loads((out / "qslb_result.json").read_text())
         assert rec["verdict"] == "not_qslb"
-        assert Path(rec["witness_file"]).exists()
+        assert rec["lower"] <= rec["upper"] <= -0.1 and len(rec["certificate"]) == 1
+        # the witness is a probability measure on the sphere with zero tau-moment
+        wit = json.loads(Path(rec["witness_file"]).read_text())
+        assert set(wit) == {"points", "weights"}
+        points, weights = np.array(wit["points"]), np.array(wit["weights"])
+        assert points.shape == (weights.size, 1, 2) and weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert abs(weights @ points[:, 0, 1]) <= 1e-12  # tau = (0, 1) at the normal (1, 0)
+        assert weights @ -points[:, 0, 0] == pytest.approx(rec["upper"], abs=1e-12)
+
+    def test_parser_built_once(self, tmp_path):
+        # two runs in one process share one parser and write byte-identical records
+        from bvgym import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["--out", str(tmp_path), "qslb-check", "--integrand", "neg_abs", "--normal", "0.6,0.8"]
+        files = []
+        for _ in range(2):
+            assert main(argv) == 0
+            files.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
+        assert sorted(files[0]) == ["qslb_result.json", "qslb_witness.json"]
+        assert files[0] == files[1]
 
     def test_jqcb_check(self, tmp_path):
         code, out = run(tmp_path, "jqcb-check", "--integrand", "neg_abs", "--normal", "1,0")
