@@ -5,19 +5,21 @@ growth from below (qslb) holds iff the integral of v(grad phi) over the
 half-ball D_rho = B intersect {x . rho < 0} is nonnegative for every test
 field vanishing on the sphere.  1-homogeneity makes the sign of the infimum
 over the unit total-variation ball scale-invariant, so the verdict reduces
-to the sign of a normalized minimization.  For N = 1, and for scalar fields
-(M = 1) on the 2D half-ball, the infimum is a one-variable concave dual over
-sphere measures with zero tangential moment, bracketed by `_sphere_lower`
-without a mesh; for M >= 2 it is a finite-element descent.
+to the sign of a normalized minimization.  Every verdict starts from the
+moment-duality bracket of `_sphere_lower`, max_b min_S [v(S) - <b, S tau>],
+found without a mesh: exact for N = 1 and for scalar fields (M = 1), a
+sufficient bound for M >= 2.  For M >= 2 a finite-element descent runs only
+when that bound cannot certify qslb, and only to find a counterexample.
 
-Verdicts are numerical: the scalar bracket is exact only for integrands that
-are piecewise smooth between its samples, and for M >= 2 only falsification
-("not_qslb", or a Jensen counterexample for jqcb) is certain; "inconclusive"
-is a first-class outcome.
+Verdicts are numerical: the bracket is exact only for integrands that are
+piecewise smooth between its samples; for M >= 2 "not_qslb" needs a descent
+field, and jqcb only ever disproves (by a Jensen counterexample);
+"inconclusive" is a first-class outcome.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,12 +29,16 @@ from .integrands import HomogeneousIntegrand, mat_norm, unit_matrices
 from .meshes import TriMesh, disk_mesh, rotation_to, triangle_geometry
 
 BASE_NORMAL = np.array([1.0, 0.0])
-# "qslb" needs lower (M = 1) or every level's estimate >= -QSLB_TOL; "not_qslb" upper or one <= -10 QSLB_TOL
+# "qslb" needs lower >= -QSLB_TOL; "not_qslb" needs upper (M = 1) or a descent level (M >= 2) <= -10 QSLB_TOL
 QSLB_TOL = 1e-4
 JQCB_TOL = 1e-8  # a Jensen gap above this disproves the boundary inequality
-SPHERE_SAMPLES = 4096  # equally spaced directions of the M = 1 moment-duality bracket
-BISECTION_STEPS = 64  # halvings of the bracket |b| <= max v - min v on the dual variable
-GOLDEN_STEPS = 48  # golden-section steps polishing each active direction between its neighbours
+SPHERE_SAMPLES = 4096  # directions of the moment-duality sample: the circle (M = 1), unit_matrices (M >= 2)
+LAYER_SAMPLES = 512  # unit columns a: the N = 1 bound, and the boundary-layer directions a (x) rho for M >= 2
+POLISHED_ATOMS = 16  # for M >= 2, the atoms of least v - <b*, S tau> polished besides the LP basis
+EXCHANGE_ROUNDS = 2  # bracket rounds after the first, each with the directions the polish moved
+POLISH_SWEEPS = 4  # rounds of searches along a fresh tangent frame (M >= 2); a round that lowers nothing ends them
+FD_ANGLE = 1e-6  # central-difference step of `_settle`, in radians
+GOLDEN_STEPS = 48  # golden-section steps of each polish along a great circle
 
 
 class NotHomogeneousError(ValueError):
@@ -282,6 +288,24 @@ def _circle() -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([c, -s, -c, s]), np.concatenate([s, c, -s, -c])
 
 
+def _columns(M: int) -> np.ndarray:
+    """Unit M x 1 matrices: +-1 for M = 1, else LAYER_SAMPLES of `unit_matrices`."""
+    return np.array([[[1.0]], [[-1.0]]]) if M == 1 else unit_matrices((M, 1), LAYER_SAMPLES)
+
+
+def _frame_sample(M: int) -> np.ndarray:
+    """Unit M x 2 matrices X in the frame of the normal: X stands for the direction
+    S = X[:, 0] (x) rho + X[:, 1] (x) tau, so S tau = X[:, 1] exactly.
+
+    M = 1: the SPHERE_SAMPLES equally spaced angles of `_circle`, in order (X = +-rho
+    and +-tau exactly).  M >= 2: `unit_matrices((M, 2), SPHERE_SAMPLES)`, whose first
+    rows are +-E_ij, then the boundary-layer directions a (x) rho for a in `_columns`."""
+    if M == 1:
+        return np.stack(_circle(), axis=-1)[:, None, :]
+    a = _columns(M)
+    return np.concatenate([unit_matrices((M, 2), SPHERE_SAMPLES), np.concatenate([a, np.zeros_like(a)], axis=2)])
+
+
 def _golden_min(f, a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section search of f on every interval [a_i, d_i] at once, one call of f
     per step; returns the best point of each search and its value."""
@@ -303,19 +327,117 @@ def _golden_min(f, a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x, fx
 
 
-def _dual_max(vals: np.ndarray, s: np.ndarray) -> float:
-    """b* maximizing the concave phi(b) = min_k (vals_k - b s_k), by bisection on the sign
-    of the active s_k in |b| <= max vals - min vals: phi(0) = min vals, and phi(b) <=
-    max vals - |b| since s = +-1 is sampled."""
-    hi = float(vals.max() - vals.min())
-    lo, b = -hi, 0.0
-    for _ in range(BISECTION_STEPS):
-        b = 0.5 * (lo + hi)
-        k = np.argmin(vals - b * s)
-        if s[k] == 0:  # 0 is a supergradient: b is optimal
+def _polish(f, X: np.ndarray, fx: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Local search of f on the unit sphere from every X_i (shape (n, M, 2)), whose
+    value is fx_i: a golden section within angle h along the great circle through
+    X_i in each direction of an orthonormal tangent frame, in turn.  A point moves
+    only where f falls, and stays on the later circles of its frame, which is
+    orthogonal to the plane it moves in.  On the circle (M = 1) one search is exact;
+    for M >= 2 a fresh frame starts each of up to POLISH_SWEEPS sweeps, until a sweep
+    lowers no value by more than 1e-12 of it."""
+    n = X.shape[0]
+    Y = X.reshape(n, -1)
+    D = Y.shape[1]
+    for _ in range(1 if D == 2 else POLISH_SWEEPS):
+        # the Householder reflection that swaps Y and -+e_0: its other columns are orthonormal and orthogonal to Y
+        w = Y + np.where(Y[:, :1] >= 0, 1.0, -1.0) * np.eye(D)[0]
+        frames = np.eye(D) - 2 * w[:, :, None] * w[:, None, :] / np.sum(w * w, axis=1)[:, None, None]
+        start = fx
+        for T in np.moveaxis(frames[:, :, 1:], 2, 0):
+
+            def arc(th, Y=Y, T=T):
+                return np.cos(th)[:, None] * Y + np.sin(th)[:, None] * T
+
+            th, ft = _golden_min(lambda th: f(arc(th).reshape(X.shape)), np.full(n, -h), np.full(n, h))
+            better = ft < fx
+            Y, fx = np.where(better[:, None], arc(th), Y), np.where(better, ft, fx)
+        if np.all(start - fx <= 1e-12 * (1.0 + np.abs(fx))):
             break
-        lo, hi = (lo, b) if s[k] > 0 else (b, hi)
-    return b
+    return Y.reshape(X.shape), fx
+
+
+def _dual_lp(vals: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize t subject to t + <b, a_k> <= vals_k over (t, b) in R^{1+M}, by the
+    simplex method on its dual: minimize sum mu_k vals_k over probability weights mu
+    on the samples with zero moment sum mu_k a_k = 0.
+
+    A basis is M + 1 atoms whose columns (1, a_k) are independent: (t, b) makes
+    them tight, and mu is their weights.  Every sample holds a_k = 0 and a_k = e_i
+    exactly, so the first basis, the best atom with a_k = 0 (mu = 1 there) and the
+    atom with the largest a_k[i] for each i, is feasible, bounds b and has a known
+    inverse; each exchange updates the inverse by one elimination step.  Each
+    exchange enters the atom of most negative reduced cost vals_k - t - <b, a_k>,
+    and the ratio test drops the basis atom whose weight reaches 0 first.  Ties,
+    which degenerate exchanges (mu_i = 0) make common, go to the lexicographically
+    least row of the basis inverse over the pivot column; the first basis has
+    lexicographically positive rows, so in exact arithmetic the method cannot
+    cycle, and a basis met again since mu last moved ends it.  Returns (b, basis,
+    inv): the last vertex, its atoms and the inverse of their matrix, whose first
+    column is mu; mu stays a feasible dual point throughout.
+    """
+    K, M = a.shape
+    cols = np.concatenate([np.ones((K, 1)), a], axis=1)  # (1, a_k) per atom
+    zero = np.flatnonzero(~a.any(axis=1))
+    basis = np.concatenate([[zero[np.argmin(vals[zero])]], np.argmax(a, axis=0)])
+    inv = np.eye(M + 1)  # the inverse of the basis matrix, columns (1, a_k)
+    inv[0, 1:] = -1.0
+    tol = 1e-12 * (1.0 + np.abs(vals).max())
+    seen = set()  # the bases met since mu last moved
+    for it in range(K + 1):
+        mu, y = inv[:, 0], inv.T @ vals[basis]
+        r = vals - cols @ y
+        key = tuple(sorted(basis.tolist()))
+        if not np.any(r < -tol) or key in seen or it == K:
+            break
+        seen.add(key)
+        q = int(np.argmin(r))
+        d = inv @ cols[q]
+        pos = np.flatnonzero(d > 1e-12)  # nonempty: the primal (t, b) is feasible
+        ratio = inv[pos] / d[pos, None]  # column 0 is mu / d
+        if ratio[:, 0].min() > 1e-14:
+            seen = set()
+        ratio[ratio[:, 0] <= ratio[:, 0].min() + 1e-14, 0] = 0.0  # ties within rounding
+        out = pos[np.lexsort(ratio.T[::-1])[0]]
+        basis[out] = q
+        pivot = inv[out] / d[out]
+        inv = inv - np.outer(d, pivot)
+        inv[out] = pivot
+    return y[1:], basis, inv
+
+
+def _settle(b, g, X, basis, inv, values) -> np.ndarray:
+    """b moved within the optimal face of `_dual_lp` toward where its support atoms
+    are stationary points of g = v - <b, S tau> on the sphere.
+
+    A vertex of the face sits where the sampled minimum is flat only for lack of
+    samples.  The face keeps t and the support (the atoms of positive weight) tight:
+    its directions are the rows of inv for the basis atoms of zero weight, since row
+    j has <n, a_i> = delta_ij on the basis and no t part (inv[j, 0] = mu_j = 0).  For a
+    unit e among them, T = (0, e) is tangent at every support atom and turns S tau
+    by e, so g is stationary along T where <b, e> = dv/dT.  The target b takes those
+    values (the mu-weighted mean of central differences over the support) on an
+    orthonormal basis of the directions; b moves toward it as far as the face goes.
+    """
+    mu = inv[:, 0]
+    supp = mu > 1e-12
+    E = []  # orthonormal directions of the face, by Gram-Schmidt
+    for n in inv[~supp, 1:]:
+        for e in E:
+            n = n - (n @ e) * e
+        if np.linalg.norm(n) > 1e-9:
+            E.append(n / np.linalg.norm(n))
+    if not E:
+        return b
+    E, P, w = np.array(E), X[basis[supp]], mu[supp] / mu[supp].sum()
+    T = np.zeros((len(E), 1) + X.shape[1:])
+    T[:, 0, :, 1] = E
+    c, s = np.cos(FD_ANGLE), np.sin(FD_ANGLE)
+    dv = (values(c * P + s * T) - values(c * P - s * T)) / (2 * s)  # (directions, support atoms)
+    d = E.T @ (dv @ w - E @ b)
+    ad = X[:, :, 1] @ d
+    r = g - g[basis[supp]].max()  # the slack of every sample, >= 0 up to rounding
+    hit = ad > 1e-12 * np.abs(ad).max()
+    return b + np.clip(np.min(r[hit] / ad[hit], initial=1.0), 0.0, 1.0) * d
 
 
 def _sphere_values(v: HomogeneousIntegrand, S: np.ndarray) -> np.ndarray:
@@ -326,83 +448,99 @@ def _sphere_values(v: HomogeneousIntegrand, S: np.ndarray) -> np.ndarray:
 
 
 def _sphere_lower(v: HomogeneousIntegrand, rho: np.ndarray) -> dict:
-    """Moment-duality bracket on the half-ball infimum for N = 1, and for M = 1, N = 2.
+    """Moment-duality bracket on the half-ball infimum, for N = 2 (every M) and N = 1.
 
-    Normalized to unit total variation, the half-ball fields of a scalar v generate
-    exactly the probability measures mu on the unit circle with zero tau-moment, so the
-    infimum is max_b phi(b), phi(b) = min_S [v(S) - b <S, tau>] (concave in b).  On
-    SPHERE_SAMPLES equally spaced directions S_k = cos t_k rho + sin t_k tau, with
-    s_k = sin t_k, `_dual_max` finds b*.  phi(b*) is the sampled minimum of
-    v_k - b* s_k, polished by golden section between the neighbouring samples of each
-    discrete local minimum within the largest neighbour step of it.  The polished
-    directions then join the sample, b* is found again on it, and phi is the minimum
-    over that augmented sample and a fresh polish of the grid; "lower" is the larger
-    of the two values, each the minimum of v - b <., tau> over every point it saw, so
-    "lower" <= "upper" up to rounding.  For N = 1 there is no tau:
-    b is empty, and the bound is the minimum over +-1 (M = 1) or 512 unit columns.
+    For sigma = b (x) tau, sigma rho = 0, so the half-ball integral of <sigma, grad phi>
+    vanishes for every test field; normalized to unit total variation, the infimum
+    is therefore at least lower = max_b min_{|S|=1} [v(S) - <b, S tau>].  For M = 1
+    that is the infimum itself: the fields generate exactly the probability measures
+    on the circle with zero tau-moment.  For M >= 2 it is only a sufficient bound.
 
-    Returns {"lower", "upper", "certificate", "witness", "worst_direction"}: "upper" is
-    the integral of v against "witness", the better of the best sampled direction
-    with s = 0 and the two-atom measure on the best ones with s > 0 and s < 0 (at the
-    second b*), weighted to zero tau-moment.  Both are limits of half-ball fields, so
-    "upper" bounds the infimum from above; "lower" bounds it from below when v is
-    piecewise smooth between samples.  "certificate" is the b* of "lower" as a list
-    ([] for N = 1), "worst_direction" the direction where v - b* <., tau> is smallest.
+    The directions are `_frame_sample`'s, so a_k = S_k tau holds exactly and a
+    rotated normal sees a rotated sample.  Each round: `_dual_lp` finds the sampled
+    optimum and `_settle` places b* in its optimal face; the atoms where
+    g = v - <b*, S tau> is least are polished by `_polish` within the sample spacing h
+    (M = 1: every discrete local minimum of the circle grid within the largest
+    neighbour step of the sampled minimum, plateaus and wiggles below 1e-12 of the
+    values left out; M >= 2: the LP basis and the POLISHED_ATOMS lowest atoms, unless
+    the sample is flat to 1e-12).  The round's value is the minimum of g over every
+    direction it saw.  While the polish moves directions and raises the value, up
+    to EXCHANGE_ROUNDS exchange rounds follow, each with the moved directions in
+    the sample.  "lower" is the best round's value: exact for v that is piecewise
+    smooth between samples, and no proof for an arbitrary callable.  For N = 1
+    there is no tau: b is empty, and the bound is the minimum over `_columns`.
+
+    Returns {"lower", "upper", "certificate", "witness", "worst_direction"}.  "upper"
+    is the integral of v against "witness", a measure that half-ball fields generate:
+    for M = 1 the last LP's dual measure mu, a probability on at most two directions
+    with zero tau-moment, whose integral is the sampled LP value; for M >= 2 the best
+    sampled boundary-layer direction a (x) rho (a layer of a field along the flat
+    part).  Both lie in every round's sample, so "lower" <= "upper" up to rounding.
+    "certificate" is the b* of "lower" as a list ([] for N = 1), "worst_direction"
+    the direction where its g is least.
     """
     M, N = v.dims
     if N == 1:
-        S = np.array([[[1.0]], [[-1.0]]]) if M == 1 else unit_matrices((M, 1), 512)
+        S = _columns(M)
         vals = _sphere_values(v, S)
         i = int(np.argmin(vals))
         return {"lower": float(vals[i]), "upper": float(vals[i]), "certificate": [],
                 "witness": SphereMeasure(S[[i]], np.ones(1)), "worst_direction": S[i]}
     rho = rho / np.linalg.norm(rho)
-    tau = np.array([-rho[1], rho[0]])
-    h = 2 * np.pi / SPHERE_SAMPLES
+    frame = np.array([rho, [-rho[1], rho[0]]])  # rows rho and tau: S = X @ frame
+    D = 2 * M
+    h = (2 * np.pi ** (D / 2) / math.gamma(D / 2) / SPHERE_SAMPLES) ** (1 / (D - 1))  # sample spacing
 
-    def along(t):
-        return (np.cos(t)[:, None] * rho + np.sin(t)[:, None] * tau)[:, None, :]
+    def values(X):
+        return _sphere_values(v, X @ frame)
 
-    c, s_grid = _circle()
-    S_grid = (c[:, None] * rho + s_grid[:, None] * tau)[:, None, :]
-    v_grid = _sphere_values(v, S_grid)
-
-    def phi(b, S, vals, s):
-        """(phi(b), the direction attaining it, the polished angles): the minimum of
-        vals - b s over the sample S, whose first SPHERE_SAMPLES entries are the grid
-        in angle order, and over the polish of the grid's local minima."""
-        g = vals - b * s
-        grid = g[:SPHERE_SAMPLES]
-        up, down = np.roll(grid, -1), np.roll(grid, 1)
-        # a plateau, or wiggles at rounding level (1e-12 of the values), needs no polish
-        noise = 1e-12 * (np.abs(v_grid).max() + abs(b))
-        local = (grid <= up) & (grid <= down) & (np.maximum(up, down) - grid > noise)
-        t = h * np.flatnonzero(local & (grid <= g.min() + np.max(np.abs(up - grid))))
+    X = _frame_sample(M)
+    vals = values(X)
+    noise = 1e-12 * np.abs(vals).max()  # rounding level of the values
+    lower = -np.inf
+    for rnd in range(EXCHANGE_ROUNDS + 1):  # the sample, then the exchange rounds
+        b, basis, inv = _dual_lp(vals, X[:, :, 1])
+        b = _settle(b, vals - X[:, :, 1] @ b, X, basis, inv, values)
+        g = vals - X[:, :, 1] @ b
+        flat = noise + 1e-12 * np.linalg.norm(b)  # a plateau, or wiggles at rounding level, needs no polish
+        if M == 1:
+            grid = g[:SPHERE_SAMPLES]
+            up, down = np.roll(grid, -1), np.roll(grid, 1)
+            local = (grid <= up) & (grid <= down) & (np.maximum(up, down) - grid > flat)
+            active = local & (grid <= g.min() + np.max(np.abs(up - grid)))
+        else:
+            active = np.zeros(g.size, dtype=bool)
+            if np.ptp(g) > flat:
+                active[basis] = True
+                active[np.argpartition(g, POLISHED_ATOMS)[:POLISHED_ATOMS]] = True
+        k = np.flatnonzero(active)
+        P, gp = _polish(lambda Y: values(Y) - Y[:, :, 1] @ b, X[k], g[k], h) if k.size else (X[k], g[k])
         i = int(np.argmin(g))
-        if t.size:
-            t, gt = _golden_min(lambda t: _sphere_values(v, along(t)) - b * np.sin(t), t - h, t + h)
-            if gt.min() < g[i]:
-                return float(gt.min()), along(t[[np.argmin(gt)]])[0], t
-        return float(g[i]), S[i], t
-
-    b = _dual_max(v_grid, s_grid)
-    lower, worst, t = phi(b, S_grid, v_grid, s_grid)
-    S = np.concatenate([S_grid, along(t)])
-    s = np.concatenate([s_grid, np.sin(t)])
-    vals = np.concatenate([v_grid, _sphere_values(v, S[s_grid.size:])])
-    b2 = _dual_max(vals, s)
-    lower2, worst2, _ = phi(b2, S, vals, s)
-    if lower2 > lower:
-        lower, worst, b = lower2, worst2, b2
-    g = vals - b2 * s  # on a zero-moment measure, the integral of g is that of v
-    zero, pos, neg = np.flatnonzero(s == 0), np.flatnonzero(s > 0), np.flatnonzero(s < 0)
-    z, k, j = zero[np.argmin(g[zero])], pos[np.argmin(g[pos])], neg[np.argmin(g[neg])]
-    w = np.array([-s[j], s[k]]) / (s[k] - s[j])
-    atoms, weights = (np.array([k, j]), w) if w @ g[[k, j]] < g[z] else (np.array([z]), np.ones(1))
-    upper = float(weights @ vals[atoms])
+        j = int(np.argmin(gp)) if gp.size else 0
+        low, at = (gp[j], P[j]) if gp.size and gp[j] < g[i] else (g[i], X[i])
+        gain = low - lower
+        if gain > 0:
+            lower, cert, worst = float(low), b, at @ frame
+        if rnd == EXCHANGE_ROUNDS or gain <= flat:
+            break
+        keep = []  # the directions the polish lowered beyond rounding, best first, less near-copies
+        for m in np.argsort(gp):
+            if gp[m] < g[k[m]] - flat and np.min(mat_norm(np.concatenate([X, P[keep]]) - P[m])) > 1e-6:
+                keep.append(m)
+        if not keep:
+            break
+        X, vals = np.concatenate([X, P[keep]]), np.concatenate([vals, values(P[keep])])
+    S, mu = X @ frame, inv[:, 0]
+    if M == 1:
+        atoms = basis[mu > 0]
+        witness = SphereMeasure(S[atoms], mu[mu > 0])
+    else:
+        layer = np.flatnonzero(~X[:, :, 1].any(axis=1))
+        atoms = layer[[np.argmin(vals[layer])]]
+        witness = SphereMeasure(S[atoms], np.ones(1))
+    upper = float(witness.weights @ vals[atoms])
     return {"lower": min(lower, upper),  # absorbs rounding: lower <= upper by construction
-            "upper": upper, "certificate": [b], "witness": SphereMeasure(S[atoms], weights),
-            "worst_direction": worst}
+            "upper": upper, "certificate": cert.tolist(), "witness": witness, "worst_direction": worst}
 
 
 def qslb_infimum(
@@ -414,34 +552,38 @@ def qslb_infimum(
 ) -> dict:
     """Numerical verdict on quasi-sublinear growth from below at the normal rho.
 
-    For N = 1, and for scalar fields (M = 1) on the 2D half-ball, the verdict comes
-    from the moment-duality bracket `_sphere_lower` and no mesh is built: "qslb" iff
-    lower >= -QSLB_TOL, "not_qslb" iff upper <= -10 QSLB_TOL (the witness is then
-    the SphereMeasure attaining upper), else "inconclusive"; inf_est = lower, the
-    result also holds "lower", "upper", "certificate" and "worst_direction", and
-    "per_level" and "stages" are empty.  mesh_level, iter_budget and seed apply to
-    M >= 2 only.
+    Every verdict starts from the moment-duality bracket `_sphere_lower`, and the
+    result holds its "lower", "upper", "certificate" (b*) and "worst_direction".
+    "qslb" comes only from it: iff lower >= -QSLB_TOL, and then no mesh is built,
+    inf_est = lower, "witness" is None and "per_level" and "stages" are empty.
 
-    For M >= 2 it minimizes the half-ball integral of v over the unit total-variation
-    ball of piecewise-affine test fields, restarting from rank-one seeded tents.
-    Returns {"inf_est", "verdict", "witness", "per_level", "stages"}; "qslb"
-    requires a finite inf_est >= -QSLB_TOL on every level, "not_qslb" needs a
-    level reaching -10 QSLB_TOL, anything else (including a level where no
-    descent gave a finite estimate) is "inconclusive".  "stages" holds one record per level:
-    "level", "nt" (half-ball triangles), "seeds", "iters" (per seed) and the
-    per-seed "stop" reasons of `_descend`.
+    Otherwise, for N = 1 and for scalar fields (M = 1), where the bracket is exact up
+    to its sampling: "not_qslb" iff upper <= -10 QSLB_TOL, with the SphereMeasure
+    attaining upper as the witness, else "inconclusive"; inf_est = lower, and no
+    mesh is built either.
+
+    Otherwise (M >= 2, where lower is only sufficient) a descent looks for a field
+    that disproves qslb: on mesh levels 1..mesh_level it minimizes the half-ball
+    integral of v over the unit total-variation ball of piecewise-affine test
+    fields, restarting from rank-one seeded tents and two random fields (from
+    `seed`), iter_budget iterations in all.  "not_qslb" needs a level reaching
+    -10 QSLB_TOL, with the best field (a PAField) as witness; anything else,
+    including a search that gave no finite estimate, is "inconclusive".  inf_est
+    is the best descent value; "per_level" holds each level's, and "stages" one
+    record per level: "level", "nt" (half-ball triangles), "seeds", "iters" (per
+    seed) and the per-seed "stop" reasons of `_descend`.
     """
     validate_homogeneous(v)
     rho = _checked_normal(rho, v.dims)
     _refuse_beyond_2d(v.dims)
     M, N = v.dims
+    bracket = _sphere_lower(v, rho)
+    if bracket["lower"] >= -QSLB_TOL:
+        return {**bracket, "inf_est": bracket["lower"], "verdict": "qslb", "witness": None,
+                "per_level": [], "stages": []}
     if M == 1 or N == 1:
-        res = _sphere_lower(v, rho)
-        verdict = ("qslb" if res["lower"] >= -QSLB_TOL
-                   else "not_qslb" if res["upper"] <= -10 * QSLB_TOL else "inconclusive")
-        if verdict == "qslb":
-            res["witness"] = None
-        return {"inf_est": res["lower"], "verdict": verdict, "per_level": [], "stages": [], **res}
+        verdict = "not_qslb" if bracket["upper"] <= -10 * QSLB_TOL else "inconclusive"
+        return {**bracket, "inf_est": bracket["lower"], "verdict": verdict, "per_level": [], "stages": []}
 
     rng = np.random.default_rng(seed)
     per_level, stages = [], []
@@ -466,15 +608,9 @@ def qslb_infimum(
         if best < best_all:
             best_all = best
             witness = hb.field(bestU) if bestU is not None else None
-    if any(b <= -10 * QSLB_TOL for b in per_level):
-        verdict = "not_qslb"
-    elif all(np.isfinite(b) and b >= -QSLB_TOL for b in per_level):
-        verdict = "qslb"
-        witness = None
-    else:
-        verdict = "inconclusive"
-    return {"inf_est": float(best_all), "verdict": verdict, "witness": witness, "per_level": per_level,
-            "stages": stages}
+    verdict = "not_qslb" if any(b <= -10 * QSLB_TOL for b in per_level) else "inconclusive"
+    return {**bracket, "inf_est": float(best_all), "verdict": verdict, "witness": witness,
+            "per_level": per_level, "stages": stages}
 
 
 def rank_one_positivity(v: HomogeneousIntegrand, rho) -> dict:
@@ -580,11 +716,11 @@ def rotation_equivariance_check(
 ) -> dict:
     """Gap between the half-ball infimum at rho1 and the rotated problem at rho2.
 
-    The rotated problem uses A |-> v(A R) with rho2 = R rho1.  For M = 1 (and N = 1)
-    the bracket samples the sphere in each normal's own frame, so both problems see
-    the same sphere values up to rounding; for M >= 2 the descent runs on the image
-    mesh, which is exactly isometric to the original.  Either way the gap is float
-    noise.
+    The rotated problem uses A |-> v(A R) with rho2 = R rho1.  The bracket samples
+    the sphere in each normal's own frame, so both problems see the same sphere
+    values up to rounding; when it cannot certify an M >= 2 integrand, the descent
+    runs on the image mesh, which is exactly isometric to the original.  Either
+    way the gap is float noise.
     """
     rho1 = _checked_normal(rho1, v.dims)
     rho2 = _checked_normal(rho2, v.dims)

@@ -254,9 +254,19 @@ def default_dictionary(dims=(1, 1)) -> list[tuple[str, Callable, Integrand]]:
 
 
 def _snap_all(grid: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """`_grid_index(grid, A[i])` for every i, evaluated once per distinct matrix."""
-    rows, inv = np.unique(A, axis=0, return_inverse=True)
-    return np.array([_grid_index(grid, r) for r in rows], dtype=int)[inv.ravel()]
+    """`_grid_index(grid, A[i])` for every i, evaluated once per distinct matrix.
+
+    Rows of equal entries (-0.0 == 0.0) are neighbours in a lexicographic sort of
+    the flattened matrices; a matrix holding NaN equals none, so it is evaluated
+    on its own."""
+    flat = A.reshape(A.shape[0], np.prod(A.shape[1:], dtype=int))
+    order = np.lexsort(flat.T[::-1])
+    rows = flat[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    out = np.empty(order.size, dtype=int)
+    out[order] = np.array([_grid_index(grid, A[k]) for k in order[first]], dtype=int)[np.cumsum(first) - 1]
+    return out
 
 
 def _bin_windows(Y: DiscreteMeasure, wnodes, matrix_grid, sphere_grid, overflow_radius):

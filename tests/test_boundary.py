@@ -188,16 +188,16 @@ def _aniso(M: int, e: np.ndarray) -> HomogeneousIntegrand:
         name="aniso")
 
 
-def _second_row_norm() -> HomogeneousIntegrand:
-    """|A_2|, the norm of the second row of a 2x2 matrix: its gradient vanishes
-    on fields whose second component is zero."""
+def _second_row_norm(sign: float = 1.0) -> HomogeneousIntegrand:
+    """sign |A_2|, with |A_2| the norm of the second row of a 2x2 matrix: its gradient
+    vanishes on fields whose second component is zero."""
 
     def grad(A):
         out = np.zeros_like(A)
-        out[..., 1, :] = _abs_grad(A[..., 1:, :])[..., 0, :]
+        out[..., 1, :] = sign * _abs_grad(A[..., 1:, :])[..., 0, :]
         return out
 
-    return HomogeneousIntegrand((2, 2), lambda S: mat_norm(S[..., 1:, :]), name="row2", grad_fn=grad)
+    return HomogeneousIntegrand((2, 2), lambda S: sign * mat_norm(S[..., 1:, :]), name="row2", grad_fn=grad)
 
 
 def _level_descents(v, rho, mesh_level, budget, descend):
@@ -272,16 +272,24 @@ class TestQslb1D:
 
 
 class TestQslb2D:
-    """Scalar verdicts (M = 1) come from the moment-duality bracket, M = 2 verdicts
-    from the half-ball descent; the `_m2` tests check the same forms on the descent."""
+    """Every verdict starts from the moment-duality bracket; for M = 2 the descent
+    runs only when the bracket cannot certify "qslb".  The `_m2` tests check the
+    same forms with two rows."""
 
     def test_abs_is_qslb(self):
         res = qslb_infimum(hom_abs((1, 2)), RHO, mesh_level=2, iter_budget=600)
         assert res["verdict"] == "qslb"
 
     def test_abs_is_qslb_m2(self):
+        # certified: the bracket says "qslb", so no level descends
         res = qslb_infimum(hom_abs((2, 2)), RHO, mesh_level=2, iter_budget=600)
-        assert res["verdict"] == "qslb" and len(res["per_level"]) == 2
+        assert res["verdict"] == "qslb" and res["per_level"] == [] and res["stages"] == []
+
+    def test_uncertified_m2_descends_on_every_level(self):
+        # -|A| cannot be certified (lower = -1), so each of the two levels descends
+        res = qslb_infimum(hom_neg_abs((2, 2)), RHO, mesh_level=2, iter_budget=600)
+        assert res["lower"] < -QSLB_TOL
+        assert res["verdict"] == "not_qslb" and len(res["per_level"]) == 2 and len(res["stages"]) == 2
 
     def test_normal_form_fails_with_witness(self):
         v = hom_linear(-RHO, dims=(1, 2))
@@ -408,8 +416,8 @@ class TestMomentDuality:
     def test_closed_form_rows(self, row):
         f, exact = self.ROWS[row]
         res = qslb_infimum(_frame_form(self.RHO, f, row), self.RHO)
-        assert res["lower"] == pytest.approx(exact, rel=0, abs=1e-6)
-        assert res["upper"] == pytest.approx(exact, rel=0, abs=1e-6)
+        assert res["lower"] == pytest.approx(exact, rel=0, abs=1e-12)
+        assert res["upper"] == pytest.approx(exact, rel=0, abs=1e-12)
         assert res["inf_est"] == res["lower"] <= res["upper"]
         assert res["verdict"] == ("qslb" if exact >= 0 else "not_qslb")
         assert res["per_level"] == [] and res["stages"] == []
@@ -466,12 +474,22 @@ class TestMomentDuality:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_lower_is_below_the_augmented_sample(self, seed, monkeypatch):
-        # the second b* is found on the grid plus the polished directions, and phi at
-        # either b* is a minimum over that whole sample, so lower <= upper by construction
+        # each exchange round finds b* on the grid plus the directions polished so far,
+        # and its value is a minimum over that whole sample, so lower <= upper by construction
         import bvgym.boundary as boundary
 
-        calls, dual_max = [], boundary._dual_max
-        monkeypatch.setattr(boundary, "_dual_max", lambda vals, s: calls.append((vals, s)) or dual_max(vals, s))
+        calls, dual_lp, settle = [], boundary._dual_lp, boundary._settle
+
+        def recording_lp(vals, a):
+            calls.append([vals, a[:, 0]])
+            return dual_lp(vals, a)
+
+        def recording_settle(*args):
+            calls[-1].append(settle(*args))  # the round's b*
+            return calls[-1][-1]
+
+        monkeypatch.setattr(boundary, "_dual_lp", recording_lp)
+        monkeypatch.setattr(boundary, "_settle", recording_settle)
         rng = np.random.default_rng(seed)
         angle = rng.uniform(0.0, 2 * np.pi)
         rho = np.array([np.cos(angle), np.sin(angle)])
@@ -480,10 +498,10 @@ class TestMomentDuality:
         else:
             v = piecewise_form(rng.uniform(0.0, 2.0), rng.uniform(-2.0, 2.0, 3), rng.uniform(0.0, 2 * np.pi, 3))
         res = qslb_infimum(v, rho)
-        (grid, _), (vals, s) = calls
-        assert vals.size > grid.size  # the polish added directions
-        b = res["certificate"][0]
-        assert res["lower"] <= (vals - b * s).min() + 1e-14
+        # an exchange round runs only when the polish moved a direction, which then joins the sample
+        assert all(later[0].size > earlier[0].size for earlier, later in zip(calls, calls[1:]))
+        (vals, s, b), = [c for c in calls if c[2].tolist() == res["certificate"]][:1]
+        assert res["lower"] <= (vals - b[0] * s).min() + 1e-14
         assert res["lower"] <= res["upper"]
 
     @pytest.mark.parametrize("angle", [0.0, 0.9, 2.5, 4.0])
@@ -521,13 +539,139 @@ class TestMomentDuality:
         monkeypatch.setattr(boundary, "disk_mesh", refuse)
         res = qslb_infimum(mixed_form(1.0, [0.4, -0.2]), self.RHO, mesh_level=3, iter_budget=2000)
         assert res["verdict"] == "qslb" and res["certificate"]
-        with pytest.raises(AssertionError, match="built a mesh"):
-            qslb_infimum(hom_abs((2, 2)), self.RHO, mesh_level=1, iter_budget=20)
+        with pytest.raises(AssertionError, match="built a mesh"):  # M = 2 and not certified: the descent runs
+            qslb_infimum(hom_neg_abs((2, 2)), self.RHO, mesh_level=1, iter_budget=20)
 
     def test_rotation_is_exact_for_scalars(self):
         v = mixed_form(2.0, [0.5, -0.3])
         for rho2 in (np.array([0.0, 1.0]), np.array([-0.28, 0.96])):
             assert rotation_equivariance_check(v, self.RHO, rho2)["gap"] <= 1e-12
+
+
+def _det_form(c: float) -> HomogeneousIntegrand:
+    """|A| - c |det A| / |A| on 2x2 matrices: isotropic, and on the unit sphere
+    least, 1 - c/2, on the conformal matrices, whose A tau fill a circle."""
+    def sphere(S):
+        return mat_norm(S) - c * np.abs(S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]) / mat_norm(S)
+
+    return HomogeneousIntegrand((2, 2), sphere, name=f"det{c}")
+
+
+def kinked_form_m2(weight_abs: float, coeffs, D) -> HomogeneousIntegrand:
+    """w |A| + sum_i c_i max(0, <A, D_i>) on 2x2 matrices: kinked along hyperplanes."""
+    c, D = np.asarray(coeffs, dtype=float), np.asarray(D, dtype=float)
+    habs = hom_abs((2, 2))
+
+    def sphere(S):
+        return weight_abs + np.maximum(0.0, np.einsum("...ij,kij->...k", S, D)) @ c
+
+    def grad(A):
+        return weight_abs * habs.grad_fn(A) + np.einsum("...k,kij->...ij", (np.einsum("...ij,kij->...k", A, D) > 0) * c, D)
+
+    return HomogeneousIntegrand((2, 2), sphere, name="kinked", grad_fn=grad)
+
+
+class TestCertificateM2:
+    """M = 2: "qslb" comes only from lower = max_b min_S [v(S) - <b, S tau>], which the
+    exchange LP shared with M = 1 finds on unit_matrices directions in rho's frame."""
+
+    RHO = np.array([0.6, 0.8])
+
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_abs_closes(self, M):
+        res = qslb_infimum(hom_abs((M, 2)), self.RHO)
+        assert res["lower"] == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert res["upper"] == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert res["verdict"] == "qslb" and res["inf_est"] == res["lower"] and res["witness"] is None
+        assert res["per_level"] == [] and res["stages"] == [] and len(res["certificate"]) == M
+
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_mixed_forms_are_exact(self, M):
+        # w |A| + <B, A>: the infimum w - |B rho| is attained by a boundary layer, where
+        # the LP's face is flat; `_settle` finds b* = B tau from the derivatives there
+        rng = np.random.default_rng(M)
+        for _ in range(3):
+            w, B = rng.uniform(0.0, 2.0), rng.uniform(-1.5, 1.5, (M, 2))
+            res = qslb_infimum(mixed_form(w, B), self.RHO, mesh_level=1, iter_budget=40)
+            exact = w - np.linalg.norm(B @ self.RHO)
+            assert res["lower"] == pytest.approx(exact, rel=0, abs=1e-12)
+            assert res["lower"] <= res["upper"] <= exact + 2e-2
+            tau = np.array([-self.RHO[1], self.RHO[0]])
+            assert res["certificate"] == pytest.approx(B @ tau, rel=0, abs=1e-6)
+
+    @pytest.mark.parametrize("c, exact", [(0.5, 0.75), (1.0, 0.5), (1.9, 0.05)])
+    def test_det_forms(self, c, exact):
+        # the level-3 descent gave 0.883, 0.728 and 0.273
+        res = qslb_infimum(_det_form(c), self.RHO)
+        assert res["lower"] == pytest.approx(exact, rel=0, abs=1e-6)
+        assert res["lower"] <= res["upper"]
+        assert res["verdict"] == "qslb" and res["per_level"] == []
+
+    @settings(max_examples=10, deadline=None)
+    @given(angle=st.floats(0.0, 2 * np.pi), kind=st.sampled_from(["mixed", "kinked", "det"]),
+           w=st.floats(0.0, 2.0), seed=st.integers(0, 2**16))
+    def test_bracket_is_below_the_descent_m2(self, angle, kind, w, seed):
+        # every descent value is a test field's, so it lies above the infimum and hence above lower
+        rng = np.random.default_rng(seed)
+        rho = np.array([np.cos(angle), np.sin(angle)])
+        if kind == "mixed":
+            v = mixed_form(w, rng.uniform(-1.5, 1.5, (2, 2)))
+        elif kind == "kinked":
+            v = kinked_form_m2(w, rng.uniform(-2.0, 2.0, 3), rng.standard_normal((3, 2, 2)))
+        else:
+            v = _det_form(2.0 * w)
+        res = qslb_infimum(v, rho, mesh_level=1, iter_budget=40)
+        assert np.isfinite(res["lower"]) and res["lower"] <= res["upper"]
+        descents = _level_descents(v, rho, 3, 360, _descend)[1:]  # levels 2 and 3
+        assert res["lower"] <= min(descents) + 1e-9
+
+    # Rotating rho rotates the sample, so both problems see the same values up to
+    # rounding.  The polish fixes a smooth minimizer only to ~1e-8 (sqrt of the
+    # rounding) and the exchange LP reads those directions, so b moves by ~1e-9
+    # between the two problems; lower moves by the slope of the dual there times
+    # that.  The determinant forms reach b* (slope 0, gap ~1e-14); for w|A| + <B, A>
+    # the exchange stops ~1e-4 short of b*, and the gap was 2.3e-12.
+    @pytest.mark.parametrize("v, bound", [(hom_abs((2, 2)), 0.0), (_det_form(1.0), 1e-12), (_det_form(1.9), 1e-12),
+                                          (mixed_form(2.0, [[0.5, -0.3], [0.2, 0.4]]), 1e-11)],
+                             ids=["abs", "det1", "det1.9", "mixed"])
+    def test_rotation_gap_of_lower(self, v, bound):
+        for rho2 in (np.array([0.0, 1.0]), np.array([-0.28, 0.96])):
+            R = rotation_to(self.RHO, rho2)
+            r1 = qslb_infimum(v, self.RHO)
+            r2 = qslb_infimum(rotated_integrand(v, R), rho2)
+            assert r1["verdict"] == r2["verdict"] == "qslb"
+            assert abs(r1["lower"] - r2["lower"]) <= bound
+
+    def test_certified_builds_no_mesh(self, monkeypatch):
+        import bvgym.boundary as boundary
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certified verdict built a mesh")
+
+        monkeypatch.setattr(boundary, "disk_mesh", refuse)
+        res = qslb_infimum(_det_form(1.0), self.RHO, mesh_level=3, iter_budget=2000)
+        assert res["verdict"] == "qslb" and len(res["certificate"]) == 2 and res["lower"] >= -QSLB_TOL
+
+    def test_tracer_counts_the_descent(self):
+        # bench/tracer.py counts HalfBallProblem.objective calls; an M = 2 integrand the
+        # bracket cannot certify still descends, so the counter stays live
+        import importlib.util
+        from pathlib import Path
+
+        import bvgym.boundary as boundary
+
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        t = tracer.Tracer().install()
+        try:
+            res = boundary.qslb_infimum(hom_linear([[0.3, -0.7], [0.5, 0.2]], (2, 2)), self.RHO,
+                                        mesh_level=1, iter_budget=40)
+        finally:
+            t.uninstall()
+        assert res["lower"] < -QSLB_TOL and len(res["per_level"]) == 1
+        assert t.aggregate()["boundary.HalfBallProblem.objective.calls"] > 0
 
 
 class TestRankOne:
@@ -710,7 +854,7 @@ class TestBatchedDescent:
     @settings(max_examples=16, deadline=None)
     @given(angle=st.floats(0.0, 2 * np.pi), level=st.integers(1, 2), budget=st.integers(100, 1000),
            kind=st.sampled_from(["abs", "linear", "neg_abs", "mixed", "abs2x2", "aniso-fd", "abs-fd",
-                                 "aniso2x2-fd"]))
+                                 "aniso2x2-fd", "linear2x2"]))
     def test_level_estimates_match_one_restart_loop(self, angle, level, budget, kind):
         # per_level and inf_est, the minimum over all restarts and iterations,
         # within 1e-12 with a grad_fn (mixed_form included) and 1e-9 without.
@@ -723,6 +867,7 @@ class TestBatchedDescent:
         v = {"abs": hom_abs((1, 2)), "linear": hom_linear([0.3, -0.7], (1, 2)),
              "neg_abs": hom_neg_abs((1, 2)), "mixed": mixed_form(1.5, [0.3, -0.7]),
              "abs2x2": hom_abs((2, 2)), "aniso-fd": _aniso(1, np.array([1.0, 0.0])),
+             "linear2x2": hom_linear([[0.3, -0.7], [0.5, 0.2]], (2, 2)),
              "abs-fd": _without_grad_fn(hom_abs((1, 2))),
              "aniso2x2-fd": _aniso(2, np.array([0.6, 0.8]))}[kind]
         rho = np.array([np.cos(angle), np.sin(angle)])
@@ -731,8 +876,8 @@ class TestBatchedDescent:
             return [_descend_one(hb, v, U0, iters) for U0 in seeds], ["maxiter"] * len(seeds)
 
         tol = 1e-12 if v.grad_fn is not None else 1e-2 if kind == "aniso2x2-fd" else 1e-9
-        if v.dims[0] == 1:
-            # scalar verdicts take the moment-duality bracket, so the descents run here directly
+        if v.dims[0] == 1 or qslb_infimum(v, rho, mesh_level=level, iter_budget=budget)["per_level"] == []:
+            # scalar verdicts, and certified ones, take the moment-duality bracket, so the descents run here directly
             res = _level_descents(v, rho, level, budget, _descend)
             ref = _level_descents(v, rho, level, budget, one_at_a_time)
             assert res == pytest.approx(ref, rel=0, abs=tol)
@@ -765,7 +910,8 @@ class TestBatchedDescent:
         assert stop == ["stalled", "maxiter", "maxiter"]
         for U0, res in zip(seeds, results):
             assert res[0] == pytest.approx(_descend_one(hb, v, U0, 12)[0], rel=0, abs=1e-12)
-        res = qslb_infimum(v, RHO, mesh_level=1, iter_budget=200)
+        # -|A_2| stalls on the same seeds, and the bracket cannot certify it, so it descends
+        res = qslb_infimum(_second_row_norm(-1.0), RHO, mesh_level=1, iter_budget=200)
         (stage,) = res["stages"]
         dirs = unit_matrices((2, 1), 8).reshape(-1, 2)
         flat = [a[1] == 0.0 for a in dirs for _ in (0.2, 0.4)] + [False, False]
@@ -839,14 +985,15 @@ class TestDescentKeepsGradients:
 
 
 class TestRotation:
-    # M = 1 takes the bracket in rho's frame, M = 2 (the `_m2` tests) the descent
-    # on the rotated mesh
+    # Every bracket samples in rho's frame.  The `_m2` tests take M = 2 integrands
+    # that the bracket cannot certify, so they descend on the rotated mesh.
     def test_identity_rotation(self):
         res = rotation_equivariance_check(hom_abs((1, 2)), RHO, RHO, mesh_level=2, iter_budget=300)
         assert res["gap"] <= 1e-12
 
     def test_identity_rotation_m2(self):
-        res = rotation_equivariance_check(hom_abs((2, 2)), RHO, RHO, mesh_level=2, iter_budget=300)
+        v = hom_linear([[0.5, -0.3], [0.2, 0.4]], (2, 2))
+        res = rotation_equivariance_check(v, RHO, RHO, mesh_level=2, iter_budget=300)
         assert res["gap"] <= 1e-12
 
     def test_isotropic_any_rotation(self):
@@ -857,7 +1004,7 @@ class TestRotation:
 
     def test_isotropic_any_rotation_m2(self):
         res = rotation_equivariance_check(
-            hom_abs((2, 2)), RHO, np.array([0.0, 1.0]), mesh_level=2, iter_budget=300
+            hom_neg_abs((2, 2)), RHO, np.array([0.0, 1.0]), mesh_level=2, iter_budget=300
         )
         assert res["gap"] <= 1e-12
 
@@ -874,7 +1021,7 @@ class TestRotation:
     def test_m2_descent_sees_an_isometric_problem(self):
         # the rotated half-ball mesh is the image of the original one, so every
         # level's estimate agrees, not only the minimum
-        v = mixed_form(2.0, [[0.5, -0.3], [0.2, 0.4]])
+        v = hom_linear([[0.5, -0.3], [0.2, 0.4]], (2, 2))
         rho2 = np.array([-0.28, 0.96])
         R = rotation_to(RHO, rho2)
         hb1, hb2 = HalfBallProblem(RHO, level=3, ncomp=2), HalfBallProblem(rho2, level=3, ncomp=2)
@@ -1047,10 +1194,10 @@ class TestInvalidNormals:
     def test_empty_search_is_inconclusive(self, monkeypatch):
         import bvgym.boundary as boundary
 
-        # every restart skipped, as if each seed had zero total variation; M = 2,
-        # since scalar integrands take the moment-duality bracket, not the descent
+        # every restart skipped, as if each seed had zero total variation; M = 2 and
+        # not certified, since other integrands take the moment-duality bracket alone
         monkeypatch.setattr(boundary, "_descend",
                             lambda hb, v, seeds, iters: ([None] * len(seeds), ["degenerate"] * len(seeds)))
-        res = qslb_infimum(hom_abs((2, 2)), RHO, mesh_level=1, iter_budget=20)
+        res = qslb_infimum(hom_neg_abs((2, 2)), RHO, mesh_level=1, iter_budget=20)
         assert res["verdict"] == "inconclusive"
         assert res["inf_est"] == np.inf and res["witness"] is None

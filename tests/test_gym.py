@@ -257,6 +257,24 @@ class TestGenerateBinning:
             for got, want in zip(gym._bin_windows(*args), _bin_windows_loop(*args)):
                 assert _same_bits(got, want)
 
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
+    def test_snap_all_matches_row_unique(self, dims):
+        # the grid index of every row, as np.unique(A, axis=0) grouped them, on rows
+        # with -0.0 against 0.0, NaN and infinities
+        import bvgym.gym as gym
+
+        def row_unique(grid, A):
+            rows, inv = np.unique(A, axis=0, return_inverse=True)
+            return np.array([_grid_index(grid, r) for r in rows], dtype=int)[inv.ravel()]
+
+        grid = gym.default_matrix_grid(dims)
+        pool = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.5, 2.75, -3.1])
+        A = np.random.default_rng(0).choice(pool, size=(400,) + dims)
+        assert np.isnan(A).any() and np.signbit(A[A == 0]).any() and not np.signbit(A[A == 0]).all()
+        for B in (A, A[:1], A[:0]):
+            got = gym._snap_all(grid, B)
+            assert got.dtype == int and np.array_equal(got, row_unique(grid, B))
+
 
 class TestGenerateTailGaps:
     """The tail check integrates each g once per member and takes each limit pairing
