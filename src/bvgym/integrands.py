@@ -55,7 +55,8 @@ def mat_norm(A: Matrix) -> np.ndarray:
 
 
 def unit_matrices(dims: tuple[int, int], n: int = 16) -> np.ndarray:
-    """Deterministic sample of the unit sphere in R^{MxN}, shape (k, M, N)."""
+    """Deterministic sample of the unit sphere in R^{MxN}, shape (k, M, N): k = 2 for 1x1, n
+    (equally spaced angles) when M*N = 2, else n + 2MN, +E_ij and -E_ij first, then seeded draws."""
     M, N = dims
     if (M, N) == (1, 1):
         return np.array([[[-1.0]], [[1.0]]])

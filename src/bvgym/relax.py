@@ -594,20 +594,20 @@ def higher_dim_J(
     primal-dual Newton (`_minimize_disk`) until a linearized-dual certificate
     puts the mesh's minimum within a relative gap of _GAP_TOL = 1e-6.  Meshes
     refine by midpoint subdivision (nested spaces), and each refined mesh
-    starts from the coarse solve: u prolonged, each child triangle's dual
-    p_child = w_child p_parent / w_parent, and the final smoothing delta; on
-    the benchmark's disk-2d tasks that takes 4 to 21 solves per mesh, since
-    each triangle's dual takes its own step (see `_minimize_disk`).  Every
-    mesh's weight measures distance to the coarsest mesh's Gamma_1 segments,
-    which refinement does not move.  The prolonged coarse field is admissible
-    on the finer mesh: a row whose J rounds above the previous row's carries
-    the previous J, and the reported infima are nonincreasing.  Each table row
-    brackets its mesh's minimum: "lower" <= min <= "J" ("lower" is capped at
-    J, in the row and in its stage record), and "gap" = (J - lower) / J.
-    "stages" has the solver's record per mesh (see `_minimize_disk`).  Raises
-    ValueError when eps is not finite and positive, level or refinements is
-    not an int, the arcs meet, Gamma_1 holds no boundary edge of the coarsest
-    mesh, or ubar does not give one finite value per Gamma_1 Gauss point.
+    starts from the coarse solve's prolonged u and final smoothing delta, with
+    its dual at 0 (a prolonged coarse dual cost more solves); on the
+    benchmark's disk-2d tasks that takes 4 to 21 solves per mesh (see
+    `_minimize_disk`).  Every mesh's weight measures distance to the coarsest
+    mesh's Gamma_1 segments, which refinement does not move.  The prolonged
+    coarse field is admissible on the finer mesh: a row whose J rounds above
+    the previous row's carries the previous J, and the reported infima are
+    nonincreasing.  Each table row brackets its mesh's minimum: "lower" <=
+    min <= "J" ("lower" is capped at J, in the row and in its stage record),
+    and "gap" = (J - lower) / J.  "stages" has the solver's record per mesh
+    (see `_minimize_disk`).  Raises ValueError when eps is not finite and
+    positive, level or refinements is not an int, the arcs meet, Gamma_1 holds
+    no boundary edge of the coarsest mesh, or ubar does not give one finite
+    value per Gamma_1 Gauss point.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
@@ -624,7 +624,7 @@ def higher_dim_J(
     table, stages = [], []
     warm = None
     for k in range(refinements + 1):
-        val, u, st, q = _minimize_disk(mesh, eps, ubar, gamma1_angles, gamma0_angles, warm, seg)
+        val, u, st = _minimize_disk(mesh, eps, ubar, gamma1_angles, gamma0_angles, warm, seg)
         if table:  # only rounding lifts J above the admissible prolonged coarse field
             val = min(val, table[-1]["J"])
         st[-1]["lower"] = lower = min(st[-1]["lower"], val)
@@ -632,8 +632,7 @@ def higher_dim_J(
         stages += st
         if k < refinements:
             mesh, parents = mesh.refine_with_parents()
-            # the children of coarse triangle t are fine triangles 4t .. 4t+3: p_child = w_child p_parent / w_parent
-            warm = (0.5 * (u.values[parents[:, 0]] + u.values[parents[:, 1]]), np.repeat(q, 4, axis=0), st[-1]["delta"])
+            warm = (0.5 * (u.values[parents[:, 0]] + u.values[parents[:, 1]]), st[-1]["delta"])
     return {
         "inf_est": table[-1]["J"],
         "table": table,
@@ -688,99 +687,110 @@ def _bfs_levels(rows, cols, n, start) -> list[np.ndarray]:
     return levels
 
 
+_MIN_BLOCK = 16  # nodes per block of _LevelBlocks, but for each component's last block
+
+
 class _LevelBlocks:
     """Solver for SPD systems on one symmetric pattern (rows[k], cols[k]) over n nodes.
 
     The nodes are ordered by breadth-first level sets (Cuthill & McKee 1969),
     each component swept from a pseudo-peripheral node: the last level of a
-    sweep from its first node.  An entry joins equal or adjacent levels, so in
-    that order the matrix is block tridiagonal, with diagonal blocks D_k and
-    upper blocks C_k (level k to k + 1; zero between components).  Each entry
-    on or above the block diagonal has one place in a flat buffer of those
-    blocks.  solve runs one forward block-LDL' (block Thomas) sweep, W_k =
-    S_k^-1 [C_k | r_k], S_{k+1} = D_{k+1} - C_k' W_k[:, :-1], r_{k+1} -=
-    C_k' W_k[:, -1], and one back substitution.  Its cost grows like n b^2
-    with b the largest level, about sqrt(n) on a 2D mesh.
+    sweep from its first node.  An entry joins equal or adjacent levels, so the
+    matrix stays block tridiagonal when runs of consecutive levels of one
+    component merge into blocks of at least _MIN_BLOCK nodes (a component's
+    last block may be smaller), which saves Python-level steps per solve.  Each
+    entry on or above the block diagonal has one place in a buffer, built once,
+    of the diagonal blocks D_k and upper blocks [C_k | r_k] (block k to k + 1,
+    none after a component's last block), whose spare column takes the
+    right-hand side.  solve runs one forward block-LDL' (block Thomas) sweep in
+    place, W_k = S_k^-1 [C_k | r_k], S_{k+1} = D_{k+1} - C_k' W_k[:, :-1],
+    r_{k+1} -= C_k' W_k[:, -1], and one back substitution.  Its cost grows
+    like n b^2 with b the largest block, about sqrt(n) on a 2D mesh.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int):
-        self.levels, placed = [], np.zeros(n, dtype=bool)
+        self.levels, placed, sizes, coupled = [], np.zeros(n, dtype=bool), [], []
         while not placed.all():
             root = int(np.argmin(placed))  # the first node of a component not yet swept
             component = _bfs_levels(rows, cols, n, _bfs_levels(rows, cols, n, root)[-1][0])
             placed[np.concatenate(component)] = True
             self.levels += component
-        self.order = np.concatenate(self.levels)
-        sizes = [nodes.size for nodes in self.levels]
-        self.level, local = np.empty(n, dtype=int), np.empty(n, dtype=int)
-        for k, nodes in enumerate(self.levels):
-            self.level[nodes], local[nodes] = k, np.arange(nodes.size)
-        # the buffer holds D_0, C_0, D_1, C_1, ..., D_last; entries below the block diagonal are dropped
-        nxt = sizes[1:] + [0]
-        start = np.cumsum([0] + [x for s, t in zip(sizes, nxt) for x in (s * s, s * t)])
-        first = np.cumsum([0] + sizes)
-        # per level: the slices of D_k and C_k, their sizes, and the level's first place in the order
-        self.blocks = [(slice(*start[2 * k : 2 * k + 2]), slice(*start[2 * k + 1 : 2 * k + 3]), s, t, first[k])
-                       for k, (s, t) in enumerate(zip(sizes, nxt))]
-        self.size = int(start[-1])
-        lr, lc = self.level[rows], self.level[cols]
-        self.upper = lc >= lr
-        lr, lc = lr[self.upper], lc[self.upper]
-        # an entry of D_k (lc = lr) or C_k (lc = lr + 1), whose rows are sizes[lc] long
-        self.dest = start[lr + lc] + local[rows[self.upper]] * np.asarray(sizes)[lc] + local[cols[self.upper]]
+            count = 0
+            for k, nodes in enumerate(component, 1):
+                count += nodes.size
+                if count >= _MIN_BLOCK or k == len(component):
+                    sizes.append(count)
+                    coupled.append(k < len(component))
+                    count = 0
+        self.order, first = np.concatenate(self.levels), np.cumsum([0] + sizes)
+        self.level, self.block, local = (np.empty(n, dtype=int) for _ in range(3))
+        self.level[self.order] = np.repeat(np.arange(len(self.levels)), [nodes.size for nodes in self.levels])
+        self.block[self.order] = np.repeat(np.arange(len(sizes)), sizes)
+        local[self.order] = np.arange(n) - np.repeat(first[:-1], sizes)
+        # the buffer holds D_0, [C_0 | r_0], D_1, [C_1 | r_1], ...; entries below the block diagonal are dropped
+        width = [1 + (sizes[k + 1] if c else 0) for k, c in enumerate(coupled)]
+        start = np.cumsum([0] + [x for s, w in zip(sizes, width) for x in (s * s, s * w)])
+        self.buf = np.empty(start[-1])
+        self.blocks = [(self.buf[start[2 * k] : start[2 * k + 1]].reshape(s, s),
+                        self.buf[start[2 * k + 1] : start[2 * k + 2]].reshape(s, w), first[k], first[k + 1])
+                       for k, (s, w) in enumerate(zip(sizes, width))]
+        br, bc = self.block[rows], self.block[cols]
+        self.upper = bc >= br
+        br, up = br[self.upper], (bc[self.upper] > br[self.upper]).astype(int)
+        # an entry of D_k (up = 0, rows sizes[k] long) or C_k (up = 1, rows width[k] long)
+        lens = np.array([sizes, width])
+        self.dest = start[2 * br + up] + local[rows[self.upper]] * lens[up, br] + local[cols[self.upper]]
 
     def solve(self, values: np.ndarray, b: np.ndarray) -> np.ndarray:
         """x with A x = b, where A holds values[k] at (rows[k], cols[k])."""
-        buf = np.zeros(self.size)
-        buf[self.dest] = values[self.upper]
+        self.buf.fill(0.0)
+        self.buf[self.dest] = values[self.upper]
         y, steps, CW = b[self.order], [], None
-        for d, c, s, t, lo in self.blocks:
-            S, r = buf[d].reshape(s, s), y[lo : lo + s]
+        for S, Cr, lo, hi in self.blocks:
+            Cr[:, -1] = y[lo:hi]
             if CW is not None:
-                S, r = S - CW[:, :-1], r - CW[:, -1]
-            if t == 0:  # the last level
-                break
-            C = buf[c].reshape(s, t)
-            W = np.linalg.solve(S, np.column_stack([C, r]))
-            CW = C.T @ W
+                S -= CW[:, :-1]
+                Cr[:, -1] -= CW[:, -1]
+            W = np.linalg.solve(S, Cr)
+            CW = Cr[:, :-1].T @ W if Cr.shape[1] > 1 else None
             steps.append(W)
-        x = [np.linalg.solve(S, r)]
-        for W in reversed(steps):
-            x.append(W[:, -1] - W[:, :-1] @ x[-1])
+        for (_, _, lo, hi), W in zip(reversed(self.blocks), reversed(steps)):
+            y[lo:hi] = W[:, -1] - W[:, :-1] @ y[hi : hi + W.shape[1] - 1]
         out = np.empty(y.size)
-        out[self.order] = np.concatenate(x[::-1])
+        out[self.order] = y
         return out
 
 
-_SEG_BLOCK = 8  # segments per block of _dist2_to_segments
+_POINT_BLOCK = 2048  # points per block of _dist2_to_segments
 
 
 def _dist2_to_segments(p: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """Squared distance from each point of p (n, 2) to the nearest segment of seg (ne, 2, 2).
 
-    Runs over _SEG_BLOCK segments at a time, in place: all segments at once
-    would hold several (n, ne) temporaries."""
-    px, py = p[:, :1], p[:, 1:]
-    best = np.full(p.shape[0], np.inf)
-    for lo in range(0, seg.shape[0], _SEG_BLOCK):
-        (ax, ay), (bx, by) = seg[lo : lo + _SEG_BLOCK].transpose(1, 2, 0)
-        dx, dy = bx - ax, by - ay
-        rx, ry = px - ax, py - ay
+    Runs over _POINT_BLOCK points at a time, against all segments, in place:
+    all points at once would hold several (n, ne) temporaries, too large for
+    the cache on a refined mesh."""
+    (ax, ay), (bx, by) = seg.transpose(1, 2, 0)
+    dx, dy = bx - ax, by - ay
+    dd = dx * dx + dy * dy
+    best = np.empty(p.shape[0])
+    for lo in range(0, p.shape[0], _POINT_BLOCK):
+        rx, ry = p[lo : lo + _POINT_BLOCK, :1] - ax, p[lo : lo + _POINT_BLOCK, 1:] - ay
         t = rx * dx
         t += ry * dy
-        t /= dx * dx + dy * dy
+        t /= dd
         np.clip(t, 0.0, 1.0, out=t)
         rx -= t * dx
         ry -= t * dy
         rx *= rx
         ry *= ry
         rx += ry
-        np.minimum(best, rx.min(axis=1), out=best)
+        rx.min(axis=1, out=best[lo : lo + _POINT_BLOCK])
     return best
 
 
 def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None):
-    """(J, DiskField, stages, q) by primal-dual Newton (Chan, Golub & Mulet 1999),
+    """(J, DiskField, stages) by primal-dual Newton (Chan, Golub & Mulet 1999),
     with a duality gap as the stop rule.
 
     On the free nodes (u = 0 on Gamma_0), J(u) = sum_T w_T |g_T| +
@@ -797,7 +807,7 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
     own step beta_T: 0.99 times the largest step that keeps |q_T| <= 1, at
     most a full step.  So |q_T| < 1 stays strict, each M_T stays SPD, and a
     q_T next to the unit sphere holds back only its own triangle (one global
-    step, the minimum over T, stalls near 0 on a refined mesh's prolonged dual).
+    step, the minimum over T, stalls near 0 once any q_T nears the sphere).
     delta is cut by 5, down to _DELTA_MIN, after a full primal step with
     beta_T = 1 in every triangle, or once |grad J_delta| < 1e-3 delta.
 
@@ -806,13 +816,12 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
     rounding; divided by theta >= 1 so that |p_T| <= w_T and |s_q| <= wL_q, it
     certifies by weak duality lower = sum_q [wL_q sqrt(1 - (s_q/wL_q)^2) -
     s_q ubar_q] <= J(v) for every admissible v.  J is the best value over the
-    start and the iterates, lower the best bound.  warm = (u, q, delta) starts
-    from a nodal field, a dual direction per triangle and a smoothing; by
-    default u = 0, q = 0, delta = _DELTA0.  stages is one record
+    start and the iterates, lower the best bound.  warm = (u, delta) starts
+    from a nodal field and a smoothing, by default u = 0 and delta = _DELTA0;
+    q starts at 0.  stages is one record
     {"nv", "nit", "stop", "lower", "delta"}: "nit" counts the solves, "delta"
     is the final smoothing, and "stop" is "gap" once J and lower are finite and
-    J - lower <= _GAP_TOL * J, else "maxiter" after _DISK_MAXIT solves.  q is
-    the final dual direction, for a warm start on a refined mesh.
+    J - lower <= _GAP_TOL * J, else "maxiter" after _DISK_MAXIT solves.
     """
     nv, nt = mesh.vertices.shape[0], mesh.ncells
     edges = mesh.boundary_edges()
@@ -881,11 +890,8 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
     def dot(a, b):  # per row
         return np.einsum("td,td->t", a, b)
 
-    if warm is None:
-        u, q, delta = np.zeros(nf), np.zeros((nt, 2)), _DELTA0
-    else:
-        u, q, delta = warm
-        u = np.asarray(u, dtype=float)[free_idx]
+    u, delta = (np.zeros(nv), _DELTA0) if warm is None else warm
+    u, q = np.asarray(u, dtype=float)[free_idx], np.zeros((nt, 2))
     g, d, J = state(u)
     best_J, best_u, lower, stop = J, u, -np.inf, "maxiter"
     for nit in range(1, _DISK_MAXIT + 1):
@@ -928,4 +934,4 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
             delta = max(delta / 5, _DELTA_MIN)
     full = np.zeros(nv)
     full[free_idx] = best_u
-    return best_J, DiskField(mesh, full), [{"nv": nv, "nit": nit, "stop": stop, "lower": lower, "delta": delta}], q
+    return best_J, DiskField(mesh, full), [{"nv": nv, "nit": nit, "stop": stop, "lower": lower, "delta": delta}]

@@ -16,6 +16,7 @@ from bvgym.integrands import (
     measure_action,
     pair_action,
     toy_weight,
+    unit_matrices,
 )
 from bvgym.measures import Atom, BVField, DiscreteMeasure
 from bvgym.meshes import IntervalMesh, interval_mesh
@@ -289,3 +290,15 @@ class TestMatNorm:
         A = np.arange(1.0, 1.0 + dims[0] * dims[1]).reshape(dims) * 1e-30
         got = mat_norm(A)
         assert isinstance(got, np.float64) and got == _mat_norm_by_np_sum(A)
+
+
+class TestUnitMatrices:
+    @pytest.mark.parametrize("dims, n, k", [((1, 1), 16, 2), ((1, 2), 16, 16), ((2, 1), 8, 8), ((2, 2), 16, 24),
+                                            ((3, 1), 8, 14), ((3, 2), 512, 524)])
+    def test_row_count_and_unit_norms(self, dims, n, k):
+        P = unit_matrices(dims, n)
+        assert P.shape == (k,) + dims
+        np.testing.assert_allclose(mat_norm(P), 1.0, rtol=1e-15)
+        if k == n + 2 * dims[0] * dims[1]:  # +E_ij, -E_ij first, entry by entry
+            basis = np.eye(dims[0] * dims[1]).reshape(-1, *dims)
+            assert np.array_equal(P[: k - n : 2], basis) and np.array_equal(P[1 : k - n : 2], -basis)

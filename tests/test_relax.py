@@ -32,8 +32,9 @@ from bvgym.relax import (
 from bvgym.relax import (
     _GAP_TOL,
     _LevelBlocks,
+    _MIN_BLOCK,
     _discrete_energy,
-    _SEG_BLOCK,
+    _POINT_BLOCK,
     _angle_in,
     _arc_edges,
     _arcs_overlap,
@@ -735,8 +736,8 @@ class TestHigherDim:
     def test_pinned_table_and_stages(self, refine_calls):
         res = higher_dim_J(0.35, _SIN, level=1, refinements=2)
         _assert_pinned(res, [(25, 1.692333435614507, 1.6923333305486297, 2, 0.002),
-                             (81, 1.6910439010840004, 1.691043310796932, 16, 3.2e-06),
-                             (289, 1.6877173398022485, 1.6877165210240705, 12, 3.2e-06)])
+                             (81, 1.691043901083999, 1.6910433107969323, 17, 3.2e-06),
+                             (289, 1.6877173396494465, 1.687716628141918, 12, 3.2e-06)])
         _assert_brackets_hold(res, _LBFGSB_SIN)
         _assert_brackets_meet(res, _IRLS_SIN)
         assert res["gamma1_length"] == 1.5597406542173138  # as before the arc selection was vectorized
@@ -792,19 +793,21 @@ class TestHigherDim:
     def test_pinned_cos2_table_and_stages(self):
         res = higher_dim_J(0.25, _COS2, level=2, refinements=1)
         _assert_pinned(res, [(81, 1.7902826060062655, 1.790281534884195, 17, 3.2e-06),
-                             (289, 1.7731203562346858, 1.7731190048697607, 12, 3.2e-06)])
+                             (289, 1.7731203559869713, 1.7731190048689252, 11, 3.2e-06)])
         _assert_brackets_hold(res, _LBFGSB_COS2)
         _assert_brackets_meet(res, _IRLS_COS2)
         assert res["gamma1_length"] == 1.5679786039752392
 
     def test_benchmark_configs_certified_within_solve_budget(self):
-        # the two disk-2d configurations without jitter: a prolonged q_T next to the unit sphere
-        # must hold back only its own triangle's dual step, not every triangle's
+        # the two disk-2d configurations without jitter: each refined mesh starts from the prolonged u
+        # and a zero dual, and each triangle's dual takes its own step, so a dual next to the unit
+        # sphere holds back only its own triangle; the finest mesh (nv = 4225) is the costly one
         nits = []
         for eps, ubar, level in ((0.35, _SIN, 2), (0.25, _COS2, 3)):
             res = higher_dim_J(eps, ubar, level=level, refinements=2)
             assert [stage["stop"] for stage in res["stages"]] == ["gap"] * 3
             nits += [stage["nit"] for stage in res["stages"]]
+        assert res["stages"][-1]["nv"] == 4225 and res["stages"][-1]["nit"] <= 10, nits
         assert sum(nits) <= 90, nits
 
     def test_meets_cutting_plane_lp_bracket(self):
@@ -815,8 +818,8 @@ class TestHigherDim:
 
     def test_cold_and_warm_start_agree(self):
         res = higher_dim_J(0.35, _SIN, level=2, refinements=1)  # nv = 289 starts from the nv = 81 solve
-        J, _, (stage,), _ = _minimize_disk(disk_mesh(2).refine(), 0.35, _SIN, (-np.pi / 4, np.pi / 4),
-                                           (3 * np.pi / 4, 5 * np.pi / 4))
+        J, _, (stage,) = _minimize_disk(disk_mesh(2).refine(), 0.35, _SIN, (-np.pi / 4, np.pi / 4),
+                                        (3 * np.pi / 4, 5 * np.pi / 4))
         warm, warm_stage = res["table"][1], res["stages"][1]
         assert warm_stage["stop"] == stage["stop"] == "gap"
         assert warm["gap"] <= _GAP_TOL and J - stage["lower"] <= _GAP_TOL * J
@@ -867,7 +870,7 @@ class TestDiskCertificate:
     def test_random_fields_never_below_lower(self, eps, ubar, refined):
         mesh = disk_mesh(1).refine() if refined else disk_mesh(1)
         gamma0 = (3 * np.pi / 4, 5 * np.pi / 4)
-        J, field, (stage,), _ = _minimize_disk(mesh, eps, ubar, (-np.pi / 4, np.pi / 4), gamma0)
+        J, field, (stage,) = _minimize_disk(mesh, eps, ubar, (-np.pi / 4, np.pi / 4), gamma0)
         lower = stage["lower"]
         assert stage["stop"] == "gap" and lower <= J <= lower + _GAP_TOL * J
         assert _disk_J(mesh, eps, ubar, field.values) == pytest.approx(J, rel=1e-12)
@@ -886,15 +889,16 @@ class TestDiskCertificate:
     def test_blocked_distances_match_segment_loop(self):
         rng = np.random.default_rng(3)
         mesh = disk_mesh(3)
-        seg = mesh.vertices[mesh.boundary_edges()[_arc_edges(mesh, (-np.pi / 4, np.pi / 4))]][:13]
-        p = rng.uniform(-1.2, 1.2, (500, 2))
+        seg = mesh.vertices[mesh.boundary_edges()[_arc_edges(mesh, (-np.pi / 4, np.pi / 4))]]
+        p = rng.uniform(-1.2, 1.2, (_POINT_BLOCK + 500, 2))  # a full block of points and a short one
         p[:3] = seg[[0, 5, -1], 1]  # on Gamma_1
-        ref = np.full(p.shape[0], np.inf)
-        for a, b in seg:  # one segment at a time, as before the blocks
-            t = np.clip((p - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
-            ref = np.minimum(ref, np.linalg.norm(p - a - t[:, None] * (b - a), axis=1))
-        assert seg.shape[0] % _SEG_BLOCK != 0 and seg.shape[0] > _SEG_BLOCK  # a full block and a short one
-        np.testing.assert_allclose(_dist2_to_segments(p, seg), ref**2, rtol=1e-12, atol=1e-30)
+        # every point against every segment at once, with the same arithmetic per element
+        (ax, ay), (bx, by) = seg.transpose(1, 2, 0)
+        dx, dy = bx - ax, by - ay
+        rx, ry = p[:, :1] - ax, p[:, 1:] - ay
+        t = np.clip((rx * dx + ry * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+        ex, ey = rx - t * dx, ry - t * dy
+        assert np.array_equal(_dist2_to_segments(p, seg), np.min(ex * ex + ey * ey, axis=1))
 
 
 def _spd_fill(rows, cols, n, rng):
@@ -913,6 +917,26 @@ def _assert_solves(blocks, rows, cols, A, rng):
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def _disk_pattern(level, refinements, gamma0):
+    """(rows, cols, n): the pattern that _minimize_disk hands to _LevelBlocks on a refined disk mesh."""
+    mesh = disk_mesh(level)
+    for _ in range(refinements):
+        mesh = mesh.refine()
+    built = []
+
+    class Recorded(_LevelBlocks):
+        def __init__(self, rows, cols, n):
+            super().__init__(rows, cols, n)
+            built.append((rows, cols, n))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relax, "_LevelBlocks", Recorded)
+        # zero data: u = 0 is certified at the first solve, so this only builds the pattern
+        _minimize_disk(mesh, 0.5, lambda p: np.zeros(p.shape[0]), (-np.pi / 4, np.pi / 4), gamma0)
+    (pattern,) = built
+    return pattern
+
+
 class TestLevelBlocks:
     """The disk solver's block-tridiagonal SPD solve on BFS level sets."""
 
@@ -920,25 +944,43 @@ class TestLevelBlocks:
     @given(st.integers(1, 3), st.integers(0, 2), st.sampled_from([(3 * np.pi / 4, 5 * np.pi / 4), (np.pi / 2, np.pi)]),
            st.integers(0, 2**32 - 1))
     def test_disk_patterns_match_dense_solve(self, level, refinements, gamma0, seed):
-        mesh = disk_mesh(level)
-        for _ in range(refinements):
-            mesh = mesh.refine()
-        built = []
-
-        class Recorded(_LevelBlocks):
-            def __init__(self, rows, cols, n):
-                super().__init__(rows, cols, n)
-                built.append((rows, cols, n, self))
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(relax, "_LevelBlocks", Recorded)
-            # zero data: u = 0 is certified at the first solve, so this only builds the pattern
-            _minimize_disk(mesh, 0.5, lambda p: np.zeros(p.shape[0]), (-np.pi / 4, np.pi / 4), gamma0)
-        (rows, cols, n, blocks), = built
+        rows, cols, n = _disk_pattern(level, refinements, gamma0)
+        blocks = _LevelBlocks(rows, cols, n)
         assert np.array_equal(np.sort(blocks.order), np.arange(n))
         assert np.all(np.abs(blocks.level[rows] - blocks.level[cols]) <= 1)
         rng = np.random.default_rng(seed)
         _assert_solves(blocks, rows, cols, _spd_fill(rows, cols, n, rng), rng)
+
+    @pytest.mark.parametrize("level, refinements", [(1, 0), (2, 0), (2, 1), (3, 1)])
+    def test_blocks_merge_consecutive_levels_of_one_component(self, level, refinements):
+        rows, cols, n = _disk_pattern(level, refinements, (3 * np.pi / 4, 5 * np.pi / 4))
+        # the disk pattern twice, as two components, and an isolated node
+        rows, cols = np.concatenate([rows, rows + n, [2 * n]]), np.concatenate([cols, cols + n, [2 * n]])
+        blocks = _LevelBlocks(rows, cols, 2 * n + 1)
+        level_block = np.array([blocks.block[nodes[0]] for nodes in blocks.levels])
+        assert all(np.all(blocks.block[nodes] == b) for nodes, b in zip(blocks.levels, level_block))
+        assert level_block[0] == 0 and set(np.diff(level_block)) <= {0, 1}  # each block is a run of consecutive levels
+        # consecutive levels lie in one component exactly when an entry couples them
+        lr, lc = blocks.level[rows], blocks.level[cols]
+        linked = np.zeros(len(blocks.levels), dtype=bool)
+        linked[lr[lc == lr + 1]] = True
+        assert not np.any((np.diff(level_block) == 0) & ~linked[:-1])  # no block spans two components
+        ends = level_block[~linked]  # each component's last block
+        assert ends.size == 3
+        sizes = np.bincount(blocks.block)
+        assert np.all((sizes >= _MIN_BLOCK) | np.isin(np.arange(sizes.size), ends)), sizes
+        assert np.all(np.abs(blocks.block[rows] - blocks.block[cols]) <= 1)
+        rng = np.random.default_rng(level)
+        _assert_solves(blocks, rows, cols, _spd_fill(rows, cols, 2 * n + 1, rng), rng)
+
+    def test_successive_solves_share_nothing(self):
+        # the buffer is built once; the second fill must not see the first fill's Schur complements
+        rows, cols, n = _disk_pattern(2, 1, (3 * np.pi / 4, 5 * np.pi / 4))
+        blocks = _LevelBlocks(rows, cols, n)
+        assert len(blocks.blocks) > 2
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            _assert_solves(blocks, rows, cols, _spd_fill(rows, cols, n, rng), rng)
 
     def test_components_and_isolated_node(self):
         # a path 0 - 3 - 5, a triangle 1, 2, 6 and the isolated node 4, each node with its diagonal entry
