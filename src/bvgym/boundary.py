@@ -6,15 +6,15 @@ half-ball D_rho = B intersect {x . rho < 0} is nonnegative for every test
 field vanishing on the sphere.  1-homogeneity makes the sign of the infimum
 over the unit total-variation ball scale-invariant, so the verdict reduces
 to the sign of a normalized minimization.  Every verdict starts from the
-moment-duality bracket of `_sphere_lower`, max_b min_S [v(S) - <b, S tau>],
-found without a mesh: exact for N = 1 and for scalar fields (M = 1), a
-sufficient bound for M >= 2.  For M >= 2 a finite-element descent runs only
-when that bound cannot certify qslb, and only to find a counterexample.
+moment-duality bracket of `_sphere_lower`, lower = max_b min_S [v(S) - <b, S tau>]
+<= infimum <= upper, found without a mesh: exact for N = 1 and for scalar
+fields (M = 1), a sufficient lower bound for M >= 2, where upper is the best
+boundary-layer direction a (x) rho of `_columns`.  For M >= 2 a finite-element
+descent runs only when neither bound decides, and only to find a counterexample.
 
 Verdicts are numerical: the bracket is exact only for integrands that are
-piecewise smooth between its samples; for M >= 2 "not_qslb" needs a descent
-field, and jqcb only ever disproves (by a Jensen counterexample);
-"inconclusive" is a first-class outcome.
+piecewise smooth between its samples, and jqcb only ever disproves (by a
+Jensen counterexample); "inconclusive" is a first-class outcome.
 """
 
 from __future__ import annotations
@@ -26,14 +26,16 @@ from typing import Sequence
 import numpy as np
 
 from .integrands import HomogeneousIntegrand, mat_norm, unit_matrices
+from .measures import group_rows
 from .meshes import TriMesh, disk_mesh, rotation_to, triangle_geometry
 
 BASE_NORMAL = np.array([1.0, 0.0])
-# "qslb" needs lower >= -QSLB_TOL; "not_qslb" needs upper (M = 1) or a descent level (M >= 2) <= -10 QSLB_TOL
+# "qslb" needs lower >= -QSLB_TOL; "not_qslb" needs upper or a descent level (M >= 2) <= -10 QSLB_TOL
 QSLB_TOL = 1e-4
 JQCB_TOL = 1e-8  # a Jensen gap above this disproves the boundary inequality
 SPHERE_SAMPLES = 4096  # directions of the moment-duality sample: the circle (M = 1), unit_matrices (M >= 2)
-LAYER_SAMPLES = 512  # unit columns a: the N = 1 bound, and the boundary-layer directions a (x) rho for M >= 2
+LAYER_SAMPLES = 512  # unit columns a: the N = 1 bound, and the boundary-layer directions a (x) rho for M >= 2,
+# which give the bracket's upper and rank_one_positivity
 POLISHED_ATOMS = 16  # for M >= 2, the atoms of least v - <b*, S tau> polished besides the LP basis
 EXCHANGE_ROUNDS = 2  # bracket rounds after the first, each with the directions the polish moved
 POLISH_SWEEPS = 4  # rounds of searches along a fresh tangent frame (M >= 2); a round that lowers nothing ends them
@@ -46,14 +48,16 @@ class NotHomogeneousError(ValueError):
 
 
 def _checked_normal(rho, dims: tuple[int, int]) -> np.ndarray:
-    """The normal as a float vector; raises ValueError unless it is finite,
-    nonzero and has the N components of an M x N integrand."""
+    """The unit normal; raises ValueError unless rho is finite, nonzero and has the
+    N components of an M x N integrand.  Scaling by the largest |component| first
+    keeps the norm of a huge or tiny normal from overflowing or underflowing."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if not (np.all(np.isfinite(rho)) and np.any(rho)):
         raise ValueError(f"normal must be finite and nonzero, got {rho.tolist()}")
     if rho.size != dims[1]:
         raise ValueError(f"normal {rho.tolist()} has {rho.size} components; v.dims = {tuple(dims)} needs {dims[1]}")
-    return rho
+    rho = rho / np.max(np.abs(rho))
+    return rho / np.linalg.norm(rho)
 
 
 def _refuse_beyond_2d(dims: tuple[int, int]) -> None:
@@ -130,7 +134,6 @@ class HalfBallProblem:
 
     def __init__(self, normal, level: int = 3, ncomp: int = 1):
         normal = _checked_normal(normal, (ncomp, 2))  # the half-ball is 2D
-        normal = normal / np.linalg.norm(normal)
         self.normal = normal
         self.level = level
         self.ncomp = ncomp
@@ -139,7 +142,6 @@ class HalfBallProblem:
         # the half-ball D_rho = {x . normal < 0}; no triangle centre lies near the dividing diameter
         self.sel = np.nonzero(self.mesh.cell_centers @ normal < 0)[0]
         self.tri = self.mesh.triangles[self.sel]
-        self._slots: dict[int, np.ndarray] = {}  # stack width -> scatter index
         self.areas = self.mesh.cell_volumes[self.sel]
         self.basis = self.mesh.basis_gradients[self.sel]
         self.weighted_basis = self.areas[:, None, None] * self.basis
@@ -178,9 +180,7 @@ class HalfBallProblem:
         dJdG = dJdG.reshape(len(self.tri), -1, 2)
         nv, K = self.mesh.vertices.shape[0], dJdG.shape[1]
         contrib = np.matmul(self.weighted_basis, dJdG.transpose(0, 2, 1))  # (t, corner, K)
-        slots = self._slots.get(K)
-        if slots is None:  # slot node * K + k of every (triangle corner, column), in C order
-            slots = self._slots[K] = (self.tri.reshape(-1, 1) * K + np.arange(K)).ravel()
+        slots = (self.tri.reshape(-1, 1) * K + np.arange(K)).ravel()  # node * K + k per (corner, column), C order
         # bincount adds in input order, so the sums match a sequential scatter bit for bit
         out = np.bincount(slots, contrib.ravel(), nv * K).reshape(nv, K)
         out[~self.free] = 0.0
@@ -486,7 +486,6 @@ def _sphere_lower(v: HomogeneousIntegrand, rho: np.ndarray) -> dict:
         i = int(np.argmin(vals))
         return {"lower": float(vals[i]), "upper": float(vals[i]), "certificate": [],
                 "witness": SphereMeasure(S[[i]], np.ones(1)), "worst_direction": S[i]}
-    rho = rho / np.linalg.norm(rho)
     frame = np.array([rho, [-rho[1], rho[0]]])  # rows rho and tau: S = X @ frame
     D = 2 * M
     h = (2 * np.pi ** (D / 2) / math.gamma(D / 2) / SPHERE_SAMPLES) ** (1 / (D - 1))  # sample spacing
@@ -554,36 +553,35 @@ def qslb_infimum(
 
     Every verdict starts from the moment-duality bracket `_sphere_lower`, and the
     result holds its "lower", "upper", "certificate" (b*) and "worst_direction".
-    "qslb" comes only from it: iff lower >= -QSLB_TOL, and then no mesh is built,
-    inf_est = lower, "witness" is None and "per_level" and "stages" are empty.
+    "qslb" iff lower >= -QSLB_TOL; else "not_qslb" iff upper <= -10 QSLB_TOL, with
+    the SphereMeasure attaining upper (the integral of a measure that half-ball
+    fields generate) as the witness.  Either way, and always for N = 1 and for
+    scalar fields (M = 1), where the bracket is exact up to its sampling, no mesh
+    is built: inf_est = lower, "inconclusive" when neither bound decides, and
+    "per_level" and "stages" are empty ("witness" is None for "qslb").
 
-    Otherwise, for N = 1 and for scalar fields (M = 1), where the bracket is exact up
-    to its sampling: "not_qslb" iff upper <= -10 QSLB_TOL, with the SphereMeasure
-    attaining upper as the witness, else "inconclusive"; inf_est = lower, and no
-    mesh is built either.
-
-    Otherwise (M >= 2, where lower is only sufficient) a descent looks for a field
-    that disproves qslb: on mesh levels 1..mesh_level it minimizes the half-ball
-    integral of v over the unit total-variation ball of piecewise-affine test
-    fields, restarting from rank-one seeded tents and two random fields (from
+    Otherwise (M >= 2 with lower < -QSLB_TOL < -10 QSLB_TOL < upper) a descent looks
+    for a field that disproves qslb: on mesh levels 1..mesh_level it minimizes the
+    half-ball integral of v over the unit total-variation ball of piecewise-affine
+    test fields, restarting from rank-one seeded tents and two random fields (from
     `seed`), iter_budget iterations in all.  "not_qslb" needs a level reaching
     -10 QSLB_TOL, with the best field (a PAField) as witness; anything else,
     including a search that gave no finite estimate, is "inconclusive".  inf_est
-    is the best descent value; "per_level" holds each level's, and "stages" one
-    record per level: "level", "nt" (half-ball triangles), "seeds", "iters" (per
-    seed) and the per-seed "stop" reasons of `_descend`.
+    is the least of upper and the descent values, and "lower" is at most inf_est;
+    "per_level" holds each level's value, and "stages" one record per level:
+    "level", "nt" (half-ball triangles), "seeds", "iters" (per seed) and the
+    per-seed "stop" reasons of `_descend`.
     """
     validate_homogeneous(v)
     rho = _checked_normal(rho, v.dims)
     _refuse_beyond_2d(v.dims)
     M, N = v.dims
     bracket = _sphere_lower(v, rho)
-    if bracket["lower"] >= -QSLB_TOL:
-        return {**bracket, "inf_est": bracket["lower"], "verdict": "qslb", "witness": None,
-                "per_level": [], "stages": []}
-    if M == 1 or N == 1:
-        verdict = "not_qslb" if bracket["upper"] <= -10 * QSLB_TOL else "inconclusive"
-        return {**bracket, "inf_est": bracket["lower"], "verdict": verdict, "per_level": [], "stages": []}
+    lower, upper = bracket["lower"], bracket["upper"]
+    if lower >= -QSLB_TOL or upper <= -10 * QSLB_TOL or M == 1 or N == 1:
+        verdict = "qslb" if lower >= -QSLB_TOL else "not_qslb" if upper <= -10 * QSLB_TOL else "inconclusive"
+        return {**bracket, "inf_est": lower, "verdict": verdict, "per_level": [], "stages": [],
+                "witness": None if verdict == "qslb" else bracket["witness"]}
 
     rng = np.random.default_rng(seed)
     per_level, stages = [], []
@@ -609,29 +607,21 @@ def qslb_infimum(
             best_all = best
             witness = hb.field(bestU) if bestU is not None else None
     verdict = "not_qslb" if any(b <= -10 * QSLB_TOL for b in per_level) else "inconclusive"
-    return {**bracket, "inf_est": float(best_all), "verdict": verdict, "witness": witness,
-            "per_level": per_level, "stages": stages}
+    inf_est = min(float(best_all), upper)
+    return {**bracket, "lower": min(lower, inf_est), "inf_est": inf_est, "verdict": verdict,
+            "witness": witness, "per_level": per_level, "stages": stages}
 
 
 def rank_one_positivity(v: HomogeneousIntegrand, rho) -> dict:
-    """Necessary sign condition: v(a x rho) >= -1e-8 on sampled unit vectors a
-    (+-1 for M = 1, else 128 directions)."""
+    """Necessary sign condition: v(a x rho) >= -1e-8 on the unit columns a of
+    `_columns`, the bracket's boundary-layer sample.  "worst" is (a, v(a x rho))
+    at the first least value."""
     validate_homogeneous(v)
     rho = _checked_normal(rho, v.dims)
-    M = v.dims[0]
-    if M == 1:
-        a_samples = np.array([[1.0], [-1.0]])
-    else:
-        a_samples = unit_matrices((M, 1), 128).reshape(-1, M)
-    worst_val = np.inf
-    worst_a = None
-    for a in a_samples:
-        A = np.outer(a, rho)
-        nA = float(mat_norm(A))
-        val = float(v(A)) / nA if nA > 0 else 0.0
-        if val < worst_val:
-            worst_val, worst_a = val, a
-    return {"ok": worst_val >= -1e-8, "worst": (worst_a, worst_val)}
+    a = _columns(v.dims[0])
+    vals = np.asarray(v.on_sphere(a * rho), dtype=float)
+    i = int(np.argmin(vals))
+    return {"ok": bool(vals[i] >= -1e-8), "worst": (a[i, :, 0], float(vals[i]))}
 
 
 def jqcb_falsify(
@@ -672,15 +662,12 @@ def jqcb_falsify(
     library = [hb.tent(a, d, w) for a in dirs for d in (0.2, 0.4) for w in (0.5, 0.8)]
     library += [hb.laminate(a) for a in dirs]
     library += [hb.random_seed(rng) for _ in range(4)]
-    best_gap, best_field = -np.inf, None
-    for U in library[: max(1, budget)]:
-        pa = hb.field(U)
-        areas, grads = pa.gradients()
-        avg = np.einsum("t,tMd->Md", areas, grads)
-        gap = float(v(avg)) - float(areas @ np.asarray(v(grads)))
-        if gap > best_gap:
-            best_gap, best_field = gap, pa
-    return _jqcb_result(best_field, best_gap)
+    library = library[: max(1, budget)]
+    G = hb.gradients(np.concatenate(library, axis=1))  # (t, candidate, M, 2)
+    gaps = np.asarray(v(np.einsum("t,tcMd->cMd", hb.areas, G))) - hb.areas @ np.asarray(v(G))
+    gaps = np.where(np.isnan(gaps), -np.inf, gaps)  # a NaN gap never wins
+    k = int(np.argmax(gaps))  # the first largest gap wins ties
+    return _jqcb_result(hb.field(library[k]), float(gaps[k]))
 
 
 def _jqcb_result(best, gap: float) -> dict:
@@ -724,7 +711,7 @@ def rotation_equivariance_check(
     """
     rho1 = _checked_normal(rho1, v.dims)
     rho2 = _checked_normal(rho2, v.dims)
-    R = rotation_to(rho1 / np.linalg.norm(rho1), rho2 / np.linalg.norm(rho2))
+    R = rotation_to(rho1, rho2)
     r1 = qslb_infimum(v, rho1, mesh_level, iter_budget)
     r2 = qslb_infimum(rotated_integrand(v, R), rho2, mesh_level, iter_budget)
     return {"gap": abs(r1["inf_est"] - r2["inf_est"]), "inf1": r1["inf_est"], "inf2": r2["inf_est"]}
@@ -734,37 +721,25 @@ def rotation_equivariance_check(
 # sphere measures generated by concentrating test fields
 
 
-def hrho_element(field) -> SphereMeasure:
+def hrho_element(field: PAField) -> SphereMeasure:
     """Pushforward of |grad phi| Lebesgue through the direction map.
 
-    `field` is a PAField (already restricted to the half-ball) or a
-    (HalfBallProblem, nodal values) pair.  Directions that agree after rounding
-    to multiples of 1e-12 merge into one atom.  Total mass equals the half-ball
-    total variation of the field.
+    `field` is a PAField already restricted to the half-ball (`HalfBallProblem.field`).
+    Directions that agree after rounding to multiples of 1e-12 merge into one atom
+    (`group_rows`), at the direction of their first triangle; atoms come in order of
+    first appearance, and each mass is summed in triangle order.  Total mass equals
+    the half-ball total variation of the field.
     """
-    if isinstance(field, tuple):
-        hb, U = field
-        field = hb.field(U)
     areas, grads = field.gradients()
     norms = mat_norm(grads)
-    buckets: dict[tuple, tuple[float, np.ndarray]] = {}
-    for t in range(grads.shape[0]):
-        if norms[t] <= 0:
-            continue
-        d = grads[t] / norms[t]
-        key = tuple(np.round(d.ravel() / 1e-12).astype(np.int64).tolist())
-        w = float(areas[t] * norms[t])
-        if key in buckets:
-            w0, d0 = buckets[key]
-            buckets[key] = (w0 + w, d0)
-        else:
-            buckets[key] = (w, d)
-    if not buckets:
-        M, N = grads.shape[1], grads.shape[2]
-        return SphereMeasure(np.zeros((0, M, N)), np.zeros(0))
-    pts = np.array([d for _, d in buckets.values()])
-    ws = np.array([w for w, _ in buckets.values()])
-    return SphereMeasure(pts, ws)
+    t = np.flatnonzero(~(norms <= 0))
+    d = grads[t] / norms[t, None, None]
+    first, group = group_rows(np.round(d / 1e-12))
+    order = np.argsort(first)  # groups in order of first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    # bincount adds in input order: each mass is a left-to-right sum over its triangles
+    return SphereMeasure(d[first[order]], np.bincount(rank[group], areas[t] * norms[t], order.size))
 
 
 def hrho_convex_combination(hb: HalfBallProblem, U1: np.ndarray, U2: np.ndarray, t: float) -> PAField:

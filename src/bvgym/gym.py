@@ -30,7 +30,7 @@ from .integrands import (
     unit_matrices,
 )
 from .measures import (RANK_ONE_TOL, Atom, BVField, DiscreteMeasure, _key, _on_boundary, _point_from, _same_mesh,
-                       fold_traces, normal_projection)
+                       fold_traces, group_rows, normal_projection)
 from .meshes import IntervalMesh, TriMesh, mesh_from_record
 
 PROB_TOL = 1e-12
@@ -254,19 +254,9 @@ def default_dictionary(dims=(1, 1)) -> list[tuple[str, Callable, Integrand]]:
 
 
 def _snap_all(grid: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """`_grid_index(grid, A[i])` for every i, evaluated once per distinct matrix.
-
-    Rows of equal entries (-0.0 == 0.0) are neighbours in a lexicographic sort of
-    the flattened matrices; a matrix holding NaN equals none, so it is evaluated
-    on its own."""
-    flat = A.reshape(A.shape[0], np.prod(A.shape[1:], dtype=int))
-    order = np.lexsort(flat.T[::-1])
-    rows = flat[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    out = np.empty(order.size, dtype=int)
-    out[order] = np.array([_grid_index(grid, A[k]) for k in order[first]], dtype=int)[np.cumsum(first) - 1]
-    return out
+    """`_grid_index(grid, A[i])` for every i, evaluated once per group of `group_rows`."""
+    first, group = group_rows(A)
+    return np.array([_grid_index(grid, A[k]) for k in first], dtype=int)[group]
 
 
 def _bin_windows(Y: DiscreteMeasure, wnodes, matrix_grid, sphere_grid, overflow_radius):
@@ -463,40 +453,17 @@ def reconstruct_underlying(gym: GenYoungMeasure, anchor_mean) -> BVField:
 
 def split(gym: GenYoungMeasure) -> tuple[GenYoungMeasure, GenYoungMeasure]:
     """Inner part (interior concentration kept) and boundary part (nu = delta_0)."""
-    bidx = set(gym.boundary_atom_indices())
-    iatoms, irows, batoms, brows = [], [], [], []
-    for i, (p, m) in enumerate(gym.lam_atoms):
-        if i in bidx:
-            batoms.append((p, m))
-            brows.append(gym.nu_inf_atoms[i])
-        else:
-            iatoms.append((p, m))
-            irows.append(gym.nu_inf_atoms[i])
-    S = gym.sphere_grid.shape[0]
-    inner = GenYoungMeasure(
-        gym.mesh,
-        gym.matrix_grid,
-        gym.nu,
-        gym.lam_density,
-        tuple(iatoms),
-        gym.sphere_grid,
-        gym.nu_inf_cells,
-        np.array(irows).reshape(len(iatoms), S),
-        gym.underlying,
-    )
-    K = gym.matrix_grid.shape[0]
-    nu0 = np.zeros((gym.mesh.ncells, K))
+    on_b = np.zeros(len(gym.lam_atoms), dtype=bool)
+    on_b[gym.boundary_atom_indices()] = True
+    inner = dataclasses.replace(gym, lam_atoms=tuple(a for a, b in zip(gym.lam_atoms, on_b) if not b),
+                                nu_inf_atoms=gym.nu_inf_atoms[~on_b])
+    nu0 = np.zeros_like(gym.nu)
     nu0[:, _zero_index(gym.matrix_grid)] = 1.0
-    boundary = GenYoungMeasure(
-        gym.mesh,
-        gym.matrix_grid,
-        nu0,
-        np.zeros(gym.mesh.ncells),
-        tuple(batoms),
-        gym.sphere_grid,
-        np.full((gym.mesh.ncells, S), 1.0 / S),
-        np.array(brows).reshape(len(batoms), S),
-    )
+    boundary = dataclasses.replace(
+        gym, nu=nu0, lam_density=np.zeros_like(gym.lam_density),
+        lam_atoms=tuple(a for a, b in zip(gym.lam_atoms, on_b) if b),
+        nu_inf_cells=np.full_like(gym.nu_inf_cells, 1.0 / gym.sphere_grid.shape[0]),
+        nu_inf_atoms=gym.nu_inf_atoms[on_b], underlying=None)
     return inner, boundary
 
 
@@ -509,7 +476,8 @@ def combine_orthogonal(
     """chi_S psi + chi_T theta for measures that are trivial on each other's set.
 
     `in_S`/`in_T` are Borel-tag predicates evaluated at cell centers and atom
-    locations; they must partition the closure.
+    locations; they must partition the closure.  The first failing cell or atom
+    is reported.
     """
     if psi.matrix_grid.shape != theta.matrix_grid.shape or not np.allclose(
         psi.matrix_grid, theta.matrix_grid
@@ -519,44 +487,30 @@ def combine_orthogonal(
         raise ValueError("measures must share the sphere grid")
     if not _same_mesh(psi.mesh, theta.mesh):
         raise ValueError("measures must share the mesh")
-    mesh = psi.mesh
-    zi = _zero_index(psi.matrix_grid)
-    centers = mesh.cell_centers
-    nu = np.empty_like(psi.nu)
-    lamd = np.empty_like(psi.lam_density)
-    nic = np.empty_like(psi.nu_inf_cells)
-    for c in range(mesh.ncells):
-        x = centers[c]
-        s, t = bool(in_S(x)), bool(in_T(x))
-        if s == t:
-            raise OrthogonalityError(f"cell {c} center not classified by exactly one tag")
-        src, other = (psi, theta) if s else (theta, psi)
-        triv = np.zeros(psi.nu.shape[1])
-        triv[zi] = 1.0
-        if np.max(np.abs(other.nu[c] - triv)) > PROB_TOL or other.lam_density[c] > PROB_TOL:
-            raise OrthogonalityError(f"orthogonality violated on cell {c}")
-        nu[c] = src.nu[c]
-        lamd[c] = src.lam_density[c]
-        nic[c] = src.nu_inf_cells[c]
+    s = np.array([bool(in_S(x)) for x in psi.mesh.cell_centers])
+    t = np.array([bool(in_T(x)) for x in psi.mesh.cell_centers])
+    # the factor that each cell takes, and the one that must be trivial there
+    nu, other_nu = np.where(s[:, None], psi.nu, theta.nu), np.where(s[:, None], theta.nu, psi.nu)
+    lamd, other_lamd = np.where(s, psi.lam_density, theta.lam_density), np.where(s, theta.lam_density, psi.lam_density)
+    other_nu[:, _zero_index(psi.matrix_grid)] -= 1.0
+    unclassified = s == t
+    bad = np.flatnonzero(unclassified | (np.max(np.abs(other_nu), axis=1) > PROB_TOL) | (other_lamd > PROB_TOL))
+    if bad.size:
+        c = bad[0]
+        raise OrthogonalityError(f"cell {c} center not classified by exactly one tag" if unclassified[c]
+                                 else f"orthogonality violated on cell {c}")
     atoms, rows = [], []
     for src, inside, label in ((psi, in_S, "S"), (theta, in_T, "T")):
-        other = theta if src is psi else psi
         for i, (p, m) in enumerate(src.lam_atoms):
             if inside(p):
                 atoms.append((p, m))
                 rows.append(src.nu_inf_atoms[i])
             elif m > PROB_TOL:
                 raise OrthogonalityError(f"atom at {p} of the {label}-factor lies outside {label}")
-    return GenYoungMeasure(
-        mesh,
-        psi.matrix_grid,
-        nu,
-        lamd,
-        tuple(atoms),
-        psi.sphere_grid,
-        nic,
-        np.array(rows).reshape(len(atoms), psi.sphere_grid.shape[0]),
-    )
+    return dataclasses.replace(
+        psi, nu=nu, lam_density=lamd, lam_atoms=tuple(atoms),
+        nu_inf_cells=np.where(s[:, None], psi.nu_inf_cells, theta.nu_inf_cells),
+        nu_inf_atoms=np.array(rows).reshape(len(atoms), psi.sphere_grid.shape[0]), underlying=None)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,22 @@ def _key(point):
     return float(arr) if arr.ndim == 0 else tuple(np.round(arr, 12).tolist())
 
 
+def group_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group) of the rows of X as `np.unique(X, axis=0, return_index=True,
+    return_inverse=True)` gives them: groups of equal rows in lexicographic order,
+    the first row of each group, and the group of every row.  Equal rows
+    (-0.0 == 0.0) are neighbours in one stable lexicographic sort; a row holding
+    NaN equals none."""
+    X = X.reshape(X.shape[0], np.prod(X.shape[1:], dtype=int))
+    order = np.lexsort(X.T[::-1])
+    rows = X[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    group = np.empty(order.size, dtype=int)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
+
+
 def _same_mesh(m1, m2) -> bool:
     if m1.dim != m2.dim:
         return False

@@ -114,6 +114,8 @@ def interval_mesh(
     """
     if not b > a:
         raise ValueError("need b > a")
+    if not n >= 1:
+        raise ValueError(f"an interval mesh needs at least one cell, got n = {n}")
     nodes = set(np.linspace(a, b, n + 1).tolist())
     h = (b - a) / n
     for p in grade_to:

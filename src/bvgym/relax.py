@@ -21,13 +21,14 @@ visible instead of silently asserted.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .gym import GenYoungMeasure, atom_moment, generate_from_fields, gym_traces, pairing
+from .gym import atom_moment, generate_from_fields, gym_traces, pairing
 from .integrands import (
     HomogeneousIntegrand,
     hom_abs,
@@ -394,59 +395,39 @@ def _discrete_f_of_measure(spec: ProblemSpec, alpha: DiscreteMeasure) -> float:
 def tilde_transform(gym_measure, beta, spec: ProblemSpec) -> tuple:
     """Collapse boundary oscillation on the Robin part to its first moment.
 
-    On Gamma_R every lam-atom is replaced by mass |<nu_inf, id>| * mass with a
-    Dirac direction at the normalized moment; zero moments drop the atom (the
-    limit of the normalization), which is logged.  The trace keeps only its
-    absolutely continuous part, which in 1D is everything.
+    Every boundary lam-atom (`boundary_atom_indices`) on Gamma_R is replaced by
+    mass |<nu_inf, id>| * mass with a Dirac direction at the normalized moment,
+    added to the sphere grid unless a grid point lies within 1e-12; zero moments
+    drop the atom (the limit of the normalization), which is logged.  The trace
+    keeps only its absolutely continuous part, which in 1D is everything.
     """
     if gym_measure.mesh.dim != 1:
         raise NotImplementedError("the tilde transform is implemented on interval domains")
     beta = _beta_as_dict(spec, beta)
     log = []
-    atoms = []
-    rows = []
-    sphere = [s for s in gym_measure.sphere_grid]
-
-    def sphere_index(d):
-        for i, s in enumerate(sphere):
-            if float(mat_norm(s - d)) <= 1e-12:
-                return i
-        sphere.append(d)
-        return len(sphere) - 1
-
-    for i, (p, m) in enumerate(gym_measure.lam_atoms):
+    atoms, keep = list(gym_measure.lam_atoms), np.ones(len(gym_measure.lam_atoms), dtype=bool)
+    sphere, dirac = gym_measure.sphere_grid, {}  # atom -> sphere index of its Dirac direction
+    for i in gym_measure.boundary_atom_indices():
+        p, m = atoms[i]
         x = float(np.asarray(p))
         if spec.term_at(x) is None:
-            atoms.append((p, m))
-            rows.append(("keep", i))
             continue
         mom = atom_moment(gym_measure, i)
         norm = float(mat_norm(mom))
         if norm * m <= 0.0:
             log.append(f"dropped zero-moment boundary atom at x={x:g} (mass {m:g})")
+            keep[i] = False
             continue
-        atoms.append((p, m * norm))
-        rows.append(("dirac", sphere_index(mom / norm)))
-    S = len(sphere)
-    nia = np.zeros((len(atoms), S))
-    for j, (kind, idx) in enumerate(rows):
-        if kind == "keep":
-            nia[j, : gym_measure.sphere_grid.shape[0]] = gym_measure.nu_inf_atoms[idx]
-        else:
-            nia[j, idx] = 1.0
-    nic = np.zeros((gym_measure.mesh.ncells, S))
-    nic[:, : gym_measure.sphere_grid.shape[0]] = gym_measure.nu_inf_cells
-    tilde = GenYoungMeasure(
-        gym_measure.mesh,
-        gym_measure.matrix_grid,
-        gym_measure.nu,
-        gym_measure.lam_density,
-        tuple(atoms),
-        np.array(sphere),
-        nic,
-        nia,
-        underlying=gym_measure.underlying,
-    )
+        d = mom / norm
+        near = np.flatnonzero(mat_norm(sphere - d) <= 1e-12)
+        if not near.size:
+            sphere, near = np.concatenate([sphere, d[None]]), [len(sphere)]
+        atoms[i], dirac[i] = (p, m * norm), near[0]
+    pad = ((0, 0), (0, sphere.shape[0] - gym_measure.sphere_grid.shape[0]))
+    nia = np.pad(gym_measure.nu_inf_atoms, pad)
+    nia[list(dirac)] = np.eye(sphere.shape[0])[list(dirac.values())]
+    tilde = dataclasses.replace(gym_measure, lam_atoms=tuple(a for a, k in zip(atoms, keep) if k), sphere_grid=sphere,
+                                nu_inf_cells=np.pad(gym_measure.nu_inf_cells, pad), nu_inf_atoms=nia[keep])
     return tilde, beta, log
 
 

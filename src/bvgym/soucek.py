@@ -20,8 +20,8 @@ import numpy as np
 
 from .gym import GenYoungMeasure, check_characterization, first_moment, reconstruct_underlying
 from .integrands import unit_matrices
-from .measures import (RANK_ONE_TOL, Atom, BVField, DiscreteMeasure, DiskField, _key, fold_traces, normal_projection,
-                       weakstar_gap)
+from .measures import (RANK_ONE_TOL, Atom, BVField, DiscreteMeasure, DiskField, _key, fold_traces, group_rows,
+                       normal_projection, weakstar_gap)
 from .meshes import _GL_W, _GL_X, _TRI_BARY, _TRI_W
 
 GREEN_TOL = 1e-9
@@ -264,23 +264,24 @@ def to_gym(pair: SoucekPair):
     mesh = pair.mesh
     dens = pair.alpha.density  # (ncells, M, N)
     M, N = dens.shape[1], dens.shape[2]
-    grid, cell_k = np.unique(dens.reshape(mesh.ncells, -1), axis=0, return_inverse=True)
+    first, cell_k = group_rows(dens)
     atoms = pair.alpha.atoms
     if atoms:
-        dirs = np.array([np.asarray(a.direction, dtype=float).reshape(M * N) for a in atoms])
-        sphere, atom_k = np.unique(dirs, axis=0, return_inverse=True)
+        dirs = np.array([np.asarray(a.direction, dtype=float).reshape(M, N) for a in atoms])
+        first_dir, atom_k = group_rows(dirs)
+        sphere = dirs[first_dir]
     else:
-        sphere, atom_k = unit_matrices((M, N), 2)[:1].reshape(1, M * N), np.zeros(0, dtype=int)
+        sphere, atom_k = unit_matrices((M, N), 2)[:1], np.zeros(0, dtype=int)
     S = sphere.shape[0]
     return GenYoungMeasure(
         mesh,
-        grid.reshape(-1, M, N),
-        np.eye(grid.shape[0])[cell_k.ravel()],
+        dens[first],
+        np.eye(first.size)[cell_k],
         np.zeros(mesh.ncells),
         tuple((a.point, a.mass) for a in atoms),
-        sphere.reshape(S, M, N),
+        sphere,
         np.full((mesh.ncells, S), 1.0 / S),
-        np.eye(S)[atom_k.ravel()],
+        np.eye(S)[atom_k],
         underlying=pair.u if isinstance(pair.u, BVField) else None,
     )
 

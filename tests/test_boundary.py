@@ -200,6 +200,46 @@ def _second_row_norm(sign: float = 1.0) -> HomogeneousIntegrand:
     return HomogeneousIntegrand((2, 2), lambda S: sign * mat_norm(S[..., 1:, :]), name="row2", grad_fn=grad)
 
 
+def _cone(theta0: float, width: float, depth: float, rho=(0.6, 0.8)) -> HomogeneousIntegrand:
+    """1 - depth max(0, <a0, S rho> - cos width) / (1 - cos width) on the 2x2 sphere, with
+    a0 = (cos theta0, sin theta0): 1 but for a dip to 1 - depth at S = a0 (x) rho, a
+    boundary-layer direction, whose slopes vanish within angle `width` of it."""
+    a0, rho = np.array([np.cos(theta0), np.sin(theta0)]), np.asarray(rho, dtype=float)
+
+    def sphere(S):
+        return 1.0 - depth * np.maximum(0.0, (S @ rho) @ a0 - np.cos(width)) / (1.0 - np.cos(width))
+
+    return HomogeneousIntegrand((2, 2), sphere, name="cone")
+
+
+def _row2_det_form(c: float) -> HomogeneousIntegrand:
+    """|A_2| - c |det A| / |A| on 2x2 matrices, without grad_fn: every central difference
+    vanishes on fields whose second component is zero.  A boundary layer a (x) rho has
+    det 0, so upper = 0, and lower < 0 for c >= 2: neither bound decides."""
+    def sphere(S):
+        return mat_norm(S[..., 1:, :]) - c * np.abs(S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0])
+
+    return HomogeneousIntegrand((2, 2), sphere, name=f"row2det{c}")
+
+
+def _tau_form(c: float) -> HomogeneousIntegrand:
+    """|A| - c |A tau|^2 / |A| on 2x2 matrices, tau = (0, 1) the tangent of RHO: smooth
+    away from 0, so its descent is reproducible.  Boundary layers a (x) RHO give upper = 1,
+    and lower = 1 - c: for c > 1 neither bound decides."""
+    tau = np.array([0.0, 1.0])
+
+    def sphere(S):
+        return mat_norm(S) - c * np.sum((S @ tau) ** 2, -1) / mat_norm(S)
+
+    def grad(A):
+        n = mat_norm(A)[..., None, None]
+        n = np.where(n > 0, n, np.inf)  # the subgradient 0 at the zero matrix
+        At = A @ tau
+        return A / n - c * (2 * At[..., :, None] * tau / n - np.sum(At**2, -1)[..., None, None] * A / n**3)
+
+    return HomogeneousIntegrand((2, 2), sphere, name=f"tau{c}", grad_fn=grad)
+
+
 def _level_descents(v, rho, mesh_level, budget, descend):
     """Best value per level of the restarts the M >= 2 descent of `qslb_infimum` runs
     (rank-one tents and two random fields, iterations split over the levels), for
@@ -286,8 +326,9 @@ class TestQslb2D:
         assert res["verdict"] == "qslb" and res["per_level"] == [] and res["stages"] == []
 
     def test_uncertified_m2_descends_on_every_level(self):
-        # -|A| cannot be certified (lower = -1), so each of the two levels descends
-        res = qslb_infimum(hom_neg_abs((2, 2)), RHO, mesh_level=2, iter_budget=600)
+        # 1 - 3 |det S| on the sphere: lower = -0.5 and upper = 1 (a boundary layer has
+        # det 0), so neither bound decides, and each of the two levels descends
+        res = qslb_infimum(_det_form(3.0), RHO, mesh_level=2, iter_budget=600)
         assert res["lower"] < -QSLB_TOL
         assert res["verdict"] == "not_qslb" and len(res["per_level"]) == 2 and len(res["stages"]) == 2
 
@@ -306,7 +347,17 @@ class TestQslb2D:
         assert mu.pair(v) <= -0.1
 
     def test_normal_form_fails_with_witness_m2(self):
+        # the boundary layer a (x) rho, a = -(1, 1)/sqrt(2), gives upper = -sqrt(2): the
+        # bracket decides, and its witness is that layer's measure
         v = hom_linear(np.array([-RHO, -RHO]), dims=(2, 2))
+        res = qslb_infimum(v, RHO, mesh_level=3, iter_budget=4000)
+        assert res["verdict"] == "not_qslb"
+        assert res["inf_est"] <= -0.1 and res["per_level"] == []
+        assert res["witness"].pair(v) == res["upper"] <= -0.1
+
+    def test_descent_fails_with_witness_m2(self):
+        # 1 - 3 |det S| on the sphere: no bound decides, and the descent finds the field
+        v = _det_form(3.0)
         res = qslb_infimum(v, RHO, mesh_level=3, iter_budget=4000)
         assert res["verdict"] == "not_qslb"
         assert res["inf_est"] <= -0.1
@@ -539,8 +590,8 @@ class TestMomentDuality:
         monkeypatch.setattr(boundary, "disk_mesh", refuse)
         res = qslb_infimum(mixed_form(1.0, [0.4, -0.2]), self.RHO, mesh_level=3, iter_budget=2000)
         assert res["verdict"] == "qslb" and res["certificate"]
-        with pytest.raises(AssertionError, match="built a mesh"):  # M = 2 and not certified: the descent runs
-            qslb_infimum(hom_neg_abs((2, 2)), self.RHO, mesh_level=1, iter_budget=20)
+        with pytest.raises(AssertionError, match="built a mesh"):  # M = 2 and no bound decides: the descent runs
+            qslb_infimum(_det_form(2.5), self.RHO, mesh_level=1, iter_budget=20)
 
     def test_rotation_is_exact_for_scalars(self):
         v = mixed_form(2.0, [0.5, -0.3])
@@ -550,7 +601,8 @@ class TestMomentDuality:
 
 def _det_form(c: float) -> HomogeneousIntegrand:
     """|A| - c |det A| / |A| on 2x2 matrices: isotropic, and on the unit sphere
-    least, 1 - c/2, on the conformal matrices, whose A tau fill a circle."""
+    least, 1 - c/2, on the conformal matrices, whose A tau fill a circle.  A
+    boundary layer a (x) rho has det 0, so the bracket's upper is 1."""
     def sphere(S):
         return mat_norm(S) - c * np.abs(S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]) / mat_norm(S)
 
@@ -642,6 +694,37 @@ class TestCertificateM2:
             assert r1["verdict"] == r2["verdict"] == "qslb"
             assert abs(r1["lower"] - r2["lower"]) <= bound
 
+    def test_boundary_layer_cone_is_decided_by_upper(self, monkeypatch):
+        # v(a0 (x) rho) = -0.05 at a sampled layer direction: upper = lower = -0.05, so
+        # "not_qslb" comes from the bracket alone, with no mesh
+        import bvgym.boundary as boundary
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a decided verdict built a mesh")
+
+        monkeypatch.setattr(boundary, "disk_mesh", refuse)
+        res = qslb_infimum(_cone(np.pi / 8, 0.1, 1.05), self.RHO)
+        assert res["verdict"] == "not_qslb" and res["per_level"] == []
+        assert res["inf_est"] == pytest.approx(-0.05, rel=0, abs=1e-9)
+        assert res["upper"] == pytest.approx(-0.05, rel=0, abs=1e-9)
+        assert res["witness"].pair(_cone(np.pi / 8, 0.1, 1.05)) == res["upper"]
+
+    @settings(max_examples=12, deadline=None)
+    @given(angle=st.floats(0.0, 2 * np.pi), M=st.sampled_from([1, 2]), kind=st.sampled_from(["mixed", "kinked"]),
+           w=st.floats(0.0, 2.0), seed=st.integers(0, 2**16))
+    def test_inf_est_lies_in_the_bracket(self, angle, M, kind, w, seed):
+        # decided by the bracket (inf_est = lower) or by the descent (inf_est <= upper)
+        rng = np.random.default_rng(seed)
+        rho = np.array([np.cos(angle), np.sin(angle)])
+        if kind == "mixed":
+            v = mixed_form(w, rng.uniform(-1.5, 1.5, (M, 2)))
+        elif M == 1:
+            v = piecewise_form(w, rng.uniform(-2.0, 2.0, 3), rng.uniform(0.0, 2 * np.pi, 3))
+        else:
+            v = kinked_form_m2(w, rng.uniform(-2.0, 2.0, 3), rng.standard_normal((3, 2, 2)))
+        res = qslb_infimum(v, rho, mesh_level=1, iter_budget=40)
+        assert res["lower"] <= res["inf_est"] <= res["upper"]
+
     def test_certified_builds_no_mesh(self, monkeypatch):
         import bvgym.boundary as boundary
 
@@ -653,8 +736,8 @@ class TestCertificateM2:
         assert res["verdict"] == "qslb" and len(res["certificate"]) == 2 and res["lower"] >= -QSLB_TOL
 
     def test_tracer_counts_the_descent(self):
-        # bench/tracer.py counts HalfBallProblem.objective calls; an M = 2 integrand the
-        # bracket cannot certify still descends, so the counter stays live
+        # bench/tracer.py counts HalfBallProblem.objective calls; an M = 2 integrand that
+        # neither bound of the bracket decides still descends, so the counter stays live
         import importlib.util
         from pathlib import Path
 
@@ -666,8 +749,7 @@ class TestCertificateM2:
         spec.loader.exec_module(tracer)
         t = tracer.Tracer().install()
         try:
-            res = boundary.qslb_infimum(hom_linear([[0.3, -0.7], [0.5, 0.2]], (2, 2)), self.RHO,
-                                        mesh_level=1, iter_budget=40)
+            res = boundary.qslb_infimum(_det_form(2.5), self.RHO, mesh_level=1, iter_budget=40)
         finally:
             t.uninstall()
         assert res["lower"] < -QSLB_TOL and len(res["per_level"]) == 1
@@ -690,6 +772,14 @@ class TestRankOne:
         v = hom_abs((1, 2))
         res = rank_one_positivity(v, RHO)
         assert res["ok"] and res["worst"][1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("theta0", [0.32, 1.0])
+    def test_narrow_cone_is_found(self, theta0):
+        # a dip of width 0.03 between two of 128 directions: the bracket's 512-column sample sees it
+        res = rank_one_positivity(_cone(theta0, 0.03, 1.5), (0.6, 0.8))
+        a, val = res["worst"]
+        assert not res["ok"] and val < -0.4
+        assert np.arccos(np.clip(a @ [np.cos(theta0), np.sin(theta0)], -1.0, 1.0)) <= np.pi / 512
 
     @pytest.mark.parametrize("normal", [(0.0, 0.0), (np.nan, 1.0)])
     def test_invalid_normal_rejected(self, normal):
@@ -910,8 +1000,8 @@ class TestBatchedDescent:
         assert stop == ["stalled", "maxiter", "maxiter"]
         for U0, res in zip(seeds, results):
             assert res[0] == pytest.approx(_descend_one(hb, v, U0, 12)[0], rel=0, abs=1e-12)
-        # -|A_2| stalls on the same seeds, and the bracket cannot certify it, so it descends
-        res = qslb_infimum(_second_row_norm(-1.0), RHO, mesh_level=1, iter_budget=200)
+        # |A_2| - 2 |det A| / |A| stalls on the same seeds, and neither bound decides it, so it descends
+        res = qslb_infimum(_row2_det_form(2.0), RHO, mesh_level=1, iter_budget=200)
         (stage,) = res["stages"]
         dirs = unit_matrices((2, 1), 8).reshape(-1, 2)
         flat = [a[1] == 0.0 for a in dirs for _ in (0.2, 0.4)] + [False, False]
@@ -1021,7 +1111,7 @@ class TestRotation:
     def test_m2_descent_sees_an_isometric_problem(self):
         # the rotated half-ball mesh is the image of the original one, so every
         # level's estimate agrees, not only the minimum
-        v = hom_linear([[0.5, -0.3], [0.2, 0.4]], (2, 2))
+        v = _tau_form(1.5)
         rho2 = np.array([-0.28, 0.96])
         R = rotation_to(RHO, rho2)
         hb1, hb2 = HalfBallProblem(RHO, level=3, ncomp=2), HalfBallProblem(rho2, level=3, ncomp=2)
@@ -1042,7 +1132,34 @@ class TestRotation:
         assert float(w(A)) == pytest.approx(float(v(A @ R)))
 
 
+def _hrho_dict_loop(field: PAField) -> SphereMeasure:
+    """Reference: one dict bucket per direction rounded to multiples of 1e-12, filled per triangle."""
+    areas, grads = field.gradients()
+    norms = mat_norm(grads)
+    buckets = {}
+    for t in range(grads.shape[0]):
+        if norms[t] <= 0:
+            continue
+        d = grads[t] / norms[t]
+        key = tuple(np.round(d.ravel() / 1e-12).astype(np.int64).tolist())
+        w = float(areas[t] * norms[t])
+        buckets[key] = (buckets[key][0] + w, buckets[key][1]) if key in buckets else (w, d)
+    if not buckets:
+        return SphereMeasure(np.zeros((0,) + grads.shape[1:]), np.zeros(0))
+    return SphereMeasure(np.array([d for _, d in buckets.values()]), np.array([w for w, _ in buckets.values()]))
+
+
 class TestHrho:
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_matches_dict_loop(self, M):
+        hb = HalfBallProblem(RHO, level=3, ncomp=M)
+        a = np.ones(M) / np.sqrt(M)
+        rng = np.random.default_rng(M)
+        for U in (hb.tent(a, 0.3, 0.7), hb.laminate(a), hb.random_seed(rng), np.zeros((hb.mesh.vertices.shape[0], M))):
+            pa = hb.field(U)
+            sm, ref = hrho_element(pa), _hrho_dict_loop(pa)
+            assert np.array_equal(sm.points, ref.points) and np.array_equal(sm.weights, ref.weights)
+
     def test_constant_direction_single_atom(self):
         # one triangle with an affine field: mass = area * |gradient|
         verts = np.array([[-0.5, 0.0], [-0.1, 0.0], [-0.3, -0.4]])
@@ -1058,7 +1175,7 @@ class TestHrho:
 
     def test_zero_field(self):
         hb = HalfBallProblem(RHO, level=2)
-        sm = hrho_element((hb, np.zeros((hb.mesh.vertices.shape[0], 1))))
+        sm = hrho_element(hb.field(np.zeros((hb.mesh.vertices.shape[0], 1))))
         assert sm.total_mass == 0.0
 
     def test_two_slope_laminate_two_atoms(self):
@@ -1082,7 +1199,7 @@ class TestHrho:
     def test_mass_equals_total_variation(self):
         hb = HalfBallProblem(RHO, level=2)
         U = hb.tent([1.0], 0.3, 0.7)
-        sm = hrho_element((hb, U))
+        sm = hrho_element(hb.field(U))
         assert sm.total_mass == pytest.approx(hb.field(U).total_variation())
 
     def test_pairing_against_qslb_members_nonnegative(self):
@@ -1094,7 +1211,7 @@ class TestHrho:
                    hom_linear(-np.outer([1.0], tau), (1, 2))]
         rng = np.random.default_rng(5)
         for U in (hb.tent([1.0], 0.25, 0.8), hb.laminate([1.0]), hb.random_seed(rng)):
-            sm = hrho_element((hb, U))
+            sm = hrho_element(hb.field(U))
             for v in members:
                 assert sm.pair(v) >= -1e-8 * max(1.0, sm.total_mass)
 
@@ -1105,8 +1222,8 @@ class TestHrhoConvexCombination:
         hb = HalfBallProblem(RHO, level=2)
         U1 = hb.tent([1.0], 0.25, 0.8)
         U2 = hb.laminate([1.0])
-        d1 = hrho_element((hb, U1))
-        d2 = hrho_element((hb, U2))
+        d1 = hrho_element(hb.field(U1))
+        d2 = hrho_element(hb.field(U2))
         combo = hrho_convex_combination(hb, U1, U2, t)
         dc = hrho_element(combo)
         probes = [hom_abs((1, 2)), hom_linear([0.4, -0.9], (1, 2)), mixed_form(1.0, [0.1, 0.2])]
@@ -1119,7 +1236,7 @@ class TestHrhoConvexCombination:
         hb = HalfBallProblem(RHO, level=2)
         U1 = hb.tent([1.0], 0.3, 0.6)
         U2 = hb.tent([-1.0], 0.3, 0.6)
-        m1 = hrho_element((hb, U1)).total_mass
+        m1 = hrho_element(hb.field(U1)).total_mass
         combo = hrho_convex_combination(hb, U1, U2, 0.5)
         dc = hrho_element(combo)
         assert dc.total_mass == pytest.approx(m1, abs=1e-10)
@@ -1187,6 +1304,21 @@ class TestInvalidNormals:
                     jqcb_falsify(v, [1.0, 0.0, 0.0], budget=2)
         half_ball.assert_not_called()
 
+    @pytest.mark.parametrize("v", [hom_linear([[-0.6, -0.8]], (1, 2)), hom_neg_abs((1, 2)), hom_abs((2, 2)),
+                                   _cone(np.pi / 8, 0.1, 1.05), _tau_form(1.5)],
+                             ids=["linear", "neg_abs", "abs2x2", "cone", "tau1.5"])
+    def test_huge_and_tiny_normals_act_as_the_unit_normal(self, v):
+        # the norm of 1e300 rho overflows and that of 1e-300 rho underflows; the normal
+        # is scaled by its largest component first, so neither turns into 0
+        rho = np.array([0.6, 0.8])
+        ref, jref = qslb_infimum(v, rho, mesh_level=1, iter_budget=40), jqcb_falsify(v, rho)
+        for scale in (1e300, 1e-300):
+            res, jres = qslb_infimum(v, scale * rho, mesh_level=1, iter_budget=40), jqcb_falsify(v, scale * rho)
+            assert res["verdict"] == ref["verdict"] and jres["status"] == jref["status"]
+            assert res["inf_est"] == pytest.approx(ref["inf_est"], rel=0, abs=1e-12)
+            assert jres["gap"] == pytest.approx(jref["gap"], rel=0, abs=1e-12)
+        assert rank_one_positivity(v, 1e300 * rho)["ok"] == rank_one_positivity(v, rho)["ok"]
+
     def test_zero_1d_normal_rejected(self):
         with pytest.raises(ValueError, match="finite and nonzero"):
             qslb_infimum(hom_abs((1, 1)), 0.0)
@@ -1194,10 +1326,11 @@ class TestInvalidNormals:
     def test_empty_search_is_inconclusive(self, monkeypatch):
         import bvgym.boundary as boundary
 
-        # every restart skipped, as if each seed had zero total variation; M = 2 and
-        # not certified, since other integrands take the moment-duality bracket alone
+        # every restart skipped, as if each seed had zero total variation; M = 2 and no
+        # bound decides, since other integrands take the moment-duality bracket alone.
+        # inf_est is then the bracket's upper, the integral of a generated measure
         monkeypatch.setattr(boundary, "_descend",
                             lambda hb, v, seeds, iters: ([None] * len(seeds), ["degenerate"] * len(seeds)))
-        res = qslb_infimum(hom_neg_abs((2, 2)), RHO, mesh_level=1, iter_budget=20)
+        res = qslb_infimum(_det_form(2.5), RHO, mesh_level=1, iter_budget=20)
         assert res["verdict"] == "inconclusive"
-        assert res["inf_est"] == np.inf and res["witness"] is None
+        assert res["inf_est"] == res["upper"] and res["witness"] is None

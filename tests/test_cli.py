@@ -396,6 +396,13 @@ class TestErrorsAndDeterminism:
         assert "unknown sequence kind 'nope'" in _one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["0", "-3", "100,0"])
+    def test_generate_with_fewer_than_one_cell_exits_1(self, tmp_path, capsys, n):
+        code, out = run(tmp_path, "generate", "--sequence", "oscillation", "--n", n)
+        assert code == 1
+        assert "an interval mesh needs at least one cell" in _one_line_error(capsys)
+        assert not out.exists()
+
     def test_integrand_without_recession_exits_1(self, tmp_path, capsys):
         code, out = run(tmp_path, "qslb-check", "--integrand", "sq", "--normal", "1,0")
         assert code == 1

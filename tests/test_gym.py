@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from unittest import mock
 
@@ -374,6 +375,18 @@ class TestCombineOrthogonal:
         gm = random_gym(rng)  # oscillating everywhere: not trivial on any set
         with pytest.raises(OrthogonalityError, match="cell"):
             combine_orthogonal(gm, gm, lambda x: x < 0.5, lambda x: x >= 0.5)
+
+    @pytest.mark.parametrize("busy, message", [(3, "orthogonality violated on cell 3"),
+                                               (13, "cell 8 center not classified by exactly one tag")])
+    def test_first_failing_cell_is_reported(self, unit_mesh, busy, message):
+        # the tags leave cells 8-10 unclassified; both factors oscillate on cell `busy`,
+        # which S takes before them (3) or T after them (13)
+        gm = dirac_gym(unit_mesh, 0.0, matrix_grid=np.array([[[0.0]], [[1.5]]]))
+        nu = gm.nu.copy()
+        nu[busy] = [0.5, 0.5]
+        gm = dataclasses.replace(gm, nu=nu)
+        with pytest.raises(OrthogonalityError, match=f"^{message}$"):
+            combine_orthogonal(gm, gm, lambda x: x < 0.5, lambda x: x > 0.7)
 
     def test_swap_is_symmetric(self):
         psi, theta, _, _ = self._boundary_and_interior()

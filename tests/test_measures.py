@@ -10,6 +10,7 @@ from bvgym.measures import (
     charge_profile,
     decompose_boundary_interior,
     fold_traces,
+    group_rows,
     normal_projection,
     weakstar_gap,
 )
@@ -288,3 +289,14 @@ class TestSerialization:
         rows = mu.to_csv_rows()
         assert len(rows) == unit_mesh.ncells + 1
         assert rows[-1][-1] == 0.5  # atom marker carries the mass
+
+
+class TestGroupRows:
+    @pytest.mark.parametrize("shape", [(60, 3), (40, 2, 1), (0, 3), (0, 1, 1), (1, 2)])
+    def test_matches_np_unique(self, shape):
+        # rows drawn from +-0.0, NaN, +-inf and 1: -0.0 joins 0.0, a row holding NaN equals none
+        rng = np.random.default_rng(len(shape) + shape[0])
+        X = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0], size=shape)
+        first, group = group_rows(X)
+        _, index, inverse = np.unique(X, axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(first, index) and np.array_equal(group, inverse.ravel())

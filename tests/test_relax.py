@@ -461,6 +461,18 @@ class TestTildeTransform:
             after = eval_Fhat(tilde, tbeta, spec, strict=False)
             assert after <= before + 1e-10
 
+    def test_interior_atom_near_the_robin_end_is_kept(self):
+        # x = 1 - 1e-10 lies within the spec's 1e-8 side tolerance, but the measure keeps
+        # it interior (`boundary_atom_indices`): the oscillating atom stays as it is
+        spec = toy_spec(EPS)
+        mesh = interval_mesh(0, 1, 16)
+        gm = _one_atom_gym(mesh, 1 - 1e-10, 0.4, [[[-1.0]], [[1.0]]], [0.5, 0.5], BVField.constant(mesh, 0.0))
+        assert gm.boundary_atom_indices() == []
+        tilde, _, log = tilde_transform(gm, {0.0: np.array([0.0]), 1.0: np.array([0.0])}, spec)
+        assert not log and tilde.lam_atoms == gm.lam_atoms == ((1 - 1e-10, 0.4),)
+        assert np.array_equal(tilde.nu_inf_atoms, gm.nu_inf_atoms)
+        assert np.array_equal(tilde.sphere_grid, gm.sphere_grid)
+
 
 def _one_atom_gym(mesh, point, mass, sphere, row, u):
     """A measure with nu = delta_0, no lam density and one lam atom at `point`."""
