@@ -40,7 +40,8 @@ POLISHED_ATOMS = 16  # for M >= 2, the atoms of least v - <b*, S tau> polished b
 EXCHANGE_ROUNDS = 2  # bracket rounds after the first, each with the directions the polish moved
 POLISH_SWEEPS = 4  # rounds of searches along a fresh tangent frame (M >= 2); a round that lowers nothing ends them
 FD_ANGLE = 1e-6  # central-difference step of `_settle`, in radians
-GOLDEN_STEPS = 48  # golden-section steps of each polish along a great circle
+SECTION_POINTS = 15  # equally spaced points per bracket and call of `_section_min`: it keeps 2 of 16 gaps
+SECTION_CALLS = 12  # calls per polish along a great circle: the bracket ends 2h 8^-12 wide
 
 
 class NotHomogeneousError(ValueError):
@@ -306,31 +307,30 @@ def _frame_sample(M: int) -> np.ndarray:
     return np.concatenate([unit_matrices((M, 2), SPHERE_SAMPLES), np.concatenate([a, np.zeros_like(a)], axis=2)])
 
 
-def _golden_min(f, a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section search of f on every interval [a_i, d_i] at once, one call of f
-    per step; returns the best point of each search and its value."""
-    r = (np.sqrt(5.0) - 1.0) / 2.0
-    b, c = d - r * (d - a), a + r * (d - a)
-    fb, fc = f(b), f(c)
-    left = fb <= fc
-    x, fx = np.where(left, b, c), np.minimum(fb, fc)
-    for _ in range(GOLDEN_STEPS):
-        # the minimum lies in [a, c] when f(b) <= f(c), else in [b, d]
-        a, d = np.where(left, a, b), np.where(left, c, d)
-        new = np.where(left, d - r * (d - a), a + r * (d - a))
-        fnew = f(new)
-        b, c, fb, fc = (np.where(left, new, c), np.where(left, b, new),
-                        np.where(left, fnew, fc), np.where(left, fb, fnew))
-        better = fnew < fx
-        x, fx = np.where(better, new, x), np.where(better, fnew, fx)
-        left = fb <= fc
+def _section_min(f, a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Section search of f on every interval [a_i, d_i] at once: each of SECTION_CALLS
+    calls of f takes SECTION_POINTS equally spaced interior points of every bracket,
+    an (n, SECTION_POINTS) array, and keeps the two gaps around each bracket's best
+    point, so a bracket shrinks 8 times per call.  Returns the best point of each
+    search and its value."""
+    x, fx, rows, j = a, np.full(a.shape, np.inf), np.arange(a.size), np.arange(1, SECTION_POINTS + 1)
+    for _ in range(SECTION_CALLS):
+        w = (d - a) / (SECTION_POINTS + 1)
+        t = a[:, None] + w[:, None] * j
+        ft = f(t)
+        i = np.argmin(ft, axis=1)
+        ti, fi = t[rows, i], ft[rows, i]
+        better = fi < fx
+        x, fx = np.where(better, ti, x), np.where(better, fi, fx)
+        a, d = a + w * i, a + w * (i + 2)
     return x, fx
 
 
 def _polish(f, X: np.ndarray, fx: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Local search of f on the unit sphere from every X_i (shape (n, M, 2)), whose
-    value is fx_i: a golden section within angle h along the great circle through
-    X_i in each direction of an orthonormal tangent frame, in turn.  A point moves
+    value is fx_i: a `_section_min` within angle h along the great circle through
+    X_i in each direction of an orthonormal tangent frame, in turn, each call of f
+    on every point's (n, SECTION_POINTS) angles at once.  A point moves
     only where f falls, and stays on the later circles of its frame, which is
     orthogonal to the plane it moves in.  On the circle (M = 1) one search is exact;
     for M >= 2 a fresh frame starts each of up to POLISH_SWEEPS sweeps, until a sweep
@@ -345,12 +345,13 @@ def _polish(f, X: np.ndarray, fx: np.ndarray, h: float) -> tuple[np.ndarray, np.
         start = fx
         for T in np.moveaxis(frames[:, :, 1:], 2, 0):
 
-            def arc(th, Y=Y, T=T):
-                return np.cos(th)[:, None] * Y + np.sin(th)[:, None] * T
+            def arc(th, Y=Y, T=T):  # th (n, k) -> points (n, k, D)
+                return np.cos(th)[:, :, None] * Y[:, None] + np.sin(th)[:, :, None] * T[:, None]
 
-            th, ft = _golden_min(lambda th: f(arc(th).reshape(X.shape)), np.full(n, -h), np.full(n, h))
+            th, ft = _section_min(lambda th: f(arc(th).reshape(-1, *X.shape[1:])).reshape(th.shape),
+                                  np.full(n, -h), np.full(n, h))
             better = ft < fx
-            Y, fx = np.where(better[:, None], arc(th), Y), np.where(better, ft, fx)
+            Y, fx = np.where(better[:, None], arc(th[:, None])[:, 0], Y), np.where(better, ft, fx)
         if np.all(start - fx <= 1e-12 * (1.0 + np.abs(fx))):
             break
     return Y.reshape(X.shape), fx

@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     for name in ("tol", "window", "budget"):
-        if getattr(args, name, None) is not None and getattr(args, name) <= 0:
+        if getattr(args, name, None) is not None and not getattr(args, name) > 0:  # NaN is not > 0
             print(f"error: {name} must be positive", file=sys.stderr)
             return 1
     try:

@@ -116,19 +116,17 @@ def interval_mesh(
         raise ValueError("need b > a")
     if not n >= 1:
         raise ValueError(f"an interval mesh needs at least one cell, got n = {n}")
-    nodes = set(np.linspace(a, b, n + 1).tolist())
-    h = (b - a) / n
+    nodes = [np.linspace(a, b, n + 1)]
+    off = (b - a) / n * 0.5 ** np.arange(1, grade_levels + 1)
     for p in grade_to:
         at_a = np.isclose(p, a)
         if not (at_a or np.isclose(p, b)):
             raise ValueError("grading is supported at the endpoints only")
-        for j in range(1, grade_levels + 1):
-            off = h * 0.5**j
-            nodes.add(p + off if at_a else p - off)
-    for x in extra_nodes:
-        if a < x < b:
-            nodes.add(float(x))
-    return IntervalMesh(np.array(sorted(nodes)), graded_points=tuple(grade_to))
+        nodes.append(p + off if at_a else p - off)
+    extra = np.asarray(extra_nodes, dtype=float)
+    nodes.append(extra[(a < extra) & (extra < b)])
+    x = np.sort(np.concatenate(nodes))  # sorted and deduplicated below: a plain 1-D np.unique imports numpy.ma
+    return IntervalMesh(x[np.append(True, x[1:] != x[:-1])], graded_points=tuple(grade_to))
 
 
 def _edge_classes(triangles: np.ndarray):

@@ -742,31 +742,29 @@ class _LevelBlocks:
         return out
 
 
-_POINT_BLOCK = 2048  # points per block of _dist2_to_segments
-
-
 def _dist2_to_segments(p: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """Squared distance from each point of p (n, 2) to the nearest segment of seg (ne, 2, 2).
 
-    Runs over _POINT_BLOCK points at a time, against all segments, in place:
-    all points at once would hold several (n, ne) temporaries, too large for
-    the cache on a refined mesh."""
+    One pass over all points per segment, in preallocated arrays: all segments
+    at once would hold several (n, ne) temporaries, too large for the cache on
+    a refined mesh."""
     (ax, ay), (bx, by) = seg.transpose(1, 2, 0)
     dx, dy = bx - ax, by - ay
     dd = dx * dx + dy * dy
-    best = np.empty(p.shape[0])
-    for lo in range(0, p.shape[0], _POINT_BLOCK):
-        rx, ry = p[lo : lo + _POINT_BLOCK, :1] - ax, p[lo : lo + _POINT_BLOCK, 1:] - ay
-        t = rx * dx
-        t += ry * dy
-        t /= dd
+    best, rx, ry, t, s = np.full(p.shape[0], np.inf), *(np.empty(p.shape[0]) for _ in range(4))
+    for e in range(dd.size):
+        np.subtract(p[:, 0], ax[e], out=rx)
+        np.subtract(p[:, 1], ay[e], out=ry)
+        np.multiply(rx, dx[e], out=t)
+        t += np.multiply(ry, dy[e], out=s)
+        t /= dd[e]
         np.clip(t, 0.0, 1.0, out=t)
-        rx -= t * dx
-        ry -= t * dy
+        rx -= np.multiply(t, dx[e], out=s)
+        ry -= np.multiply(t, dy[e], out=s)
         rx *= rx
         ry *= ry
         rx += ry
-        rx.min(axis=1, out=best[lo : lo + _POINT_BLOCK])
+        np.minimum(best, rx, out=best)
     return best
 
 
@@ -860,25 +858,25 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
                   by[:, :, None] * by[:, None, :]]).reshape(3, nt, 9)
     phi2 = (phi[:, :, None] * phi[:, None, :]).reshape(nq, 4)
 
-    def state(u):  # gradient per triangle, residual per Gauss point, J
+    def state(u):  # gradient per triangle, residual per Gauss point, J, |g_T| and f(d)
         g, d = apply(u)
         d -= ubar_q
-        return g, d, float(weight @ np.hypot(g[:, 0], g[:, 1]) + wL @ np.hypot(1.0, d))
+        ng, fd = np.hypot(g[:, 0], g[:, 1]), np.hypot(1.0, d)
+        return g, d, float(weight @ ng + wL @ fd), ng, fd
 
     def smoothed(g, d, delta):  # J_delta, in hypot form: no square overflows
         return weight @ np.hypot(np.hypot(g[:, 0], g[:, 1]), delta) + wL @ np.hypot(1.0, d)
 
     def dot(a, b):  # per row
-        return np.einsum("td,td->t", a, b)
+        return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
 
     u, delta = (np.zeros(nv), _DELTA0) if warm is None else warm
     u, q = np.asarray(u, dtype=float)[free_idx], np.zeros((nt, 2))
-    g, d, J = state(u)
+    g, d, J, ng, fd = state(u)
     best_J, best_u, lower, stop = J, u, -np.inf, "maxiter"
     for nit in range(1, _DISK_MAXIT + 1):
-        rho = np.hypot(np.hypot(g[:, 0], g[:, 1]), delta)
+        rho = np.hypot(ng, delta)
         gh = g / rho[:, None]  # |gh_T| < 1
-        fd = np.hypot(1.0, d)
         f1, f2 = d / fd, (1.0 / fd) ** 3  # f'(d), f''(d)
         grad = adjoint(weight[:, None] * gh, wL * f1)
         # M_T = (w_T / rho_T) (I - sym(q_T gh_T'))
@@ -894,7 +892,7 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
         r = sigma / theta
         lower = max(lower, float(wL @ np.sqrt(np.maximum(0.0, 1.0 - r * r)) - (wL * r) @ ubar_q))
         # u: Armijo backtracking on J_delta, no move if 40 halvings fail
-        J0, slope = smoothed(g, d, delta), float(grad @ du)
+        J0, slope = weight @ rho + wL @ fd, float(grad @ du)  # J0 = smoothed(g, d, delta)
         alpha = next((a for a in 0.5 ** np.arange(40.0)
                       if smoothed(g + a * dg, d + a * dd, delta) <= J0 + 1e-4 * a * slope), 0.0)
         # q: each triangle takes 0.99 of its own step to the unit ball's boundary, at most a full step
@@ -905,7 +903,7 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
         beta = np.minimum(1.0, 0.99 * to_edge)
         q = q + beta[:, None] * dq
         u = u + alpha * du
-        g, d, J = state(u)
+        g, d, J, ng, fd = state(u)
         if J < best_J:
             best_J, best_u = J, u
         if np.isfinite(best_J) and np.isfinite(lower) and best_J - lower <= _GAP_TOL * best_J:

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from bvgym.boundary import (
     QSLB_TOL,
+    SECTION_CALLS,
+    SECTION_POINTS,
     HalfBallProblem,
+    _section_min,
     _descend,
     _fd_grad,
     NotHomogeneousError,
@@ -597,6 +600,77 @@ class TestMomentDuality:
         v = mixed_form(2.0, [0.5, -0.3])
         for rho2 in (np.array([0.0, 1.0]), np.array([-0.28, 0.96])):
             assert rotation_equivariance_check(v, self.RHO, rho2)["gap"] <= 1e-12
+
+
+class TestSectionSearch:
+    """`_section_min`: SECTION_CALLS calls of f, each on SECTION_POINTS interior points of
+    every bracket, keeping the two gaps around each bracket's best point."""
+
+    @staticmethod
+    def _recorded(f):
+        calls = []
+
+        def g(t):
+            calls.append((t.copy(), f(t)))
+            return calls[-1][1]
+
+        return g, calls
+
+    def test_each_bracket_matches_its_single_run(self):
+        rng = np.random.default_rng(0)
+        a = rng.uniform(-2.0, 0.0, 9)
+        d = a + rng.uniform(0.01, 3.0, 9)
+
+        def f(t):
+            return np.sin(5.0 * t) + 0.3 * t * t
+
+        x, fx = _section_min(f, a, d)
+        for i in range(a.size):
+            xi, fi = _section_min(f, a[i : i + 1], d[i : i + 1])
+            assert xi[0] == x[i] and fi[0] == fx[i]
+
+    def test_smooth_minimum(self):
+        c = np.array([-0.0123, 0.0, 0.031, 0.0499])
+        x, fx = _section_min(lambda t: (t - c[:, None]) ** 2, np.full(4, -0.05), np.full(4, 0.05))
+        assert np.max(np.abs(x - c)) <= 1e-10
+        assert np.all(fx == (x - c) ** 2)
+
+    def test_kink_stays_in_the_bracket(self):
+        c = np.array([-0.3 + 1e-7, 0.0, 0.1 / 3, 0.41])  # between the samples of the first call, or on one
+        f, calls = self._recorded(lambda t: np.abs(t - c[:, None]))
+        x, fx = _section_min(f, np.full(4, -0.5), np.full(4, 0.5))
+        assert len(calls) == SECTION_CALLS and calls[0][0].shape == (4, SECTION_POINTS)
+        for t, _ in calls:  # each call's bracket, one sample spacing beyond its outer samples, holds the kink
+            w = (t[:, -1] - t[:, 0]) / (SECTION_POINTS - 1)
+            assert np.all((t[:, 0] - w <= c) & (c <= t[:, -1] + w))
+        t = calls[-1][0]
+        w = (t[:, -1] - t[:, 0]) / (SECTION_POINTS - 1)
+        assert np.all(np.abs(x - c) <= w) and np.max(w) <= 1.0 * 8.0**-SECTION_CALLS
+
+    def test_value_is_the_best_sampled(self):
+        f, calls = self._recorded(lambda t: np.sin(40.0 * t) + np.cos(7.0 * t * t) + t)
+        x, fx = _section_min(f, np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 2.1]))
+        sampled = np.concatenate([v for _, v in calls], axis=1)
+        assert np.all(fx == sampled.min(axis=1))
+        assert np.all(fx == np.sin(40.0 * x) + np.cos(7.0 * x * x) + x)
+
+    @pytest.mark.parametrize("form, normal, verdict, most",
+                             [("linear", (0.6, 0.8), "not_qslb", 20), ("aniso", (0.28, 0.96), "qslb", 30)],
+                             ids=["linear", "aniso"])
+    def test_on_sphere_calls_per_scalar_verdict(self, form, normal, verdict, most, monkeypatch):
+        # the linear form needs one polish (53 calls with a 48-step golden section); the
+        # anisotropic norm at (0.28, 0.96) also runs an exchange round (102 calls before)
+        calls, on_sphere = [], HomogeneousIntegrand.on_sphere
+
+        def counted(self, S):
+            calls.append(1)
+            return on_sphere(self, S)
+
+        monkeypatch.setattr(HomogeneousIntegrand, "on_sphere", counted)
+        v = {"linear": hom_linear([0.3, -0.8], (1, 2)),
+             "aniso": _frame_form((0.6, 0.8), lambda c, s: np.sqrt(c * c + 4.0 * s * s), "aniso")}[form]
+        assert qslb_infimum(v, normal)["verdict"] == verdict
+        assert len(calls) <= most
 
 
 def _det_form(c: float) -> HomogeneousIntegrand:

@@ -304,6 +304,20 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--tol", "--window"])
+    def test_nan_tolerance_and_window_rejected(self, tmp_path, capsys, flag):
+        code, out = run(tmp_path, "generate", "--sequence", "oscillation", "--n", "100", flag, "nan")
+        assert code == 1
+        assert _one_line_error(capsys) == f"error: {flag[2:]} must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--tol", "--window"])
+    def test_infinite_tolerance_and_window_run(self, tmp_path, flag):
+        # an infinite tolerance accepts any pairing gap; an infinite window is one window
+        code, out = run(tmp_path, "generate", "--sequence", "oscillation", "--n", "100", flag, "inf")
+        assert code == 0
+        assert (out / "lambda.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
         for sub in ("r1", "r2"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bvgym.meshes import IntervalMesh, TriMesh, disk_mesh, rotation_2d
+from bvgym.meshes import IntervalMesh, TriMesh, disk_mesh, interval_mesh, rotation_2d
 
 
 def reference_boundary_edges(mesh: TriMesh) -> np.ndarray:
@@ -92,6 +92,37 @@ def test_interval_mesh_rejects_nonfinite_or_repeated_nodes(nodes):
     # generate bins cells with whole-array index arithmetic, which has no error for a NaN node
     with pytest.raises(ValueError, match="finite and strictly increasing"):
         IntervalMesh(np.array(nodes))
+
+
+def reference_interval_nodes(a, b, n, grade_to=(), grade_levels=40, extra_nodes=()) -> np.ndarray:
+    """The set of floats, sorted, that built interval_mesh's nodes before one np.unique."""
+    nodes = set(np.linspace(a, b, n + 1).tolist())
+    h = (b - a) / n
+    for p in grade_to:
+        at_a = np.isclose(p, a)
+        for j in range(1, grade_levels + 1):
+            nodes.add(p + h * 0.5**j if at_a else p - h * 0.5**j)
+    for x in extra_nodes:
+        if a < x < b:
+            nodes.add(float(x))
+    return np.array(sorted(nodes))
+
+
+@pytest.mark.parametrize(
+    "a, b, n, grade_to, grade_levels, extra_nodes",
+    [
+        (0.0, 1.0, 16, (0.0, 1.0), 10, ()),  # relax's level meshes: graded at both ends
+        (-0.3, 2.7, 40000, (2.7,), 40, ()),
+        (0.0, 1.0, 16, (), 40, (0.1, 0.2, 0.05)),  # relax's toy ramp
+        (0.0, 1.0, 8, (0.0,), 3, (0.25, 0.5, 1.0 / 3, -0.1, 1.0, 1.5)),  # on grid nodes, on the ends and outside
+        (0.0, 1.0, 4, (0.0,), 2, (0.125, 0.0625, 0.03125, np.nan)),  # on grading offsets; NaN is out of range
+        (0.0, 1.0, 12000, (), 40, ()),
+    ],
+)
+def test_interval_mesh_nodes_match_the_set_built_nodes(a, b, n, grade_to, grade_levels, extra_nodes):
+    nodes = interval_mesh(a, b, n, grade_to, grade_levels, extra_nodes).nodes
+    ref = reference_interval_nodes(a, b, n, grade_to, grade_levels, extra_nodes)
+    assert nodes.dtype == ref.dtype and np.array_equal(nodes, ref)
 
 
 def reference_gradients_of(mesh: TriMesh, values: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ from bvgym.relax import (
     _LevelBlocks,
     _MIN_BLOCK,
     _discrete_energy,
-    _POINT_BLOCK,
     _angle_in,
     _arc_edges,
     _arcs_overlap,
@@ -902,7 +901,7 @@ class TestDiskCertificate:
         rng = np.random.default_rng(3)
         mesh = disk_mesh(3)
         seg = mesh.vertices[mesh.boundary_edges()[_arc_edges(mesh, (-np.pi / 4, np.pi / 4))]]
-        p = rng.uniform(-1.2, 1.2, (_POINT_BLOCK + 500, 2))  # a full block of points and a short one
+        p = rng.uniform(-1.2, 1.2, (2548, 2))
         p[:3] = seg[[0, 5, -1], 1]  # on Gamma_1
         # every point against every segment at once, with the same arithmetic per element
         (ax, ay), (bx, by) = seg.transpose(1, 2, 0)
