@@ -197,7 +197,7 @@ def cmd_relax(args) -> int:
 def cmd_qslb_check(args) -> int:
     normal = _parse_vector(args.normal)
     v = _homogeneous_from_name(args.integrand, normal.size)
-    res = qslb_infimum(v, normal, mesh_level=args.level, iter_budget=args.budget, seed=args.seed)
+    res = qslb_infimum(v, normal)
     rec = {k: res[k] for k in ("inf_est", "verdict", "per_level", "lower", "upper", "certificate")}
     rec.update(integrand=args.integrand, normal=normal.tolist())
     out = Path(args.out)
@@ -341,10 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--integrand", required=True)
     p.add_argument("--normal", required=True, help='e.g. "1,0"')
     p.add_argument("--level", type=int, default=3,
-                   help="finest half-ball mesh level of the descent; applies to M >= 2 only, so not to "
-                        "the scalar integrands here, which the moment-duality bracket decides")
-    p.add_argument("--budget", type=int, default=2000,
-                   help="descent iterations over all levels; applies to M >= 2 only, as --level")
+                   help="ignored: no verdict builds a half-ball mesh (the moment-duality bracket and, "
+                        "for M >= 2, rank-one laminates decide); kept so that older command lines run")
+    p.add_argument("--budget", type=int, default=2000, help="ignored, as --level")
     p.set_defaults(func=cmd_qslb_check)
 
     p = sub.add_parser("jqcb-check", help="boundary Jensen inequality falsifier")

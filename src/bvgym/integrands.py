@@ -77,8 +77,7 @@ def unit_matrices(dims: tuple[int, int], n: int = 16) -> np.ndarray:
 class HomogeneousIntegrand:
     """Positively 1-homogeneous function, determined by its sphere values.
 
-    `grad_fn`, when present, returns a (sub)gradient dv/dA for batched input;
-    descent-based verifiers fall back to finite differences without it.
+    `grad_fn`, when present, returns a (sub)gradient dv/dA for batched input.
     """
 
     dims: tuple[int, int]

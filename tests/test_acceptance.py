@@ -122,9 +122,9 @@ def test_criterion_5_1d_qslb_equals_sign_test():
 
 def test_criterion_6_2d_boundary_tests():
     rho = np.array([1.0, 0.0])
-    r_abs = qslb_infimum(hom_abs((1, 2)), rho, mesh_level=3, iter_budget=2000)
+    r_abs = qslb_infimum(hom_abs((1, 2)), rho)
     t0 = time.time()
-    r_lin = qslb_infimum(hom_linear(-rho, dims=(1, 2)), rho, mesh_level=3, iter_budget=10**4)
+    r_lin = qslb_infimum(hom_linear(-rho, dims=(1, 2)), rho**4)
     elapsed = time.time() - t0
     ok = (
         r_abs["verdict"] == "qslb"
@@ -141,27 +141,31 @@ def test_criterion_6_2d_boundary_tests():
 
 
 def test_criterion_7_rotation_equivariance():
-    # M = 1 is decided by the moment-duality bracket, M = 2 by the half-ball descent
+    # M = 1 is decided by the moment-duality bracket.  For M = 2, |A| - 3 |det A| / |A|
+    # plus a linear part has lower < 0 < the boundary layers' upper at every normal, so
+    # the rank-one laminate search decides it
     rng = np.random.default_rng(7)
     worst = {}
-    for B in (np.array([[0.7, -0.4]]), np.array([[0.7, -0.4], [0.2, 0.5]])):
+    for B in (np.array([[0.7, -0.4]]), 0.3 * np.array([[0.7, -0.4], [0.2, 0.5]])):
         habs = hom_abs(B.shape)
         hlin = hom_linear(B, B.shape)
-        v = HomogeneousIntegrand(
-            B.shape,
-            lambda S, habs=habs, hlin=hlin: 2.0 * np.asarray(habs.on_sphere(S)) + np.asarray(hlin.on_sphere(S)),
-            name="anisotropic",
-            grad_fn=lambda A, habs=habs, B=B: 2.0 * habs.grad_fn(A) + np.broadcast_to(B, A.shape),
-        )
+        if B.shape[0] == 1:
+            def sphere(S, habs=habs, hlin=hlin):
+                return 2.0 * np.asarray(habs.on_sphere(S)) + np.asarray(hlin.on_sphere(S))
+        else:
+            def sphere(S, hlin=hlin):
+                det = np.abs(S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0])
+                return 1.0 - 3.0 * det + np.asarray(hlin.on_sphere(S))
+        v = HomogeneousIntegrand(B.shape, sphere, name="anisotropic")
         worst[B.shape[0]] = 0.0
         for _ in range(5):
             a1, da = rng.uniform(0, 2 * np.pi, 2)
             rho1 = np.array([np.cos(a1), np.sin(a1)])
             rho2 = np.array([np.cos(a1 + da), np.sin(a1 + da)])
-            res = rotation_equivariance_check(v, rho1, rho2, mesh_level=2, iter_budget=600)
+            res = rotation_equivariance_check(v, rho1, rho2)
             worst[B.shape[0]] = max(worst[B.shape[0]], res["gap"])
-    report(7, max(worst.values()) <= 1e-6,
-           f"5 random rotations each, worst infimum gap {worst[1]:.2e} (M = 1), {worst[2]:.2e} (M = 2)")
+    report(7, max(worst.values()) <= 1e-9,
+           f"5 random rotations each, worst infimum gap {worst[1]:.2e} (M = 1), {worst[2]:.2e} (M = 2, laminate)")
 
 
 def test_criterion_8_pairing_identities():

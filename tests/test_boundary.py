@@ -9,10 +9,10 @@ from bvgym.boundary import (
     QSLB_TOL,
     SECTION_CALLS,
     SECTION_POINTS,
+    LAMINATE_SWEEPS,
     HalfBallProblem,
+    _laminate,
     _section_min,
-    _descend,
-    _fd_grad,
     NotHomogeneousError,
     PAField,
     SphereMeasure,
@@ -26,7 +26,6 @@ from bvgym.boundary import (
 )
 from bvgym.integrands import (
     HomogeneousIntegrand,
-    _abs_grad,
     hom_abs,
     hom_linear,
     hom_neg_abs,
@@ -60,149 +59,6 @@ def _jqcb_1d_loop(v, tol=1e-8):
     return {"counterexample": None, "gap": best_gap, "status": "not disproved"}
 
 
-def _descend_one(hb, v, U0, iters):
-    """Reference: the one-restart descent loop that `_descend` replaced, on the
-    single-field einsum / np.add.at formulas of that version."""
-
-    def gradients(U):
-        return np.einsum("tiM,tid->tMd", U[hb.tri], hb.basis)
-
-    def objective(U):
-        return float(hb.areas @ np.asarray(v(gradients(U))))
-
-    def tv(U):
-        return float(hb.areas @ mat_norm(gradients(U)))
-
-    def nodal_gradient(dJdG):
-        out = np.zeros((hb.mesh.vertices.shape[0], hb.ncomp))
-        np.add.at(out, hb.tri, np.einsum("t,tMd,tid->tiM", hb.areas, dJdG, hb.basis))
-        out[~hb.free] = 0.0
-        return out
-
-    U = hb.zeroed(U0)
-    t = tv(U)
-    if t < 1e-12:
-        return None
-    U = U / t
-    best = objective(U)
-    bestU = U.copy()
-    for k in range(iters):
-        g = nodal_gradient(_fd_grad(v, gradients(U)))
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-14:
-            break
-        step = 0.3 * float(np.linalg.norm(U)) / (gn * np.sqrt(k + 1.0))
-        U = U - step * g
-        t = tv(U)
-        if t < 1e-12:
-            break
-        U = U / t
-        val = objective(U)
-        if val < best:
-            best = val
-            bestU = U.copy()
-    return best, bestU
-
-
-def _fd_grad_loop(v, G):
-    """Reference: `_fd_grad` with one call of v per perturbed copy of G, as it was
-    before the copies went to v as one stack."""
-    gf = getattr(v, "grad_fn", None)
-    if callable(gf):
-        return np.asarray(gf(G))
-    out = np.zeros_like(G)
-    h = 1e-6
-    for m in range(G.shape[-2]):
-        for d in range(G.shape[-1]):
-            Gp = G.copy()
-            Gp[..., m, d] += h
-            Gm = G.copy()
-            Gm[..., m, d] -= h
-            out[..., m, d] = (np.asarray(v(Gp)) - np.asarray(v(Gm))) / (2 * h)
-    return out
-
-
-def _descend_three_grads(hb, v, seeds, iters):
-    """Reference: the stacked descent as it was before it kept the gradient stack
-    of each iterate; every iteration takes gradients three times (for the finite
-    differences, the TV and the objective)."""
-
-    def objective(U):
-        return np.asarray(v(hb.gradients(U))).T @ hb.areas
-
-    nv, S = hb.mesh.vertices.shape[0], len(seeds)
-    U = np.stack([hb.zeroed(U0) for U0 in seeds], axis=1)
-    tv = hb.tv(U.reshape(nv, -1))
-    stop = np.where(tv < 1e-12, "degenerate", "maxiter")
-    live = np.flatnonzero(stop == "maxiter")
-    U = U[:, live] / tv[live, None]
-    best, bestU = np.full(S, np.inf), np.zeros((nv, S, hb.ncomp))
-    best[live], bestU[:, live] = objective(U.reshape(nv, -1)), U
-    for k in range(iters):
-        if not live.size:
-            break
-        g = hb.nodal_gradient(_fd_grad_loop(v, hb.gradients(U.reshape(nv, -1)))).reshape(U.shape)
-        gn = np.sqrt(np.einsum("nsm,nsm->s", g, g))
-        keep = ~(gn < 1e-14)
-        if not keep.all():
-            stop[live[~keep]] = "stalled"
-            live, U, g, gn = live[keep], U[:, keep], g[:, keep], gn[keep]
-        step = 0.3 * np.sqrt(np.einsum("nsm,nsm->s", U, U)) / (gn * np.sqrt(k + 1.0))
-        U = U - step[:, None] * g
-        tv = hb.tv(U.reshape(nv, -1))
-        keep = ~(tv < 1e-12)
-        if not keep.all():
-            stop[live[~keep]] = "collapsed"
-            live, U, tv = live[keep], U[:, keep], tv[keep]
-        U = U / tv[:, None]
-        vals = objective(U.reshape(nv, -1))
-        better = vals < best[live]
-        best[live[better]], bestU[:, live[better]] = vals[better], U[:, better]
-    results = [None if r == "degenerate" else (float(best[s]), bestU[:, s]) for s, r in enumerate(stop)]
-    return results, stop.tolist()
-
-
-def _collapsing_seed(hb, B):
-    """A seed whose first step of descent on <B, A> leaves no gradient on the half-ball.
-
-    The constant dv/dA = B gives the same nodal gradient g at every iterate, and g
-    lives on nodes of half-ball triangles.  The seed is g plus a field on the other
-    nodes, scaled so that the first step, 0.3 |U| / |g| times g, is exactly the
-    seed's half-ball part."""
-    nt = hb.tri.shape[0]
-    g = hb.nodal_gradient(np.broadcast_to(np.asarray(B, dtype=float), (nt, hb.ncomp, 2)))
-    away = hb.free.copy()
-    away[hb.tri] = False
-    out = np.where(away[:, None], 1.0, 0.0)
-    out *= np.linalg.norm(g) * np.sqrt(1 / 0.09 - 1) / np.linalg.norm(out)
-    return g + out
-
-
-def _without_grad_fn(v: HomogeneousIntegrand) -> HomogeneousIntegrand:
-    """The same integrand on the finite-difference path."""
-    return HomogeneousIntegrand(v.dims, v.sphere_eval, name=v.name + "-fd")
-
-
-def _aniso(M: int, e: np.ndarray) -> HomogeneousIntegrand:
-    """sqrt(|A e|^2 + 4 |A e_perp|^2): an even anisotropic norm without grad_fn."""
-    e_perp = np.array([-e[1], e[0]])
-    return HomogeneousIntegrand(
-        (M, 2), lambda S: np.sqrt(np.sum((S @ e) ** 2, -1) + 4.0 * np.sum((S @ e_perp) ** 2, -1)),
-        name="aniso")
-
-
-def _second_row_norm(sign: float = 1.0) -> HomogeneousIntegrand:
-    """sign |A_2|, with |A_2| the norm of the second row of a 2x2 matrix: its gradient
-    vanishes on fields whose second component is zero."""
-
-    def grad(A):
-        out = np.zeros_like(A)
-        out[..., 1, :] = sign * _abs_grad(A[..., 1:, :])[..., 0, :]
-        return out
-
-    return HomogeneousIntegrand((2, 2), lambda S: sign * mat_norm(S[..., 1:, :]), name="row2", grad_fn=grad)
-
-
 def _cone(theta0: float, width: float, depth: float, rho=(0.6, 0.8)) -> HomogeneousIntegrand:
     """1 - depth max(0, <a0, S rho> - cos width) / (1 - cos width) on the 2x2 sphere, with
     a0 = (cos theta0, sin theta0): 1 but for a dip to 1 - depth at S = a0 (x) rho, a
@@ -216,9 +72,8 @@ def _cone(theta0: float, width: float, depth: float, rho=(0.6, 0.8)) -> Homogene
 
 
 def _row2_det_form(c: float) -> HomogeneousIntegrand:
-    """|A_2| - c |det A| / |A| on 2x2 matrices, without grad_fn: every central difference
-    vanishes on fields whose second component is zero.  A boundary layer a (x) rho has
-    det 0, so upper = 0, and lower < 0 for c >= 2: neither bound decides."""
+    """|A_2| - c |det A| / |A| on 2x2 matrices.  A boundary layer a (x) rho has det 0, so
+    the bracket's upper is 0, and lower < 0 for c >= 2: neither bound decides."""
     def sphere(S):
         return mat_norm(S[..., 1:, :]) - c * np.abs(S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0])
 
@@ -227,52 +82,33 @@ def _row2_det_form(c: float) -> HomogeneousIntegrand:
 
 def _tau_form(c: float) -> HomogeneousIntegrand:
     """|A| - c |A tau|^2 / |A| on 2x2 matrices, tau = (0, 1) the tangent of RHO: smooth
-    away from 0, so its descent is reproducible.  Boundary layers a (x) RHO give upper = 1,
-    and lower = 1 - c: for c > 1 neither bound decides."""
+    away from 0.  Boundary layers a (x) RHO give upper = 1, and lower = 1 - c: for c > 1
+    neither bound decides."""
     tau = np.array([0.0, 1.0])
 
     def sphere(S):
         return mat_norm(S) - c * np.sum((S @ tau) ** 2, -1) / mat_norm(S)
 
-    def grad(A):
-        n = mat_norm(A)[..., None, None]
-        n = np.where(n > 0, n, np.inf)  # the subgradient 0 at the zero matrix
-        At = A @ tau
-        return A / n - c * (2 * At[..., :, None] * tau / n - np.sum(At**2, -1)[..., None, None] * A / n**3)
-
-    return HomogeneousIntegrand((2, 2), sphere, name=f"tau{c}", grad_fn=grad)
-
-
-def _level_descents(v, rho, mesh_level, budget, descend):
-    """Best value per level of the restarts the M >= 2 descent of `qslb_infimum` runs
-    (rank-one tents and two random fields, iterations split over the levels), for
-    any M: scalar verdicts no longer descend."""
-    M = v.dims[0]
-    rng = np.random.default_rng(0)
-    dirs = unit_matrices((M, 1), 8).reshape(-1, M)
-    best = []
-    for lev in range(1, mesh_level + 1):
-        hb = HalfBallProblem(rho, level=lev, ncomp=M)
-        seeds = [hb.tent(a, depth, 0.8) for a in dirs for depth in (0.2, 0.4)]
-        seeds += [hb.random_seed(rng) for _ in range(2)]
-        results, _ = descend(hb, v, seeds, max(10, budget // (mesh_level * len(seeds))))
-        best.append(min(r[0] for r in results if r is not None))
-    return best
+    return HomogeneousIntegrand((2, 2), sphere, name=f"tau{c}")
 
 
 def mixed_form(weight_abs: float, B: np.ndarray) -> HomogeneousIntegrand:
-    """w |A| + <B, A>: 1-homogeneous with an explicit subgradient; a 1-D B is one row."""
+    """w |A| + <B, A>, 1-homogeneous; a 1-D B is one row."""
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    habs = hom_abs(B.shape)
     hlin = hom_linear(B, B.shape)
+    return HomogeneousIntegrand(B.shape, lambda S: weight_abs + np.asarray(hlin.on_sphere(S)), name="mixed")
 
-    def sphere(S):
-        return weight_abs * np.asarray(habs.on_sphere(S)) + np.asarray(hlin.on_sphere(S))
 
-    def grad(A):
-        return weight_abs * habs.grad_fn(A) + np.broadcast_to(B, A.shape)
-
-    return HomogeneousIntegrand(B.shape, sphere, name="mixed", grad_fn=grad)
+def _field_values(v, rho, level=2):
+    """Normalized half-ball integrals of v for mesh fields: rank-one tents, zigzags
+    and random fields of `HalfBallProblem`, each an upper bound on the infimum."""
+    M = v.dims[0]
+    hb = HalfBallProblem(rho, level=level, ncomp=M)
+    dirs = unit_matrices((M, 1), 8).reshape(-1, M)
+    rng = np.random.default_rng(0)
+    fields = [hb.tent(a, d) for a in dirs for d in (0.2, 0.4)] + [hb.laminate(a) for a in dirs]
+    G = hb.gradients(np.concatenate(fields + [hb.random_seed(rng) for _ in range(2)], axis=1))
+    return hb.objective(G, v) / (mat_norm(G).T @ hb.areas)
 
 
 class TestQslb1D:
@@ -315,29 +151,33 @@ class TestQslb1D:
 
 
 class TestQslb2D:
-    """Every verdict starts from the moment-duality bracket; for M = 2 the descent
-    runs only when the bracket cannot certify "qslb".  The `_m2` tests check the
-    same forms with two rows."""
+    """Every verdict starts from the moment-duality bracket; for M = 2 the laminate
+    search runs only when neither bound of the bracket decides.  The `_m2` tests
+    check the same forms with two rows."""
 
     def test_abs_is_qslb(self):
-        res = qslb_infimum(hom_abs((1, 2)), RHO, mesh_level=2, iter_budget=600)
+        res = qslb_infimum(hom_abs((1, 2)), RHO)
         assert res["verdict"] == "qslb"
 
     def test_abs_is_qslb_m2(self):
-        # certified: the bracket says "qslb", so no level descends
-        res = qslb_infimum(hom_abs((2, 2)), RHO, mesh_level=2, iter_budget=600)
+        # certified: the bracket says "qslb", so no laminate search runs
+        res = qslb_infimum(hom_abs((2, 2)), RHO)
         assert res["verdict"] == "qslb" and res["per_level"] == [] and res["stages"] == []
 
-    def test_uncertified_m2_descends_on_every_level(self):
-        # 1 - 3 |det S| on the sphere: lower = -0.5 and upper = 1 (a boundary layer has
-        # det 0), so neither bound decides, and each of the two levels descends
-        res = qslb_infimum(_det_form(3.0), RHO, mesh_level=2, iter_budget=600)
+    def test_uncertified_m2_takes_one_laminate_search(self):
+        # 1 - 3 |det S| on the sphere: lower = -0.5 and the layers' upper = 1 (a boundary
+        # layer has det 0), so neither bound decides, and one laminate search runs
+        res = qslb_infimum(_det_form(3.0), RHO)
         assert res["lower"] < -QSLB_TOL
-        assert res["verdict"] == "not_qslb" and len(res["per_level"]) == 2 and len(res["stages"]) == 2
+        assert res["verdict"] == "not_qslb" and res["per_level"] == [] and len(res["stages"]) == 1
+        (stage,) = res["stages"]
+        assert set(stage) == {"t", "A", "B", "calls", "gap"} and 0.0 < stage["t"] < 1.0
+        assert 1 < stage["calls"] <= 1 + LAMINATE_SWEEPS * SECTION_CALLS
+        assert stage["gap"] == pytest.approx(res["upper"] - res["lower"], rel=0, abs=1e-15)
 
     def test_normal_form_fails_with_witness(self):
         v = hom_linear(-RHO, dims=(1, 2))
-        res = qslb_infimum(v, RHO, mesh_level=3, iter_budget=4000)
+        res = qslb_infimum(v, RHO)
         assert res["verdict"] == "not_qslb"
         assert res["inf_est"] <= -0.1
         assert res["witness"] is not None
@@ -353,29 +193,36 @@ class TestQslb2D:
         # the boundary layer a (x) rho, a = -(1, 1)/sqrt(2), gives upper = -sqrt(2): the
         # bracket decides, and its witness is that layer's measure
         v = hom_linear(np.array([-RHO, -RHO]), dims=(2, 2))
-        res = qslb_infimum(v, RHO, mesh_level=3, iter_budget=4000)
+        res = qslb_infimum(v, RHO)
         assert res["verdict"] == "not_qslb"
         assert res["inf_est"] <= -0.1 and res["per_level"] == []
         assert res["witness"].pair(v) == res["upper"] <= -0.1
 
-    def test_descent_fails_with_witness_m2(self):
-        # 1 - 3 |det S| on the sphere: no bound decides, and the descent finds the field
-        v = _det_form(3.0)
-        res = qslb_infimum(v, RHO, mesh_level=3, iter_budget=4000)
+    def test_laminate_fails_with_witness_m2(self):
+        # 1 - 3 |det S| on the sphere, least (-0.5) on the conformal and anticonformal
+        # directions: a laminate of I and diag(1, -1) in rho's frame attains it
+        v, normal = _det_form(3.0), np.array([0.6, 0.8])
+        res = qslb_infimum(v, normal)
         assert res["verdict"] == "not_qslb"
-        assert res["inf_est"] <= -0.1
-        # the witness field itself certifies the negative value
-        pa = res["witness"]
-        assert isinstance(pa, PAField)
-        areas, grads = pa.gradients()
-        val = float(areas @ np.asarray(v(grads))) / pa.total_variation()
-        assert val <= -0.1
+        assert res["inf_est"] == res["upper"] == pytest.approx(-0.5, rel=0, abs=1e-6)
+        # the witness, two atoms of weights t|A| and (1-t)|B|, certifies the value: its
+        # integral is upper, and its tau-moment is 0, as for every measure fields generate
+        mu, (stage,) = res["witness"], res["stages"]
+        A, B, t = np.array(stage["A"]), np.array(stage["B"]), stage["t"]
+        tau = np.array([-normal[1], normal[0]])
+        assert mu.weights.size == 2 and mu.total_mass == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert mu.weights[0] / mu.weights[1] == pytest.approx(t * mat_norm(A) / ((1 - t) * mat_norm(B)), rel=1e-12)
+        assert mu.pair(v) == pytest.approx(res["upper"], rel=0, abs=1e-12)
+        assert np.max(np.abs(np.einsum("k,kmn,n->m", mu.weights, mu.points, tau))) <= 1e-12
+        # A - B is rank one, and the barycenter t A + (1-t) B is c (x) rho
+        assert abs(np.linalg.det(A - B)) <= 1e-12 * mat_norm(A - B) ** 2
+        assert np.max(np.abs((t * A + (1 - t) * B) @ tau)) <= 1e-12 * (mat_norm(A) + mat_norm(B))
 
     @staticmethod
     def _tangential_verdict(M):
         tau = np.array([0.0, 1.0])
         B = np.array([-tau, tau][:M])
-        return qslb_infimum(hom_linear(B, dims=(M, 2)), RHO, mesh_level=2, iter_budget=600)["verdict"]
+        return qslb_infimum(hom_linear(B, dims=(M, 2)), RHO)["verdict"]
 
     def test_tangential_form_is_qslb(self):
         assert self._tangential_verdict(1) == "qslb"
@@ -387,10 +234,9 @@ class TestQslb2D:
     def _check_scale_invariance(M):
         v = hom_linear(np.array([-RHO] * M), dims=(M, 2))
         v3 = HomogeneousIntegrand(
-            (M, 2), lambda S: 3.0 * np.asarray(v.on_sphere(S)), grad_fn=lambda A: 3.0 * v.grad_fn(A)
-        )
-        r1 = qslb_infimum(v, RHO, mesh_level=2, iter_budget=800)
-        r3 = qslb_infimum(v3, RHO, mesh_level=2, iter_budget=800)
+            (M, 2), lambda S: 3.0 * np.asarray(v.on_sphere(S)))
+        r1 = qslb_infimum(v, RHO)
+        r3 = qslb_infimum(v3, RHO)
         assert r1["verdict"] == r3["verdict"] == "not_qslb"
         assert r3["inf_est"] == pytest.approx(3.0 * r1["inf_est"], rel=1e-6)
 
@@ -407,7 +253,7 @@ class TestQslb2D:
             v = hom_linear(np.array([B] + [np.zeros(2)] * (M - 1)), dims=(M, 2))
             r1 = rank_one_positivity(v, RHO)
             if not r1["ok"]:
-                res = qslb_infimum(v, RHO, mesh_level=3, iter_budget=3000)
+                res = qslb_infimum(v, RHO)
                 assert res["verdict"] == "not_qslb"
 
     def test_necessity_chain(self):
@@ -428,15 +274,11 @@ def piecewise_form(weight_abs: float, coeffs, angles) -> HomogeneousIntegrand:
     """w |A| + sum_i c_i max(0, <A, d_i>), d_i = (cos a_i, sin a_i): kinked along lines."""
     D = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     c = np.asarray(coeffs, dtype=float)
-    habs = hom_abs((1, 2))
 
     def sphere(S):
         return weight_abs + np.maximum(0.0, S[..., 0, :] @ D.T) @ c
 
-    def grad(A):
-        return weight_abs * habs.grad_fn(A) + (((A[..., 0, :] @ D.T > 0) * c) @ D)[..., None, :]
-
-    return HomogeneousIntegrand((1, 2), sphere, name="piecewise", grad_fn=grad)
+    return HomogeneousIntegrand((1, 2), sphere, name="piecewise")
 
 
 def _qslb_inf_1d(v):
@@ -495,8 +337,9 @@ class TestMomentDuality:
 
     @pytest.mark.parametrize("mesh_level", [1, 3, 4])
     def test_kink_2p05_is_never_qslb(self, mesh_level):
-        # the level-3 and level-4 descents called this "qslb" (+0.024, +0.019); an
-        # interior zigzag with gradients +-tau in equal parts gives -0.025
+        # the level-3 and level-4 mesh descents that once ran here called this "qslb"
+        # (+0.024, +0.019); an interior zigzag with gradients +-tau in equal parts gives
+        # -0.025.  The mesh keywords are accepted and ignored
         v = _frame_form(self.RHO, self.ROWS["kink2.05"][0], "kink2.05")
         res = qslb_infimum(v, self.RHO, mesh_level=mesh_level, iter_budget=4000)
         assert res["verdict"] == "not_qslb"
@@ -510,8 +353,8 @@ class TestMomentDuality:
     @settings(max_examples=12, deadline=None)
     @given(angle=st.floats(0.0, 2 * np.pi), kind=st.sampled_from(["mixed", "piecewise"]),
            w=st.floats(0.0, 2.0), seed=st.integers(0, 2**16))
-    def test_bracket_is_below_the_descent(self, angle, kind, w, seed):
-        # every descent value is a test field's, so it lies above the infimum and
+    def test_bracket_is_below_laminates_and_fields(self, angle, kind, w, seed):
+        # every laminate ratio and every mesh field's value lies above the infimum and
         # hence above lower (the polish leaves ~1e-10 on kinks between samples)
         rng = np.random.default_rng(seed)
         rho = np.array([np.cos(angle), np.sin(angle)])
@@ -523,8 +366,7 @@ class TestMomentDuality:
         assert res["lower"] <= res["upper"]
         if res["witness"] is not None:
             assert res["witness"].pair(v) == pytest.approx(res["upper"], rel=0, abs=1e-12)
-        descents = _level_descents(v, rho, 3, 360, _descend)[1:]  # levels 2 and 3
-        assert res["lower"] <= min(descents) + 1e-9
+        assert res["lower"] <= min(_laminate(v, rho)[0], _field_values(v, rho).min()) + 1e-9
 
     @pytest.mark.parametrize("seed", range(8))
     def test_lower_is_below_the_augmented_sample(self, seed, monkeypatch):
@@ -591,10 +433,10 @@ class TestMomentDuality:
             raise AssertionError("a scalar verdict built a mesh")
 
         monkeypatch.setattr(boundary, "disk_mesh", refuse)
-        res = qslb_infimum(mixed_form(1.0, [0.4, -0.2]), self.RHO, mesh_level=3, iter_budget=2000)
+        res = qslb_infimum(mixed_form(1.0, [0.4, -0.2]), self.RHO)
         assert res["verdict"] == "qslb" and res["certificate"]
-        with pytest.raises(AssertionError, match="built a mesh"):  # M = 2 and no bound decides: the descent runs
-            qslb_infimum(_det_form(2.5), self.RHO, mesh_level=1, iter_budget=20)
+        # M = 2 and no bound of the bracket decides: the laminate search needs no mesh either
+        assert qslb_infimum(_det_form(2.5), self.RHO)["verdict"] == "not_qslb"
 
     def test_rotation_is_exact_for_scalars(self):
         v = mixed_form(2.0, [0.5, -0.3])
@@ -686,15 +528,17 @@ def _det_form(c: float) -> HomogeneousIntegrand:
 def kinked_form_m2(weight_abs: float, coeffs, D) -> HomogeneousIntegrand:
     """w |A| + sum_i c_i max(0, <A, D_i>) on 2x2 matrices: kinked along hyperplanes."""
     c, D = np.asarray(coeffs, dtype=float), np.asarray(D, dtype=float)
-    habs = hom_abs((2, 2))
 
     def sphere(S):
         return weight_abs + np.maximum(0.0, np.einsum("...ij,kij->...k", S, D)) @ c
 
-    def grad(A):
-        return weight_abs * habs.grad_fn(A) + np.einsum("...k,kij->...ij", (np.einsum("...ij,kij->...k", A, D) > 0) * c, D)
+    return HomogeneousIntegrand((2, 2), sphere, name="kinked")
 
-    return HomogeneousIntegrand((2, 2), sphere, name="kinked", grad_fn=grad)
+
+def _kinks(seed: int):
+    """Three kinks of coefficient in [-2, -0.5] along random hyperplanes of 2x2 matrices."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-2.0, -0.5, 3), rng.standard_normal((3, 2, 2))
 
 
 class TestCertificateM2:
@@ -718,7 +562,7 @@ class TestCertificateM2:
         rng = np.random.default_rng(M)
         for _ in range(3):
             w, B = rng.uniform(0.0, 2.0), rng.uniform(-1.5, 1.5, (M, 2))
-            res = qslb_infimum(mixed_form(w, B), self.RHO, mesh_level=1, iter_budget=40)
+            res = qslb_infimum(mixed_form(w, B), self.RHO)
             exact = w - np.linalg.norm(B @ self.RHO)
             assert res["lower"] == pytest.approx(exact, rel=0, abs=1e-12)
             assert res["lower"] <= res["upper"] <= exact + 2e-2
@@ -727,17 +571,19 @@ class TestCertificateM2:
 
     @pytest.mark.parametrize("c, exact", [(0.5, 0.75), (1.0, 0.5), (1.9, 0.05)])
     def test_det_forms(self, c, exact):
-        # the level-3 descent gave 0.883, 0.728 and 0.273
+        # the retired level-3 mesh descent gave 0.883, 0.728 and 0.273; certified, so no laminate search runs
         res = qslb_infimum(_det_form(c), self.RHO)
         assert res["lower"] == pytest.approx(exact, rel=0, abs=1e-6)
         assert res["lower"] <= res["upper"]
-        assert res["verdict"] == "qslb" and res["per_level"] == []
+        assert res["verdict"] == "qslb" and res["per_level"] == [] and res["stages"] == []
 
     @settings(max_examples=10, deadline=None)
     @given(angle=st.floats(0.0, 2 * np.pi), kind=st.sampled_from(["mixed", "kinked", "det"]),
            w=st.floats(0.0, 2.0), seed=st.integers(0, 2**16))
-    def test_bracket_is_below_the_descent_m2(self, angle, kind, w, seed):
-        # every descent value is a test field's, so it lies above the infimum and hence above lower
+    def test_bracket_is_below_laminates_and_fields_m2(self, angle, kind, w, seed):
+        # every mesh field's value and every laminate ratio lies above the infimum and
+        # hence above lower; the laminates only where lower is claimed exact (v smooth
+        # between samples): on kinked forms it is not, see test_kinked_lower_stays_below_a_laminate
         rng = np.random.default_rng(seed)
         rho = np.array([np.cos(angle), np.sin(angle)])
         if kind == "mixed":
@@ -746,10 +592,36 @@ class TestCertificateM2:
             v = kinked_form_m2(w, rng.uniform(-2.0, 2.0, 3), rng.standard_normal((3, 2, 2)))
         else:
             v = _det_form(2.0 * w)
-        res = qslb_infimum(v, rho, mesh_level=1, iter_budget=40)
+        res = qslb_infimum(v, rho)
         assert np.isfinite(res["lower"]) and res["lower"] <= res["upper"]
-        descents = _level_descents(v, rho, 3, 360, _descend)[1:]  # levels 2 and 3
-        assert res["lower"] <= min(descents) + 1e-9
+        bound = _field_values(v, rho).min()
+        if kind != "kinked":
+            bound = min(bound, _laminate(v, rho)[0])
+        assert res["lower"] <= bound + 1e-9
+
+    @pytest.mark.xfail(strict=True, reason="known defect: for M >= 2 the polish of `_sphere_lower` stalls where "
+                       "kinks meet between samples, so on kinked forms lower can lie above the infimum")
+    def test_kinked_lower_stays_below_a_laminate(self):
+        # In 200 random draws of this family, 14 had lower above their best laminate, by
+        # up to 4.1e-3; this one by 4.1e-3, with the verdict "qslb".  Mending the polish
+        # turns this test into a pass, and strict=True into a failure until the mark goes.
+        rng = np.random.default_rng(48869)
+        v = kinked_form_m2(1.5421, rng.uniform(-2.0, 2.0, 3), rng.standard_normal((3, 2, 2)))
+        rho = np.array([np.cos(2.3528), np.sin(2.3528)])
+        assert qslb_infimum(v, rho)["lower"] <= _laminate(v, rho)[0] + 1e-9
+
+    @pytest.mark.parametrize("v", [hom_abs((2, 2)), _det_form(1.9), _det_form(3.0), _tau_form(1.5)]
+                             + [kinked_form_m2(1.0, *_kinks(seed)) for seed in range(6)],
+                             ids=["abs", "det1.9", "det3", "tau1.5"] + [f"kinked{seed}" for seed in range(6)])
+    def test_lower_holds_on_random_directions(self, v):
+        # an independent check of the certificate: lower is the least of
+        # v - <b*, S tau> over the unit sphere, so no random direction goes below it
+        res = qslb_infimum(v, self.RHO)
+        S = np.random.default_rng(16).standard_normal((2**16, 2, 2))
+        S /= mat_norm(S)[:, None, None]
+        tau = np.array([-self.RHO[1], self.RHO[0]])
+        g = np.asarray(v.on_sphere(S)) - (S @ tau) @ np.asarray(res["certificate"])
+        assert g.min() >= res["lower"] - 1e-9
 
     # Rotating rho rotates the sample, so both problems see the same values up to
     # rounding.  The polish fixes a smooth minimizer only to ~1e-8 (sqrt of the
@@ -796,7 +668,7 @@ class TestCertificateM2:
             v = piecewise_form(w, rng.uniform(-2.0, 2.0, 3), rng.uniform(0.0, 2 * np.pi, 3))
         else:
             v = kinked_form_m2(w, rng.uniform(-2.0, 2.0, 3), rng.standard_normal((3, 2, 2)))
-        res = qslb_infimum(v, rho, mesh_level=1, iter_budget=40)
+        res = qslb_infimum(v, rho)
         assert res["lower"] <= res["inf_est"] <= res["upper"]
 
     def test_certified_builds_no_mesh(self, monkeypatch):
@@ -806,12 +678,34 @@ class TestCertificateM2:
             raise AssertionError("a certified verdict built a mesh")
 
         monkeypatch.setattr(boundary, "disk_mesh", refuse)
-        res = qslb_infimum(_det_form(1.0), self.RHO, mesh_level=3, iter_budget=2000)
+        res = qslb_infimum(_det_form(1.0), self.RHO)
         assert res["verdict"] == "qslb" and len(res["certificate"]) == 2 and res["lower"] >= -QSLB_TOL
 
-    def test_tracer_counts_the_descent(self):
-        # bench/tracer.py counts HalfBallProblem.objective calls; an M = 2 integrand that
-        # neither bound of the bracket decides still descends, so the counter stays live
+    # the M = 2 rows that neither bound of the bracket decides, with their exact infimum
+    UNDECIDED = {"det2.5": (_det_form(2.5), -0.25), "det3": (_det_form(3.0), -0.5), "tau1.5": (_tau_form(1.5), -0.5),
+                 "row2det3": (_row2_det_form(3.0), None), "row2det2.5": (_row2_det_form(2.5), None)}
+
+    @pytest.mark.parametrize("form", sorted(UNDECIDED))
+    def test_undecided_forms_close_without_a_mesh(self, form, monkeypatch):
+        import bvgym.boundary as boundary
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an undecided verdict built a mesh")
+
+        monkeypatch.setattr(boundary, "disk_mesh", refuse)
+        v, exact = self.UNDECIDED[form]
+        res = qslb_infimum(v, self.RHO)
+        (stage,) = res["stages"]
+        assert res["verdict"] == "not_qslb" and res["inf_est"] == res["upper"]
+        assert -1e-12 <= stage["gap"] <= 1e-6 and res["upper"] - res["lower"] <= 1e-6
+        if exact is not None:
+            assert res["inf_est"] == pytest.approx(exact, rel=0, abs=1e-6)
+        assert res["witness"].pair(v) == pytest.approx(res["upper"], rel=0, abs=1e-12)
+        assert abs(np.linalg.det(np.subtract(stage["A"], stage["B"]))) <= 1e-12
+
+    def test_tracer_installs_against_boundary(self):
+        # bench/tracer.py wraps HalfBallProblem.__init__, gradients, objective and
+        # nodal_gradient by name, and its install raises AttributeError when one is gone
         import importlib.util
         from pathlib import Path
 
@@ -821,13 +715,21 @@ class TestCertificateM2:
         spec = importlib.util.spec_from_file_location("bench_tracer", path)
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
+        names = ("__init__", "gradients", "objective", "nodal_gradient")
+        originals = [vars(boundary.HalfBallProblem)[n] for n in names]
         t = tracer.Tracer().install()
         try:
-            res = boundary.qslb_infimum(_det_form(2.5), self.RHO, mesh_level=1, iter_budget=40)
+            assert all(vars(boundary.HalfBallProblem)[n] is not f for n, f in zip(names, originals))
+            res = boundary.qslb_infimum(_det_form(2.5), self.RHO)
+            boundary.jqcb_falsify(_det_form(2.5), self.RHO)
         finally:
             t.uninstall()
-        assert res["lower"] < -QSLB_TOL and len(res["per_level"]) == 1
-        assert t.aggregate()["boundary.HalfBallProblem.objective.calls"] > 0
+        assert all(vars(boundary.HalfBallProblem)[n] is f for n, f in zip(names, originals))
+        counts = t.aggregate()
+        assert res["verdict"] == "not_qslb" and len(res["stages"]) == 1
+        # jqcb_falsify builds the one mesh, and no verdict integrates over it
+        assert counts["meshes.disk_mesh.calls"] == 1 and counts["boundary.HalfBallProblem.__init__.calls"] == 1
+        assert counts.get("boundary.HalfBallProblem.objective.calls", 0) == 0
 
 
 class TestRankOne:
@@ -971,232 +873,53 @@ class TestNodalGradient:
             np.testing.assert_allclose(g[:, cols], g_ref, rtol=1e-12, atol=1e-12 * np.abs(g_ref).max())
 
 
-class TestBatchedDescent:
-    """`_descend` runs every restart of a level as one stack; each restart must
-    follow the one-restart loop it replaced."""
-
-    @staticmethod
-    def _seeds(hb, seed=0):
-        M = hb.ncomp
-        dirs = np.eye(M) if M > 1 else np.array([[1.0], [-1.0]])
-        seeds = [hb.tent(a, depth, 0.8) for a in dirs for depth in (0.2, 0.4)]
-        rng = np.random.default_rng(seed)
-        return seeds + [hb.random_seed(rng) for _ in range(2)]
-
-    # Single restarts follow the old loop less closely than the level estimates
-    # checked in test_level_estimates_match_one_restart_loop, in two cases:
-    # - Integrands that are kinked and not even, such as w|A| + <B, A>, are left
-    #   out: their linear part leaves rounding noise on cells where the gradient
-    #   is zero, and the kink turns the noise into unit subgradients, so single
-    #   restarts move by 1e-2 and more between any two roundings of the same
-    #   problem (the one-restart loop on two isometric meshes already does).
-    # - On the finite-difference path the bound is 1e-8, not 1e-9: a central
-    #   difference with h = 1e-6 carries round-off of about eps |v| / h = 1e-10,
-    #   so one ulp of difference in a cell's gradient changes dv/dA by ~1e-10,
-    #   and each step feeds that into the next; after 12 steps about one draw
-    #   in a thousand differs by 1e-9 to 6e-9.
-    @settings(max_examples=25, deadline=None)
-    @given(angle=st.floats(0.0, 2 * np.pi), M=st.sampled_from([1, 2]), level=st.integers(1, 2),
-           kind=st.sampled_from(["abs", "linear", "neg_abs", "aniso"]), fd=st.booleans(),
-           iters=st.integers(1, 12), seed=st.integers(0, 2**16))
-    def test_matches_one_restart_loop(self, angle, M, level, kind, fd, iters, seed):
-        rho = np.array([np.cos(angle), np.sin(angle)])
-        B = np.random.default_rng(seed).standard_normal((M, 2))
-        v = {"abs": hom_abs((M, 2)), "linear": hom_linear(B, (M, 2)), "neg_abs": hom_neg_abs((M, 2)),
-             "aniso": _aniso(M, B[0] / np.linalg.norm(B[0]))}[kind]
-        fd = fd or v.grad_fn is None
-        if fd:
-            v = _without_grad_fn(v)
-        hb = HalfBallProblem(rho, level=level, ncomp=M)
-        seeds = self._seeds(hb, seed=seed)
-        results, stop = _descend(hb, v, seeds, iters)
-        assert len(results) == len(stop) == len(seeds)
-        for U0, res in zip(seeds, results):
-            ref = _descend_one(hb, v, U0, iters)
-            assert res[0] == pytest.approx(ref[0], rel=0, abs=1e-8 if fd else 1e-12)
-
-    @settings(max_examples=16, deadline=None)
-    @given(angle=st.floats(0.0, 2 * np.pi), level=st.integers(1, 2), budget=st.integers(100, 1000),
-           kind=st.sampled_from(["abs", "linear", "neg_abs", "mixed", "abs2x2", "aniso-fd", "abs-fd",
-                                 "aniso2x2-fd", "linear2x2"]))
-    def test_level_estimates_match_one_restart_loop(self, angle, level, budget, kind):
-        # per_level and inf_est, the minimum over all restarts and iterations,
-        # within 1e-12 with a grad_fn (mixed_form included) and 1e-9 without.
-        # The exception is the anisotropic 2x2 norm on the finite-difference
-        # path: there the descent amplifies round-off over its 10-55 steps, and
-        # the old loop itself moved a level estimate by 3.6e-3 when U / t became
-        # U * (1 / t) in one draw, so only its verdict and first digits compare.
-        import bvgym.boundary as boundary
-
-        v = {"abs": hom_abs((1, 2)), "linear": hom_linear([0.3, -0.7], (1, 2)),
-             "neg_abs": hom_neg_abs((1, 2)), "mixed": mixed_form(1.5, [0.3, -0.7]),
-             "abs2x2": hom_abs((2, 2)), "aniso-fd": _aniso(1, np.array([1.0, 0.0])),
-             "linear2x2": hom_linear([[0.3, -0.7], [0.5, 0.2]], (2, 2)),
-             "abs-fd": _without_grad_fn(hom_abs((1, 2))),
-             "aniso2x2-fd": _aniso(2, np.array([0.6, 0.8]))}[kind]
-        rho = np.array([np.cos(angle), np.sin(angle)])
-
-        def one_at_a_time(hb, v, seeds, iters):
-            return [_descend_one(hb, v, U0, iters) for U0 in seeds], ["maxiter"] * len(seeds)
-
-        tol = 1e-12 if v.grad_fn is not None else 1e-2 if kind == "aniso2x2-fd" else 1e-9
-        if v.dims[0] == 1 or qslb_infimum(v, rho, mesh_level=level, iter_budget=budget)["per_level"] == []:
-            # scalar verdicts, and certified ones, take the moment-duality bracket, so the descents run here directly
-            res = _level_descents(v, rho, level, budget, _descend)
-            ref = _level_descents(v, rho, level, budget, one_at_a_time)
-            assert res == pytest.approx(ref, rel=0, abs=tol)
-            assert min(res) == pytest.approx(min(ref), rel=0, abs=tol)
-            return
-        res = qslb_infimum(v, rho, mesh_level=level, iter_budget=budget)
-        with mock.patch.object(boundary, "_descend", one_at_a_time):
-            ref = qslb_infimum(v, rho, mesh_level=level, iter_budget=budget)
-        assert res["verdict"] == ref["verdict"]
-        assert res["per_level"] == pytest.approx(ref["per_level"], rel=0, abs=tol)
-        assert res["inf_est"] == pytest.approx(ref["inf_est"], rel=0, abs=tol)
-
-    def test_zero_seed_is_skipped_alone(self):
-        hb = HalfBallProblem(np.array([0.6, 0.8]), level=2, ncomp=1)
-        v = hom_linear([0.3, -0.7], (1, 2))
-        seeds = self._seeds(hb)
-        zero = np.zeros((hb.mesh.vertices.shape[0], 1))
-        base, _ = _descend(hb, v, seeds, 15)
-        results, stop = _descend(hb, v, seeds[:2] + [zero] + seeds[2:], 15)
-        assert results[2] is None and stop[2] == "degenerate"
-        others = results[:2] + results[3:]
-        assert [r[0] for r in others] == pytest.approx([r[0] for r in base], rel=0, abs=1e-12)
-
-    def test_stalled_restart_stops_alone(self):
-        # |A_2| has zero gradient on fields with a zero second component
-        v = _second_row_norm()
-        hb = HalfBallProblem(RHO, level=1, ncomp=2)
-        seeds = [hb.tent([1.0, 0.0]), hb.tent([0.0, 1.0]), hb.tent([0.6, 0.8])]
-        results, stop = _descend(hb, v, seeds, 12)
-        assert stop == ["stalled", "maxiter", "maxiter"]
-        for U0, res in zip(seeds, results):
-            assert res[0] == pytest.approx(_descend_one(hb, v, U0, 12)[0], rel=0, abs=1e-12)
-        # |A_2| - 2 |det A| / |A| stalls on the same seeds, and neither bound decides it, so it descends
-        res = qslb_infimum(_row2_det_form(2.0), RHO, mesh_level=1, iter_budget=200)
-        (stage,) = res["stages"]
-        dirs = unit_matrices((2, 1), 8).reshape(-1, 2)
-        flat = [a[1] == 0.0 for a in dirs for _ in (0.2, 0.4)] + [False, False]
-        assert stage["stop"] == ["stalled" if f else "maxiter" for f in flat]
-        assert stage["seeds"] == len(flat) and stage["level"] == 1
-        assert stage["nt"] == hb.tri.shape[0] and stage["iters"] == max(10, 200 // len(flat))
-
-
-class TestStackedFiniteDifferences:
-    """`_fd_grad` hands all 2 M N perturbed copies of G to v in one call; each
-    derivative must equal the one call per copy it replaced."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(dims=st.sampled_from([(1, 2), (2, 2), (2, 3)]), batch=st.sampled_from([(1, 1), (7, 3), (20, 6)]),
-           zero_frac=st.sampled_from([0.0, 0.4, 1.0]), seed=st.integers(0, 2**16))
-    def test_matches_per_copy_loop_bit_for_bit(self, dims, batch, zero_frac, seed):
-        rng = np.random.default_rng(seed)
-        G = rng.standard_normal(batch + dims) * 10.0 ** rng.uniform(-3, 3, batch + (1, 1))
-        G[rng.random(batch) < zero_frac] = 0.0
-        B = rng.standard_normal(dims)
-        vs = [_without_grad_fn(hom_abs(dims)), _without_grad_fn(hom_linear(B, dims))]
-        if dims[1] == 2:
-            vs.append(_aniso(dims[0], B[0] / np.linalg.norm(B[0])))
-        for v in vs:
-            assert v.grad_fn is None
-            got = _fd_grad(v, G)
-            assert got.shape == G.shape and np.array_equal(got, _fd_grad_loop(v, G))
-
-    @pytest.mark.parametrize("M", [1, 2])
-    def test_matches_on_tent_stacks(self, M):
-        # tents are zero outside a slab, so the stack holds zero cells
-        hb = HalfBallProblem(np.array([0.6, 0.8]), level=2, ncomp=M)
-        seeds = TestBatchedDescent._seeds(hb)
-        G = hb.gradients(np.concatenate(seeds, axis=1))
-        assert np.any(mat_norm(G) == 0.0)
-        v = _aniso(M, np.array([0.6, -0.8]))
-        assert np.array_equal(_fd_grad(v, G), _fd_grad_loop(v, G))
-
-
-class TestDescentKeepsGradients:
-    """`_descend` reuses the gradient stack of each iterate for the next step's
-    dv/dA; its restarts must match the three-gradient loop bit for bit."""
-
-    @pytest.mark.parametrize("kind", ["abs", "aniso-fd", "linear", "row2"])
-    def test_matches_three_gradient_loop(self, kind):
-        if kind == "row2":
-            v = _second_row_norm()
-            hb = HalfBallProblem(RHO, level=1, ncomp=2)
-            seeds = [hb.tent([1.0, 0.0]), hb.tent([0.0, 1.0]), hb.tent([0.6, 0.8])]
-            expected = {"stalled", "maxiter"}
-        else:
-            B = np.array([[0.3, -0.7]])
-            v = {"abs": hom_abs((1, 2)), "aniso-fd": _aniso(1, np.array([0.6, 0.8])),
-                 "linear": hom_linear(B, (1, 2))}[kind]
-            hb = HalfBallProblem(np.array([0.6, 0.8]), level=2, ncomp=1)
-            seeds = TestBatchedDescent._seeds(hb)
-            seeds.insert(1, np.zeros((hb.mesh.vertices.shape[0], 1)))
-            expected = {"degenerate", "maxiter"}
-            if kind == "linear":
-                seeds.insert(3, _collapsing_seed(hb, B))
-                expected.add("collapsed")
-        results, stop = _descend(hb, v, seeds, 20)
-        ref_results, ref_stop = _descend_three_grads(hb, v, seeds, 20)
-        assert set(stop) == expected
-        assert stop == ref_stop
-        for res, ref in zip(results, ref_results):
-            if ref is None:
-                assert res is None
-            else:
-                assert res[0] == ref[0] and np.array_equal(res[1], ref[1])
-
-
 class TestRotation:
-    # Every bracket samples in rho's frame.  The `_m2` tests take M = 2 integrands
-    # that the bracket cannot certify, so they descend on the rotated mesh.
+    # Every bracket and every laminate search works in rho's frame.  The `_m2` tests
+    # take M = 2 integrands; `_tau_form(1.5)` is one that only the laminate decides.
     def test_identity_rotation(self):
-        res = rotation_equivariance_check(hom_abs((1, 2)), RHO, RHO, mesh_level=2, iter_budget=300)
+        res = rotation_equivariance_check(hom_abs((1, 2)), RHO, RHO)
         assert res["gap"] <= 1e-12
 
     def test_identity_rotation_m2(self):
         v = hom_linear([[0.5, -0.3], [0.2, 0.4]], (2, 2))
-        res = rotation_equivariance_check(v, RHO, RHO, mesh_level=2, iter_budget=300)
+        res = rotation_equivariance_check(v, RHO, RHO)
         assert res["gap"] <= 1e-12
 
     def test_isotropic_any_rotation(self):
-        res = rotation_equivariance_check(
-            hom_abs((1, 2)), RHO, np.array([0.0, 1.0]), mesh_level=2, iter_budget=300
-        )
+        res = rotation_equivariance_check(hom_abs((1, 2)), RHO, np.array([0.0, 1.0]))
         assert res["gap"] <= 1e-12
 
     def test_isotropic_any_rotation_m2(self):
-        res = rotation_equivariance_check(
-            hom_neg_abs((2, 2)), RHO, np.array([0.0, 1.0]), mesh_level=2, iter_budget=300
-        )
+        res = rotation_equivariance_check(hom_neg_abs((2, 2)), RHO, np.array([0.0, 1.0]))
         assert res["gap"] <= 1e-12
 
     def test_anisotropic_quarter_turn(self):
         v = mixed_form(2.0, [0.5, -0.3])
-        res = rotation_equivariance_check(v, RHO, np.array([0.0, 1.0]), mesh_level=2, iter_budget=400)
+        res = rotation_equivariance_check(v, RHO, np.array([0.0, 1.0]))
         assert res["gap"] <= 1e-6
 
     def test_anisotropic_quarter_turn_m2(self):
         v = mixed_form(2.0, [[0.5, -0.3], [0.2, 0.4]])
-        res = rotation_equivariance_check(v, RHO, np.array([0.0, 1.0]), mesh_level=2, iter_budget=400)
+        res = rotation_equivariance_check(v, RHO, np.array([0.0, 1.0]))
         assert res["gap"] <= 1e-6
 
-    def test_m2_descent_sees_an_isometric_problem(self):
-        # the rotated half-ball mesh is the image of the original one, so every
-        # level's estimate agrees, not only the minimum
+    def test_m2_laminate_sees_a_rotated_problem(self):
+        # both laminate searches run in their normal's frame, on the same sphere values
+        # up to rounding, and close the bracket; jqcb_falsify's rotated half-ball mesh
+        # is the image of the original one
         v = _tau_form(1.5)
-        rho2 = np.array([-0.28, 0.96])
-        R = rotation_to(RHO, rho2)
-        hb1, hb2 = HalfBallProblem(RHO, level=3, ncomp=2), HalfBallProblem(rho2, level=3, ncomp=2)
-        assert np.array_equal(hb1.sel, hb2.sel)
-        assert np.allclose(hb2.mesh.vertices, hb1.mesh.vertices @ R.T, rtol=0, atol=1e-15)
-        assert hb2.areas == pytest.approx(hb1.areas, rel=1e-13)
-        r1 = qslb_infimum(v, RHO, mesh_level=3, iter_budget=600)
-        r2 = qslb_infimum(rotated_integrand(v, R), rho2, mesh_level=3, iter_budget=600)
-        assert len(r1["per_level"]) == 3
-        assert r2["per_level"] == pytest.approx(r1["per_level"], rel=0, abs=1e-9)
-        assert r1["verdict"] == r2["verdict"]
+        r1 = qslb_infimum(v, RHO)
+        assert len(r1["stages"]) == 1 and r1["verdict"] == "not_qslb"
+        for rho2 in (np.array([-0.28, 0.96]), np.array([0.0, 1.0]), np.array([0.6, -0.8])):
+            R = rotation_to(RHO, rho2)
+            hb1, hb2 = HalfBallProblem(RHO, level=3, ncomp=2), HalfBallProblem(rho2, level=3, ncomp=2)
+            assert np.array_equal(hb1.sel, hb2.sel)
+            assert np.allclose(hb2.mesh.vertices, hb1.mesh.vertices @ R.T, rtol=0, atol=1e-15)
+            assert hb2.areas == pytest.approx(hb1.areas, rel=1e-13)
+            r2 = qslb_infimum(rotated_integrand(v, R), rho2)
+            assert len(r2["stages"]) == 1 and r2["verdict"] == "not_qslb"
+            assert abs(r1["inf_est"] - r2["inf_est"]) <= 1e-9
+            assert rotation_equivariance_check(v, RHO, rho2)["gap"] <= 1e-9
 
     def test_rotated_integrand_values(self):
         v = hom_linear([1.0, 0.0], (1, 2))
@@ -1339,13 +1062,13 @@ class TestInvalidNormals:
     def test_rejected_everywhere(self, normal):
         v = hom_abs((1, 2))
         with pytest.raises(ValueError, match="finite and nonzero"):
-            qslb_infimum(v, normal, mesh_level=1, iter_budget=20)
+            qslb_infimum(v, normal)
         with pytest.raises(ValueError, match="finite and nonzero"):
             jqcb_falsify(v, normal, budget=2)
         with pytest.raises(ValueError, match="finite and nonzero"):
-            rotation_equivariance_check(v, normal, RHO, mesh_level=1, iter_budget=20)
+            rotation_equivariance_check(v, normal, RHO)
         with pytest.raises(ValueError, match="finite and nonzero"):
-            rotation_equivariance_check(v, RHO, normal, mesh_level=1, iter_budget=20)
+            rotation_equivariance_check(v, RHO, normal)
         with pytest.raises(ValueError, match="finite and nonzero"):
             HalfBallProblem(normal, level=1)
 
@@ -1360,11 +1083,11 @@ class TestInvalidNormals:
         match = rf"normal \[.*\] has {len(normal)} components; v\.dims = \({v.dims[0]}, {v.dims[1]}\)"
         with pytest.raises(ValueError, match=match):
             if call == "qslb":
-                qslb_infimum(v, normal, mesh_level=1, iter_budget=20)
+                qslb_infimum(v, normal)
             elif call == "jqcb":
                 jqcb_falsify(v, normal, budget=2)
             else:
-                rotation_equivariance_check(v, RHO, normal, mesh_level=1, iter_budget=20)
+                rotation_equivariance_check(v, RHO, normal)
 
     @pytest.mark.parametrize("call", ["qslb", "jqcb"])
     @pytest.mark.parametrize("v", [hom_abs((1, 3)), hom_abs((2, 3))])
@@ -1373,7 +1096,7 @@ class TestInvalidNormals:
         with mock.patch("bvgym.boundary.HalfBallProblem") as half_ball:
             with pytest.raises(ValueError, match=rf"v\.dims = \({v.dims[0]}, 3\) has N = 3; the half-ball is 2D"):
                 if call == "qslb":
-                    qslb_infimum(v, [1.0, 0.0, 0.0], mesh_level=1, iter_budget=20)
+                    qslb_infimum(v, [1.0, 0.0, 0.0])
                 else:
                     jqcb_falsify(v, [1.0, 0.0, 0.0], budget=2)
         half_ball.assert_not_called()
@@ -1385,9 +1108,9 @@ class TestInvalidNormals:
         # the norm of 1e300 rho overflows and that of 1e-300 rho underflows; the normal
         # is scaled by its largest component first, so neither turns into 0
         rho = np.array([0.6, 0.8])
-        ref, jref = qslb_infimum(v, rho, mesh_level=1, iter_budget=40), jqcb_falsify(v, rho)
+        ref, jref = qslb_infimum(v, rho), jqcb_falsify(v, rho)
         for scale in (1e300, 1e-300):
-            res, jres = qslb_infimum(v, scale * rho, mesh_level=1, iter_budget=40), jqcb_falsify(v, scale * rho)
+            res, jres = qslb_infimum(v, scale * rho), jqcb_falsify(v, scale * rho)
             assert res["verdict"] == ref["verdict"] and jres["status"] == jref["status"]
             assert res["inf_est"] == pytest.approx(ref["inf_est"], rel=0, abs=1e-12)
             assert jres["gap"] == pytest.approx(jref["gap"], rel=0, abs=1e-12)
@@ -1400,11 +1123,14 @@ class TestInvalidNormals:
     def test_empty_search_is_inconclusive(self, monkeypatch):
         import bvgym.boundary as boundary
 
-        # every restart skipped, as if each seed had zero total variation; M = 2 and no
-        # bound decides, since other integrands take the moment-duality bracket alone.
-        # inf_est is then the bracket's upper, the integral of a generated measure
-        monkeypatch.setattr(boundary, "_descend",
-                            lambda hb, v, seeds, iters: ([None] * len(seeds), ["degenerate"] * len(seeds)))
-        res = qslb_infimum(_det_form(2.5), RHO, mesh_level=1, iter_budget=20)
+        # 1 - 1.00025 |det S|: lower = -2.5e-4, and the best laminate attains it, above
+        # the "not_qslb" threshold -1e-3, so neither side is decided
+        res = qslb_infimum(_det_form(2.0005), RHO)
+        assert res["verdict"] == "inconclusive" and len(res["stages"]) == 1
+        assert res["inf_est"] == res["upper"] == pytest.approx(-2.5e-4, rel=0, abs=1e-9)
+        # a laminate search with no finite value leaves upper at the bracket's layer
+        # value, the integral of a generated measure, and the verdict inconclusive
+        monkeypatch.setattr(boundary, "_laminate", lambda v, rho: (np.inf, 0.5, np.eye(2), np.eye(2), 1))
+        res = qslb_infimum(_det_form(2.5), RHO)
         assert res["verdict"] == "inconclusive"
-        assert res["inf_est"] == res["upper"] and res["witness"] is None
+        assert res["inf_est"] == res["upper"] == res["witness"].pair(_det_form(2.5))
