@@ -651,20 +651,17 @@ _DISK_MAXIT = 200
 _DELTA0, _DELTA_MIN = 1e-2, 1e-10  # the smoothing starts at _DELTA0; each cut divides it by 5
 
 
-def _bfs_levels(rows, cols, n, start) -> list[np.ndarray]:
-    """Breadth-first level sets, each sorted, of start's component in the graph with edges rows[k] -> cols[k]."""
-    seen = np.zeros(n, dtype=bool)
+def _bfs_levels(ptr, cols, start) -> list[np.ndarray]:
+    """Breadth-first level sets, each sorted, of start's component; v's neighbours are cols[ptr[v] : ptr[v + 1]]."""
+    seen = np.zeros(ptr.size - 1, dtype=bool)
     seen[start] = True
     front, levels = np.array([start]), []
     while front.size:
         levels.append(front)
-        inside = np.zeros(n, dtype=bool)
-        inside[front] = True
-        reached = np.zeros(n, dtype=bool)
-        reached[cols[inside[rows]]] = True
-        reached &= ~seen
-        seen |= reached
-        front = np.flatnonzero(reached)
+        lo, count = ptr[front], ptr[front + 1] - ptr[front]
+        reached = np.sort(cols[np.arange(count.sum()) + np.repeat(lo + count - np.cumsum(count), count)])
+        front = reached[~seen[reached] & np.append(True, reached[1:] != reached[:-1])]  # np.unique loads numpy.ma
+        seen[front] = True
     return levels
 
 
@@ -679,21 +676,24 @@ class _LevelBlocks:
     sweep from its first node.  An entry joins equal or adjacent levels, so the
     matrix stays block tridiagonal when runs of consecutive levels of one
     component merge into blocks of at least _MIN_BLOCK nodes (a component's
-    last block may be smaller), which saves Python-level steps per solve.  Each
-    entry on or above the block diagonal has one place in a buffer, built once,
-    of the diagonal blocks D_k and upper blocks [C_k | r_k] (block k to k + 1,
-    none after a component's last block), whose spare column takes the
-    right-hand side.  solve runs one forward block-LDL' (block Thomas) sweep in
-    place, W_k = S_k^-1 [C_k | r_k], S_{k+1} = D_{k+1} - C_k' W_k[:, :-1],
-    r_{k+1} -= C_k' W_k[:, -1], and one back substitution.  Its cost grows
+    last block may be smaller), which saves Python-level steps per solve.  The
+    places of the entries in the diagonal blocks D_k and the upper blocks C_k
+    (block k to k + 1, none after a component's last block) are found once.
+    solve runs one forward block-LDL' (block Thomas) sweep, W_k = S_k^-1
+    [C_k | r_k], S_{k+1} = D_{k+1} - C_k' W_k[:, :-1], r_{k+1} -= C_k' W_k[:, -1],
+    and one back substitution.  It holds one block at a time: on block k's turn
+    D_k and [C_k | r_k] are assembled in one scratch, and W_k goes to block k's
+    slot of one arena, where the back substitution reads it.  Its cost grows
     like n b^2 with b the largest block, about sqrt(n) on a 2D mesh.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int):
+        by_row = np.argsort(rows, kind="stable")  # the sweeps read the pattern row by row
+        ptr, adj = np.searchsorted(rows[by_row], np.arange(n + 1)), cols[by_row]
         self.levels, placed, sizes, coupled = [], np.zeros(n, dtype=bool), [], []
         while not placed.all():
             root = int(np.argmin(placed))  # the first node of a component not yet swept
-            component = _bfs_levels(rows, cols, n, _bfs_levels(rows, cols, n, root)[-1][0])
+            component = _bfs_levels(ptr, adj, _bfs_levels(ptr, adj, root)[-1][0])
             placed[np.concatenate(component)] = True
             self.levels += component
             count = 0
@@ -708,34 +708,37 @@ class _LevelBlocks:
         self.level[self.order] = np.repeat(np.arange(len(self.levels)), [nodes.size for nodes in self.levels])
         self.block[self.order] = np.repeat(np.arange(len(sizes)), sizes)
         local[self.order] = np.arange(n) - np.repeat(first[:-1], sizes)
-        # the buffer holds D_0, [C_0 | r_0], D_1, [C_1 | r_1], ...; entries below the block diagonal are dropped
+        # W_k and [C_k | r_k] are width[k] wide: the right-hand side takes the spare column
         width = [1 + (sizes[k + 1] if c else 0) for k, c in enumerate(coupled)]
-        start = np.cumsum([0] + [x for s, w in zip(sizes, width) for x in (s * s, s * w)])
-        self.buf = np.empty(start[-1])
-        self.blocks = [(self.buf[start[2 * k] : start[2 * k + 1]].reshape(s, s),
-                        self.buf[start[2 * k + 1] : start[2 * k + 2]].reshape(s, w), first[k], first[k + 1])
-                       for k, (s, w) in enumerate(zip(sizes, width))]
+        start = np.cumsum([0] + [s * w for s, w in zip(sizes, width)])
+        self.arena, self.scratch = np.empty(start[-1]), np.empty(max(s * (s + w) for s, w in zip(sizes, width)))
+        # the entries on or above the block diagonal, by block; those below it are dropped
         br, bc = self.block[rows], self.block[cols]
-        self.upper = bc >= br
-        br, up = br[self.upper], (bc[self.upper] > br[self.upper]).astype(int)
-        # an entry of D_k (up = 0, rows sizes[k] long) or C_k (up = 1, rows width[k] long)
-        lens = np.array([sizes, width])
-        self.dest = start[2 * br + up] + local[rows[self.upper]] * lens[up, br] + local[cols[self.upper]]
+        pick = np.flatnonzero(bc >= br)
+        pick = pick[np.argsort(br[pick], kind="stable")]
+        br, up = br[pick], bc[pick] - br[pick]
+        bounds = np.searchsorted(br, np.arange(len(sizes) + 1))
+        # an entry of D_k (up = 0, rows sizes[k] long) or of [C_k | r_k] (up = 1, rows width[k] long, after D_k)
+        dest = up * np.array(sizes)[br] ** 2 + local[rows[pick]] * np.array([sizes, width])[up, br] + local[cols[pick]]
+        work = [self.scratch[: s * (s + w)] for s, w in zip(sizes, width)]
+        self.blocks = [(self.arena[start[k] : start[k + 1]].reshape(s, w), pick[bounds[k] : bounds[k + 1]],
+                        dest[bounds[k] : bounds[k + 1]], work[k], work[k][: s * s].reshape(s, s),
+                        work[k][s * s :].reshape(s, w), first[k], first[k + 1])
+                       for k, (s, w) in enumerate(zip(sizes, width))]
 
     def solve(self, values: np.ndarray, b: np.ndarray) -> np.ndarray:
         """x with A x = b, where A holds values[k] at (rows[k], cols[k])."""
-        self.buf.fill(0.0)
-        self.buf[self.dest] = values[self.upper]
-        y, steps, CW = b[self.order], [], None
-        for S, Cr, lo, hi in self.blocks:
+        y, CW = b[self.order], None
+        for W, pick, dest, work, S, Cr, lo, hi in self.blocks:
+            work[:] = 0.0
+            work[dest] = values[pick]
             Cr[:, -1] = y[lo:hi]
             if CW is not None:
                 S -= CW[:, :-1]
                 Cr[:, -1] -= CW[:, -1]
-            W = np.linalg.solve(S, Cr)
-            CW = Cr[:, :-1].T @ W if Cr.shape[1] > 1 else None
-            steps.append(W)
-        for (_, _, lo, hi), W in zip(reversed(self.blocks), reversed(steps)):
+            W[:] = np.linalg.solve(S, Cr)
+            CW = Cr[:, :-1].T @ W if W.shape[1] > 1 else None
+        for W, *_, lo, hi in reversed(self.blocks):
             y[lo:hi] = W[:, -1] - W[:, :-1] @ y[hi : hi + W.shape[1] - 1]
         out = np.empty(y.size)
         out[self.order] = y
@@ -780,15 +783,19 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
     weights.  J_delta smooths |g_T| to rho_T = sqrt(|g_T|^2 + delta^2).  The
     dual p_T = w_T q_T, |q_T| <= 1, enters each step's one SPD system
     A du = -grad J_delta(u), A = G' M G + B' diag(wL f''(d)) B with the 2x2
-    blocks M_T = w_T (I - sym(q_T g_T')/rho_T) / rho_T, solved by
-    _LevelBlocks on a pattern built once per mesh.  u takes an Armijo step
-    on J_delta, and each q_T moves toward z_T, z = (w g/rho + M G du)/w, by its
-    own step beta_T: 0.99 times the largest step that keeps |q_T| <= 1, at
-    most a full step.  So |q_T| < 1 stays strict, each M_T stays SPD, and a
-    q_T next to the unit sphere holds back only its own triangle (one global
-    step, the minimum over T, stalls near 0 once any q_T nears the sphere).
-    delta is cut by 5, down to _DELTA_MIN, after a full primal step with
-    beta_T = 1 in every triangle, or once |grad J_delta| < 1e-3 delta.
+    blocks M_T = w_T (I - sym(q_T g_T')/rho_T) / rho_T, solved by _LevelBlocks
+    on a pattern built once per mesh, whose temporaries are gone before the
+    first step.  Each entry of A sums its triangle terms in the order of T, then
+    its Gauss-point terms: an off-diagonal entry has at most two triangle terms
+    (an edge lies in at most two triangles), so adding the i > j terms after
+    the i <= j ones leaves every sum as it was.  u takes an Armijo step on
+    J_delta, and each q_T moves toward z_T, z = (w g/rho + M G du)/w, by its
+    own step beta_T: 0.99 times the largest step that keeps |q_T| <= 1, at most
+    a full step.  So |q_T| < 1 stays strict, each M_T stays SPD, and a q_T next
+    to the unit sphere holds back only its own triangle (one global step, the
+    minimum over T, stalls near 0 once any q_T nears the sphere).  delta is cut
+    by 5, down to _DELTA_MIN, after a full primal step with beta_T = 1 in every
+    triangle, or once |grad J_delta| < 1e-3 delta.
 
     The linearized dual y = (w z, s), s = wL (f'(d) + f''(d) B du), satisfies
     G'p + B's = grad J_delta + A du = 0 on the free nodes up to the solve's
@@ -846,16 +853,23 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
         w = np.concatenate([np.einsum("tid,td->ti", bg, y).ravel(), (phi * s[:, None]).ravel()])
         return np.bincount(corners, weights=w, minlength=nf + 1)[:nf]
 
-    # the system's pattern, once: one slot per (T, i, j) and (q, i, j) entry on free nodes
+    # the system's pattern, once: one slot per (T, i, j) and (q, i, j) entry on free nodes, and slot ns for the rest
     rows = np.concatenate([np.repeat(tri, 3, axis=1).ravel(), np.repeat(bnd, 2, axis=1).ravel()])
     cols = np.concatenate([np.tile(tri, 3).ravel(), np.tile(bnd, 2).ravel()])
     keep = (rows < nf) & (cols < nf)
-    slots, slot = np.unique(rows[keep] * nf + cols[keep], return_inverse=True)
-    blocks = _LevelBlocks(slots // nf, slots % nf, nf)
-    # entry (T, i, j) of G'MG is M_00 K[0] + M_01 K[1] + M_11 K[2]; entry (q, i, j) of B'DB is D_q phi_i phi_j
+    key = rows[keep] * nf + cols[keep]
+    slots = np.sort(key)  # np.unique(key, return_inverse=True) holds twice as many temporaries
+    slots = slots[np.append(True, slots[1:] != slots[:-1])]
+    blocks, ns = _LevelBlocks(slots // nf, slots % nf, nf), slots.size
+    rows[keep], rows[~keep] = np.searchsorted(slots, key), ns  # rows now holds each entry's slot
+    # entry (T, i, j) of G'MG is M_00 K[0] + M_01 K[1] + M_11 K[2], K symmetric in (i, j): K keeps the columns
+    # (i, j) = (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2), which add to slots up[T] and, the last three, lo[T]
+    i, j = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+    up, lo = (rows[: 9 * nt].reshape(nt, 3, 3)[:, r, c].ravel() for r, c in ((i, j), (j[3:], i[3:])))
+    q_slot = rows[9 * nt :].copy()
+    del rows, cols, keep, key, slots
     bx, by = bg[:, :, 0], bg[:, :, 1]
-    K = np.stack([bx[:, :, None] * bx[:, None, :], bx[:, :, None] * by[:, None, :] + by[:, :, None] * bx[:, None, :],
-                  by[:, :, None] * by[:, None, :]]).reshape(3, nt, 9)
+    K = np.stack([bx[:, i] * bx[:, j], bx[:, i] * by[:, j] + by[:, i] * bx[:, j], by[:, i] * by[:, j]])
     phi2 = (phi[:, :, None] * phi[:, None, :]).reshape(nq, 4)
 
     def state(u):  # gradient per triangle, residual per Gauss point, J, |g_T| and f(d)
@@ -882,8 +896,11 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
         # M_T = (w_T / rho_T) (I - sym(q_T gh_T'))
         m = weight / rho * np.stack([1 - q[:, 0] * gh[:, 0], -0.5 * (q[:, 0] * gh[:, 1] + q[:, 1] * gh[:, 0]),
                                      1 - q[:, 1] * gh[:, 1]])
-        entries = np.concatenate([np.einsum("ct,ctk->tk", m, K).ravel(), ((wL * f2)[:, None] * phi2).ravel()])
-        du = blocks.solve(np.bincount(slot, weights=entries[keep], minlength=slots.size), -grad)
+        E = np.einsum("ct,ctk->tk", m, K)
+        values = np.bincount(up, weights=E.ravel(), minlength=ns + 1)
+        np.add.at(values, lo, E[:, 3:].ravel())
+        np.add.at(values, q_slot, ((wL * f2)[:, None] * phi2).ravel())
+        du = blocks.solve(values[:ns], -grad)
         dg, dd = apply(du)
         # the linearized dual (w z, wL sigma): z = (w gh + M dg) / w; divided by theta it lies in the box
         z = gh + (dg - 0.5 * (q * dot(gh, dg)[:, None] + gh * dot(q, dg)[:, None])) / rho[:, None]

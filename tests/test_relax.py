@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,7 @@ from bvgym.relax import (
     _arc_edges,
     _arcs_overlap,
     _best_traces,
+    _bfs_levels,
     _dist2_to_segments,
     _level_mesh,
     _minimize_disk,
@@ -948,6 +952,45 @@ def _disk_pattern(level, refinements, gamma0):
     return pattern
 
 
+def _bfs_levels_by_scan(rows, cols, n, start):
+    """The sweep that _LevelBlocks ran before its CSR frontier: every level scans every pattern entry."""
+    seen = np.zeros(n, dtype=bool)
+    seen[start] = True
+    front, levels = np.array([start]), []
+    while front.size:
+        levels.append(front)
+        inside = np.zeros(n, dtype=bool)
+        inside[front] = True
+        reached = np.zeros(n, dtype=bool)
+        reached[cols[inside[rows]]] = True
+        reached &= ~seen
+        seen |= reached
+        front = np.flatnonzero(reached)
+    return levels
+
+
+_DIRICHLET_ARCS = [(3 * np.pi / 4, 5 * np.pi / 4), (np.pi / 2, np.pi)]
+_cached_disk_pattern = functools.lru_cache(maxsize=None)(_disk_pattern)
+
+
+def _level_blocks_pattern(name):
+    """(rows, cols, n) of each kind of pattern TestLevelBlocks solves on."""
+    if name == "graph":  # test_components_and_isolated_node's pattern, not sorted by row
+        edges = np.array([(0, 3), (3, 5), (1, 2), (2, 6), (1, 6)])
+        return (np.concatenate([edges[:, 0], edges[:, 1], np.arange(7)]),
+                np.concatenate([edges[:, 1], edges[:, 0], np.arange(7)]), 7)
+    kind, level, refinements, arc = name.split("-")
+    rows, cols, n = _cached_disk_pattern(int(level), int(refinements), _DIRICHLET_ARCS[int(arc)])
+    if kind == "disk":
+        return rows, cols, n
+    # "twice": test_blocks_merge_consecutive_levels_of_one_component's two disk copies and an isolated node
+    return np.concatenate([rows, rows + n, [2 * n]]), np.concatenate([cols, cols + n, [2 * n]]), 2 * n + 1
+
+
+_PATTERN_NAMES = (["graph"] + [f"disk-{lv}-{rf}-{a}" for lv in (1, 2, 3) for rf in (0, 1, 2) for a in (0, 1)]
+                  + [f"twice-{lv}-{rf}-0" for lv, rf in ((1, 0), (2, 0), (2, 1), (3, 1))])
+
+
 class TestLevelBlocks:
     """The disk solver's block-tridiagonal SPD solve on BFS level sets."""
 
@@ -1004,6 +1047,59 @@ class TestLevelBlocks:
         rng = np.random.default_rng(5)
         for _ in range(5):
             _assert_solves(blocks, rows, cols, _spd_fill(rows, cols, 7, rng), rng)
+
+    @pytest.mark.parametrize("level, refinements", [(1, 0), (2, 1), (3, 2)])
+    def test_disk_edges_lie_in_at_most_two_triangles(self, level, refinements):
+        # _minimize_disk adds an off-diagonal entry's i > j triangle terms after its i <= j ones: with at most
+        # two triangle terms per entry, the sums are those of one pass over the triangles in order
+        mesh = disk_mesh(level)
+        for _ in range(refinements):
+            mesh = mesh.refine()
+        t = mesh.triangles
+        _, counts = np.unique(np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [0, 2]]]), axis=1),
+                              axis=0, return_counts=True)
+        assert counts.max() == 2
+
+    @pytest.mark.parametrize("name", _PATTERN_NAMES)
+    def test_csr_sweeps_give_the_levels_of_a_full_scan(self, name):
+        rows, cols, n = _level_blocks_pattern(name)
+        by_row = np.argsort(rows, kind="stable")
+        ptr, adj = np.searchsorted(rows[by_row], np.arange(n + 1)), cols[by_row]
+        far = _bfs_levels_by_scan(rows, cols, n, 0)[-1][0]
+        for start in sorted({0, n // 2, n - 1, int(far)}):
+            got, ref = _bfs_levels(ptr, adj, start), _bfs_levels_by_scan(rows, cols, n, start)
+            assert [x.tolist() for x in got] == [x.tolist() for x in ref], start
+
+    def test_memory_on_the_finest_disk_2d_pattern(self):
+        # level 3 with two refinements: 4,160 free nodes; no dense matrix, the values are diagonally dominant
+        rows, cols, n = _cached_disk_pattern(3, 2, _DIRICHLET_ARCS[0])
+        assert n == 4160
+        values = np.where(rows == cols, np.bincount(rows, minlength=n)[rows] + 1.0,
+                          np.cos(1.3 * np.minimum(rows, cols) + 0.7 * np.maximum(rows, cols)))
+        b = np.random.default_rng(2).standard_normal(n)
+        values0, b0 = values.copy(), b.copy()
+        MiB = 2.0**20
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            blocks = _LevelBlocks(rows, cols, n)
+            built = tracemalloc.get_traced_memory()[0] - before
+            x = blocks.solve(values, b)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            y = blocks.solve(values, b)
+            extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert built < 2.5 * MiB, f"building leaves {built / MiB:.2f} MiB"  # one arena of W blocks, one scratch
+        assert extra < 0.25 * MiB, f"a second solve raises the peak by {extra / MiB:.3f} MiB"  # no block per step
+        assert np.array_equal(values, values0) and np.array_equal(b, b0)
+        assert np.array_equal(x, y)
+        residual = np.bincount(rows, weights=values * x[cols], minlength=n) - b
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
 
 
 class TestArcsOverlap:
