@@ -31,7 +31,7 @@ from .integrands import (
 )
 from .measures import (RANK_ONE_TOL, Atom, BVField, DiscreteMeasure, _key, _on_boundary, _point_from, _same_mesh,
                        fold_traces, group_rows, normal_projection)
-from .meshes import IntervalMesh, TriMesh, mesh_from_record
+from .meshes import _CELL_BLOCK, IntervalMesh, TriMesh, mesh_from_record
 
 PROB_TOL = 1e-12
 CHARACTERIZATION_TOL = 1e-6  # slack of the inequalities (ii)-(iv) in check_characterization
@@ -264,36 +264,49 @@ def _bin_windows(Y: DiscreteMeasure, wnodes, matrix_grid, sphere_grid, overflow_
 
     Each cell adds its overlap length ell with window w to nu[w, grid index of
     its density], or, above the overflow radius, to the zero matrix while its
-    mass ell * |density| goes to the window's concentration sums.  The
-    (cell, window) pairs are listed in cell order and np.bincount adds in input
-    order, so every sum equals the one a per-cell `+=` loop builds, bit for bit.
+    mass ell * |density| goes to the window's concentration sums.  Runs of whole
+    windows that together overlap at most `_CELL_BLOCK` cells (or one window)
+    are binned in turn, so temporaries stay bounded.  In each run the (cell,
+    window) pairs are listed in cell order and np.bincount adds in input order,
+    so every sum equals the one a per-cell `+=` loop builds, bit for bit.
     """
     nwin = wnodes.size - 1
     K, S = matrix_grid.shape[0], sphere_grid.shape[0]
-    lo, hi = Y.mesh.nodes[:-1], Y.mesh.nodes[1:]
-    # from the window holding lo to the last one starting below hi: every positive overlap
-    w0 = np.clip(np.searchsorted(wnodes, lo, "right") - 1, 0, nwin - 1)
-    w1 = np.clip(np.searchsorted(wnodes, hi, "left") - 1, 0, nwin - 1)
-    n = np.maximum(w1 - w0 + 1, 0)
-    cell = np.repeat(np.arange(lo.size), n)
-    w = np.repeat(w0 + n - np.cumsum(n), n) + np.arange(cell.size)  # w0[c], w0[c] + 1, ... per cell c
-    left, right = np.maximum(lo[cell], wnodes[w]), np.minimum(hi[cell], wnodes[w + 1])
-    ell = right - left
-    keep = ell > 0
-    cell, w, ell, left, right = cell[keep], w[keep], ell[keep], left[keep], right[keep]
+    nodes, zero = Y.mesh.nodes, _zero_index(matrix_grid)
+    # cells first[w] <= c < stop[w] overlap window w by a positive length
+    first = np.searchsorted(nodes[1:], wnodes[:-1], "right")
+    stop = np.maximum(np.searchsorted(nodes[:-1], wnodes[1:], "left"), first)
+    cum, runs = np.concatenate([[0], np.cumsum(stop - first)]), [0]
+    while runs[-1] < nwin:  # the longest run from runs[-1] within the block, at least one window
+        runs.append(max(int(np.searchsorted(cum, cum[runs[-1]] + _CELL_BLOCK, "right")) - 1, runs[-1] + 1))
+    nu, conc_dir = np.zeros((nwin, K)), np.zeros((nwin, S))
+    conc_mass, conc_pos = np.zeros(nwin), np.zeros(nwin)
+    for wa, wb in zip(runs[:-1], runs[1:]):
+        ca, cb, wn, nw = first[wa], stop[wb - 1], wnodes[wa : wb + 1], wb - wa
+        lo, hi, dens = nodes[ca:cb], nodes[ca + 1 : cb + 1], Y.density[ca:cb]
+        # from the window holding lo to the last one starting below hi: every positive overlap
+        w0 = np.clip(np.searchsorted(wn, lo, "right") - 1, 0, nw - 1)
+        w1 = np.clip(np.searchsorted(wn, hi, "left") - 1, 0, nw - 1)
+        n = np.maximum(w1 - w0 + 1, 0)
+        cell = np.repeat(np.arange(lo.size), n)
+        w = np.repeat(w0 + n - np.cumsum(n), n) + np.arange(cell.size)  # w0[c], w0[c] + 1, ... per cell c
+        left, right = np.maximum(lo[cell], wn[w]), np.minimum(hi[cell], wn[w + 1])
+        ell = right - left
+        keep = ell > 0
+        cell, w, ell, left, right = cell[keep], w[keep], ell[keep], left[keep], right[keep]
 
-    norms = mat_norm(Y.density)
-    over = ~(norms <= overflow_radius)  # a NaN norm counts as overflow
-    k = np.full(lo.size, _zero_index(matrix_grid))
-    k[~over] = _snap_all(matrix_grid, Y.density[~over])
-    s = np.zeros(lo.size, dtype=int)
-    s[over] = _snap_all(sphere_grid, Y.density[over] / norms[over, None, None])
-    nu = np.bincount(w * K + k[cell], ell, nwin * K).reshape(nwin, K)
-    o = over[cell]
-    mass, wo = ell[o] * norms[cell[o]], w[o]
-    conc_dir = np.bincount(wo * S + s[cell[o]], mass, nwin * S).reshape(nwin, S)
-    conc_mass = np.bincount(wo, mass, nwin)
-    conc_pos = np.bincount(wo, mass * 0.5 * (left[o] + right[o]), nwin)
+        norms = mat_norm(dens)
+        over = ~(norms <= overflow_radius)  # a NaN norm counts as overflow
+        k = np.full(lo.size, zero)
+        k[~over] = _snap_all(matrix_grid, dens[~over])
+        s = np.zeros(lo.size, dtype=int)
+        s[over] = _snap_all(sphere_grid, dens[over] / norms[over, None, None])
+        nu[wa:wb] = np.bincount(w * K + k[cell], ell, nw * K).reshape(nw, K)
+        o = over[cell]
+        mass, wo = ell[o] * norms[cell[o]], w[o]
+        conc_dir[wa:wb] = np.bincount(wo * S + s[cell[o]], mass, nw * S).reshape(nw, S)
+        conc_mass[wa:wb] = np.bincount(wo, mass, nw)
+        conc_pos[wa:wb] = np.bincount(wo, mass * 0.5 * (left[o] + right[o]), nw)
     return nu, conc_mass, conc_pos, conc_dir
 
 

@@ -14,10 +14,18 @@ from typing import Callable
 
 import numpy as np
 
-# Gauss-Legendre nodes/weights on [0,1], exact for polynomials up to degree 11.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
-_GL_X = 0.5 * (_GL_X + 1.0)
-_GL_W = 0.5 * _GL_W
+# Gauss-Legendre nodes/weights on [0,1], exact for polynomials up to degree 11:
+# np.polynomial.legendre.leggauss(6) mapped by x -> (x + 1) / 2, w -> w / 2, as
+# literals: importing numpy.polynomial took every process about 6 ms (-X importtime).
+_GL_X = np.array([0.03376524289842403, 0.16939530676686776, 0.38069040695840156,
+                  0.6193095930415985, 0.8306046932331322, 0.9662347571015759])
+_GL_W = np.array([0.08566224618958514, 0.18038078652406936, 0.23395696728634552,
+                  0.23395696728634552, 0.18038078652406936, 0.08566224618958514])
+# Cells per block of IntervalMesh.cell_integrals: a (6, block) temporary takes
+# 192 KiB.  For x^2 on 40,000 cells the blocked sum took 1.17 ms against 4.50
+# for one (ncells, 6) pass (blocks of 1,024 cells: 1.23 ms, 16,384: 1.60 ms);
+# on 32 cells 11.1 us against 10.0 (timeit minima, 2-core VM, numpy 2.4).
+_CELL_BLOCK = 4096
 
 # Degree-5 symmetric triangle rule (7 points, barycentric coords and weights).
 _S15 = np.sqrt(15.0)
@@ -83,11 +91,23 @@ class IntervalMesh:
         return 1.0
 
     def cell_integrals(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Per-cell integrals of a scalar function, Gauss quadrature per cell."""
+        """Per-cell integrals of a scalar function, Gauss quadrature per cell.
+
+        Point-major in blocks of `_CELL_BLOCK` cells: g gets the flat points of a
+        (6, block) array whose row q holds every cell's q-th Gauss point (a 2-D
+        array could read as a batch of 2-D points), and the weighted rows, in our
+        own buffer, are summed over axis 0.  That sum adds a cell's six terms in
+        the order `.sum(axis=1)` adds a (cells, 6) row: the results are bit-identical.
+        """
         h = self.cell_volumes
-        pts = self.nodes[:-1][:, None] + h[:, None] * _GL_X[None, :]
-        vals = np.asarray(g(pts), dtype=float)
-        return (vals * _GL_W[None, :]).sum(axis=1) * h
+        x0 = self.nodes[:-1]
+        out = np.empty(h.size)
+        for i in range(0, h.size, _CELL_BLOCK):
+            hb = h[i : i + _CELL_BLOCK]
+            pts = x0[i : i + _CELL_BLOCK] + _GL_X[:, None] * hb
+            vals = np.asarray(g(pts.ravel()), dtype=float).reshape(pts.shape)
+            out[i : i + _CELL_BLOCK] = np.multiply(vals, _GL_W[:, None], out=pts).sum(axis=0) * hb
+        return out
 
     def refine(self) -> "IntervalMesh":
         mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])

@@ -665,3 +665,86 @@ class TestSerialization:
         lo, hi = u.trace()
         assert float(lo[0]) == pytest.approx(EPS / 2, abs=1e-12)
         assert float(hi[0]) == pytest.approx(EPS / 2, abs=1e-12)
+
+
+def reference_bin_windows(Y: DiscreteMeasure, wnodes, matrix_grid, sphere_grid, overflow_radius):
+    """The one-pass binning over every (cell, window) pair that the window runs replaced."""
+    from bvgym.gym import _snap_all
+
+    nwin = wnodes.size - 1
+    K, S = matrix_grid.shape[0], sphere_grid.shape[0]
+    lo, hi = Y.mesh.nodes[:-1], Y.mesh.nodes[1:]
+    w0 = np.clip(np.searchsorted(wnodes, lo, "right") - 1, 0, nwin - 1)
+    w1 = np.clip(np.searchsorted(wnodes, hi, "left") - 1, 0, nwin - 1)
+    n = np.maximum(w1 - w0 + 1, 0)
+    cell = np.repeat(np.arange(lo.size), n)
+    w = np.repeat(w0 + n - np.cumsum(n), n) + np.arange(cell.size)
+    left, right = np.maximum(lo[cell], wnodes[w]), np.minimum(hi[cell], wnodes[w + 1])
+    ell = right - left
+    keep = ell > 0
+    cell, w, ell, left, right = cell[keep], w[keep], ell[keep], left[keep], right[keep]
+
+    norms = mat_norm(Y.density)
+    over = ~(norms <= overflow_radius)
+    k = np.full(lo.size, _zero_index(matrix_grid))
+    k[~over] = _snap_all(matrix_grid, Y.density[~over])
+    s = np.zeros(lo.size, dtype=int)
+    s[over] = _snap_all(sphere_grid, Y.density[over] / norms[over, None, None])
+    nu = np.bincount(w * K + k[cell], ell, nwin * K).reshape(nwin, K)
+    o = over[cell]
+    mass, wo = ell[o] * norms[cell[o]], w[o]
+    conc_dir = np.bincount(wo * S + s[cell[o]], mass, nwin * S).reshape(nwin, S)
+    conc_mass = np.bincount(wo, mass, nwin)
+    conc_pos = np.bincount(wo, mass * 0.5 * (left[o] + right[o]), nwin)
+    return nu, conc_mass, conc_pos, conc_dir
+
+
+def _binning_case(rng, ncells, dims=(1, 1), span=(0.0, 1.0), overflow=0.1, nan=0.02):
+    """A random graded mesh on about `span` (a few huge cells among tiny ones) and a density
+    with overflowing and NaN values."""
+    widths = 0.5 ** rng.integers(0, 30, ncells) * np.where(rng.random(ncells) < 0.01, 1e3, 1.0)
+    nodes = span[0] + np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum() * (span[1] - span[0])
+    dens = rng.standard_normal((ncells, *dims)) * 3.0
+    dens[rng.random(ncells) < overflow] *= 1e4
+    dens[rng.random(ncells) < nan] = np.nan
+    return DiscreteMeasure(IntervalMesh(nodes), dens)
+
+
+def _assert_binning_matches_reference(Y, nwin):
+    from bvgym.gym import _bin_windows, default_sphere_grid
+
+    dims = Y.density.shape[1:]
+    grid, sphere = default_matrix_grid(dims, radius=4.0), default_sphere_grid(dims)
+    wnodes = np.linspace(0.0, 1.0, nwin + 1)
+    got = _bin_windows(Y, wnodes, grid, sphere, 8.0)
+    want = reference_bin_windows(Y, wnodes, grid, sphere, 8.0)
+    for name, x, y in zip(("nu", "conc_mass", "conc_pos", "conc_dir"), got, want):
+        assert _same_bits(x, y), name
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 64, None])
+@pytest.mark.parametrize("seed", range(4))
+def test_bin_windows_equals_the_one_pass_reference_bit_for_bit(seed, block, monkeypatch):
+    """Runs split at every block edge (blocks of 1, 2, 5 and 64 cells, and the module's own)."""
+    from bvgym import gym as gym_mod
+
+    if block is not None:
+        monkeypatch.setattr(gym_mod, "_CELL_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    dims = [(1, 1), (1, 2)][seed % 2]
+    for ncells, nwin in [(200, 32), (200, 7), (40, 1), (9, 50), (3, 1000), (1, 4)]:
+        _assert_binning_matches_reference(_binning_case(rng, ncells, dims), nwin)
+    # a member whose mesh ends just off the window nodes, as generate's np.isclose allows
+    _assert_binning_matches_reference(_binning_case(rng, 150, dims, span=(-1e-12, 1.0 + 1e-12)), 13)
+
+
+def test_bin_windows_at_the_module_block_match_the_reference_across_runs():
+    from bvgym.meshes import _CELL_BLOCK
+
+    rng = np.random.default_rng(11)
+    for ncells, nwin in [(3 * _CELL_BLOCK + 7, 32), (2 * _CELL_BLOCK + 1, 3), (_CELL_BLOCK + 1, 1)]:
+        _assert_binning_matches_reference(_binning_case(rng, ncells), nwin)
+    # every density overflows, or none does
+    Y = _binning_case(rng, 2 * _CELL_BLOCK, overflow=1.0, nan=0.0)
+    _assert_binning_matches_reference(Y, 32)
+    _assert_binning_matches_reference(DiscreteMeasure(Y.mesh, np.clip(Y.density, -1.0, 1.0)), 32)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from bvgym.meshes import IntervalMesh, TriMesh, disk_mesh, interval_mesh, rotation_2d
+from bvgym.cli import WEIGHTS
+from bvgym.gym import _const_one
+from bvgym.meshes import _CELL_BLOCK, _GL_W, _GL_X, IntervalMesh, TriMesh, disk_mesh, interval_mesh, rotation_2d
 
 
 def reference_boundary_edges(mesh: TriMesh) -> np.ndarray:
@@ -144,3 +146,66 @@ def test_gradients_of_equals_einsum_bit_for_bit(level, angle):
             assert_identical(got, reference_gradients_of(mesh, v))
             assert got.flags.c_contiguous
         mesh = mesh.refine()
+
+
+def test_gauss_legendre_literals_are_the_mapped_leggauss_rule():
+    x, w = np.polynomial.legendre.leggauss(6)
+    assert np.array_equal(_GL_X, 0.5 * (x + 1.0))
+    assert np.array_equal(_GL_W, 0.5 * w)
+
+
+def reference_cell_integrals(mesh: IntervalMesh, g) -> np.ndarray:
+    """The one-pass (ncells, 6) quadrature the point-major blocked one replaced."""
+    h = mesh.cell_volumes
+    pts = mesh.nodes[:-1][:, None] + h[:, None] * _GL_X[None, :]
+    vals = np.asarray(g(pts), dtype=float)
+    return (vals * _GL_W[None, :]).sum(axis=1) * h
+
+
+def _integrand_cases():
+    def read_only(x):
+        return np.broadcast_to(np.asarray(x, dtype=float) * 3.0, np.shape(x))
+
+    def signed_zero(x):  # -0.0 at every point left of 1/2, nonzero right of it
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.5, -0.0, -x)
+
+    return {
+        "const_one": _const_one,
+        "identity": lambda x: x,
+        "square": lambda x: np.asarray(x, dtype=float) ** 2,
+        "read_only": read_only,
+        "signed_zero": signed_zero,
+        "toy_weight": WEIGHTS["toy"]("0.25"),
+        "const_weight": WEIGHTS["const"]("1.5"),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, _CELL_BLOCK - 1, _CELL_BLOCK, _CELL_BLOCK + 1, 3 * _CELL_BLOCK + 7])
+@pytest.mark.parametrize("graded", [False, True])
+def test_cell_integrals_equal_the_one_pass_reference_bit_for_bit(n, graded):
+    mesh = IntervalMesh(np.linspace(0.0, 1.0, n + 1))
+    if graded:  # cell widths over 12 decades, on [-0.25, 1.25]
+        rng = np.random.default_rng(n)
+        widths = 0.5 ** rng.integers(0, 40, n) * (1.0 + rng.random(n))
+        mesh = IntervalMesh(np.concatenate([[-0.25], -0.25 + np.cumsum(widths) / widths.sum() * 1.5]))
+    for label, g in _integrand_cases().items():
+        got, want = mesh.cell_integrals(g), reference_cell_integrals(mesh, g)
+        assert got.shape == (mesh.ncells,), label
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), label  # the sign of zeros too
+
+
+def test_cell_integrals_pass_flat_points_and_leave_the_output_of_g_untouched():
+    mesh = interval_mesh(0.0, 1.0, _CELL_BLOCK + 3)
+    calls = []
+
+    def g(x):
+        vals = np.asarray(x, dtype=float) + 1.0
+        calls.append((np.ndim(x), vals, vals.copy()))
+        return vals
+
+    mesh.cell_integrals(g)
+    assert len(calls) == 2
+    for ndim, vals, returned in calls:
+        assert ndim == 1
+        assert np.array_equal(vals, returned)
