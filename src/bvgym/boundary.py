@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrands import HomogeneousIntegrand, mat_norm, unit_matrices
-from .measures import group_rows
-from .meshes import TriMesh, disk_mesh, rotation_to, triangle_geometry
+from .measures import DiskField
+from .meshes import TriMesh, disk_mesh, rotation_to
 
 BASE_NORMAL = np.array([1.0, 0.0])
 # "qslb" needs lower >= -QSLB_TOL; "not_qslb" needs upper (for M >= 2 maybe a laminate's) <= -10 QSLB_TOL
@@ -104,30 +104,6 @@ class SphereMeasure:
             return 0.0
         return float(self.weights @ np.asarray(v.on_sphere(self.points)))
 
-    def normalized(self) -> "SphereMeasure":
-        m = self.total_mass
-        if m <= 0:
-            raise ValueError("zero-mass measure cannot be normalized")
-        return SphereMeasure(self.points, self.weights / m)
-
-
-@dataclass(frozen=True)
-class PAField:
-    """Piecewise-affine vector field on its own triangulation."""
-
-    vertices: np.ndarray  # (nv, 2)
-    triangles: np.ndarray  # (nt, 3)
-    values: np.ndarray  # (nv, M)
-
-    def gradients(self) -> tuple[np.ndarray, np.ndarray]:
-        """(areas, per-triangle gradients (nt, M, 2))."""
-        areas, basis = triangle_geometry(self.vertices, self.triangles)
-        return areas, np.einsum("tiM,tid->tMd", self.values[self.triangles], basis)
-
-    def total_variation(self) -> float:
-        areas, grads = self.gradients()
-        return float(np.sum(areas * mat_norm(grads)))
-
 
 class HalfBallProblem:
     """P1 test space on a triangulated ball, integration over D_rho only.
@@ -155,9 +131,7 @@ class HalfBallProblem:
         self.free = free
         # base-frame coordinates (s along the normal, t tangential)
         self.coord_s = self.mesh.vertices @ normal
-        tau = np.array([-normal[1], normal[0]])
-        self.coord_t = self.mesh.vertices @ tau
-        self.tau = tau
+        self.coord_t = self.mesh.vertices @ np.array([-normal[1], normal[0]])
 
     # -- field algebra -------------------------------------------------
     def zeroed(self, U: np.ndarray) -> np.ndarray:
@@ -188,14 +162,19 @@ class HalfBallProblem:
         out[~self.free] = 0.0
         return out
 
-    def field(self, U: np.ndarray) -> PAField:
-        """Restriction of the nodal field to the half-ball triangles."""
+    def field(self, U: np.ndarray) -> DiskField:
+        """Restriction of the nodal field to the half-ball triangles, a P1 field on their
+        own mesh.  Its boundary nodes are the arc's and the diameter's: those that also
+        lie on a triangle off the half-ball."""
         U = self.zeroed(U)
         nv = self.mesh.vertices.shape[0]
-        used = np.flatnonzero(np.bincount(self.tri.ravel(), minlength=nv))  # np.unique would import numpy.ma
+        count = np.bincount(self.tri.ravel(), minlength=nv)  # np.unique would import numpy.ma
+        used = np.flatnonzero(count)
         remap = -np.ones(nv, dtype=int)
         remap[used] = np.arange(used.size)
-        return PAField(self.mesh.vertices[used], remap[self.tri], U[used])
+        edge = ~self.free[used] | (np.bincount(self.mesh.triangles.ravel(), minlength=nv)[used] > count[used])
+        mesh = TriMesh(self.mesh.vertices[used], remap[self.tri], np.flatnonzero(edge), "half_ball")
+        return DiskField(mesh, U[used])
 
     # -- seed fields ---------------------------------------------------
     def tent(self, a, depth: float = 0.25, halfwidth: float = 0.8) -> np.ndarray:
@@ -606,9 +585,11 @@ def jqcb_falsify(
     """Search for a Jensen violation v(avg grad) > avg v(grad) on the half-ball
     (mesh level 3).
 
-    Returns {"counterexample": field-or-None, "gap": best gap, "status"}, with
+    Returns {"counterexample", "gap": best gap, "status"}, with
     status "disproved" (gap above JQCB_TOL), "not disproved" (never "holds") or
-    "inconclusive" when no candidate gave a finite gap.
+    "inconclusive" when no candidate gave a finite gap.  A counterexample is the
+    half-ball restriction (`HalfBallProblem.field`, a DiskField) for N = 2, the
+    two slopes and the fraction t of the first for N = 1; None unless disproved.
     """
     validate_homogeneous(v)
     rho = _checked_normal(rho, v.dims)
@@ -676,47 +657,3 @@ def rotation_equivariance_check(v: HomogeneousIntegrand, rho1, rho2) -> dict:
     r1 = qslb_infimum(v, rho1)
     r2 = qslb_infimum(rotated_integrand(v, R), rho2)
     return {"gap": abs(r1["inf_est"] - r2["inf_est"]), "inf1": r1["inf_est"], "inf2": r2["inf_est"]}
-
-
-# ---------------------------------------------------------------------------
-# sphere measures generated by concentrating test fields
-
-
-def hrho_element(field: PAField) -> SphereMeasure:
-    """Pushforward of |grad phi| Lebesgue through the direction map.
-
-    `field` is a PAField already restricted to the half-ball (`HalfBallProblem.field`).
-    Directions that agree after rounding to multiples of 1e-12 merge into one atom
-    (`group_rows`), at the direction of their first triangle; atoms come in order of
-    first appearance, and each mass is summed in triangle order.  Total mass equals
-    the half-ball total variation of the field.
-    """
-    areas, grads = field.gradients()
-    norms = mat_norm(grads)
-    t = np.flatnonzero(~(norms <= 0))
-    d = grads[t] / norms[t, None, None]
-    first, group = group_rows(np.round(d / 1e-12))
-    order = np.argsort(first)  # groups in order of first appearance
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    # bincount adds in input order: each mass is a left-to-right sum over its triangles
-    return SphereMeasure(d[first[order]], np.bincount(rank[group], areas[t] * norms[t], order.size))
-
-
-def hrho_convex_combination(hb: HalfBallProblem, U1: np.ndarray, U2: np.ndarray, t: float) -> PAField:
-    """Test field realizing t d1 + (1-t) d2 via disjoint rescaled copies.
-
-    Both fields are shrunk by 1/3 (values scaled by 3 to preserve the sphere
-    measure exactly) and the second copy is translated along the flat part,
-    so the supports are disjoint sub-half-balls of D_rho.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    pa1 = hb.field(U1)
-    pa2 = hb.field(U2)
-    x0 = 0.5 * hb.tau
-    verts = np.concatenate([pa1.vertices / 3.0, x0[None, :] + pa2.vertices / 3.0])
-    off = pa1.vertices.shape[0]
-    tris = np.concatenate([pa1.triangles, pa2.triangles + off])
-    vals = np.concatenate([3.0 * t * pa1.values, 3.0 * (1.0 - t) * pa2.values])
-    return PAField(verts, tris, vals)

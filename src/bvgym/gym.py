@@ -398,19 +398,19 @@ def generate(
         nu_inf_atoms,
     )
 
-    # gaps equal abs(pair_action(Y_k, g, v) - pairing(gym, g, v)) with each distinct g integrated once per Y_k
+    # gaps equal abs(pair_action(Y_k, g, v) - pairing(gym, g, v)), with each distinct g
+    # integrated and each distinct v applied once per Y_k, one action alive at a time
     limits = [pairing(gym, g, v) for _, g, v in dictionary]
-    by_g: dict[Callable, list[int]] = {}
-    for j, (_, g, _) in enumerate(dictionary):
-        by_g.setdefault(g, []).append(j)
+    vs = {id(v): v for _, _, v in dictionary}.values()
     tail_gaps = []
     for k in range(max(0, len(Y_seq) - tail), len(Y_seq)):
-        gaps = [0.0] * len(dictionary)
-        for g, js in by_g.items():
-            cell = Y_seq[k].mesh.cell_integrals(g)
-            for j in js:
-                gaps[j] = abs(float(measure_action(dictionary[j][2], Y_seq[k])._integrate_cells(cell, g)) - limits[j])
-        pair_gaps = {label: gap for (label, _, _), gap in zip(dictionary, gaps)}
+        cells = {g: Y_seq[k].mesh.cell_integrals(g) for g in dict.fromkeys(g for _, g, _ in dictionary)}
+        gaps = {}
+        for v in vs:
+            act = measure_action(v, Y_seq[k])
+            gaps.update({j: abs(float(act._integrate_cells(cells[g], g)) - limits[j])
+                         for j, (_, g, w) in enumerate(dictionary) if w is v})
+        pair_gaps = {label: gaps[j] for j, (label, _, _) in enumerate(dictionary)}
         tail_gaps.append(float(np.max([0.0, *pair_gaps.values()])))  # np.max keeps a NaN gap: not converged
     converged = tail_gaps[-1] <= tol and all(g <= 10 * tol for g in tail_gaps)
     report = {

@@ -75,15 +75,11 @@ def unit_matrices(dims: tuple[int, int], n: int = 16) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HomogeneousIntegrand:
-    """Positively 1-homogeneous function, determined by its sphere values.
-
-    `grad_fn`, when present, returns a (sub)gradient dv/dA for batched input.
-    """
+    """Positively 1-homogeneous function, determined by its sphere values."""
 
     dims: tuple[int, int]
     sphere_eval: Callable[[np.ndarray], np.ndarray]
     name: str = ""
-    grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, A) -> np.ndarray | float:
         A = as_matrix(A, self.dims)
@@ -259,52 +255,6 @@ def convex_envelope_1d(v: Integrand, grid) -> Integrand:
 
 
 # ---------------------------------------------------------------------------
-# lamination bounds
-
-
-def lamination_upper_bound(v: Integrand, A, depth: int, budget: int = 64) -> float:
-    """Upper bound for the quasiconvex envelope at A via rank-one splitting.
-
-    Depth-d value is the best mixture over d nested rank-one splits of the
-    sampled candidates (budget caps the per-node candidate count), hence it is
-    nonincreasing in depth and always between Qv(A) and v(A).
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    A = as_matrix(A, v.dims)
-    M, N = v.dims
-    dirs_a = unit_matrices((M, 1), 8).reshape(-1, M)
-    dirs_b = unit_matrices((1, N), 8).reshape(-1, N)
-    mags = np.array([1.0, 0.5, 2.0, 4.0])
-    ts = np.array([0.5, 0.25, 0.75])
-    cands = []
-    for a in dirs_a:
-        for b in dirs_b:
-            for s in mags:
-                cands.append(s * np.outer(a, b))
-    cands = cands[: max(1, budget)]
-    memo: dict[tuple[bytes, int], float] = {}
-
-    def rec(Am: np.ndarray, d: int) -> float:
-        key = (Am.tobytes(), d)
-        if key in memo:
-            return memo[key]
-        if d == 0:
-            out = float(v(Am))
-        else:
-            out = rec(Am, d - 1)
-            for B in cands:
-                for t in ts:
-                    val = t * rec(Am - (1 - t) * B, d - 1) + (1 - t) * rec(Am + t * B, d - 1)
-                    if val < out:
-                        out = val
-        memo[key] = out
-        return out
-
-    return rec(A, depth)
-
-
-# ---------------------------------------------------------------------------
 # nonlinear action on derivative measures
 
 
@@ -333,14 +283,8 @@ def pair_action(mu, g: Callable, v: Integrand) -> float:
 # catalog
 
 
-def _abs_grad(A):
-    n = mat_norm(A)
-    safe = np.where(n > 0, n, 1.0)
-    return A / safe[..., None, None]
-
-
 def hom_abs(dims) -> HomogeneousIntegrand:
-    return HomogeneousIntegrand(dims, lambda S: np.ones(S.shape[:-2]), name="abs^inf", grad_fn=_abs_grad)
+    return HomogeneousIntegrand(dims, lambda S: np.ones(S.shape[:-2]), name="abs^inf")
 
 
 def hom_zero(dims) -> HomogeneousIntegrand:
@@ -356,16 +300,11 @@ def hom_linear(B, dims=None) -> HomogeneousIntegrand:
     def sphere(S, B=B):
         return np.sum(S * B, axis=(-2, -1))
 
-    def grad(A, B=B):
-        return np.broadcast_to(B, A.shape).copy()
-
-    return HomogeneousIntegrand(dims, sphere, name=f"linear({B.ravel().tolist()})", grad_fn=grad)
+    return HomogeneousIntegrand(dims, sphere, name=f"linear({B.ravel().tolist()})")
 
 
 def hom_neg_abs(dims) -> HomogeneousIntegrand:
-    return HomogeneousIntegrand(
-        dims, lambda S: -np.ones(S.shape[:-2]), name="neg_abs^inf", grad_fn=lambda A: -_abs_grad(A)
-    )
+    return HomogeneousIntegrand(dims, lambda S: -np.ones(S.shape[:-2]), name="neg_abs^inf")
 
 
 def hom_piecewise_1d(c_plus: float, c_minus: float) -> HomogeneousIntegrand:
@@ -375,11 +314,7 @@ def hom_piecewise_1d(c_plus: float, c_minus: float) -> HomogeneousIntegrand:
         s = S[..., 0, 0]
         return np.where(s > 0, cp, cm)
 
-    def grad(A, cp=c_plus, cm=c_minus):
-        t = A[..., 0, 0]
-        return np.where(t > 0, cp, -cm)[..., None, None]
-
-    return HomogeneousIntegrand((1, 1), sphere, name=f"pw1h({c_plus},{c_minus})", grad_fn=grad)
+    return HomogeneousIntegrand((1, 1), sphere, name=f"pw1h({c_plus},{c_minus})")
 
 
 def make_integrand(name: str, dims: tuple[int, int] = (1, 1)) -> Integrand:

@@ -346,6 +346,8 @@ class BVField:
 
 @dataclass(frozen=True)
 class DiskField:
+    """A continuous P1 field on a triangulation (the disk, or a jqcb counterexample's half-ball)."""
+
     mesh: TriMesh
     values: np.ndarray  # (nv,) or (nv, M)
 

@@ -14,16 +14,14 @@ from bvgym.boundary import (
     _laminate,
     _section_min,
     NotHomogeneousError,
-    PAField,
     SphereMeasure,
-    hrho_convex_combination,
-    hrho_element,
     jqcb_falsify,
     qslb_infimum,
     rank_one_positivity,
     rotated_integrand,
     rotation_equivariance_check,
 )
+from bvgym.gym import default_qslb_family
 from bvgym.integrands import (
     HomogeneousIntegrand,
     hom_abs,
@@ -34,6 +32,7 @@ from bvgym.integrands import (
     mat_norm,
     unit_matrices,
 )
+from bvgym.measures import DiskField
 from bvgym.meshes import rotation_to
 
 RHO = np.array([1.0, 0.0])
@@ -402,8 +401,6 @@ class TestMomentDuality:
 
     @pytest.mark.parametrize("angle", [0.0, 0.9, 2.5, 4.0])
     def test_default_family_is_qslb(self, angle):
-        from bvgym.gym import default_qslb_family
-
         rho = np.array([np.cos(angle), np.sin(angle)])
         for h in default_qslb_family(np.zeros(2), rho, (1, 2)):
             res = qslb_infimum(h, rho)
@@ -786,6 +783,23 @@ class TestJqcb:
         assert res["counterexample"] is not None
         assert res["gap"] > 0.1
 
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_counterexample_is_a_half_ball_field(self, M):
+        # the counterexample lives on half-ball triangles, vanishes on the arc, and its
+        # own gradients reproduce the reported Jensen gap
+        v, rho = hom_neg_abs((M, 2)), np.array([0.6, 0.8])
+        res = jqcb_falsify(v, rho)
+        field = res["counterexample"]
+        assert res["status"] == "disproved" and isinstance(field, DiskField)
+        mesh = field.mesh
+        assert np.all(mesh.cell_centers @ rho < 0)
+        assert np.array_equal(mesh.boundary_nodes, np.flatnonzero(np.bincount(mesh.boundary_edges().ravel())))
+        arc = np.flatnonzero(np.abs(np.linalg.norm(mesh.vertices, axis=1) - 1.0) <= 1e-12)
+        assert arc.size > 0 and np.all(field.values[arc] == 0.0)
+        G, areas = field.derivative().density, mesh.cell_volumes
+        gap = float(v(np.einsum("t,tMd->Md", areas, G))) - float(areas @ np.asarray(v(G)))
+        assert gap == pytest.approx(res["gap"], rel=1e-12)
+
     def test_neg_abs_disproved_1d(self):
         res = jqcb_falsify(hom_neg_abs((1, 1)), 1.0)
         assert res["counterexample"] is not None
@@ -929,132 +943,27 @@ class TestRotation:
         assert float(w(A)) == pytest.approx(float(v(A @ R)))
 
 
-def _hrho_dict_loop(field: PAField) -> SphereMeasure:
-    """Reference: one dict bucket per direction rounded to multiples of 1e-12, filled per triangle."""
-    areas, grads = field.gradients()
-    norms = mat_norm(grads)
-    buckets = {}
-    for t in range(grads.shape[0]):
-        if norms[t] <= 0:
-            continue
-        d = grads[t] / norms[t]
-        key = tuple(np.round(d.ravel() / 1e-12).astype(np.int64).tolist())
-        w = float(areas[t] * norms[t])
-        buckets[key] = (buckets[key][0] + w, buckets[key][1]) if key in buckets else (w, d)
-    if not buckets:
-        return SphereMeasure(np.zeros((0,) + grads.shape[1:]), np.zeros(0))
-    return SphereMeasure(np.array([d for _, d in buckets.values()]), np.array([w for w, _ in buckets.values()]))
-
-
-class TestHrho:
-    @pytest.mark.parametrize("M", [1, 2])
-    def test_matches_dict_loop(self, M):
-        hb = HalfBallProblem(RHO, level=3, ncomp=M)
-        a = np.ones(M) / np.sqrt(M)
-        rng = np.random.default_rng(M)
-        for U in (hb.tent(a, 0.3, 0.7), hb.laminate(a), hb.random_seed(rng), np.zeros((hb.mesh.vertices.shape[0], M))):
-            pa = hb.field(U)
-            sm, ref = hrho_element(pa), _hrho_dict_loop(pa)
-            assert np.array_equal(sm.points, ref.points) and np.array_equal(sm.weights, ref.weights)
-
-    def test_constant_direction_single_atom(self):
-        # one triangle with an affine field: mass = area * |gradient|
-        verts = np.array([[-0.5, 0.0], [-0.1, 0.0], [-0.3, -0.4]])
-        tris = np.array([[0, 1, 2]])
-        G = np.array([0.6, 0.8])
-        vals = (verts @ G)[:, None] * 2.0
-        pa = PAField(verts, tris, vals)
-        sm = hrho_element(pa)
-        assert sm.points.shape[0] == 1
-        areas, grads = pa.gradients()
-        assert sm.total_mass == pytest.approx(float(areas[0]) * 2.0)
-        assert np.allclose(sm.points[0].ravel(), G)
-
-    def test_zero_field(self):
-        hb = HalfBallProblem(RHO, level=2)
-        sm = hrho_element(hb.field(np.zeros((hb.mesh.vertices.shape[0], 1))))
-        assert sm.total_mass == 0.0
-
-    def test_two_slope_laminate_two_atoms(self):
-        # two strips with the slope interface along y = -0.1
-        verts = np.array(
-            [[-0.8, -0.2], [-0.4, -0.2], [-0.8, -0.1], [-0.4, -0.1], [-0.8, 0.0], [-0.4, 0.0]]
-        )
-        tris = np.array([[0, 1, 3], [0, 3, 2], [2, 3, 5], [2, 5, 4]])
-        vals = np.abs(verts[:, 1] + 0.1)[:, None]  # slopes -e2 below, +e2 above
-        pa = PAField(verts, tris, vals)
-        sm = hrho_element(pa)
-        assert sm.points.shape[0] == 2
-        areas, grads = pa.gradients()
-        assert sm.total_mass == pytest.approx(float(np.sum(areas * 1.0)))
-        assert sorted(np.round(sm.points[:, 0, 1], 12).tolist()) == [-1.0, 1.0]
-        # area bookkeeping is exact per slope
-        for sgn in (-1.0, 1.0):
-            idx = int(np.argmin(np.abs(sm.points[:, 0, 1] - sgn)))
-            assert sm.weights[idx] == pytest.approx(0.4 * 0.1)
-
-    def test_mass_equals_total_variation(self):
-        hb = HalfBallProblem(RHO, level=2)
-        U = hb.tent([1.0], 0.3, 0.7)
-        sm = hrho_element(hb.field(U))
-        assert sm.total_mass == pytest.approx(hb.field(U).total_variation())
-
-    def test_pairing_against_qslb_members_nonnegative(self):
-        # measures of concentrating fields stay nonnegative against certified
-        # integrands (consistency with the closure description of the cone)
-        hb = HalfBallProblem(RHO, level=2)
-        tau = np.array([-RHO[1], RHO[0]])
-        members = [hom_abs((1, 2)), hom_linear(np.outer([1.0], tau), (1, 2)),
-                   hom_linear(-np.outer([1.0], tau), (1, 2))]
-        rng = np.random.default_rng(5)
-        for U in (hb.tent([1.0], 0.25, 0.8), hb.laminate([1.0]), hb.random_seed(rng)):
-            sm = hrho_element(hb.field(U))
-            for v in members:
-                assert sm.pair(v) >= -1e-8 * max(1.0, sm.total_mass)
-
-
-class TestHrhoConvexCombination:
-    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
-    def test_combination_matches_mixture(self, t):
-        hb = HalfBallProblem(RHO, level=2)
-        U1 = hb.tent([1.0], 0.25, 0.8)
-        U2 = hb.laminate([1.0])
-        d1 = hrho_element(hb.field(U1))
-        d2 = hrho_element(hb.field(U2))
-        combo = hrho_convex_combination(hb, U1, U2, t)
-        dc = hrho_element(combo)
-        probes = [hom_abs((1, 2)), hom_linear([0.4, -0.9], (1, 2)), mixed_form(1.0, [0.1, 0.2])]
-        for v in probes:
-            expected = t * d1.pair(v) + (1 - t) * d2.pair(v)
-            assert dc.pair(v) == pytest.approx(expected, abs=1e-10)
-
-    def test_equal_mass_two_atoms(self):
-        # constant-direction fields mix into an equal-mass two-atom measure
-        hb = HalfBallProblem(RHO, level=2)
-        U1 = hb.tent([1.0], 0.3, 0.6)
-        U2 = hb.tent([-1.0], 0.3, 0.6)
-        m1 = hrho_element(hb.field(U1)).total_mass
-        combo = hrho_convex_combination(hb, U1, U2, 0.5)
-        dc = hrho_element(combo)
-        assert dc.total_mass == pytest.approx(m1, abs=1e-10)
-
-    def test_t_out_of_range(self):
-        hb = HalfBallProblem(RHO, level=1)
-        U = hb.tent([1.0])
-        with pytest.raises(ValueError):
-            hrho_convex_combination(hb, U, U, 1.5)
-
-
 class TestSphereMeasure:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             SphereMeasure(np.array([[[1.0, 0.0]]]), np.array([-1.0]))
 
-    def test_normalization(self):
-        sm = SphereMeasure(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), np.array([1.0, 3.0]))
-        assert sm.normalized().total_mass == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            SphereMeasure(np.zeros((0, 1, 2)), np.zeros(0)).normalized()
+
+class TestWitnessPairings:
+    @pytest.mark.parametrize("v, stages", [(hom_linear(-RHO, dims=(1, 2)), 0), (hom_neg_abs((2, 2)), 0),
+                                           (_det_form(3.0), 1)], ids=["M1-bracket", "M2-layer", "M2-laminate"])
+    def test_witness_pairs_nonnegatively_with_the_qslb_family(self, v, stages):
+        # a witness is a measure that half-ball fields generate, so every integrand
+        # certified qslb at rho pairs with it to >= 0: abs to its mass 1, the forms
+        # +-E_i (x) tau to its tau-moment 0
+        rho = np.array([0.6, 0.8])
+        res = qslb_infimum(v, rho)
+        assert res["verdict"] == "not_qslb" and len(res["stages"]) == stages
+        family = default_qslb_family(None, rho, v.dims)
+        assert len(family) == 1 + 2 * v.dims[0]
+        for h in family:
+            assert res["witness"].pair(h) >= -1e-12
+        assert res["witness"].pair(family[0]) == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 class TestInvalidNormals:

@@ -278,8 +278,20 @@ class TestGenerateBinning:
 
 
 class TestGenerateTailGaps:
-    """The tail check integrates each g once per member and takes each limit pairing
-    once; its gaps must equal the per-pair loop below bit for bit."""
+    """The tail check integrates each g and applies each v once per member and takes
+    each limit pairing once; its gaps must equal the per-pair loop below bit for bit."""
+
+    @pytest.mark.parametrize("tail", [1, 3])
+    def test_each_v_acts_once_per_tail_member(self, tail):
+        import bvgym.gym as gym
+
+        calls = []
+        action = gym.measure_action
+        with mock.patch.object(gym, "measure_action", lambda v, mu: calls.append((v, mu)) or action(v, mu)):
+            Y_seq = [oscillation_field(k).derivative() for k in (8, 16, 32, 64)]
+            generate(Y_seq, window_h=1 / 16, tol=np.inf, tail=tail)
+        assert len(calls) == tail * 4
+        assert [mu for _, mu in calls] == [Y for Y in Y_seq[-tail:] for _ in range(4)]
 
     @staticmethod
     def _per_pair_loop(Y_seq, gm, dictionary, tail=3):

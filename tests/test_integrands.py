@@ -10,7 +10,6 @@ from bvgym.integrands import (
     check_linear_growth,
     convex_envelope_1d,
     estimate_recession,
-    lamination_upper_bound,
     make_integrand,
     mat_norm,
     measure_action,
@@ -143,30 +142,6 @@ class TestConvexEnvelope:
         for i in range(len(xs) - 2):
             t = (xs[i + 1] - xs[i]) / (xs[i + 2] - xs[i])
             assert ev[i + 1] <= (1 - t) * ev[i] + t * ev[i + 2] + 1e-10
-
-
-class TestLamination:
-    def test_depth_zero_is_value(self):
-        v = make_integrand("double_well_1d")
-        assert lamination_upper_bound(v, [[0.3]], 0) == pytest.approx(float(v(0.3)))
-
-    def test_convex_no_improvement(self):
-        v = make_integrand("euclid_sqrt1p")
-        for A in (0.0, 0.7, -1.3):
-            assert lamination_upper_bound(v, [[A]], 2) == pytest.approx(float(v(A)), abs=1e-12)
-
-    def test_double_well_relaxes_to_zero(self):
-        v = make_integrand("double_well_1d")
-        assert lamination_upper_bound(v, [[0.0]], 1) == pytest.approx(0.0, abs=1e-12)
-
-    def test_monotone_in_depth(self):
-        v = make_integrand("double_well_1d")
-        vals = [lamination_upper_bound(v, [[0.4]], d, budget=24) for d in range(3)]
-        assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_negative_depth(self):
-        with pytest.raises(ValueError):
-            lamination_upper_bound(make_integrand("abs"), [[0.0]], -1)
 
 
 class TestMeasureAction:
