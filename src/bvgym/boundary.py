@@ -135,9 +135,8 @@ class HalfBallProblem:
 
     # -- field algebra -------------------------------------------------
     def zeroed(self, U: np.ndarray) -> np.ndarray:
+        """A copy of the nodal field U (nv, M), zero on the disk's boundary nodes."""
         U = np.array(U, dtype=float)
-        if U.ndim == 1:
-            U = U[:, None]
         U[~self.free] = 0.0
         return U
 
@@ -358,7 +357,9 @@ def _settle(b, g, X, basis, inv, values) -> np.ndarray:
     ad = X[:, :, 1] @ d
     r = g - g[basis[supp]].max()  # the slack of every sample, >= 0 up to rounding
     hit = ad > 1e-12 * np.abs(ad).max()
-    return b + np.clip(np.min(r[hit] / ad[hit], initial=1.0), 0.0, 1.0) * d
+    with np.errstate(over="ignore"):  # a huge slack over a tiny ad is inf, which the clip takes to 1
+        step = np.min(r[hit] / ad[hit], initial=1.0)
+    return b + np.clip(step, 0.0, 1.0) * d
 
 
 def _sphere_values(v: HomogeneousIntegrand, S: np.ndarray) -> np.ndarray:

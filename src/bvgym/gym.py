@@ -29,8 +29,8 @@ from .integrands import (
     measure_action,
     unit_matrices,
 )
-from .measures import (RANK_ONE_TOL, Atom, BVField, DiscreteMeasure, _key, _on_boundary, _point_from, _same_mesh,
-                       fold_traces, group_rows, normal_projection)
+from .measures import (RANK_ONE_TOL, Atom, BVField, DiscreteMeasure, _eval_at_point, _key, _on_boundary, _point_from,
+                       _same_mesh, fold_traces, group_rows, normal_projection)
 from .meshes import _CELL_BLOCK, IntervalMesh, TriMesh, mesh_from_record
 
 PROB_TOL = 1e-12
@@ -149,13 +149,6 @@ def _const_one(x):
     if arr.ndim >= 2 and arr.shape[-1] == 2:
         return np.ones(arr.shape[:-1])
     return np.ones_like(arr)
-
-
-def _eval_at_point(g: Callable, p) -> float:
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim == 1:  # a 2D location; batch it for point-array style g
-        return float(np.asarray(g(arr.reshape(1, -1))).ravel()[0])
-    return float(g(arr))
 
 
 def _grid_index(grid: np.ndarray, A: np.ndarray) -> int:
@@ -310,25 +303,28 @@ def _bin_windows(Y: DiscreteMeasure, wnodes, matrix_grid, sphere_grid, overflow_
     return nu, conc_mass, conc_pos, conc_dir
 
 
+_OVERFLOW_RADIUS = 8.0  # generate books density values of larger norm as concentration
+_TAIL = 3  # generate compares the limit's pairings with this many last members
+
+
 def generate(
     Y_seq: Sequence[DiscreteMeasure],
     window_h: float = 1.0 / 32,
     matrix_grid: np.ndarray | None = None,
-    overflow_radius: float = 8.0,
     dictionary=None,
     tol: float = 1e-2,
-    tail: int = 3,
 ) -> tuple[GenYoungMeasure, dict]:
     """Empirical generalized Young measure of a derivative-measure sequence.
 
-    Per spatial window, density values of the last member with norm below the
-    overflow radius are histogrammed (Lebesgue-weighted) onto the matrix grid;
+    Per spatial window, density values of the last member with norm at most
+    _OVERFLOW_RADIUS are histogrammed (Lebesgue-weighted) onto the matrix grid
+    (by default `default_matrix_grid` of radius _OVERFLOW_RADIUS / 2);
     the remaining mass, together with all atoms, is booked as concentration
     with a directional histogram on `default_sphere_grid`; a window's atom
     within window_h of an endpoint snaps to it, and every interior atom is
     made a node of the window mesh.  A posteriori the pairing
-    against the (g, v) dictionary is compared with the tail of the sequence;
-    disagreement beyond tol raises GenerationError.
+    against the (g, v) dictionary is compared with the last _TAIL members of
+    the sequence; disagreement beyond tol raises GenerationError.
     """
     if not Y_seq:
         raise ValueError("empty sequence")
@@ -341,7 +337,7 @@ def generate(
             raise ValueError("sequence members live on different domains")
     dims = Y_seq[-1].density.shape[1:]
     if matrix_grid is None:
-        matrix_grid = default_matrix_grid(dims, radius=overflow_radius / 2)
+        matrix_grid = default_matrix_grid(dims, radius=_OVERFLOW_RADIUS / 2)
     sphere_grid = default_sphere_grid(dims)
     if dictionary is None:
         dictionary = default_dictionary(dims)
@@ -351,7 +347,7 @@ def generate(
     wmesh = IntervalMesh(wnodes)
     S = sphere_grid.shape[0]
     Y = Y_seq[-1]
-    nu, conc_mass, conc_pos, conc_dir = _bin_windows(Y, wnodes, matrix_grid, sphere_grid, overflow_radius)
+    nu, conc_mass, conc_pos, conc_dir = _bin_windows(Y, wnodes, matrix_grid, sphere_grid, _OVERFLOW_RADIUS)
     extra_atoms: dict[float, tuple[float, np.ndarray]] = {}
     for at in Y.atoms:
         x = float(np.asarray(at.point))
@@ -403,7 +399,7 @@ def generate(
     limits = [pairing(gym, g, v) for _, g, v in dictionary]
     vs = {id(v): v for _, _, v in dictionary}.values()
     tail_gaps = []
-    for k in range(max(0, len(Y_seq) - tail), len(Y_seq)):
+    for k in range(max(0, len(Y_seq) - _TAIL), len(Y_seq)):
         cells = {g: Y_seq[k].mesh.cell_integrals(g) for g in dict.fromkeys(g for _, g, _ in dictionary)}
         gaps = {}
         for v in vs:
@@ -693,9 +689,9 @@ def default_quasiconvex_family(dims=(1, 1)) -> list[Integrand]:
     return fam
 
 
-def default_qslb_family(x, rho, dims=(1, 1)) -> list[HomogeneousIntegrand]:
-    """1-homogeneous integrands known to be quasi-sublinear from below at
-    (x, rho): nonnegative ones, and for N = 2 the forms vanishing on a x rho."""
+def default_qslb_family(rho, dims=(1, 1)) -> list[HomogeneousIntegrand]:
+    """1-homogeneous integrands known to be quasi-sublinear from below at the
+    normal rho: nonnegative ones, and for N = 2 the forms vanishing on a x rho."""
     fam = [hom_abs(dims)]
     M, N = dims
     if N == 2:
@@ -709,23 +705,17 @@ def default_qslb_family(x, rho, dims=(1, 1)) -> list[HomogeneousIntegrand]:
     return fam
 
 
-def check_characterization(
-    gym: GenYoungMeasure,
-    u: BVField,
-    family: Sequence[Integrand] | None = None,
-) -> dict:
+def check_characterization(gym: GenYoungMeasure, u: BVField) -> dict:
     """Verify the four defining conditions of a gradient Young measure.
 
-    (i) finite mass; (ii) per-cell Jensen inequality against quasiconvex test
-    integrands with at most one exceptional cell; (iii) the singular inequality
-    between Du^s and the interior concentration; (iv) nonnegativity of
-    <nu_inf, v_inf> at boundary atoms for the `default_qslb_family` at the
-    local normal.  Each inequality may fail by CHARACTERIZATION_TOL.
+    (i) finite mass; (ii) per-cell Jensen inequality against the
+    `default_quasiconvex_family` with at most one exceptional cell; (iii) the
+    singular inequality between Du^s and the interior concentration; (iv)
+    nonnegativity of <nu_inf, v_inf> at boundary atoms for the
+    `default_qslb_family` at the local normal.  Each inequality may fail by
+    CHARACTERIZATION_TOL.
     """
-    if family is None:
-        family = default_quasiconvex_family(gym.dims)
-    if not family:
-        raise ValueError("empty test family")
+    family = default_quasiconvex_family(gym.dims)
 
     report: dict = {}
     mass = gym.mass_norm()
@@ -737,8 +727,6 @@ def check_characterization(
     bad_cells = []
     vinfs = {}
     for v in family:
-        if v.recession is None:
-            raise ValueError(f"family member {v.name!r} lacks a recession function")
         vv = np.asarray(v(gym.matrix_grid))
         vinf = np.asarray(v.recession.on_sphere(gym.sphere_grid))
         vinfs[v.name] = vinf
@@ -778,7 +766,7 @@ def check_characterization(
         if m <= CHARACTERIZATION_TOL:
             continue  # exceptional sets carry zero lam-mass
         rho = gym.mesh.outer_normal(p)
-        for h in default_qslb_family(p, rho, gym.dims):
+        for h in default_qslb_family(rho, gym.dims):
             val = float(gym.nu_inf_atoms[i] @ np.asarray(h.on_sphere(gym.sphere_grid)))
             worst_iv = min(worst_iv, val)
             if val < -CHARACTERIZATION_TOL:
@@ -792,11 +780,10 @@ def check_characterization(
     return report
 
 
-def gym_traces(gym: GenYoungMeasure, u: BVField | None = None) -> dict:
+def gym_traces(gym: GenYoungMeasure) -> dict:
     """Inner trace (of the underlying deformation) and measure-valued outer
     trace; they differ by the normal-projected boundary concentration."""
-    if u is None:
-        u = gym.underlying
+    u = gym.underlying
     if u is None:
         raise ValueError("not a gradient GYM: no underlying deformation available")
     if gym.mesh.dim != 1:

@@ -172,11 +172,11 @@ def estimate_recession(v: Integrand, A) -> dict:
     return {"value": value, "exists": bool(exists)}
 
 
-def check_linear_growth(v: Integrand, samples, cap: float | None = None) -> dict:
+def check_linear_growth(v: Integrand, samples) -> dict:
     """Fit the smallest c with |v(A)| <= c(1+|A|) on the samples.
 
-    `ok` is True when the fitted constant stays below the cap (defaults to the
-    integrand's declared growth constant).
+    `ok` is True when the fitted constant stays below the integrand's declared
+    growth constant.
     """
     S = np.asarray(samples, dtype=float)
     if S.size == 0:
@@ -185,9 +185,7 @@ def check_linear_growth(v: Integrand, samples, cap: float | None = None) -> dict
         S = S[None]
     vals = np.abs(np.asarray(v(S)))
     fitted = float(np.max(vals / (1.0 + mat_norm(S))))
-    if cap is None:
-        cap = v.growth_c
-    return {"ok": bool(fitted <= cap * (1.0 + 1e-12)), "fitted_c": fitted}
+    return {"ok": bool(fitted <= v.growth_c * (1.0 + 1e-12)), "fitted_c": fitted}
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +193,9 @@ def check_linear_growth(v: Integrand, samples, cap: float | None = None) -> dict
 
 
 def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower convex hull of the points (xs, ys), xs distinct and increasing: at least two of them."""
     hull: list[tuple[float, float]] = []
     for x, y in zip(xs, ys):
-        if hull and x == hull[-1][0]:
-            if y < hull[-1][1]:
-                hull.pop()
-            else:
-                continue
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) <= 0.0:
@@ -224,15 +218,12 @@ def convex_envelope_1d(v: Integrand, grid) -> Integrand:
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size < 2:
         raise ValueError("grid must contain at least 2 points")
-    if np.any(np.diff(xs) <= 0):
+    if not np.all(xs[1:] > xs[:-1]):  # compared, not subtracted: inf - inf would be a NaN step
         xs = np.unique(xs)
         if xs.size < 2:
             raise ValueError("grid must contain at least 2 distinct points")
     ys = np.asarray(v(xs.reshape(-1, 1, 1)))
     hx, hy = _lower_hull(xs, ys)
-    if hx.size == 1:
-        hx = np.array([hx[0], hx[0] + 1.0])
-        hy = np.array([hy[0], hy[0]])
     m_left = (hy[1] - hy[0]) / (hx[1] - hx[0])
     m_right = (hy[-1] - hy[-2]) / (hx[-1] - hx[-2])
 

@@ -60,7 +60,7 @@ class DiscreteMeasure:
         """`integrate(g)` given `cell = self.mesh.cell_integrals(g)`, for callers that reuse it."""
         total = np.asarray(np.tensordot(cell, self.density, axes=(0, 0)), dtype=float)
         for a in self.atoms:
-            total = total + float(g(np.asarray(a.point, dtype=float))) * a.value
+            total = total + _eval_at_point(g, a.point) * a.value
         if total.shape == ():
             return float(total)
         return total
@@ -104,20 +104,14 @@ class DiscreteMeasure:
         )
         return DiscreteMeasure(mesh, np.asarray(rec["density"], dtype=float), atoms)
 
-    def to_csv_rows(self) -> list[list]:
-        """(x, density..., atom_mass) rows for plotting; atoms marked by mass > 0."""
-        rows = []
-        centers = np.atleast_2d(self.mesh.cell_centers.T).T
-        for c in range(self.mesh.ncells):
-            x = centers[c]
-            rows.append(list(np.atleast_1d(x)) + list(np.ravel(self.density[c])) + [0.0])
-        for a in self.atoms:
-            rows.append(
-                list(np.atleast_1d(np.asarray(a.point, dtype=float)))
-                + list(np.ravel(a.value))
-                + [a.mass]
-            )
-        return rows
+
+def _eval_at_point(g: Callable, p) -> float:
+    """g at one atom location: a 2D point goes in as a batch (1, 2), the point
+    arrays that `TriMesh.cell_integrals` passes; a 1D point as a scalar array."""
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim == 1:
+        return float(np.asarray(g(arr.reshape(1, -1))).ravel()[0])
+    return float(g(arr))
 
 
 def _point_from(p):

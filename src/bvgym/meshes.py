@@ -54,7 +54,6 @@ class IntervalMesh:
     nodes: np.ndarray
     graded_points: tuple[float, ...] = ()
 
-    kind = "interval"
     dim = 1
 
     def __post_init__(self):
@@ -189,10 +188,6 @@ class TriMesh:
 
     dim = 2
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def kind(self) -> str:
-        return self.kind_label
 
     @property
     def ncells(self) -> int:

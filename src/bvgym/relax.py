@@ -131,10 +131,10 @@ def check_toy_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
 
 
-def toy_spec(eps: float, C: float = 10.0) -> ProblemSpec:
+def toy_spec(eps: float) -> ProblemSpec:
     check_toy_eps(eps)
     return ProblemSpec(0.0, 1.0, toy_weight(eps), left=square_penalty(0.0), right=square_penalty(1.0),
-                       C=C, name=f"toy(eps={eps})", toy_eps=eps)
+                       name=f"toy(eps={eps})", toy_eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +560,14 @@ def relax_minimize(spec: ProblemSpec, levels: Sequence[int] = (4, 6, 8, 10)) -> 
 # the higher-dimensional analogue on the disk
 
 
+# the Robin arc Gamma_1 and the Dirichlet arc Gamma_0 of the disk, counter-clockwise angle ranges
+_GAMMA1 = (-np.pi / 4, np.pi / 4)
+_GAMMA0 = (3 * np.pi / 4, 5 * np.pi / 4)
+
+
 def higher_dim_J(
     eps: float,
     ubar: Callable[[np.ndarray], np.ndarray],
-    gamma1_angles: tuple[float, float] = (-np.pi / 4, np.pi / 4),
-    gamma0_angles: tuple[float, float] = (3 * np.pi / 4, 5 * np.pi / 4),
     level: int = 2,
     refinements: int = 2,
 ) -> dict:
@@ -585,10 +588,10 @@ def higher_dim_J(
     nonincreasing.  Each table row brackets its mesh's minimum: "lower" <=
     min <= "J" ("lower" is capped at J, in the row and in its stage record),
     and "gap" = (J - lower) / J.  "stages" has the solver's record per mesh
-    (see `_minimize_disk`).  Raises ValueError when eps is not finite and
-    positive, level or refinements is not an int, the arcs meet, Gamma_1 holds
-    no boundary edge of the coarsest mesh, or ubar does not give one finite
-    value per Gamma_1 Gauss point.
+    (see `_minimize_disk`).  The arcs are fixed: Gamma_1 spans the angles
+    (-pi/4, pi/4) and Gamma_0 (3pi/4, 5pi/4).  Raises ValueError when eps is
+    not finite and positive, level or refinements is not an int, or ubar does
+    not give one finite value per Gamma_1 Gauss point.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
@@ -597,15 +600,14 @@ def higher_dim_J(
             raise ValueError(f"{name} must be an int, got {value!r}")
     if refinements < 0:
         raise ValueError(f"refinements must be an int >= 0, got {refinements!r}")
-    if _arcs_overlap(gamma1_angles, gamma0_angles):
-        raise ValueError("Dirichlet and Robin arcs overlap")
     mesh = coarsest = disk_mesh(level)
     # midpoint refinement keeps the Gamma_1 segments' union, so every mesh measures the weight's distance to these
-    seg = coarsest.vertices[coarsest.boundary_edges()[_arc_edges(coarsest, gamma1_angles)]]
+    g1_edges = _arc_edges(coarsest, _GAMMA1)
+    seg = coarsest.vertices[coarsest.boundary_edges()[g1_edges]]
     table, stages = [], []
     warm = None
     for k in range(refinements + 1):
-        val, u, st = _minimize_disk(mesh, eps, ubar, gamma1_angles, gamma0_angles, warm, seg)
+        val, u, st = _minimize_disk(mesh, eps, ubar, seg, warm)
         if table:  # only rounding lifts J above the admissible prolonged coarse field
             val = min(val, table[-1]["J"])
         st[-1]["lower"] = lower = min(st[-1]["lower"], val)
@@ -617,7 +619,7 @@ def higher_dim_J(
     return {
         "inf_est": table[-1]["J"],
         "table": table,
-        "gamma1_length": _gamma_length(coarsest, gamma1_angles),
+        "gamma1_length": float(np.sum(coarsest.boundary_edge_lengths()[g1_edges])),
         "stages": stages,
     }
 
@@ -629,20 +631,11 @@ def _angle_in(theta, arc: tuple[float, float]) -> np.ndarray:
     return (np.asarray(theta) - lo) % twopi <= (hi - lo) % twopi + 1e-12
 
 
-def _arcs_overlap(a, b) -> bool:
-    """Do the closed arcs meet?  Two arcs meet exactly when one's start lies on the other."""
-    return bool(_angle_in(a[0], b) or _angle_in(b[0], a))
-
-
 def _arc_edges(mesh: TriMesh, arc) -> np.ndarray:
     """Indices into mesh.boundary_edges() of the edges whose midpoints lie on the arc."""
     edges = mesh.boundary_edges()
     mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     return np.flatnonzero(_angle_in(np.arctan2(mids[:, 1], mids[:, 0]), arc))
-
-
-def _gamma_length(mesh: TriMesh, arc) -> float:
-    return float(np.sum(mesh.boundary_edge_lengths()[_arc_edges(mesh, arc)]))
 
 
 # primal-dual Newton on the disk: stop once J - lower <= _GAP_TOL * J, or after _DISK_MAXIT solves
@@ -771,15 +764,15 @@ def _dist2_to_segments(p: np.ndarray, seg: np.ndarray) -> np.ndarray:
     return best
 
 
-def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None):
+def _minimize_disk(mesh: TriMesh, eps, ubar, seg, warm=None):
     """(J, DiskField, stages) by primal-dual Newton (Chan, Golub & Mulet 1999),
     with a duality gap as the stop rule.
 
     On the free nodes (u = 0 on Gamma_0), J(u) = sum_T w_T |g_T| +
     sum_q wL_q f(d_q) with g = Gu, d = Bu - ubar_q and f(d) = sqrt(1 + d^2):
     w_T is the weight's integral over triangle T (its distance term measured to
-    the segments seg, by default this mesh's Gamma_1 edges), G the P1
-    gradient, B the map to the Gauss points q on Gamma_1 and wL_q their
+    the segments seg (ne, 2, 2), which cover this mesh's Gamma_1 edges), G the
+    P1 gradient, B the map to the Gauss points q on Gamma_1 and wL_q their
     weights.  J_delta smooths |g_T| to rho_T = sqrt(|g_T|^2 + delta^2).  The
     dual p_T = w_T q_T, |q_T| <= 1, enters each step's one SPD system
     A du = -grad J_delta(u), A = G' M G + B' diag(wL f''(d)) B with the 2x2
@@ -811,18 +804,15 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, gamma1, gamma0, warm=None, seg=None
     """
     nv, nt = mesh.vertices.shape[0], mesh.ncells
     edges = mesh.boundary_edges()
-    g1_edges = _arc_edges(mesh, gamma1)
-    if g1_edges.size == 0:
-        raise ValueError(f"gamma1_angles {tuple(gamma1)} hold no boundary edge of the mesh with nv = {nv}")
+    g1_edges = _arc_edges(mesh, _GAMMA1)
     bn = mesh.boundary_nodes
-    dir_nodes = bn[_angle_in(np.arctan2(mesh.vertices[bn, 1], mesh.vertices[bn, 0]), gamma0)]
+    dir_nodes = bn[_angle_in(np.arctan2(mesh.vertices[bn, 1], mesh.vertices[bn, 0]), _GAMMA0)]
     free = np.ones(nv, dtype=bool)
     free[dir_nodes] = False
     free_idx = np.flatnonzero(free)
     nf = free_idx.size
 
     seg_pts = mesh.vertices[edges[g1_edges]]  # (ne, 2, 2)
-    seg = seg_pts if seg is None else seg
     weight = mesh.cell_integrals(lambda p: _dist2_to_segments(p, seg) + eps)  # per-triangle integral
 
     # Gamma_1 quadrature: point k * ne + e lies at _GL_X[k] along edge e, from its first end

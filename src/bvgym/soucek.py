@@ -14,7 +14,7 @@ mesh so that the Green identity is exact for piecewise-affine data).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -241,16 +241,17 @@ def rank_one_boundary_check(pair: SoucekPair) -> bool:
 # conversion to and from generalized Young measures
 
 
-def from_gym(gym_measure, check: bool = True) -> SoucekPair:
-    """Center of mass of a gradient Young measure as a Soucek pair."""
+def from_gym(gym_measure) -> SoucekPair:
+    """Center of mass of a gradient Young measure as a Soucek pair.
+
+    Raises ValueError when the measure fails `check_characterization`."""
     u = gym_measure.underlying
     if u is None:
         u = reconstruct_underlying(gym_measure, anchor_mean=np.zeros(gym_measure.dims[0]))
-    if check:
-        report = check_characterization(gym_measure, u)
-        if not report["all_pass"]:
-            failing = [k for k in ("i", "ii", "iii", "iv") if not report[k]["pass"]]
-            raise ValueError(f"measure fails the gradient characterization: {failing}")
+    report = check_characterization(gym_measure, u)
+    if not report["all_pass"]:
+        failing = [k for k in ("i", "ii", "iii", "iv") if not report[k]["pass"]]
+        raise ValueError(f"measure fails the gradient characterization: {failing}")
     alpha = first_moment(gym_measure)
     return SoucekPair(u, alpha)
 
@@ -286,18 +287,13 @@ def to_gym(pair: SoucekPair):
     )
 
 
-def weakstar_trace_continuity_test(
-    pairs: Sequence[SoucekPair],
-    limit: SoucekPair,
-    tests: Sequence[Callable] | None = None,
-) -> dict:
+def weakstar_trace_continuity_test(pairs: Sequence[SoucekPair], limit: SoucekPair) -> dict:
     """Weak* continuity of the outer trace along a convergent sequence of pairs.
 
-    Verifies weak* convergence of the alphas against the test set, then
-    reports the pairing gap of the outer traces at the last index.
+    Verifies weak* convergence of the alphas against the test functions 1 and
+    x, then reports the pairing gap of the outer traces at the last index.
     """
-    if tests is None:
-        tests = [lambda x: np.ones_like(np.asarray(x, dtype=float)), lambda x: np.asarray(x, dtype=float)]
+    tests = [lambda x: np.ones_like(np.asarray(x, dtype=float)), lambda x: np.asarray(x, dtype=float)]
     alpha_gap = weakstar_gap([p.alpha for p in pairs], limit.alpha, tests)
     beta_k = outer_trace(pairs[-1])
     beta = outer_trace(limit)

@@ -13,6 +13,7 @@ from bvgym.boundary import (
     HalfBallProblem,
     _laminate,
     _section_min,
+    _settle,
     NotHomogeneousError,
     SphereMeasure,
     jqcb_falsify,
@@ -402,7 +403,7 @@ class TestMomentDuality:
     @pytest.mark.parametrize("angle", [0.0, 0.9, 2.5, 4.0])
     def test_default_family_is_qslb(self, angle):
         rho = np.array([np.cos(angle), np.sin(angle)])
-        for h in default_qslb_family(np.zeros(2), rho, (1, 2)):
+        for h in default_qslb_family(rho, (1, 2)):
             res = qslb_infimum(h, rho)
             assert res["lower"] >= -QSLB_TOL and res["verdict"] == "qslb", h.name
 
@@ -439,6 +440,31 @@ class TestMomentDuality:
         v = mixed_form(2.0, [0.5, -0.3])
         for rho2 in (np.array([0.0, 1.0]), np.array([-0.28, 0.96])):
             assert rotation_equivariance_check(v, self.RHO, rho2)["gap"] <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_settle_step_past_a_huge_slack_is_silent(self):
+        # M = 1: atom 0 carries the weight, atom 1 is a basis atom of zero weight, so the face
+        # has the one direction e = 1; v = 2 S tau puts the target at b = 2, d = 2.  Sample 2
+        # has slack 1e300 against ad = 2e-11: the ratio overflows to inf, and atom 1's
+        # ratio 1 / 2 is the step
+        X = np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 1e-11]]])
+        inv = np.eye(2)  # rows (mu_j, n_j): mu = (1, 0)
+        g = np.array([0.0, 1.0, 1e300])
+        b = _settle(np.zeros(1), g, X, np.array([0, 1]), inv, lambda Y: 2.0 * Y[..., 0, 1])
+        assert b.tolist() == [1.0]
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 2)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_off_the_validation_sample_refused(self, dims, bad):
+        # finite on the sample that validate_homogeneous checks; the bracket's own sample refuses the rest
+        sample = unit_matrices(dims, 8)
+
+        def sphere(S):
+            hit = np.any(np.all(np.abs(S[:, None] - sample[None]) < 1e-12, axis=(-2, -1)), axis=1)
+            return np.where(hit, 1.0, bad)
+
+        with pytest.raises(NotHomogeneousError, match="non-finite"):
+            qslb_infimum(HomogeneousIntegrand(dims, sphere, name="bad_off_sample"), self.RHO)
 
 
 class TestSectionSearch:
@@ -959,7 +985,7 @@ class TestWitnessPairings:
         rho = np.array([0.6, 0.8])
         res = qslb_infimum(v, rho)
         assert res["verdict"] == "not_qslb" and len(res["stages"]) == stages
-        family = default_qslb_family(None, rho, v.dims)
+        family = default_qslb_family(rho, v.dims)
         assert len(family) == 1 + 2 * v.dims[0]
         for h in family:
             assert res["witness"].pair(h) >= -1e-12

@@ -32,7 +32,7 @@ from bvgym.gym import (
 )
 from bvgym.gym import _grid_index, _zero_index
 from bvgym.integrands import hom_linear, make_integrand, mat_norm, pair_action
-from bvgym.measures import Atom, BVField, DiscreteMeasure, weakstar_gap
+from bvgym.measures import Atom, BVField, DiscreteMeasure, DiskField, _same_mesh, weakstar_gap
 from bvgym.meshes import IntervalMesh, disk_mesh, interval_mesh
 from bvgym.relax import toy_field, toy_limit_gym
 
@@ -44,6 +44,30 @@ ABS = make_integrand("abs")
 
 def toy_weight_fn(x):
     return (np.asarray(x, dtype=float) - 1.0) ** 2 + EPS
+
+
+def _valid_gym():
+    """A valid measure on four cells: nu = (delta_0 + delta_1) / 2, one lam-atom at 1."""
+    mesh = interval_mesh(0, 1, 4)
+    return GenYoungMeasure(mesh, np.array([[[0.0]], [[1.0]]]), np.full((4, 2), 0.5), np.zeros(4), ((1.0, 0.5),),
+                           np.array([[[1.0]], [[-1.0]]]), np.full((4, 2), 0.5), np.array([[1.0, 0.0]]))
+
+
+class TestGenYoungMeasureValidation:
+    @pytest.mark.parametrize("change, message", [
+        (dict(nu=np.full((4, 3), 1 / 3)), r"nu must be \(ncells, len\(matrix_grid\)\)"),
+        (dict(nu=np.tile([1.5, -0.5], (4, 1))), "nu rows must be probability vectors"),
+        (dict(lam_density=np.array([0.0, -0.1, 0.0, 0.0])), "lam must be nonnegative"),
+        (dict(lam_density=np.array([0.0, 0.1, 0.0, 0.0]), nu_inf_cells=np.full((4, 2), 0.25)),
+         "nu_inf rows must sum to 1 where lam has density"),
+        (dict(nu_inf_atoms=np.array([[0.3, 0.3]])), "nu_inf atom rows must be probability vectors"),
+        (dict(lam_atoms=((1.0, -0.5),)), "lam must be nonnegative"),
+        (dict(sphere_grid=np.array([[[1.0]], [[-2.0]]])), "sphere grid points must have unit norm"),
+    ], ids=["nu-shape", "nu-rows", "lam-density", "nu_inf-cells", "nu_inf-atoms", "lam-atom", "sphere-grid"])
+    def test_malformed_measure_refused(self, change, message):
+        gm = _valid_gym()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(gm, **change)
 
 
 class TestPairing:
@@ -224,10 +248,11 @@ class TestGenerateBinning:
         a, b = domain
         radius = 2.0
         Y = self._member(np.random.default_rng(seed), a, b, nwin, (M, 1), repeated, radius, natoms)
-        kw = dict(window_h=(b - a) / nwin, overflow_radius=radius, dictionary=[])
-        res, _ = generate([Y], **kw)
-        with mock.patch.object(gym, "_bin_windows", _bin_windows_loop):
-            ref, _ = generate([Y], **kw)
+        kw = dict(window_h=(b - a) / nwin, dictionary=[])
+        with mock.patch.object(gym, "_OVERFLOW_RADIUS", radius):
+            res, _ = generate([Y], **kw)
+            with mock.patch.object(gym, "_bin_windows", _bin_windows_loop):
+                ref, _ = generate([Y], **kw)
         # the windows, split at every interior atom
         interior = [x for x, _ in res.lam_atoms if a < x < b]
         assert _same_bits(res.mesh.nodes, np.union1d(np.linspace(a, b, nwin + 1), interior))
@@ -287,9 +312,10 @@ class TestGenerateTailGaps:
 
         calls = []
         action = gym.measure_action
-        with mock.patch.object(gym, "measure_action", lambda v, mu: calls.append((v, mu)) or action(v, mu)):
+        with (mock.patch.object(gym, "measure_action", lambda v, mu: calls.append((v, mu)) or action(v, mu)),
+              mock.patch.object(gym, "_TAIL", tail)):
             Y_seq = [oscillation_field(k).derivative() for k in (8, 16, 32, 64)]
-            generate(Y_seq, window_h=1 / 16, tol=np.inf, tail=tail)
+            generate(Y_seq, window_h=1 / 16, tol=np.inf)
         assert len(calls) == tail * 4
         assert [mu for _, mu in calls] == [Y for Y in Y_seq[-tail:] for _ in range(4)]
 
@@ -301,6 +327,9 @@ class TestGenerateTailGaps:
 
     @pytest.mark.parametrize("case", ["toy", "oscillation", "M2-atoms"])
     def test_matches_per_pair_loop(self, case):
+        import bvgym.gym as gym
+
+        radius = gym._OVERFLOW_RADIUS
         if case == "toy":
             Y_seq, kw = [toy_field(n, EPS).derivative() for n in (100, 300, 1000)], {}
             dictionary = default_dictionary()
@@ -310,10 +339,11 @@ class TestGenerateTailGaps:
         else:  # each g split over two runs of the dictionary, so the gaps must keep its order
             rng = np.random.default_rng(5)
             Y_seq = [TestGenerateBinning._member(rng, -0.306, 0.614, 8, (2, 1), False, 2.0, 3) for _ in range(3)]
-            kw = dict(window_h=0.92 / 8, overflow_radius=2.0)
+            kw, radius = dict(window_h=0.92 / 8), 2.0
             d = default_dictionary((2, 1))
             dictionary = d[::2] + d[1::2]
-        gm, report = generate(Y_seq, dictionary=dictionary, tol=np.inf, **kw)
+        with mock.patch.object(gym, "_OVERFLOW_RADIUS", radius):
+            gm, report = generate(Y_seq, dictionary=dictionary, tol=np.inf, **kw)
         pair_gaps, tail_gaps = self._per_pair_loop(Y_seq, gm, dictionary)
         assert list(report["pair_gaps"]) == list(pair_gaps) == [label for label, _, _ in dictionary]
         assert _same_bits(list(report["pair_gaps"].values()), list(pair_gaps.values()))
@@ -400,6 +430,15 @@ class TestCombineOrthogonal:
         with pytest.raises(OrthogonalityError, match=f"^{message}$"):
             combine_orthogonal(gm, gm, lambda x: x < 0.5, lambda x: x > 0.7)
 
+    @pytest.mark.parametrize("label, point", [("S", 0.25), ("T", 0.75)])
+    def test_atom_outside_its_factor_reported(self, unit_mesh, label, point):
+        trivial = dirac_gym(unit_mesh, 0.0)
+        S = trivial.sphere_grid.shape[0]
+        busy = dataclasses.replace(trivial, lam_atoms=((point, 0.5),), nu_inf_atoms=np.full((1, S), 1 / S))
+        psi, theta = (busy, trivial) if label == "S" else (trivial, busy)
+        with pytest.raises(OrthogonalityError, match=f"^atom at {point} of the {label}-factor lies outside {label}$"):
+            combine_orthogonal(psi, theta, lambda x: x >= 0.5, lambda x: x < 0.5)
+
     def test_swap_is_symmetric(self):
         psi, theta, _, _ = self._boundary_and_interior()
         in_S = lambda x: x >= 7 / 8
@@ -436,7 +475,7 @@ class TestFirstMoment:
 
     def test_boundary_rank_one_of_generated(self):
         fields = [toy_field(n, EPS) for n in (100, 1000)]
-        gm, _ = generate_from_fields(fields, tol=5e-2, tail=2)
+        gm, _ = generate_from_fields(fields, tol=5e-2)
         report = boundary_rank_one_report(gm)
         assert report and all(r["ok"] for r in report)
 
@@ -446,6 +485,24 @@ class TestDiPernaMajda:
         dm = to_diperna_majda(dirac_gym(unit_mesh, 0.0))
         assert np.allclose(dm.sigma_density, 1.0)  # sigma = Lebesgue
         assert np.allclose(dm.nuhat_sphere, 0.0)
+
+    @pytest.mark.parametrize("field, message", [("nuhat_sphere", "nuhat rows must sum to 1"),
+                                                ("sigma_density", "sigma must be nonnegative")])
+    def test_malformed_measure_refused(self, field, message):
+        dm = to_diperna_majda(_valid_gym())
+        bad = getattr(dm, field).copy()
+        bad[1] = -0.25
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(dm, **{field: bad})
+
+    def test_inversion_refuses_nuhat_without_sigma_density(self):
+        # grid weights 1 + |A| = (1, 2): the interior row (-0.2, 0.4) has Lebesgue fraction
+        # -0.2 + 0.4 / 2 = 0 but carries mass 0.2
+        dm = to_diperna_majda(_valid_gym())
+        interior, sphere = dm.nuhat_interior.copy(), dm.nuhat_sphere.copy()
+        interior[2], sphere[2] = [-0.2, 0.4], 0.4
+        with pytest.raises(ValueError, match="sigma has no density where nuhat is nontrivial"):
+            from_diperna_majda(dataclasses.replace(dm, nuhat_interior=interior, nuhat_sphere=sphere))
 
     def test_point_concentration_masses(self):
         # gradient concentration at x = 0 with total mass 0.6
@@ -565,7 +622,7 @@ class TestCharacterization:
         from bvgym.boundary import qslb_infimum
 
         worst = min(report["iv"]["violations"], key=lambda r: r["value"])
-        fam = default_qslb_family(x0, rho, (1, 2))
+        fam = default_qslb_family(rho, (1, 2))
         names = [h.name for h in fam]
         assert worst["integrand"] in names
         witness = fam[names.index(worst["integrand"])]
@@ -602,17 +659,11 @@ class TestCharacterization:
         assert report["iii"]["worst"] == pytest.approx(-1.0)  # the unmatched jump's full |Du^s|
         assert not report["all_pass"]
 
-    def test_empty_family_rejected(self, unit_mesh):
-        gm = dirac_gym(unit_mesh, 0.0)
-        with pytest.raises(ValueError, match="empty"):
-            check_characterization(gm, BVField.constant(unit_mesh, 0.0), family=[])
-
 
 class TestTraces:
     def test_no_boundary_concentration(self, unit_mesh):
-        gm = dirac_gym(unit_mesh, 0.5)
-        u = BVField.affine(unit_mesh, 0.5, 0.0)
-        tr = gym_traces(gm, u)
+        gm = dirac_gym(unit_mesh, 0.5).with_underlying(BVField.affine(unit_mesh, 0.5, 0.0))
+        tr = gym_traces(gm)
         for x in tr["inner"]:
             assert np.allclose(tr["inner"][x], tr["outer"][x])
 
@@ -635,8 +686,7 @@ class TestTraces:
             np.ones((mesh.ncells, 1)),
             np.array([[1.0]]),
         )
-        u = BVField.constant(mesh, 0.3)
-        tr = gym_traces(gm, u)
+        tr = gym_traces(gm.with_underlying(BVField.constant(mesh, 0.3)))
         assert np.allclose(tr["outer"][0.0], 0.3) and np.allclose(tr["outer"][1.0], 0.3)
 
     def test_atom_just_inside_an_endpoint_folds_onto_it(self):
@@ -670,9 +720,26 @@ class TestSerialization:
             assert pairing(back, g, v) == pytest.approx(pairing(gm, g, v), abs=1e-14)
         assert back.underlying is not None
 
+    def test_disk_record_round_trip(self):
+        # a boundary atom on the disk, through strict JSON: the triangle mesh's record and reader
+        from bvgym.soucek import soucek_pair, to_gym
+
+        mesh = disk_mesh(1)
+        v = mesh.vertices[mesh.boundary_nodes[0]]
+        gm = to_gym(soucek_pair(DiskField(mesh, np.zeros(mesh.vertices.shape[0])), {tuple(v): 0.5 * v}))
+        back = GenYoungMeasure.from_record(json.loads(json.dumps(gm.to_record(), allow_nan=False)))
+        assert _same_mesh(back.mesh, gm.mesh) and back.mesh.kind_label == "disk"
+        for name in ("vertices", "triangles", "boundary_nodes"):
+            assert np.array_equal(getattr(back.mesh, name), getattr(gm.mesh, name)), name
+        for name in ("matrix_grid", "nu", "lam_density", "sphere_grid", "nu_inf_cells", "nu_inf_atoms"):
+            assert np.array_equal(getattr(back, name), getattr(gm, name)), name
+        ((p, m),) = back.lam_atoms
+        assert np.array_equal(p, v) and m == gm.lam_atoms[0][1]
+        assert back.underlying is None
+
     def test_reconstruct_underlying_from_moment(self):
         fields = [toy_field(n, EPS) for n in (100, 1000)]
-        gm, _ = generate_from_fields(fields, tol=5e-2, tail=2)
+        gm, _ = generate_from_fields(fields, tol=5e-2)
         u = reconstruct_underlying(gm, anchor_mean=np.array([EPS / 2]))
         lo, hi = u.trace()
         assert float(lo[0]) == pytest.approx(EPS / 2, abs=1e-12)

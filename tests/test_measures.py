@@ -6,6 +6,7 @@ from bvgym.measures import (
     Atom,
     BVField,
     DiscreteMeasure,
+    DiskField,
     _key,
     charge_profile,
     decompose_boundary_interior,
@@ -14,8 +15,11 @@ from bvgym.measures import (
     normal_projection,
     weakstar_gap,
 )
-from bvgym.meshes import IntervalMesh, interval_mesh
+from bvgym.gym import pairing
+from bvgym.integrands import make_integrand
+from bvgym.meshes import IntervalMesh, disk_mesh, interval_mesh
 from bvgym.relax import toy_field
+from bvgym.soucek import soucek_pair, to_gym
 
 from conftest import ONE, X, XSQ, oscillation_field, resample, union_mesh
 
@@ -111,6 +115,19 @@ class TestTotalVariation:
 
 
 class TestWeakStarGap:
+    def test_disk_atom_meets_g_as_a_batch_of_one_point(self):
+        # g reads point arrays (n, 2), as cell_integrals and the Young-measure pairing call it
+        mesh = disk_mesh(1)
+        v = mesh.vertices[mesh.boundary_nodes[0]]
+        pair = soucek_pair(DiskField(mesh, np.zeros(mesh.vertices.shape[0])), {tuple(v): 0.5 * v})
+        (atom,) = pair.alpha.atoms
+        g = lambda p: p[:, 0]
+        got = pair.alpha.integrate(g)
+        assert np.array_equal(got, v[0] * atom.value)
+        assert weakstar_gap([pair.alpha], pair.alpha, [g]) == 0.0
+        limit = pairing(to_gym(pair), g, make_integrand("linear_form:1,0", (1, 2)))
+        assert limit == pytest.approx(got[0, 0], rel=1e-14)
+
     def test_constant_sequence(self, unit_mesh):
         mu = DiscreteMeasure(unit_mesh, np.full(unit_mesh.ncells, 2.0))
         assert weakstar_gap([mu, mu, mu], mu, [ONE, X, XSQ]) == 0.0
@@ -283,12 +300,6 @@ class TestSerialization:
         u = toy_field(10, 0.3)
         back = BVField.from_record(u.to_record())
         assert np.allclose(back.values, u.values)
-
-    def test_csv_rows(self, unit_mesh):
-        mu = DiscreteMeasure(unit_mesh, np.zeros(unit_mesh.ncells), (Atom(1.0, 0.5, 1.0),))
-        rows = mu.to_csv_rows()
-        assert len(rows) == unit_mesh.ncells + 1
-        assert rows[-1][-1] == 0.5  # atom marker carries the mass
 
 
 class TestGroupRows:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 
@@ -33,13 +34,14 @@ from bvgym.relax import (
     toy_spec,
 )
 from bvgym.relax import (
+    _GAMMA0,
+    _GAMMA1,
     _GAP_TOL,
     _LevelBlocks,
     _MIN_BLOCK,
     _discrete_energy,
     _angle_in,
     _arc_edges,
-    _arcs_overlap,
     _best_traces,
     _bfs_levels,
     _dist2_to_segments,
@@ -211,7 +213,7 @@ class TestDirectMinimize:
 
     def test_infeasible_bound(self):
         with pytest.raises(ValueError, match="infeasible"):
-            toy_spec(0.5, C=-1.0)
+            dataclasses.replace(toy_spec(0.5), C=-1.0)
 
 
 # The search must cover all of |beta_a| + |beta_b| <= C here: the best traces
@@ -499,7 +501,7 @@ class TestAdmissibilityReport:
         # a tent 0 -> 1 -> 0 has total variation 2 and traces 0
         mesh = interval_mesh(0, 1, 16)
         gm = to_gym(soucek_pair(BVField.from_nodal(mesh, 1.0 - np.abs(2.0 * mesh.nodes - 1.0))))
-        spec = toy_spec(EPS, C=1.0)
+        spec = dataclasses.replace(toy_spec(EPS), C=1.0)
         assert admissibility_report(gm, gym_traces(gm)["outer"], spec) == ["mass_bound_exceeded(2>1)"]
         with pytest.raises(AdmissibilityError, match="mass_bound_exceeded"):
             eval_Fhat(gm, gym_traces(gm)["outer"], spec)
@@ -509,8 +511,8 @@ class TestAdmissibilityReport:
 
         mesh = interval_mesh(0, 1, 16)
         gm = dirac_gym(mesh, 0.0).with_underlying(BVField.constant(mesh, 0.4))
-        assert admissibility_report(gm, (0.4, 0.4), toy_spec(EPS, C=0.5)) == ["trace_bound_exceeded"]
-        assert admissibility_report(gm, (0.4, 0.4), toy_spec(EPS, C=0.8)) == []
+        assert admissibility_report(gm, (0.4, 0.4), dataclasses.replace(toy_spec(EPS), C=0.5)) == ["trace_bound_exceeded"]
+        assert admissibility_report(gm, (0.4, 0.4), dataclasses.replace(toy_spec(EPS), C=0.8)) == []
 
     def test_no_underlying_deformation(self):
         gm = toy_limit_gym(EPS).with_underlying(None)
@@ -598,7 +600,7 @@ class TestRelaxMinimize:
     def test_binding_bound_keeps_min_gym_admissible(self):
         # at C = 0.3 the traces sit on |beta_a| + |beta_b| = C; min_gym is still
         # the value of an admissible measure, so it cannot undercut the other two
-        res = relax_minimize(toy_spec(0.05, C=0.3), levels=(4, 6))
+        res = relax_minimize(dataclasses.replace(toy_spec(0.05), C=0.3), levels=(4, 6))
         assert res.agree_within(1e-6)
         assert res.min_gym == pytest.approx(0.505, abs=1e-6)
 
@@ -786,11 +788,6 @@ class TestHigherDim:
         with pytest.raises(ValueError, match="ubar"):
             higher_dim_J(0.5, ubar, level=1, refinements=1)
 
-    def test_arc_without_edges_rejected(self):
-        # no boundary edge midpoint of the coarsest mesh lies on this short arc
-        with pytest.raises(ValueError, match="gamma1_angles"):
-            higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), gamma1_angles=(0.0, 0.01), level=1, refinements=1)
-
     @pytest.mark.parametrize("ubar", [1e200, -1e200])
     def test_huge_data_stays_finite(self, ubar):
         # with eps = 5 the weight outweighs the arc term's slope, so u = 0 is optimal; f(d) = hypot(1, d)
@@ -833,8 +830,8 @@ class TestHigherDim:
 
     def test_cold_and_warm_start_agree(self):
         res = higher_dim_J(0.35, _SIN, level=2, refinements=1)  # nv = 289 starts from the nv = 81 solve
-        J, _, (stage,) = _minimize_disk(disk_mesh(2).refine(), 0.35, _SIN, (-np.pi / 4, np.pi / 4),
-                                        (3 * np.pi / 4, 5 * np.pi / 4))
+        mesh = disk_mesh(2).refine()
+        J, _, (stage,) = _minimize_disk(mesh, 0.35, _SIN, _own_segments(mesh))
         warm, warm_stage = res["table"][1], res["stages"][1]
         assert warm_stage["stop"] == stage["stop"] == "gap"
         assert warm["gap"] <= _GAP_TOL and J - stage["lower"] <= _GAP_TOL * J
@@ -847,16 +844,16 @@ class TestHigherDim:
             assert set(stage) == {"nv", "nit", "stop", "lower", "delta"}
             assert 0 < stage["delta"] <= 1e-2
 
-    def test_overlapping_arcs_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), gamma1_angles=(0.0, 1.0),
-                         gamma0_angles=(0.5, 2.0), level=1, refinements=0)
+
+def _own_segments(mesh):
+    """The mesh's own Gamma_1 edges as segments (ne, 2, 2): the weight of a solve on this mesh alone."""
+    return mesh.vertices[mesh.boundary_edges()[_arc_edges(mesh, _GAMMA1)]]
 
 
-def _disk_J(mesh, eps, ubar, u, gamma1=(-np.pi / 4, np.pi / 4)):
+def _disk_J(mesh, eps, ubar, u):
     """The discrete disk energy, written out apart from the solver: distances to the
     Gamma_1 segments by broadcasting over all of them, the arc terms edge by edge."""
-    edges = mesh.boundary_edges()[_arc_edges(mesh, gamma1)]
+    edges = mesh.boundary_edges()[_arc_edges(mesh, _GAMMA1)]
     a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
     d = b - a
 
@@ -884,13 +881,12 @@ class TestDiskCertificate:
     @pytest.mark.parametrize("refined", [False, True])  # nv = 25, 81
     def test_random_fields_never_below_lower(self, eps, ubar, refined):
         mesh = disk_mesh(1).refine() if refined else disk_mesh(1)
-        gamma0 = (3 * np.pi / 4, 5 * np.pi / 4)
-        J, field, (stage,) = _minimize_disk(mesh, eps, ubar, (-np.pi / 4, np.pi / 4), gamma0)
+        J, field, (stage,) = _minimize_disk(mesh, eps, ubar, _own_segments(mesh))
         lower = stage["lower"]
         assert stage["stop"] == "gap" and lower <= J <= lower + _GAP_TOL * J
         assert _disk_J(mesh, eps, ubar, field.values) == pytest.approx(J, rel=1e-12)
         bn = mesh.boundary_nodes
-        on_gamma0 = bn[_angle_in(np.arctan2(mesh.vertices[bn, 1], mesh.vertices[bn, 0]), gamma0)]
+        on_gamma0 = bn[_angle_in(np.arctan2(mesh.vertices[bn, 1], mesh.vertices[bn, 0]), _GAMMA0)]
         rng = np.random.default_rng(7)
         for k in range(50):
             # at scales 1e-4 .. 1: every other field is a perturbed minimizer, the rest pure noise
@@ -904,7 +900,7 @@ class TestDiskCertificate:
     def test_blocked_distances_match_segment_loop(self):
         rng = np.random.default_rng(3)
         mesh = disk_mesh(3)
-        seg = mesh.vertices[mesh.boundary_edges()[_arc_edges(mesh, (-np.pi / 4, np.pi / 4))]]
+        seg = _own_segments(mesh)
         p = rng.uniform(-1.2, 1.2, (2548, 2))
         p[:3] = seg[[0, 5, -1], 1]  # on Gamma_1
         # every point against every segment at once, with the same arithmetic per element
@@ -946,8 +942,9 @@ def _disk_pattern(level, refinements, gamma0):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(relax, "_LevelBlocks", Recorded)
+        mp.setattr(relax, "_GAMMA0", gamma0)
         # zero data: u = 0 is certified at the first solve, so this only builds the pattern
-        _minimize_disk(mesh, 0.5, lambda p: np.zeros(p.shape[0]), (-np.pi / 4, np.pi / 4), gamma0)
+        _minimize_disk(mesh, 0.5, lambda p: np.zeros(p.shape[0]), _own_segments(mesh))
     (pattern,) = built
     return pattern
 
@@ -969,7 +966,7 @@ def _bfs_levels_by_scan(rows, cols, n, start):
     return levels
 
 
-_DIRICHLET_ARCS = [(3 * np.pi / 4, 5 * np.pi / 4), (np.pi / 2, np.pi)]
+_DIRICHLET_ARCS = [_GAMMA0, (np.pi / 2, np.pi)]  # the solver's arc and one that the tests patch in
 _cached_disk_pattern = functools.lru_cache(maxsize=None)(_disk_pattern)
 
 
@@ -995,7 +992,7 @@ class TestLevelBlocks:
     """The disk solver's block-tridiagonal SPD solve on BFS level sets."""
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 3), st.integers(0, 2), st.sampled_from([(3 * np.pi / 4, 5 * np.pi / 4), (np.pi / 2, np.pi)]),
+    @given(st.integers(1, 3), st.integers(0, 2), st.sampled_from(_DIRICHLET_ARCS),
            st.integers(0, 2**32 - 1))
     def test_disk_patterns_match_dense_solve(self, level, refinements, gamma0, seed):
         rows, cols, n = _disk_pattern(level, refinements, gamma0)
@@ -1007,7 +1004,7 @@ class TestLevelBlocks:
 
     @pytest.mark.parametrize("level, refinements", [(1, 0), (2, 0), (2, 1), (3, 1)])
     def test_blocks_merge_consecutive_levels_of_one_component(self, level, refinements):
-        rows, cols, n = _disk_pattern(level, refinements, (3 * np.pi / 4, 5 * np.pi / 4))
+        rows, cols, n = _disk_pattern(level, refinements, _GAMMA0)
         # the disk pattern twice, as two components, and an isolated node
         rows, cols = np.concatenate([rows, rows + n, [2 * n]]), np.concatenate([cols, cols + n, [2 * n]])
         blocks = _LevelBlocks(rows, cols, 2 * n + 1)
@@ -1029,7 +1026,7 @@ class TestLevelBlocks:
 
     def test_successive_solves_share_nothing(self):
         # the buffer is built once; the second fill must not see the first fill's Schur complements
-        rows, cols, n = _disk_pattern(2, 1, (3 * np.pi / 4, 5 * np.pi / 4))
+        rows, cols, n = _disk_pattern(2, 1, _GAMMA0)
         blocks = _LevelBlocks(rows, cols, n)
         assert len(blocks.blocks) > 2
         rng = np.random.default_rng(11)
@@ -1100,26 +1097,3 @@ class TestLevelBlocks:
         assert np.array_equal(x, y)
         residual = np.bincount(rows, weights=values * x[cols], minlength=n) - b
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
-
-
-class TestArcsOverlap:
-    @pytest.mark.parametrize(
-        "a, b, expected",
-        [
-            ((-np.pi / 4, np.pi / 4), (0.001, 0.002), True),  # short arc inside a longer one
-            ((0.0, 1.0), (0.5, 2.0), True),  # partial overlap
-            ((0.0, 1.0), (1.0, 2.0), True),  # touching at one end
-            ((5.5, 0.5), (0.2, 0.3), True),  # inside an arc that wraps past angle 0
-            ((0.0, 1.0), (1.1, 2.0), False),
-            ((-np.pi / 4, np.pi / 4), (3 * np.pi / 4, 5 * np.pi / 4), False),
-            ((5.5, 0.5), (1.0, 5.0), False),
-        ],
-    )
-    def test_both_argument_orders(self, a, b, expected):
-        assert _arcs_overlap(a, b) is expected
-        assert _arcs_overlap(b, a) is expected
-
-    @pytest.mark.parametrize("gamma0", [(0.001, 0.002), (-1.0, 1.0)])
-    def test_dirichlet_arc_inside_or_around_robin_arc_rejected(self, gamma0):
-        with pytest.raises(ValueError, match="overlap"):
-            higher_dim_J(0.5, lambda p: np.zeros(p.shape[0]), gamma0_angles=gamma0, level=1, refinements=0)

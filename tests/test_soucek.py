@@ -20,8 +20,6 @@ from bvgym.soucek import (
     weakstar_trace_continuity_test,
 )
 
-from conftest import ONE, X
-
 EPS = 0.5
 
 
@@ -157,7 +155,7 @@ class TestGYMConversion:
     def test_toy_round_trip(self):
         p = toy_limit_pair()
         gm = to_gym(p)
-        back = from_gym(gm, check=True)
+        back = from_gym(gm)
         assert np.allclose(back.alpha.density, p.alpha.density)
         (a1,) = back.alpha.boundary_atoms()
         (a0,) = p.alpha.boundary_atoms()
@@ -168,7 +166,7 @@ class TestGYMConversion:
         u = BVField.step(unit_mesh, 0.5, 0.0, 0.8)
         p = soucek_pair(u, {1.0: -0.3})
         gm = to_gym(p)
-        back = from_gym(gm, check=False)
+        back = from_gym(gm)
         assert np.allclose(back.alpha.density, p.alpha.density)
         assert len(back.alpha.atoms) == len(p.alpha.atoms)
         for a, b in zip(
@@ -227,7 +225,7 @@ class TestWeakStarTraceContinuity:
 
     def test_toy_sequence_traces_converge(self):
         pairs = [soucek_pair(toy_field(n, EPS)) for n in (10, 100, 1000)]
-        res = weakstar_trace_continuity_test(pairs, toy_limit_pair(), tests=[ONE, X])
+        res = weakstar_trace_continuity_test(pairs, toy_limit_pair())
         # outer traces of members already equal (eps/2, 1 - eps/2)
         assert res["trace_gap"] <= 1e-9
         assert res["alpha_gap"] <= 3 * (1 - EPS) / 1000
