@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrands import HomogeneousIntegrand, mat_norm, unit_matrices
+from .integrands import HomogeneousIntegrand, check_seed, mat_norm, seeded_normal, seeded_uniform, unit_matrices
 from .measures import DiskField
 from .meshes import TriMesh, disk_mesh, rotation_to
 
@@ -194,9 +194,10 @@ class HalfBallProblem:
         )
         return self.zeroed(np.outer(zig * bump, a))
 
-    def random_seed(self, rng: np.random.Generator) -> np.ndarray:
+    def random_seed(self, seed: int, k: int) -> np.ndarray:
+        """Field k of seed: `seeded_normal` nodal values on stream 2 + k, damped to 0 at |x| = 1."""
         r = np.linalg.norm(self.mesh.vertices, axis=1)
-        U = rng.standard_normal((self.mesh.vertices.shape[0], self.ncomp))
+        U = seeded_normal((self.mesh.vertices.shape[0], self.ncomp), seed, 2 + k)
         return self.zeroed(U * np.clip(1.0 - r, 0.0, 1.0)[:, None])
 
 
@@ -503,7 +504,7 @@ def _laminate(v: HomogeneousIntegrand, rho: np.ndarray) -> tuple[float, float, n
         return np.where(den > 0, t * vals[0] + (1 - t) * vals[1], np.inf) / np.where(den > 0, den, 1.0)
 
     ca = unit_matrices((M, 2), LAMINATE_STARTS - 4 * M)  # columns c and a
-    u = np.random.default_rng(0).random((2, len(ca)))
+    u = seeded_uniform((2, len(ca)), 0, 1)  # stream 1: apart from the (c, a) rows
     P = np.column_stack([ca[:, :, 0], ca[:, :, 1], np.pi * u[0], 6.0 * u[1] - 3.0])
     f = ratio(P)
     keep = np.argsort(f, kind="stable")[:LAMINATE_POLISHED]
@@ -591,9 +592,12 @@ def jqcb_falsify(
     "inconclusive" when no candidate gave a finite gap.  A counterexample is the
     half-ball restriction (`HalfBallProblem.field`, a DiskField) for N = 2, the
     two slopes and the fraction t of the first for N = 1; None unless disproved.
+    seed, an int >= 0 of any size, selects the four random fields of N = 2
+    (`HalfBallProblem.random_seed`); N = 1 draws nothing.
     """
     validate_homogeneous(v)
     rho = _checked_normal(rho, v.dims)
+    seed = check_seed(seed)
     M, N = v.dims
     if N == 1:
         # two-slope profiles on the half-interval
@@ -611,12 +615,11 @@ def jqcb_falsify(
         return _jqcb_result(best, float(gaps[k]))
 
     _refuse_beyond_2d(v.dims)
-    rng = np.random.default_rng(seed)
     hb = HalfBallProblem(rho, level=3, ncomp=M)
     dirs = unit_matrices((M, 1), 8).reshape(-1, M)
     library = [hb.tent(a, d, w) for a in dirs for d in (0.2, 0.4) for w in (0.5, 0.8)]
     library += [hb.laminate(a) for a in dirs]
-    library += [hb.random_seed(rng) for _ in range(4)]
+    library += [hb.random_seed(seed, k) for k in range(4)]
     library = library[: max(1, budget)]
     G = hb.gradients(np.concatenate(library, axis=1))  # (t, candidate, M, 2)
     gaps = np.asarray(v(np.einsum("t,tcMd->cMd", hb.areas, G))) - hb.areas @ np.asarray(v(G))

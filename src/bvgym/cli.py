@@ -1,10 +1,13 @@
 """Batch command-line front end.
 
 Subcommands: toy, relax, qslb-check, jqcb-check, envelope, generate, trace,
-dm-convert, characterize.  All randomness is seeded (default 0); a config
-file overrides flags; outputs are JSON records and CSV tables written under
---out.  Exit codes: 0 success, 2 refused relaxation hypothesis, 1 any other
-error, each with a distinct message.
+dm-convert, characterize.  All randomness is seeded and comes from one
+sampler, `integrands.seeded_uniform` (and `seeded_normal` built on it);
+--seed (default 0, any int >= 0) selects only the four random N = 2 fields
+of jqcb-check, and draws, like records, repeat bit for bit on one machine and
+numpy build.  A config file overrides flags; outputs are JSON records and CSV
+tables written under --out.  Exit codes: 0 success, 2 refused relaxation
+hypothesis, 1 any other error, each with a distinct message.
 """
 
 from __future__ import annotations

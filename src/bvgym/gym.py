@@ -582,6 +582,9 @@ class DiPernaMajdaMeasure:
         rows = self.nuhat_interior.sum(axis=1) + self.nuhat_sphere.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-9:
             raise ValueError("nuhat rows must sum to 1")
+        nuhat = (self.nuhat_interior, self.nuhat_sphere, self.nuhat_atom_sphere)
+        if min(np.min(w, initial=0.0) for w in nuhat) < -PROB_TOL:
+            raise ValueError("nuhat weights must be nonnegative")
         if np.min(self.sigma_density) < -PROB_TOL:
             raise ValueError("sigma must be nonnegative")
 
@@ -645,8 +648,6 @@ def to_diperna_majda(gym: GenYoungMeasure) -> DiPernaMajdaMeasure:
 def from_diperna_majda(dm: DiPernaMajdaMeasure) -> GenYoungMeasure:
     w = 1.0 + mat_norm(dm.matrix_grid)
     lebesgue_frac = dm.nuhat_interior @ (1.0 / w)  # = dL/dsigma per cell
-    if np.any((lebesgue_frac <= 0) & (dm.nuhat_interior.sum(axis=1) > 0)):
-        raise ValueError("inversion error: sigma has no density where nuhat is nontrivial")
     if np.any(lebesgue_frac <= 0):
         raise ValueError("inversion error: sigma must dominate Lebesgue on every cell")
     nu = (dm.nuhat_interior / w[None, :]) / lebesgue_frac[:, None]

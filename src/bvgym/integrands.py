@@ -8,6 +8,7 @@ the singular parts of derivative measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,17 +55,59 @@ def mat_norm(A: Matrix) -> np.ndarray:
     return np.sqrt(total)
 
 
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's counter increment, 2^64 / golden ratio
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer on a uint64 array; array arithmetic wraps mod 2^64 without
+    a warning (numpy warns on uint64 scalars only, so no scalar enters here)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def check_seed(seed) -> int:
+    """seed as an int; a ValueError naming it unless it is an int >= 0 (any size)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
+def seeded_uniform(shape: tuple[int, ...], seed: int, stream: int) -> np.ndarray:
+    """Uniforms in (0, 1] of the given shape, the same bits for the same (shape, seed,
+    stream) on one machine and numpy build.  Draw i is the top 53 bits of the splitmix64
+    finalizer of key + (i + 1) GAMMA, plus one, over 2^53; the key folds the stream
+    and then the seed's 64-bit limbs through the finalizer, so any seed >= 0 works.
+    Streams in use: 0 `unit_matrices`, 1 `_laminate`'s angle and logit starts, 2 + k
+    the k-th field of `HalfBallProblem.random_seed`."""
+    seed = check_seed(seed)
+    key = _splitmix64(np.array([stream], dtype=np.uint64) + _GAMMA)
+    for s in range(0, max(seed.bit_length(), 1), 64):
+        key = _splitmix64((key ^ np.uint64((seed >> s) & (2**64 - 1))) + _GAMMA)
+    z = _splitmix64(np.arange(1, math.prod(shape) + 1, dtype=np.uint64) * _GAMMA + key)
+    return (((z >> 11).astype(float) + 1.0) * 2.0**-53).reshape(shape)
+
+
+def seeded_normal(shape: tuple[int, ...], seed: int, stream: int) -> np.ndarray:
+    """Standard normals of the given shape: Box-Muller on consecutive pairs of
+    `seeded_uniform` draws, so a longer draw of one (seed, stream) extends a shorter one."""
+    n = math.prod(shape)
+    u = seeded_uniform(((n + 1) // 2, 2), seed, stream)
+    r, t = np.sqrt(-2.0 * np.log(u[:, 0])), 2 * np.pi * u[:, 1]
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=1).ravel()[:n].reshape(shape)
+
+
 def unit_matrices(dims: tuple[int, int], n: int = 16) -> np.ndarray:
     """Deterministic sample of the unit sphere in R^{MxN}, shape (k, M, N): k = 2 for 1x1, n
-    (equally spaced angles) when M*N = 2, else n + 2MN, +E_ij and -E_ij first, then seeded draws."""
+    (equally spaced angles) when M*N = 2, else n + 2MN, +E_ij and -E_ij first, then n
+    normalized `seeded_normal` draws (seed 0, stream 0), the same on one machine and numpy build."""
     M, N = dims
     if (M, N) == (1, 1):
         return np.array([[[-1.0]], [[1.0]]])
     if M * N == 2:
         ang = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
         return np.stack([np.cos(ang), np.sin(ang)], axis=1).reshape(n, M, N)
-    rng = np.random.default_rng(0)
-    raw = rng.standard_normal((n, M, N))
+    raw = seeded_normal((n, M, N), 0, 0)
     basis = np.zeros((2 * M * N, M, N))
     for k in range(M * N):
         basis[2 * k, k // N, k % N] = 1.0

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,36 @@ class TestErrorsAndDeterminism:
             assert code == 0
             outs.append((out / "toy_result.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        code, out = run(tmp_path, "--seed", "-1", "jqcb-check", "--integrand", "neg_abs", "--normal", "0.6,0.8")
+        assert code == 1 and not out.exists()
+        assert "seed" in _one_line_error(capsys)
+
+    def test_seed_beyond_64_bits_runs(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "--seed", str(2**70), "jqcb-check", "--integrand", "neg_abs",
+                            "--normal", "0.6,0.8")
+        assert code == 0
+        assert json.loads((out / "jqcb_result.json").read_text())["status"] == "disproved"
+
+    def test_same_seed_byte_identical_jqcb_record(self, tmp_path):
+        recs = []
+        for sub in ("r1", "r2"):
+            out = tmp_path / sub
+            assert main(["--out", str(out), "--seed", "7", "jqcb-check", "--integrand", "neg_abs",
+                         "--normal", "0.6,0.8"]) == 0
+            recs.append((out / "jqcb_result.json").read_bytes())
+        assert recs[0] == recs[1]
+
+    @pytest.mark.parametrize("integrand, status", [("neg_abs", "disproved"), ("abs", "not disproved")])
+    def test_seed_leaves_the_jqcb_status(self, tmp_path, integrand, status):
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            assert main(["--out", str(out), "--seed", seed, "jqcb-check", "--integrand", integrand,
+                         "--normal", "0.6,0.8"]) == 0
+            assert json.loads((out / "jqcb_result.json").read_text())["status"] == status
 
     @pytest.mark.parametrize("command", ["qslb-check", "jqcb-check"])
     def test_linear_form_coefficient_count_exits_1(self, tmp_path, capsys, command):

@@ -495,14 +495,20 @@ class TestDiPernaMajda:
         with pytest.raises(ValueError, match=f"^{message}$"):
             dataclasses.replace(dm, **{field: bad})
 
+    def test_negative_atom_sphere_weight_refused(self):
+        dm = to_diperna_majda(_valid_gym())
+        with pytest.raises(ValueError, match="^nuhat weights must be nonnegative$"):
+            dataclasses.replace(dm, nuhat_atom_sphere=np.array([[1.25, -0.25]]))
+
     def test_inversion_refuses_nuhat_without_sigma_density(self):
         # grid weights 1 + |A| = (1, 2): the interior row (-0.2, 0.4) has Lebesgue fraction
-        # -0.2 + 0.4 / 2 = 0 but carries mass 0.2
+        # -0.2 + 0.4 / 2 = 0 but carries mass 0.2; its rows sum to 1, and the constructor
+        # refuses its negative weight before any inversion sees it
         dm = to_diperna_majda(_valid_gym())
         interior, sphere = dm.nuhat_interior.copy(), dm.nuhat_sphere.copy()
         interior[2], sphere[2] = [-0.2, 0.4], 0.4
-        with pytest.raises(ValueError, match="sigma has no density where nuhat is nontrivial"):
-            from_diperna_majda(dataclasses.replace(dm, nuhat_interior=interior, nuhat_sphere=sphere))
+        with pytest.raises(ValueError, match="^nuhat weights must be nonnegative$"):
+            dataclasses.replace(dm, nuhat_interior=interior, nuhat_sphere=sphere)
 
     def test_point_concentration_masses(self):
         # gradient concentration at x = 0 with total mass 0.6

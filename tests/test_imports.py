@@ -28,6 +28,17 @@ QSLB_CHECK = (
     "print('numpy.ma' in sys.modules)"
 )
 
+# every draw of the half-ball verdicts comes from `integrands.seeded_uniform`; the 2x2 form
+# |A| - 3 |det A| / |A| is undecided by the bracket, so it reaches `_laminate`
+NO_NUMPY_RANDOM = (
+    "import sys, numpy as np; from bvgym.cli import main; from bvgym.boundary import qslb_infimum; "
+    "from bvgym.integrands import HomogeneousIntegrand, mat_norm; "
+    "main(['--out', {out!r}, 'jqcb-check', '--integrand', 'neg_abs', '--normal', '0.6,0.8']); "
+    "main(['--out', {out!r}, 'qslb-check', '--integrand', 'abs', '--normal', '0.6,0.8']); "
+    "det3 = HomogeneousIntegrand((2, 2), lambda S: mat_norm(S) - 3 * np.abs(np.linalg.det(S)) / mat_norm(S)); "
+    "print(len(qslb_infimum(det3, (0.6, 0.8))['stages']), 'numpy.random' in sys.modules)"
+)
+
 
 def _run(code: str) -> str:
     src = str(Path(bvgym.__file__).resolve().parents[1])  # the same bvgym as this test run
@@ -50,6 +61,10 @@ def test_relax_does_not_load_the_boundary_verifiers():
 
 def test_qslb_check_does_not_load_numpy_ma(tmp_path):
     assert _run(QSLB_CHECK.format(out=str(tmp_path / "out"))).splitlines()[-1] == "False"
+
+
+def test_half_ball_commands_do_not_load_numpy_random(tmp_path):
+    assert _run(NO_NUMPY_RANDOM.format(out=str(tmp_path / "out"))).splitlines()[-1] == "1 False"
 
 
 def test_package_imports_sit_at_module_top():

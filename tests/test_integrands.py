@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from bvgym.integrands import (
     mat_norm,
     measure_action,
     pair_action,
+    seeded_normal,
+    seeded_uniform,
     toy_weight,
     unit_matrices,
 )
@@ -273,11 +277,54 @@ class TestMatNorm:
 
 class TestUnitMatrices:
     @pytest.mark.parametrize("dims, n, k", [((1, 1), 16, 2), ((1, 2), 16, 16), ((2, 1), 8, 8), ((2, 2), 16, 24),
-                                            ((3, 1), 8, 14), ((3, 2), 512, 524)])
+                                            ((3, 1), 8, 14), ((3, 2), 512, 524), ((2, 2), 4088, 4096),
+                                            ((2, 2), 4096, 4104)])
     def test_row_count_and_unit_norms(self, dims, n, k):
+        # the last two are `_laminate`'s (c, a) rows and the M = 2 bracket's sample
         P = unit_matrices(dims, n)
         assert P.shape == (k,) + dims
         np.testing.assert_allclose(mat_norm(P), 1.0, rtol=1e-15)
         if k == n + 2 * dims[0] * dims[1]:  # +E_ij, -E_ij first, entry by entry
             basis = np.eye(dims[0] * dims[1]).reshape(-1, *dims)
             assert np.array_equal(P[: k - n : 2], basis) and np.array_equal(P[1 : k - n : 2], -basis)
+
+
+class TestSeededSampler:
+    @pytest.mark.parametrize("draw", [seeded_uniform, seeded_normal])
+    @pytest.mark.parametrize("shape, seed", [((5,), 0), ((3, 2, 2), 7), ((4, 1), 2**70)])
+    def test_same_shape_and_seed_same_bits(self, draw, shape, seed):
+        a, b = draw(shape, seed, 0), draw(shape, seed, 0)
+        assert a.shape == shape and a.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+
+    def test_different_seeds_and_streams_differ(self):
+        # (0, 0) and (0, 1) are `_laminate`'s two streams: its (c, a) rows and its angles and logits
+        draws = [seeded_uniform((64,), seed, stream) for seed, stream in
+                 [(0, 0), (1, 0), (7, 0), (2**64, 0), (2**64 + 1, 0), (0, 1), (1, 1), (0, 2)]]
+        for i in range(len(draws)):
+            for j in range(i):
+                assert not np.any(draws[i] == draws[j])
+
+    def test_uniforms_lie_in_the_half_open_unit_interval(self):
+        u = seeded_uniform((10**5,), 3, 0)
+        assert 0.0 < u.min() and u.max() <= 1.0
+        assert abs(u.mean() - 0.5) <= 0.01
+
+    def test_normal_moments(self):
+        z = seeded_normal((10**5,), 0, 0)
+        assert abs(z.mean()) <= 0.01 and abs(z.var() - 1.0) <= 0.02
+
+    def test_a_longer_draw_extends_a_shorter_one(self):
+        assert np.array_equal(seeded_normal((7,), 5, 0), seeded_normal((10,), 5, 0)[:7])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_bad_seed_refused(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+            seeded_uniform((2,), seed, 0)
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**64, 2**70, 10**40, np.uint64(2**64 - 1)])
+    def test_huge_seeds_draw_without_warning(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = seeded_normal((1000,), seed, 0)
+        assert np.all(np.isfinite(z))
