@@ -34,7 +34,7 @@ BASE_NORMAL = np.array([1.0, 0.0])
 # "qslb" needs lower >= -QSLB_TOL; "not_qslb" needs upper (for M >= 2 maybe a laminate's) <= -10 QSLB_TOL
 QSLB_TOL = 1e-4
 JQCB_TOL = 1e-8  # a Jensen gap above this disproves the boundary inequality
-SPHERE_SAMPLES = 4096  # directions of the moment-duality sample: the circle (M = 1), unit_matrices (M >= 2)
+SPHERE_SAMPLES = 4096  # directions of the moment-duality sample, from unit_matrices
 LAYER_SAMPLES = 512  # unit columns a: the N = 1 bound, and the boundary-layer directions a (x) rho for M >= 2,
 # which give the bracket's upper and rank_one_positivity
 POLISHED_ATOMS = 16  # for M >= 2, the atoms of least v - <b*, S tau> polished besides the LP basis
@@ -201,14 +201,6 @@ class HalfBallProblem:
         return self.zeroed(U * np.clip(1.0 - r, 0.0, 1.0)[:, None])
 
 
-def _circle() -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the SPHERE_SAMPLES angles 2 pi k / SPHERE_SAMPLES, built from one
-    quadrant, so sin is exactly 0 at 0 and pi and exactly +-1 at pi/2 and 3 pi/2."""
-    t = 2 * np.pi * np.arange(SPHERE_SAMPLES // 4) / SPHERE_SAMPLES
-    c, s = np.cos(t), np.sin(t)
-    return np.concatenate([c, -s, -c, s]), np.concatenate([s, c, -s, -c])
-
-
 def _columns(M: int) -> np.ndarray:
     """Unit M x 1 matrices: +-1 for M = 1, else LAYER_SAMPLES of `unit_matrices`."""
     return np.array([[[1.0]], [[-1.0]]]) if M == 1 else unit_matrices((M, 1), LAYER_SAMPLES)
@@ -218,11 +210,11 @@ def _frame_sample(M: int) -> np.ndarray:
     """Unit M x 2 matrices X in the frame of the normal: X stands for the direction
     S = X[:, 0] (x) rho + X[:, 1] (x) tau, so S tau = X[:, 1] exactly.
 
-    M = 1: the SPHERE_SAMPLES equally spaced angles of `_circle`, in order (X = +-rho
+    M = 1: `unit_matrices((1, 2), SPHERE_SAMPLES)`, equally spaced angles in order (X = +-rho
     and +-tau exactly).  M >= 2: `unit_matrices((M, 2), SPHERE_SAMPLES)`, whose first
     rows are +-E_ij, then the boundary-layer directions a (x) rho for a in `_columns`."""
     if M == 1:
-        return np.stack(_circle(), axis=-1)[:, None, :]
+        return unit_matrices((1, 2), SPHERE_SAMPLES)
     a = _columns(M)
     return np.concatenate([unit_matrices((M, 2), SPHERE_SAMPLES), np.concatenate([a, np.zeros_like(a)], axis=2)])
 

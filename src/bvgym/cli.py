@@ -3,11 +3,12 @@
 Subcommands: toy, relax, qslb-check, jqcb-check, envelope, generate, trace,
 dm-convert, characterize.  All randomness is seeded and comes from one
 sampler, `integrands.seeded_uniform` (and `seeded_normal` built on it);
---seed (default 0, any int >= 0) selects only the four random N = 2 fields
-of jqcb-check, and draws, like records, repeat bit for bit on one machine and
-numpy build.  A config file overrides flags; outputs are JSON records and CSV
-tables written under --out.  Exit codes: 0 success, 2 refused relaxation
-hypothesis, 1 any other error, each with a distinct message.
+jqcb-check's --seed (default 0, any int >= 0) selects its four random N = 2
+fields, the only draws a flag selects, and draws, like records, repeat bit
+for bit on one machine and numpy build.  A config file overrides flags;
+outputs are JSON records and CSV tables written under --out.  Exit codes:
+0 success, 2 refused relaxation hypothesis (or a usage error, from
+argparse), 1 any other error, each with a distinct message.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -159,6 +161,7 @@ def cmd_toy(args) -> int:
     out = Path(args.out)
     levels = tuple(range(max(2, args.levels - 4), args.levels + 1, 2))
     res = relax_mod.relax_minimize(toy_spec(args.eps), levels=levels)
+    res = dataclasses.replace(res, toy_note=relax_mod.toy_report(args.eps))
     rec = res.to_record()
     rec["closed_form_infimum"] = relax_mod.toy_infimum(args.eps)
     _write_json(out / "toy_result.json", rec)
@@ -172,11 +175,11 @@ def cmd_toy(args) -> int:
         xs = u.mesh.nodes
         ys = np.concatenate([[u.values[0, 0]], u.values[:, 1]])
         _write_csv(out / "toy_minimizer.csv", ["x", "u"], zip(xs, ys))
-    note = res.toy_note or {}
+    note = res.toy_note
     print(f"toy eps={args.eps}: inf_direct={res.inf_direct:.6f} "
           f"min_extended={res.min_extended:.6f} min_gym={res.min_gym:.6f} "
           f"(closed form {relax_mod.toy_infimum(args.eps):.6f})")
-    if note and not note["quoted_limit_matches"]:
+    if not note["quoted_limit_matches"]:
         print(f"note: quoted sequence limit {note['quoted_limit']:.6f} differs from the "
               f"computed limit {note['infimum']:.6f} by {note['quoted_limit_discrepancy']:.6f}")
     return 0
@@ -327,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     each call gets a fresh namespace, and no default is mutable."""
     ap = argparse.ArgumentParser(prog="bvgym", description=__doc__)
     ap.add_argument("--out", default="bvgym_out", help="output directory for records and tables")
-    ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("toy", help="solve the weighted-TV model problem")
@@ -353,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--integrand", required=True)
     p.add_argument("--normal", required=True)
     p.add_argument("--budget", type=int, default=400)
+    p.add_argument("--seed", type=int, default=0, help="selects the four random N = 2 fields (any int >= 0)")
     p.set_defaults(func=cmd_jqcb_check)
 
     p = sub.add_parser("envelope", help="1D convex envelope of a catalog integrand")

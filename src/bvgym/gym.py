@@ -29,9 +29,9 @@ from .integrands import (
     measure_action,
     unit_matrices,
 )
-from .measures import (RANK_ONE_TOL, Atom, BVField, DiscreteMeasure, _eval_at_point, _key, _on_boundary, _point_from,
-                       _same_mesh, fold_traces, group_rows, normal_projection)
-from .meshes import _CELL_BLOCK, IntervalMesh, TriMesh, mesh_from_record
+from .measures import (RANK_ONE_TOL, Atom, BVField, DiscreteMeasure, _eval_at_point, _key, _on_boundary, _same_mesh,
+                       fold_traces, group_rows, normal_projection, read_record, record)
+from .meshes import _CELL_BLOCK, IntervalMesh, TriMesh
 
 PROB_TOL = 1e-12
 CHARACTERIZATION_TOL = 1e-6  # slack of the inequalities (ii)-(iv) in check_characterization
@@ -107,38 +107,11 @@ class GenYoungMeasure:
         return [i for i, (p, _) in enumerate(self.lam_atoms) if _on_boundary(self.mesh, p)]
 
     def to_record(self) -> dict:
-        rec = {
-            "mesh": self.mesh.to_record(),
-            "matrix_grid": self.matrix_grid.tolist(),
-            "nu": self.nu.tolist(),
-            "lam_density": self.lam_density.tolist(),
-            "lam_atoms": [[np.asarray(p).tolist(), m] for p, m in self.lam_atoms],
-            "sphere_grid": self.sphere_grid.tolist(),
-            "nu_inf_cells": self.nu_inf_cells.tolist(),
-            "nu_inf_atoms": self.nu_inf_atoms.tolist(),
-        }
-        if self.underlying is not None:
-            rec["underlying"] = self.underlying.to_record()
-        return rec
+        return record(self)
 
     @staticmethod
     def from_record(rec: dict) -> "GenYoungMeasure":
-        mesh = mesh_from_record(rec["mesh"])
-        atoms = tuple((_point_from(p), float(m)) for p, m in rec["lam_atoms"])
-        underlying = None
-        if "underlying" in rec:
-            underlying = BVField.from_record(rec["underlying"])
-        return GenYoungMeasure(
-            mesh,
-            np.asarray(rec["matrix_grid"], dtype=float),
-            np.asarray(rec["nu"], dtype=float),
-            np.asarray(rec["lam_density"], dtype=float),
-            atoms,
-            np.asarray(rec["sphere_grid"], dtype=float),
-            np.asarray(rec["nu_inf_cells"], dtype=float),
-            np.asarray(rec["nu_inf_atoms"], dtype=float).reshape(len(atoms), len(rec["sphere_grid"])),
-            underlying,
-        )
+        return read_record(GenYoungMeasure, rec)
 
 
 def _const_one(x):
@@ -579,6 +552,8 @@ class DiPernaMajdaMeasure:
     nuhat_atom_sphere: np.ndarray  # (natoms, S)
 
     def __post_init__(self):
+        nas = np.reshape(self.nuhat_atom_sphere, (len(self.sigma_atoms), len(self.sphere_grid)))
+        object.__setattr__(self, "nuhat_atom_sphere", nas)
         rows = self.nuhat_interior.sum(axis=1) + self.nuhat_sphere.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-9:
             raise ValueError("nuhat rows must sum to 1")
@@ -600,30 +575,11 @@ class DiPernaMajdaMeasure:
         return total
 
     def to_record(self) -> dict:
-        return {
-            "mesh": self.mesh.to_record(),
-            "matrix_grid": self.matrix_grid.tolist(),
-            "sphere_grid": self.sphere_grid.tolist(),
-            "sigma_density": self.sigma_density.tolist(),
-            "sigma_atoms": [[np.asarray(p).tolist(), m] for p, m in self.sigma_atoms],
-            "nuhat_interior": self.nuhat_interior.tolist(),
-            "nuhat_sphere": self.nuhat_sphere.tolist(),
-            "nuhat_atom_sphere": self.nuhat_atom_sphere.tolist(),
-        }
+        return record(self)
 
     @staticmethod
     def from_record(rec: dict) -> "DiPernaMajdaMeasure":
-        atoms = tuple((_point_from(p), float(m)) for p, m in rec["sigma_atoms"])
-        return DiPernaMajdaMeasure(
-            mesh_from_record(rec["mesh"]),
-            np.asarray(rec["matrix_grid"], dtype=float),
-            np.asarray(rec["sphere_grid"], dtype=float),
-            np.asarray(rec["sigma_density"], dtype=float),
-            atoms,
-            np.asarray(rec["nuhat_interior"], dtype=float),
-            np.asarray(rec["nuhat_sphere"], dtype=float),
-            np.asarray(rec["nuhat_atom_sphere"], dtype=float).reshape(len(atoms), len(rec["sphere_grid"])),
-        )
+        return read_record(DiPernaMajdaMeasure, rec)
 
 
 def to_diperna_majda(gym: GenYoungMeasure) -> DiPernaMajdaMeasure:

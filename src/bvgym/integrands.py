@@ -99,14 +99,16 @@ def seeded_normal(shape: tuple[int, ...], seed: int, stream: int) -> np.ndarray:
 
 def unit_matrices(dims: tuple[int, int], n: int = 16) -> np.ndarray:
     """Deterministic sample of the unit sphere in R^{MxN}, shape (k, M, N): k = 2 for 1x1, n
-    (equally spaced angles) when M*N = 2, else n + 2MN, +E_ij and -E_ij first, then n
+    when M*N = 2 (the angles 2 pi j / n in order, n a multiple of 4, built from one quadrant, so
+    the angles k pi / 2 give exactly +-1 and 0), else n + 2MN, +E_ij and -E_ij first, then n
     normalized `seeded_normal` draws (seed 0, stream 0), the same on one machine and numpy build."""
     M, N = dims
     if (M, N) == (1, 1):
         return np.array([[[-1.0]], [[1.0]]])
     if M * N == 2:
-        ang = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1).reshape(n, M, N)
+        t = 2 * np.pi * np.arange(n // 4) / n
+        c, s = np.cos(t), np.sin(t)
+        return np.stack([np.concatenate([c, -s, -c, s]), np.concatenate([s, c, -s, -c])], axis=1).reshape(n, M, N)
     raw = seeded_normal((n, M, N), 0, 0)
     basis = np.zeros((2 * M * N, M, N))
     for k in range(M * N):

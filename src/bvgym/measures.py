@@ -8,7 +8,7 @@ form from the start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,27 +82,11 @@ class DiscreteMeasure:
         return tuple(a for a in self.atoms if _on_boundary(self.mesh, a.point))
 
     def to_record(self) -> dict:
-        return {
-            "mesh": self.mesh.to_record(),
-            "density": self.density.tolist(),
-            "atoms": [
-                {
-                    "point": np.asarray(a.point).tolist(),
-                    "mass": a.mass,
-                    "direction": np.asarray(a.direction).tolist(),
-                }
-                for a in self.atoms
-            ],
-        }
+        return record(self)
 
     @staticmethod
     def from_record(rec: dict) -> "DiscreteMeasure":
-        mesh = mesh_from_record(rec["mesh"])
-        atoms = tuple(
-            Atom(_point_from(a["point"]), float(a["mass"]), np.asarray(a["direction"], dtype=float))
-            for a in rec["atoms"]
-        )
-        return DiscreteMeasure(mesh, np.asarray(rec["density"], dtype=float), atoms)
+        return read_record(DiscreteMeasure, rec)
 
 
 def _eval_at_point(g: Callable, p) -> float:
@@ -114,9 +98,43 @@ def _eval_at_point(g: Callable, p) -> float:
     return float(g(arr))
 
 
-def _point_from(p):
-    arr = np.asarray(p, dtype=float)
-    return float(arr) if arr.ndim == 0 else arr
+# ---------------------------------------------------------------------------
+# JSON records: an object's dataclass fields by name
+
+
+def record(x):
+    """The JSON form of x: a dataclass as a dict of its fields by name (a None field left out),
+    a mesh by its own `to_record`, a dict with its keys as strings, tuples, lists and arrays
+    as lists."""
+    if isinstance(x, (IntervalMesh, TriMesh)):
+        return x.to_record()
+    if is_dataclass(x):
+        return {f.name: record(v) for f in fields(x) if (v := getattr(x, f.name)) is not None}
+    if isinstance(x, dict):
+        return {str(k): record(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [record(v) for v in x]
+    return np.asarray(x).tolist()
+
+
+def read_record(cls, rec: dict):
+    """The `cls` whose `record` is rec: `mesh` by `mesh_from_record`, `underlying` (the one
+    key that may be missing) as a `BVField`, `atoms` as `Atom`s, `lam_atoms` and `sigma_atoms`
+    as (point, mass) pairs, any other key as a float or a float array.  A missing key is a
+    KeyError."""
+    def read(name, v):
+        if name == "mesh":
+            return mesh_from_record(v)
+        if name == "underlying":
+            return read_record(BVField, v)
+        if name == "atoms":
+            return tuple(read_record(Atom, a) for a in v)
+        if name in ("lam_atoms", "sigma_atoms"):
+            return tuple((read("point", p), float(m)) for p, m in v)
+        arr = np.asarray(v, dtype=float)
+        return float(arr) if arr.ndim == 0 else arr
+
+    return cls(**{f.name: read(f.name, rec[f.name]) for f in fields(cls) if f.name != "underlying" or f.name in rec})
 
 
 def _key(point):
@@ -327,11 +345,11 @@ class BVField:
         return BVField(self.mesh, self.values + other.values)
 
     def to_record(self) -> dict:
-        return {"mesh": self.mesh.to_record(), "values": self.values.tolist()}
+        return record(self)
 
     @staticmethod
     def from_record(rec: dict) -> "BVField":
-        return BVField(mesh_from_record(rec["mesh"]), np.asarray(rec["values"], dtype=float))
+        return read_record(BVField, rec)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,6 @@ class ProblemSpec:
     right: BoundaryTerm | None = None  # Robin term at b; None is a Neumann side
     C: float = 10.0
     name: str = "problem"
-    toy_eps: float | None = None  # set by toy_spec; marks the weighted-TV model problem
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
@@ -134,7 +133,7 @@ def check_toy_eps(eps: float) -> None:
 def toy_spec(eps: float) -> ProblemSpec:
     check_toy_eps(eps)
     return ProblemSpec(0.0, 1.0, toy_weight(eps), left=square_penalty(0.0), right=square_penalty(1.0),
-                       name=f"toy(eps={eps})", toy_eps=eps)
+                       name=f"toy(eps={eps})")
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +445,7 @@ class RelaxationResult:
     beta: dict
     direct_table: dict
     hypothesis_log: list
-    toy_note: dict | None = None
+    toy_note: dict | None = None  # `toy_report`, attached by the toy command
 
     def agree_within(self, tol: float) -> bool:
         vals = (self.inf_direct, self.min_extended, self.min_gym)
@@ -541,7 +540,6 @@ def relax_minimize(spec: ProblemSpec, levels: Sequence[int] = (4, 6, 8, 10)) -> 
     gen_gym, _ = generate_from_fields(direct["minimizers"], window_h=1.0 / 32, tol=5e-2)
     gym_attained = eval_Fhat(gen_gym, gym_traces(gen_gym)["outer"], spec, strict=False)
 
-    toy_note = None if spec.toy_eps is None else toy_report(spec.toy_eps)
     return RelaxationResult(
         inf_direct=direct["inf_est"],
         min_extended=min_extended,
@@ -552,7 +550,6 @@ def relax_minimize(spec: ProblemSpec, levels: Sequence[int] = (4, 6, 8, 10)) -> 
         beta=beta,
         direct_table=direct,
         hypothesis_log=hypothesis_log,
-        toy_note=toy_note,
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .gym import GenYoungMeasure, check_characterization, first_moment, reconstruct_underlying
 from .integrands import unit_matrices
 from .measures import (RANK_ONE_TOL, Atom, BVField, DiscreteMeasure, DiskField, _key, fold_traces, group_rows,
-                       normal_projection, weakstar_gap)
+                       normal_projection, record, weakstar_gap)
 from .meshes import _GL_W, _GL_X, _TRI_BARY, _TRI_W
 
 GREEN_TOL = 1e-9
@@ -59,12 +59,7 @@ class SoucekPair:
         return self.alpha.boundary_atoms()
 
     def to_record(self) -> dict:
-        beta = outer_trace(self)
-        return {
-            "u": self.u.to_record(),
-            "alpha": self.alpha.to_record(),
-            "beta": beta.to_record(),
-        }
+        return {**record(self), "beta": record(outer_trace(self))}
 
 
 def soucek_pair(u: BVField | DiskField, boundary_values: dict | None = None) -> SoucekPair:
@@ -105,12 +100,7 @@ class TracePair:
     green_residual: float = 0.0
 
     def to_record(self) -> dict:
-        return {
-            "inner": {str(k): np.asarray(v).tolist() for k, v in self.inner.items()},
-            "outer": {str(k): np.asarray(v).tolist() for k, v in self.outer.items()},
-            "outer_atoms": [[np.asarray(p).tolist(), np.asarray(w).tolist()] for p, w in self.outer_atoms],
-            "green_residual": self.green_residual,
-        }
+        return record(self)
 
 
 def _poly_basis_1d():
@@ -272,7 +262,7 @@ def to_gym(pair: SoucekPair):
         first_dir, atom_k = group_rows(dirs)
         sphere = dirs[first_dir]
     else:
-        sphere, atom_k = unit_matrices((M, N), 2)[:1], np.zeros(0, dtype=int)
+        sphere, atom_k = unit_matrices((M, N), 4)[:1], np.zeros(0, dtype=int)
     S = sphere.shape[0]
     return GenYoungMeasure(
         mesh,

@@ -323,21 +323,21 @@ class TestErrorsAndDeterminism:
         outs = []
         for sub in ("r1", "r2"):
             out = tmp_path / sub
-            code = main(["--out", str(out), "--seed", "0", "toy", "--eps", "0.3", "--levels", "6"])
+            code = main(["--out", str(out), "toy", "--eps", "0.3", "--levels", "6"])
             assert code == 0
             outs.append((out / "toy_result.json").read_bytes())
         assert outs[0] == outs[1]
 
     def test_negative_seed_exits_1(self, tmp_path, capsys):
-        code, out = run(tmp_path, "--seed", "-1", "jqcb-check", "--integrand", "neg_abs", "--normal", "0.6,0.8")
+        code, out = run(tmp_path, "jqcb-check", "--integrand", "neg_abs", "--normal", "0.6,0.8", "--seed", "-1")
         assert code == 1 and not out.exists()
         assert "seed" in _one_line_error(capsys)
 
     def test_seed_beyond_64_bits_runs(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out = run(tmp_path, "--seed", str(2**70), "jqcb-check", "--integrand", "neg_abs",
-                            "--normal", "0.6,0.8")
+            code, out = run(tmp_path, "jqcb-check", "--integrand", "neg_abs", "--normal", "0.6,0.8",
+                            "--seed", str(2**70))
         assert code == 0
         assert json.loads((out / "jqcb_result.json").read_text())["status"] == "disproved"
 
@@ -345,8 +345,8 @@ class TestErrorsAndDeterminism:
         recs = []
         for sub in ("r1", "r2"):
             out = tmp_path / sub
-            assert main(["--out", str(out), "--seed", "7", "jqcb-check", "--integrand", "neg_abs",
-                         "--normal", "0.6,0.8"]) == 0
+            assert main(["--out", str(out), "jqcb-check", "--integrand", "neg_abs", "--normal", "0.6,0.8",
+                         "--seed", "7"]) == 0
             recs.append((out / "jqcb_result.json").read_bytes())
         assert recs[0] == recs[1]
 
@@ -354,9 +354,18 @@ class TestErrorsAndDeterminism:
     def test_seed_leaves_the_jqcb_status(self, tmp_path, integrand, status):
         for seed in ("0", "7"):
             out = tmp_path / seed
-            assert main(["--out", str(out), "--seed", seed, "jqcb-check", "--integrand", integrand,
-                         "--normal", "0.6,0.8"]) == 0
+            assert main(["--out", str(out), "jqcb-check", "--integrand", integrand, "--normal", "0.6,0.8",
+                         "--seed", seed]) == 0
             assert json.loads((out / "jqcb_result.json").read_text())["status"] == status
+
+    @pytest.mark.parametrize("argv", [("--seed", "1", "qslb-check"), ("qslb-check", "--seed", "1")],
+                             ids=["global", "qslb-check"])
+    def test_seed_is_a_jqcb_check_flag_only(self, tmp_path, capsys, argv):
+        # no other subcommand draws at random, so no other parser takes --seed
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv, "--integrand", "abs", "--normal", "1,0")
+        assert exc.value.code == 2 and "bvgym: error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["qslb-check", "jqcb-check"])
     def test_linear_form_coefficient_count_exits_1(self, tmp_path, capsys, command):
@@ -463,6 +472,28 @@ class TestErrorsAndDeterminism:
         code, out = run(tmp_path, "characterize", "--in", str(path))
         assert code == 1
         assert "requires an underlying deformation" in _one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, drop", [
+        (("characterize", "--in"), ("nu",)), (("characterize", "--in"), ("underlying", "values")),
+        (("dm-convert", "--in"), ("sphere_grid",)), (("dm-convert", "--in"), ("mesh", "nodes")),
+        (("trace", "--pair"), ("alpha",)), (("trace", "--pair"), ("alpha", "atoms", 0, "direction")),
+    ], ids=["characterize-nu", "characterize-underlying", "dm-convert-sphere_grid", "dm-convert-mesh",
+            "trace-alpha", "trace-atom"])
+    def test_record_missing_a_key_exits_1(self, tmp_path, capsys, argv, drop):
+        from bvgym.relax import toy_limit_gym, toy_limit_pair
+
+        obj = toy_limit_pair(0.5) if argv[0] == "trace" else toy_limit_gym(0.5)
+        rec = obj.to_record()
+        parent = rec
+        for k in drop[:-1]:
+            parent = parent[k]
+        del parent[drop[-1]]
+        path = tmp_path / "record.json"
+        _write_json(path, rec)
+        code, out = run(tmp_path, *argv, str(path))
+        assert code == 1
+        assert _one_line_error(capsys) == f"error: {drop[-1]}\n"
         assert not out.exists()
 
     def test_generate_nonconvergent_exits_1(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,11 @@ from bvgym.measures import (
     normal_projection,
     weakstar_gap,
 )
-from bvgym.gym import pairing
+from bvgym.gym import GenYoungMeasure, pairing, to_diperna_majda
 from bvgym.integrands import make_integrand
 from bvgym.meshes import IntervalMesh, disk_mesh, interval_mesh
 from bvgym.relax import toy_field
-from bvgym.soucek import soucek_pair, to_gym
+from bvgym.soucek import outer_trace, soucek_pair, to_gym
 
 from conftest import ONE, X, XSQ, oscillation_field, resample, union_mesh
 
@@ -300,6 +302,108 @@ class TestSerialization:
         u = toy_field(10, 0.3)
         back = BVField.from_record(u.to_record())
         assert np.allclose(back.values, u.values)
+
+
+MESH_KEYS = {"kind", "nodes", "graded"}
+GYM_KEYS = {"mesh", "matrix_grid", "nu", "lam_density", "lam_atoms", "sphere_grid", "nu_inf_cells",
+            "nu_inf_atoms"}
+DM_KEYS = {"mesh", "matrix_grid", "sphere_grid", "sigma_density", "sigma_atoms", "nuhat_interior",
+           "nuhat_sphere", "nuhat_atom_sphere"}
+# a two-cell Young measure with a boundary atom at 1, as `generate` and `characterize` read it
+GOLDEN_GYM = (
+    '{"lam_atoms": [[1.0, 0.5]], "lam_density": [0.0, 0.0], "matrix_grid": [[[0.0]], [[0.5]]], '
+    '"mesh": {"graded": [], "kind": "interval", "nodes": [0.0, 0.5, 1.0]}, "nu": [[0.0, 1.0], [1.0, 0.0]], '
+    '"nu_inf_atoms": [[1.0]], "nu_inf_cells": [[1.0], [1.0]], "sphere_grid": [[[1.0]]], '
+    '"underlying": {"mesh": {"graded": [], "kind": "interval", "nodes": [0.0, 0.5, 1.0]}, '
+    '"values": [[0.0, 0.25], [0.25, 0.25]]}}'
+)
+
+
+def _two_cell_pair():
+    return soucek_pair(BVField.from_nodal(interval_mesh(0, 1, 2), [0.0, 0.25, 0.25]), {1.0: 0.5})
+
+
+def _strict(rec) -> str:
+    return json.dumps(rec, sort_keys=True, allow_nan=False)
+
+
+class TestRecordKeys:
+    """Every record is its object's fields by name; these key sets are the JSON format."""
+
+    def test_measure_and_atom_keys(self):
+        rec = _two_cell_pair().alpha.to_record()
+        assert set(rec) == {"mesh", "density", "atoms"} and set(rec["mesh"]) == MESH_KEYS
+        assert [set(a) for a in rec["atoms"]] == [{"point", "mass", "direction"}]
+        assert rec["atoms"][0] == {"point": 1.0, "mass": 0.5, "direction": [[1.0]]}
+
+    @pytest.mark.parametrize("value", [0.5, [0.5, -1.0]], ids=["scalar", "vector"])
+    def test_field_keys(self, value):
+        u = BVField.constant(interval_mesh(0, 1, 3), value)
+        rec = u.to_record()
+        assert set(rec) == {"mesh", "values"}
+        assert np.asarray(rec["values"]).shape == (3, 2) + np.shape(value)
+
+    def test_gym_keys_with_and_without_underlying(self):
+        gm = to_gym(_two_cell_pair())
+        assert set(gm.to_record()) == GYM_KEYS | {"underlying"}
+        assert set(gm.to_record()["underlying"]) == {"mesh", "values"}
+        bare = GenYoungMeasure.from_record({k: v for k, v in gm.to_record().items() if k != "underlying"})
+        assert bare.underlying is None and set(bare.to_record()) == GYM_KEYS
+
+    def test_diperna_majda_keys(self):
+        rec = to_diperna_majda(to_gym(_two_cell_pair())).to_record()
+        assert set(rec) == DM_KEYS and rec["sigma_atoms"] == [[1.0, 0.5]]
+
+    def test_trace_and_pair_keys(self):
+        pair = _two_cell_pair()
+        trace = outer_trace(pair).to_record()
+        assert set(trace) == {"inner", "outer", "outer_atoms", "green_residual"}
+        assert trace["outer"] == {"0.0": [0.0], "1.0": [0.75]} and trace["outer_atoms"] == []
+        rec = pair.to_record()
+        assert set(rec) == {"u", "alpha", "beta"} and rec["beta"] == trace
+
+    def test_golden_two_cell_gym(self):
+        gm = to_gym(_two_cell_pair())
+        assert _strict(gm.to_record()) == GOLDEN_GYM
+        assert _strict(GenYoungMeasure.from_record(json.loads(GOLDEN_GYM)).to_record()) == GOLDEN_GYM
+
+
+class TestMalformedRecords:
+    """Constructor refusals that a record read from disk reaches."""
+
+    def _alpha(self):
+        return _two_cell_pair().alpha.to_record()
+
+    def test_density_length_refused(self):
+        rec = self._alpha()
+        rec["density"] = rec["density"][:1]
+        with pytest.raises(ValueError, match="density must have one entry per cell"):
+            DiscreteMeasure.from_record(rec)
+
+    def test_negative_atom_mass_refused(self):
+        rec = self._alpha()
+        rec["atoms"][0]["mass"] = -0.5
+        with pytest.raises(ValueError, match="atom mass must be nonnegative"):
+            DiscreteMeasure.from_record(rec)
+
+    def test_non_unit_atom_direction_refused(self):
+        rec = self._alpha()
+        rec["atoms"][0]["direction"] = [[2.0]]
+        with pytest.raises(ValueError, match="atom direction must have unit norm"):
+            DiscreteMeasure.from_record(rec)
+
+    @pytest.mark.parametrize("change", ["drop", "mass"])
+    def test_interior_atoms_must_match_the_jumps(self, change):
+        from bvgym.soucek import InconsistentPairError, SoucekPair
+
+        u = BVField.step(interval_mesh(0, 1, 4), 0.5, 0.0, 1.0)
+        rec = soucek_pair(u).alpha.to_record()
+        if change == "drop":  # alpha misses the jump of u at 1/2
+            rec["atoms"] = []
+        else:  # alpha's atom at the jump has the wrong mass
+            rec["atoms"][0]["mass"] = 2.0
+        with pytest.raises(InconsistentPairError, match="interior atoms of alpha must match the jumps of u"):
+            SoucekPair(u, DiscreteMeasure.from_record(rec))
 
 
 class TestGroupRows:

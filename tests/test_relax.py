@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvgym import relax
+from bvgym.cli import main
 from bvgym.measures import BVField
 from bvgym.meshes import _GL_W, _GL_X, disk_mesh, interval_mesh
 from bvgym.relax import (
@@ -649,14 +651,16 @@ class TestRelaxMinimize:
         ]
         assert relax_minimize(ProblemSpec(0.0, 1.0, _tv()), levels=(3,)).hypothesis_log == []
 
-    def test_toy_note_only_for_toy_spec(self):
-        assert toy_spec(EPS).toy_eps == EPS
-        res = relax_minimize(toy_spec(EPS), levels=(4,))
-        assert res.toy_note == toy_report(EPS)
-        assert relax_minimize(const_weight_spec(), levels=(4,)).toy_note is None
-        # the note follows toy_eps, not the spec's name
-        named_like_toy = ProblemSpec(0.0, 1.0, _tv(), right=square_penalty(1.0), name="toy(eps=0.5)")
-        assert relax_minimize(named_like_toy, levels=(4,)).toy_note is None
+    def test_toy_note_only_for_toy_spec(self, tmp_path):
+        # the toy command attaches toy_report; relax_minimize and the relax command leave the note out
+        assert relax_minimize(toy_spec(EPS), levels=(4,)).toy_note is None
+        assert main(["--out", str(tmp_path), "toy", "--eps", str(EPS), "--levels", "4"]) == 0
+        note = json.loads((tmp_path / "toy_result.json").read_text())["toy_note"]
+        assert note == json.loads(json.dumps(toy_report(EPS)))
+        cfg = tmp_path / "toy.ini"
+        cfg.write_text(f"[f]\nweight = toy:{EPS}\n[g]\nright = square_to:1.0\n[run]\nlevels = 4\n")
+        assert main(["--out", str(tmp_path), "relax", "--config", str(cfg)]) == 0
+        assert json.loads((tmp_path / "relax_result.json").read_text())["toy_note"] is None
 
 
 @pytest.fixture
