@@ -114,14 +114,15 @@ class GenYoungMeasure:
         return read_record(GenYoungMeasure, rec)
 
 
+def _first(x):
+    """A 1D point or batch as it is, column 0 of a 2D point array (..., 2)."""
+    arr = np.asarray(x, dtype=float)
+    return arr[..., 0] if arr.ndim >= 2 and arr.shape[-1] == 2 else arr
+
+
 def _const_one(x):
     """Constant test function valid for 1D scalars/batches and 2D point arrays."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return 1.0
-    if arr.ndim >= 2 and arr.shape[-1] == 2:
-        return np.ones(arr.shape[:-1])
-    return np.ones_like(arr)
+    return np.ones_like(_first(x))
 
 
 def _grid_index(grid: np.ndarray, A: np.ndarray) -> int:
@@ -182,29 +183,28 @@ def default_sphere_grid(dims=(1, 1)) -> np.ndarray:
 # pairings
 
 
-def pairing(gym: GenYoungMeasure, g: Callable, v: Integrand) -> float:
-    """<<Lambda, g x v>>: oscillation integral plus concentration integral.
-
-    g carries every dependence on x, a spatial weight w(x) included."""
+def young_action(gym: GenYoungMeasure, v: Integrand) -> tuple[np.ndarray, np.ndarray]:
+    """The action of v on the measure: the density <nu_x, v> + lam_x <nu_inf_x, v_inf> per
+    cell, and m <nu_inf, v_inf> per lam-atom of mass m, in `lam_atoms` order."""
     if v.recession is None:
         raise ValueError("recession required")
-    vvals = np.asarray(v(gym.matrix_grid))
     vinf = np.asarray(v.recession.on_sphere(gym.sphere_grid))
-    cell_g = gym.mesh.cell_integrals(g)
-    osc = float(cell_g @ (gym.nu @ vvals))
-    conc = float((cell_g * gym.lam_density) @ (gym.nu_inf_cells @ vinf))
-    for i, (p, m) in enumerate(gym.lam_atoms):
-        conc += _eval_at_point(g, p) * m * float(gym.nu_inf_atoms[i] @ vinf)
-    return osc + conc
+    cells = gym.nu @ np.asarray(v(gym.matrix_grid)) + gym.lam_density * (gym.nu_inf_cells @ vinf)
+    return cells, np.array([m for _, m in gym.lam_atoms]) * (gym.nu_inf_atoms @ vinf)
+
+
+def pairing(gym: GenYoungMeasure, g: Callable, v: Integrand) -> float:
+    """<<Lambda, g x v>>: g integrated against `young_action(gym, v)`.
+
+    g carries every dependence on x, a spatial weight w(x) included."""
+    cells, atoms = young_action(gym, v)
+    conc = sum(_eval_at_point(g, p) * a for (p, _), a in zip(gym.lam_atoms, atoms))
+    return float(gym.mesh.cell_integrals(g) @ cells + conc)
 
 
 def default_dictionary(dims=(1, 1)) -> list[tuple[str, Callable, Integrand]]:
     """The fixed 12-pair (g, v) test dictionary used for generation checks."""
-    gs = [
-        ("1", lambda x: np.ones_like(np.asarray(x, dtype=float))),
-        ("x", lambda x: np.asarray(x, dtype=float)),
-        ("x^2", lambda x: np.asarray(x, dtype=float) ** 2),
-    ]
+    gs = [("1", _const_one), ("x", _first), ("x^2", lambda x: _first(x) ** 2)]
     M, N = dims
     vs = [make_integrand("one", dims), make_integrand("abs", dims), make_integrand("euclid_sqrt1p", dims)]
     if dims == (1, 1):
@@ -678,41 +678,25 @@ def check_characterization(gym: GenYoungMeasure, u: BVField) -> dict:
     mass = gym.mass_norm()
     report["i"] = {"pass": bool(np.isfinite(mass)), "value": mass}
 
+    # (ii) per cell, (iii) at each interior jump of u or lam-atom location: young_action
+    # against the action of v on Du
     grads = u.derivative()
-    slopes = grads.density  # (ncells, M, N)
-    worst_ii = np.inf
-    bad_cells = []
-    vinfs = {}
-    for v in family:
-        vv = np.asarray(v(gym.matrix_grid))
-        vinf = np.asarray(v.recession.on_sphere(gym.sphere_grid))
-        vinfs[v.name] = vinf
-        lhs = np.asarray(v(slopes))
-        rhs = gym.nu @ vv + gym.lam_density * (gym.nu_inf_cells @ vinf)
-        margins = rhs - lhs
-        worst_ii = min(worst_ii, float(np.min(margins)))
-        bad_cells += list(np.nonzero(margins < -CHARACTERIZATION_TOL)[0])
-    bad_cells = sorted(set(int(c) for c in bad_cells))
-    report["ii"] = {
-        "pass": len(bad_cells) <= 1,
-        "worst": worst_ii,
-        "violating_cells": bad_cells,
-    }
-
-    # (iii) at each interior jump of u or lam-atom location, against all lam-atoms there
-    du_atoms = {_key(a.point): a for a in grads.interior_atoms()}
     bidx = gym.boundary_atom_indices()  # ascending; (iv) walks them in this order
-    lam_at: dict = {}
-    for i, (p, _) in enumerate(gym.lam_atoms):
-        if i not in bidx:
-            lam_at.setdefault(_key(p), []).append(i)
-    worst_iii = np.inf
-    for key in lam_at.keys() | du_atoms.keys():
-        at = du_atoms.get(key)
-        for v in family:
-            lhs = float(v.recession.on_sphere(np.asarray(at.direction))) * at.mass if at else 0.0
-            rhs = sum(float(gym.nu_inf_atoms[i] @ vinfs[v.name]) * gym.lam_atoms[i][1] for i in lam_at.get(key, ()))
-            worst_iii = min(worst_iii, rhs - lhs)
+    inner = [(i, _key(p)) for i, (p, _) in enumerate(gym.lam_atoms) if i not in bidx]
+    keys = {_key(a.point) for a in grads.interior_atoms()} | {k for _, k in inner}
+    worst_ii, worst_iii, bad_cells = np.inf, np.inf, set()
+    for v in family:
+        cells, atoms = young_action(gym, v)
+        du = measure_action(v, grads)
+        margins = cells - du.density
+        worst_ii = min(worst_ii, float(np.min(margins)))
+        bad_cells.update(np.flatnonzero(margins < -CHARACTERIZATION_TOL).tolist())
+        lhs = {_key(a.point): float(a.value) for a in du.interior_atoms()}
+        rhs = dict.fromkeys(keys, 0.0)
+        for i, k in inner:
+            rhs[k] += float(atoms[i])
+        worst_iii = min([worst_iii] + [rhs[k] - lhs.get(k, 0.0) for k in keys])
+    report["ii"] = {"pass": len(bad_cells) <= 1, "worst": worst_ii, "violating_cells": sorted(bad_cells)}
     report["iii"] = {"pass": bool(worst_iii >= -CHARACTERIZATION_TOL),
                      "worst": worst_iii if np.isfinite(worst_iii) else 0.0}
 

@@ -353,70 +353,33 @@ def hom_piecewise_1d(c_plus: float, c_minus: float) -> HomogeneousIntegrand:
     return HomogeneousIntegrand((1, 1), sphere, name=f"pw1h({c_plus},{c_minus})")
 
 
+# name -> (v on (..., M, N) stacks, recession factory of dims or None, scalar only); every
+# entry has growth constant 1.  `sq` grows quadratically: the standard growth violator.
+_CATALOG = {
+    "abs": (mat_norm, hom_abs, False),
+    "one": (lambda A: np.ones(A.shape[:-2]), hom_zero, False),
+    "id": (lambda A: A[..., 0, 0], lambda dims: hom_linear([[1.0]], dims), True),
+    "neg_abs": (lambda A: -mat_norm(A), hom_neg_abs, False),
+    "euclid_sqrt1p": (lambda A: np.sqrt(1.0 + mat_norm(A) ** 2), hom_abs, False),
+    "sq": (lambda A: mat_norm(A) ** 2, None, False),
+    "double_well_1d": (lambda A: np.minimum(np.abs(A[..., 0, 0] - 1.0), np.abs(A[..., 0, 0] + 1.0)), hom_abs, True),
+    "sin_log_1d": (lambda A: A[..., 0, 0] * np.sin(np.log1p(np.abs(A[..., 0, 0]))), None, True),
+}
+
+
 def make_integrand(name: str, dims: tuple[int, int] = (1, 1)) -> Integrand:
-    """Build a catalog integrand; parameterized entries use `name:params`.
-
-    Catalog: abs, one, id, neg_abs, euclid_sqrt1p, sq, double_well_1d,
-    sin_log_1d and linear_form:b1,b2,...
-    """
+    """Build a `_CATALOG` integrand, or the one parameterized entry linear_form:b1,b2,..."""
     base, _, par = name.partition(":")
-    M, N = dims
-    if base == "abs":
-        return Integrand(dims, mat_norm, 1.0, hom_abs(dims), name="abs")
-    if base == "one":
-        return Integrand(
-            dims, lambda A: np.ones(A.shape[:-2]), 1.0, hom_zero(dims), name="one"
-        )
-    if base == "id":
-        if dims != (1, 1):
-            raise KeyError("catalog integrand 'id' is scalar; use linear_form for matrices")
-        h = hom_linear([[1.0]])
-        return Integrand(dims, lambda A: A[..., 0, 0], 1.0, h, name="id")
-    if base == "neg_abs":
-        return Integrand(dims, lambda A: -mat_norm(A), 1.0, hom_neg_abs(dims), name="neg_abs")
-    if base == "euclid_sqrt1p":
-        return Integrand(
-            dims,
-            lambda A: np.sqrt(1.0 + mat_norm(A) ** 2),
-            1.0,
-            hom_abs(dims),
-            name="euclid_sqrt1p",
-        )
-    if base == "sq":
-        # quadratic growth: kept in the catalog as the standard growth violator
-        return Integrand(dims, lambda A: mat_norm(A) ** 2, 1.0, None, name="sq")
-    if base == "double_well_1d":
-        if dims != (1, 1):
-            raise KeyError("double_well_1d is scalar")
-
-        def dw(A):
-            t = A[..., 0, 0]
-            return np.minimum(np.abs(t - 1.0), np.abs(t + 1.0))
-
-        return Integrand(dims, dw, 1.0, hom_abs(dims), name="double_well_1d")
-    if base == "sin_log_1d":
-        if dims != (1, 1):
-            raise KeyError("sin_log_1d is scalar")
-
-        def sl(A):
-            t = A[..., 0, 0]
-            return t * np.sin(np.log1p(np.abs(t)))
-
-        return Integrand(dims, sl, 1.0, None, name="sin_log_1d")
     if base == "linear_form":
         vals = np.array([float(s) for s in par.split(",")])
-        if vals.size != M * N:
-            raise KeyError(f"linear_form expects {M * N} coefficients, got {vals.size}")
-        B = vals.reshape(M, N)
-        h = hom_linear(B, dims)
-        return Integrand(
-            dims,
-            lambda A: np.sum(A * B, axis=(-2, -1)),
-            float(mat_norm(B)) + 1e-12,
-            h,
-            name=f"linear_form:{par}",
-        )
-    raise KeyError(
-        f"unknown integrand {name!r}; catalog: abs, one, id, neg_abs, euclid_sqrt1p, sq, "
-        "double_well_1d, sin_log_1d, linear_form:..."
-    )
+        if vals.size != dims[0] * dims[1]:
+            raise KeyError(f"linear_form expects {dims[0] * dims[1]} coefficients, got {vals.size}")
+        B = vals.reshape(dims)
+        return Integrand(dims, lambda A: np.sum(A * B, axis=(-2, -1)), float(mat_norm(B)) + 1e-12,
+                         hom_linear(B, dims), name=f"linear_form:{par}")
+    if name not in _CATALOG:
+        raise KeyError(f"unknown integrand {name!r}; catalog: {', '.join(_CATALOG)}, linear_form:...")
+    fn, recession, scalar = _CATALOG[name]
+    if scalar and dims != (1, 1):
+        raise KeyError(f"catalog integrand {name!r} is scalar; use linear_form for matrices")
+    return Integrand(dims, fn, 1.0, recession(dims) if recession else None, name=name)

@@ -121,7 +121,7 @@ def read_record(cls, rec: dict):
     """The `cls` whose `record` is rec: `mesh` by `mesh_from_record`, `underlying` (the one
     key that may be missing) as a `BVField`, `atoms` as `Atom`s, `lam_atoms` and `sigma_atoms`
     as (point, mass) pairs, any other key as a float or a float array.  A missing key is a
-    KeyError."""
+    KeyError; a TypeError or ValueError while reading a key is a ValueError naming it."""
     def read(name, v):
         if name == "mesh":
             return mesh_from_record(v)
@@ -134,7 +134,14 @@ def read_record(cls, rec: dict):
         arr = np.asarray(v, dtype=float)
         return float(arr) if arr.ndim == 0 else arr
 
-    return cls(**{f.name: read(f.name, rec[f.name]) for f in fields(cls) if f.name != "underlying" or f.name in rec})
+    out = {}
+    for f in fields(cls):
+        if f.name != "underlying" or f.name in rec:
+            try:
+                out[f.name] = read(f.name, rec[f.name])
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"record key {f.name!r}: {e}") from None
+    return cls(**out)
 
 
 def _key(point):

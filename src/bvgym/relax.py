@@ -35,10 +35,11 @@ from .integrands import (
     hom_linear,
     make_integrand,
     mat_norm,
+    pair_action,
     toy_weight,
     unit_matrices,
 )
-from .measures import BVField, DiscreteMeasure, DiskField
+from .measures import BVField, DiskField
 from .meshes import _GL_W, _GL_X, IntervalMesh, TriMesh, disk_mesh, interval_mesh
 from .soucek import outer_trace, soucek_pair, to_gym
 
@@ -376,19 +377,11 @@ def eval_Fhat(gym_measure, beta, spec: ProblemSpec, strict: bool = True) -> floa
 def eval_Fbar(pair, spec: ProblemSpec) -> float:
     """Extended energy of a Soucek pair: df(x, alpha) plus boundary terms at the
     outer trace (singular trace parts priced by the recession of g)."""
-    val = _discrete_f_of_measure(spec, pair.alpha)
+    val = pair_action(pair.alpha, spec.weight, make_integrand("abs"))
     tp = outer_trace(pair)
     for x, term in spec.robin_terms():
         val += term(tp.outer[x])
     return float(val)
-
-
-def _discrete_f_of_measure(spec: ProblemSpec, alpha: DiscreteMeasure) -> float:
-    wbar = alpha.mesh.cell_integrals(spec.weight)
-    total = float(np.sum(wbar * mat_norm(alpha.density)))
-    for at in alpha.atoms:
-        total += float(spec.weight(np.asarray(at.point, dtype=float)) * mat_norm(at.direction)) * at.mass
-    return total
 
 
 def tilde_transform(gym_measure, beta, spec: ProblemSpec) -> tuple:

@@ -496,6 +496,41 @@ class TestErrorsAndDeterminism:
         assert _one_line_error(capsys) == f"error: {drop[-1]}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("lam_atoms", 5), ("mesh", [])], ids=["lam_atoms-int", "mesh-list"])
+    def test_record_value_of_the_wrong_type_exits_1(self, tmp_path, capsys, key, value):
+        from bvgym.relax import toy_limit_gym
+
+        rec = toy_limit_gym(0.5).to_record()
+        rec[key] = value
+        path = tmp_path / "record.json"
+        _write_json(path, rec)
+        code, out = run(tmp_path, "characterize", "--in", str(path))
+        assert code == 1
+        assert _one_line_error(capsys).startswith(f"error: record key '{key}': ")
+        assert not out.exists()
+
+    def test_scalar_catalog_integrand_at_a_matrix_normal_exits_1(self, tmp_path, capsys):
+        code, out = run(tmp_path, "qslb-check", "--integrand", "id", "--normal", "1,0")
+        assert code == 1
+        assert "catalog integrand 'id' is scalar" in _one_line_error(capsys)
+        assert not out.exists()
+
+    def test_dm_convert_roundtrip_on_a_disk_record(self, tmp_path):
+        # the dictionary's test functions take one value per 2D point, so a disk record converts
+        from bvgym.measures import DiskField
+        from bvgym.meshes import disk_mesh
+        from bvgym.soucek import soucek_pair, to_gym
+
+        mesh = disk_mesh(1)
+        xy = mesh.vertices
+        b = xy[mesh.boundary_nodes[0]]
+        gm = to_gym(soucek_pair(DiskField(mesh, xy[:, 0] ** 2 - 0.5 * xy[:, 1]), {tuple(b): 0.5 * b}))
+        path = tmp_path / "disk.json"
+        _write_json(path, gm.to_record())
+        code, out = run(tmp_path, "dm-convert", "--in", str(path), "--roundtrip")
+        assert code == 0
+        assert json.loads((out / "dm_convert_report.json").read_text())["max_pairing_gap"] <= 1e-10
+
     def test_generate_nonconvergent_exits_1(self, tmp_path, capsys):
         # a window too coarse for the requested tolerance must be reported
         code, _ = run(tmp_path, "generate", "--sequence", "oscillation", "--n", "3,5,7",

@@ -29,8 +29,9 @@ from bvgym.gym import (
     reconstruct_underlying,
     split,
     to_diperna_majda,
+    young_action,
 )
-from bvgym.gym import _grid_index, _zero_index
+from bvgym.gym import _eval_at_point, _grid_index, _zero_index
 from bvgym.integrands import hom_linear, make_integrand, mat_norm, pair_action
 from bvgym.measures import Atom, BVField, DiscreteMeasure, DiskField, _same_mesh, weakstar_gap
 from bvgym.meshes import IntervalMesh, disk_mesh, interval_mesh
@@ -68,6 +69,46 @@ class TestGenYoungMeasureValidation:
         gm = _valid_gym()
         with pytest.raises(ValueError, match=f"^{message}$"):
             dataclasses.replace(gm, **change)
+
+
+def _action_case():
+    """Four cells of width 1/4, a lam density on cells 1 and 3, an interior lam-atom at
+    1/2 and a boundary one at 1; scalar grids {0, 1, -2} and {1, -1}."""
+    mesh = interval_mesh(0, 1, 4)
+    nu = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.25, 0.25, 0.5]])
+    nic = np.array([[0.5, 0.5], [0.75, 0.25], [0.5, 0.5], [0.0, 1.0]])
+    return GenYoungMeasure(mesh, np.array([0.0, 1.0, -2.0]).reshape(3, 1, 1), nu, np.array([0.0, 2.0, 0.0, 0.5]),
+                           ((0.5, 0.4), (1.0, 0.8)), np.array([[[1.0]], [[-1.0]]]), nic,
+                           np.array([[1.0, 0.0], [0.25, 0.75]]))
+
+
+def _pairing_by_parts(gm, g, v):
+    """<<Lambda, g x v>> as the oscillation integral plus the concentration integral, atom by atom."""
+    vvals, vinf = np.asarray(v(gm.matrix_grid)), np.asarray(v.recession.on_sphere(gm.sphere_grid))
+    cell_g = gm.mesh.cell_integrals(g)
+    total = float(cell_g @ (gm.nu @ vvals)) + float((cell_g * gm.lam_density) @ (gm.nu_inf_cells @ vinf))
+    for i, (p, m) in enumerate(gm.lam_atoms):
+        total += _eval_at_point(g, p) * m * float(gm.nu_inf_atoms[i] @ vinf)
+    return total
+
+
+class TestYoungAction:
+    @pytest.mark.parametrize("name, cells, atoms", [
+        # <nu_x, |.|> + lam_x: 0, 1/2 + 2, 3/2, 5/4 + 1/2; atoms m <nu_inf, 1> = m
+        ("abs", [0.0, 2.5, 1.5, 1.75], [0.4, 0.8]),
+        # <nu_x, id> + lam_x <nu_inf_x, id>: 0, 1/2 + 2 (1/2), -1/2, -3/4 + 1/2 (-1); atoms 0.4 (1), 0.8 (-1/2)
+        ("id", [0.0, 1.5, -0.5, -1.25], [0.4, -0.4]),
+    ])
+    def test_worked_by_hand(self, name, cells, atoms):
+        got_cells, got_atoms = young_action(_action_case(), make_integrand(name))
+        assert np.array_equal(got_cells, cells) and np.array_equal(got_atoms, atoms)
+
+    @pytest.mark.parametrize("name", ["abs", "id", "euclid_sqrt1p", "one"])
+    @pytest.mark.parametrize("g", [ONE, X, XSQ, lambda x: (np.asarray(x, dtype=float) - 1.0) ** 2 + EPS],
+                             ids=["one", "x", "x^2", "toy-weight"])
+    def test_pairing_equals_the_sum_by_parts(self, name, g):
+        gm, v = _action_case(), make_integrand(name)
+        assert abs(pairing(gm, g, v) - _pairing_by_parts(gm, g, v)) <= 1e-15
 
 
 class TestPairing:

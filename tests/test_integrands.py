@@ -1,4 +1,6 @@
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvgym.integrands import (
+    _CATALOG,
     HomogeneousIntegrand,
     Integrand,
     as_matrix,
@@ -150,6 +153,31 @@ class TestConvexEnvelope:
         for i in range(len(xs) - 2):
             t = (xs[i + 1] - xs[i]) / (xs[i + 2] - xs[i])
             assert ev[i + 1] <= (1 - t) * ev[i] + t * ev[i + 2] + 1e-10
+
+
+class TestCatalog:
+    SCALAR = ("id", "double_well_1d", "sin_log_1d")
+
+    def test_scalar_entries(self):
+        assert tuple(name for name, (_, _, scalar) in _CATALOG.items() if scalar) == self.SCALAR
+
+    @pytest.mark.parametrize("name", SCALAR)
+    def test_scalar_entry_refuses_matrices(self, name):
+        with pytest.raises(KeyError, match=f"'{name}'"):
+            make_integrand(name, (1, 2))
+
+    def test_unknown_name_lists_the_catalog(self):
+        with pytest.raises(KeyError) as info:
+            make_integrand("nope")
+        message = info.value.args[0]
+        assert message.startswith("unknown integrand 'nope'; catalog:")
+        assert all(name in message for name in [*_CATALOG, "linear_form"])
+
+    def test_readme_table_lists_the_catalog(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Integrand catalog", 1)[1].split("\n## ", 1)[0]
+        rows = set(re.findall(r"^\| `([a-z_0-9]+)", section, flags=re.M))
+        assert rows >= {*_CATALOG, "linear_form"}
 
 
 class TestMeasureAction:
