@@ -58,13 +58,22 @@ class GenYoungMeasure:
     underlying: BVField | None = None
 
     def __post_init__(self):
+        # ranks and shapes first, so that a malformed record is refused by the field it got wrong
+        grids = {name: np.shape(getattr(self, name)) for name in ("matrix_grid", "sphere_grid")}
+        for name, shape in grids.items():
+            if len(shape) != 3 or shape[1:] != grids["matrix_grid"][1:]:
+                raise ValueError(f"{name} must be a 3-D (count, M, N) array, M x N as in matrix_grid")
+        n, K, nsph = self.mesh.ncells, grids["matrix_grid"][0], grids["sphere_grid"][0]
+        for name, shape, text in (("nu", (n, K), "(ncells, len(matrix_grid))"), ("lam_density", (n,), "(ncells,)"),
+                                  ("nu_inf_cells", (n, nsph), "(ncells, len(sphere_grid))")):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} must be {text}")
+        if np.size(self.nu_inf_atoms) != len(self.lam_atoms) * nsph:
+            raise ValueError("nu_inf_atoms must hold one row of len(sphere_grid) per lam atom")
         nu = np.asarray(self.nu, dtype=float)
         lamd = np.asarray(self.lam_density, dtype=float)
         nic = np.asarray(self.nu_inf_cells, dtype=float)
-        nsph = np.asarray(self.sphere_grid).shape[0]
         nia = np.asarray(self.nu_inf_atoms, dtype=float).reshape(len(self.lam_atoms), nsph)
-        if nu.shape != (self.mesh.ncells, self.matrix_grid.shape[0]):
-            raise ValueError("nu must be (ncells, len(matrix_grid))")
         if np.max(np.abs(nu.sum(axis=1) - 1.0)) > PROB_TOL or np.min(nu) < -PROB_TOL:
             raise ValueError("nu rows must be probability vectors")
         if np.min(lamd) < -PROB_TOL:
@@ -205,13 +214,8 @@ def pairing(gym: GenYoungMeasure, g: Callable, v: Integrand) -> float:
 def default_dictionary(dims=(1, 1)) -> list[tuple[str, Callable, Integrand]]:
     """The fixed 12-pair (g, v) test dictionary used for generation checks."""
     gs = [("1", _const_one), ("x", _first), ("x^2", lambda x: _first(x) ** 2)]
-    M, N = dims
-    vs = [make_integrand("one", dims), make_integrand("abs", dims), make_integrand("euclid_sqrt1p", dims)]
-    if dims == (1, 1):
-        vs.append(make_integrand("id"))
-    else:
-        coeffs = ",".join(["1"] + ["0"] * (M * N - 1))
-        vs.append(make_integrand(f"linear_form:{coeffs}", dims))
+    coeffs = ",".join(["1"] + ["0"] * (dims[0] * dims[1] - 1))
+    vs = [make_integrand(name, dims) for name in ("one", "abs", "euclid_sqrt1p", f"linear_form:{coeffs}")]
     return [(f"{gn}*{v.name}", g, v) for gn, g in gs for v in vs]
 
 
@@ -321,35 +325,21 @@ def generate(
     S = sphere_grid.shape[0]
     Y = Y_seq[-1]
     nu, conc_mass, conc_pos, conc_dir = _bin_windows(Y, wnodes, matrix_grid, sphere_grid, _OVERFLOW_RADIUS)
-    extra_atoms: dict[float, tuple[float, np.ndarray]] = {}
+    # jump atoms at one location (boundary ones clipped onto a or b) add into one [mass, direction histogram]
+    by_point: dict[float, list] = {}
     for at in Y.atoms:
-        x = float(np.asarray(at.point))
-        key = min(max(x, a), b)
-        dirrow = np.zeros(S)
-        dirrow[_grid_index(sphere_grid, np.asarray(at.direction, dtype=float))] = at.mass
-        if key in extra_atoms:
-            m0, d0 = extra_atoms[key]
-            extra_atoms[key] = (m0 + at.mass, d0 + dirrow)
-        else:
-            extra_atoms[key] = (at.mass, dirrow)
+        acc = by_point.setdefault(min(max(float(np.asarray(at.point)), a), b), [0.0, np.zeros(S)])
+        acc[0] += at.mass
+        acc[1][_grid_index(sphere_grid, np.asarray(at.direction, dtype=float))] += at.mass
+    jumps = sorted(by_point.items())
 
     nu_rows = nu / nu.sum(axis=1, keepdims=True)
-    atoms: list[tuple[float, float]] = []
-    rows: list[np.ndarray] = []
-    for w in range(nwin):
-        if conc_mass[w] <= 0:
-            continue
-        x = conc_pos[w] / conc_mass[w]
-        if x - a <= window_h:
-            x = a
-        elif b - x <= window_h:
-            x = b
-        atoms.append((x, conc_mass[w]))
-        rows.append(conc_dir[w] / conc_mass[w])
-    for x, (m, drow) in sorted(extra_atoms.items()):
-        atoms.append((x, m))
-        rows.append(drow / m)
-    nu_inf_atoms = np.array(rows).reshape(len(atoms), S)
+    hit = ~(conc_mass <= 0)  # a NaN mass keeps its window atom, and its gap then refuses the sequence
+    mass = conc_mass[hit]
+    x = conc_pos[hit] / mass
+    x = np.where(x - a <= window_h, a, np.where(b - x <= window_h, b, x))
+    atoms = list(zip(x.tolist(), mass.tolist())) + [(p, m) for p, (m, _) in jumps]
+    nu_inf_atoms = np.concatenate([conc_dir[hit] / mass[:, None]] + [h[None] / m for _, (m, h) in jumps])
     # every interior atom becomes a node, where the underlying field can jump;
     # both halves of a split window keep its nu row
     cuts = {x for x, _ in atoms if not _on_boundary(wmesh, x)}.difference(wnodes.tolist())
@@ -409,19 +399,17 @@ def reconstruct_underlying(gym: GenYoungMeasure, anchor_mean) -> BVField:
     """BV field whose derivative is the interior first moment, mean-anchored."""
     if gym.mesh.dim != 1:
         raise ValueError("reconstruction implemented on interval meshes")
-    mom = first_moment(gym)
-    slopes = mom.density[:, :, 0]
-    mesh = gym.mesh
-    jumps = {_key(at.point): at.value for at in mom.interior_atoms()}
-    ncomp = slopes.shape[1]
-    vals = np.zeros((mesh.ncells, 2, ncomp))
-    cur = np.zeros(ncomp)
-    for c in range(mesh.ncells):
-        if c > 0 and _key(mesh.nodes[c]) in jumps:
-            cur = cur + np.ravel(jumps[_key(mesh.nodes[c])])
-        vals[c, 0] = cur
-        cur = cur + np.atleast_1d(slopes[c]) * mesh.cell_volumes[c]
-        vals[c, 1] = cur
+    mom, mesh = first_moment(gym), gym.mesh
+    ncomp = mom.density.shape[1]
+    jumps = {_key(at.point): np.ravel(at.value) for at in mom.interior_atoms()}
+    # per cell, the jump at its left node, then slope times length: u at the cell ends is their running sum
+    steps = np.zeros((mesh.ncells, 2, ncomp))
+    steps[:, 1] = mom.density[:, :, 0] * mesh.cell_volumes[:, None]
+    for x, jump in jumps.items():
+        c = int(np.searchsorted(mesh.nodes, x))
+        if 0 < c < mesh.ncells and mesh.nodes[c] == x:
+            steps[c, 0] = jump
+    vals = np.cumsum(steps.reshape(-1, ncomp), axis=0).reshape(steps.shape)
     if ncomp == 1:
         vals = vals[:, :, 0]
     u = BVField(mesh, vals)
@@ -631,19 +619,9 @@ def from_diperna_majda(dm: DiPernaMajdaMeasure) -> GenYoungMeasure:
 
 def default_quasiconvex_family(dims=(1, 1)) -> list[Integrand]:
     """Convex catalog members (hence quasiconvex) with recession functions."""
-    M, N = dims
-    fam = [make_integrand("abs", dims), make_integrand("euclid_sqrt1p", dims)]
-    if dims == (1, 1):
-        fam.append(make_integrand("id"))
-        fam.append(make_integrand("linear_form:-1", dims))
-    else:
-        for k in range(M * N):
-            coeffs = ["0"] * (M * N)
-            coeffs[k] = "1"
-            fam.append(make_integrand("linear_form:" + ",".join(coeffs), dims))
-            coeffs[k] = "-1"
-            fam.append(make_integrand("linear_form:" + ",".join(coeffs), dims))
-    return fam
+    n = dims[0] * dims[1]
+    forms = ["linear_form:" + ",".join(c if j == k else "0" for j in range(n)) for k in range(n) for c in ("1", "-1")]
+    return [make_integrand(name, dims) for name in ["abs", "euclid_sqrt1p", *forms]]
 
 
 def default_qslb_family(rho, dims=(1, 1)) -> list[HomogeneousIntegrand]:

@@ -47,7 +47,7 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         d = np.asarray(self.density, dtype=float)
-        if d.shape[0] != self.mesh.ncells:
+        if d.shape[:1] != (self.mesh.ncells,):
             raise ValueError("density must have one entry per cell")
         object.__setattr__(self, "density", d)
         object.__setattr__(self, "atoms", tuple(self.atoms))
@@ -247,7 +247,7 @@ class BVField:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape[0] != self.mesh.ncells or v.shape[1] != 2:
+        if v.shape[:2] != (self.mesh.ncells, 2):
             raise ValueError("values must have shape (ncells, 2, ...)")
         object.__setattr__(self, "values", v)
 

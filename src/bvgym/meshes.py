@@ -250,13 +250,10 @@ class TriMesh:
             raise ValueError("not a boundary point")
         return x / r
 
-    def refine(self) -> "TriMesh":
-        """Midpoint subdivision; no reprojection, so P1 spaces nest across levels."""
-        return self.refine_with_parents()[0]
-
     def refine_with_parents(self) -> tuple["TriMesh", np.ndarray]:
-        """Refine and return (mesh, parents): parents[k] are the two coarse
-        vertices averaging to fine vertex k (k, k for surviving vertices)."""
+        """Midpoint subdivision; no reprojection, so P1 spaces nest across levels.
+        Returns (mesh, parents): parents[k] are the two coarse vertices averaging
+        to fine vertex k (k, k for surviving vertices)."""
         nv = self.vertices.shape[0]
         directed, first, cls, _ = _edge_classes(self.triangles)
         ends = directed[first]  # each edge as first traversed

@@ -289,17 +289,12 @@ def _discrete_energy(spec: ProblemSpec, u: BVField) -> float:
     return tv + _g(spec.left, lo) + _g(spec.right, hi)
 
 
-def _minimize_on_mesh(spec: ProblemSpec, mesh: IntervalMesh) -> BVField:
-    """The minimizer over nodal fields on one mesh: for f = w(x)|A| no transition
-    from p to q costs less than a step inside the cheapest cell."""
-    c, cost = _cheapest_cell(spec, mesh)
-    p, q = _best_traces(cost, spec.left, spec.right, spec.C)
-    return _step_field(mesh, c, p, q)
+_MAX_LEVEL = 20  # a level-L mesh has 2^L cells: level 20 takes seconds and a few hundred MB
 
 
 def _check_levels(levels: Sequence[int]) -> None:
-    if len(levels) == 0 or min(levels) < 1:
-        raise ValueError(f"levels must be a non-empty list of integers >= 1, got {list(levels)}")
+    if len(levels) == 0 or min(levels) < 1 or max(levels) > _MAX_LEVEL:
+        raise ValueError(f"levels must be a non-empty list of integers from 1 to {_MAX_LEVEL}, got {list(levels)}")
 
 
 def direct_minimize(spec: ProblemSpec, levels: Sequence[int] = (4, 6, 8, 10)) -> dict:
@@ -313,7 +308,11 @@ def direct_minimize(spec: ProblemSpec, levels: Sequence[int] = (4, 6, 8, 10)) ->
     values, minimizers = [], []
     for lev in levels:
         mesh = _level_mesh(spec, lev)
-        u = _minimize_on_mesh(spec, mesh)
+        # the minimizer over nodal fields: for f = w(x)|A| no transition from p to q
+        # costs less than a step inside the cheapest cell
+        c, cost = _cheapest_cell(spec, mesh)
+        p, q = _best_traces(cost, spec.left, spec.right, spec.C)
+        u = _step_field(mesh, c, p, q)
         values.append(_discrete_energy(spec, u))
         minimizers.append(u)
     return {
@@ -328,17 +327,15 @@ def direct_minimize(spec: ProblemSpec, levels: Sequence[int] = (4, 6, 8, 10)) ->
 # relaxed functionals
 
 
-def _beta_as_dict(spec: ProblemSpec, beta) -> dict:
-    if isinstance(beta, dict):
-        return {float(k): np.atleast_1d(np.asarray(v, dtype=float)) for k, v in beta.items()}
-    b0, b1 = beta
-    return {spec.a: np.atleast_1d(float(b0)), spec.b: np.atleast_1d(float(b1))}
+def _beta_as_dict(beta: dict) -> dict:
+    """The outer traces {boundary point: value} with float keys and 1-D array values."""
+    return {float(k): np.atleast_1d(np.asarray(v, dtype=float)) for k, v in beta.items()}
 
 
 def admissibility_report(gym_measure, beta, spec: ProblemSpec) -> list[str]:
     """Named violations of the relaxed admissible set; empty when admissible."""
     problems = []
-    beta = _beta_as_dict(spec, beta)
+    beta = _beta_as_dict(beta)
     mass = gym_measure.mass_norm()
     if mass > spec.C + ADMISSIBILITY_TOL:
         problems.append(f"mass_bound_exceeded({mass:.3g}>{spec.C:.3g})")
@@ -363,7 +360,7 @@ def admissibility_report(gym_measure, beta, spec: ProblemSpec) -> list[str]:
 
 def eval_Fhat(gym_measure, beta, spec: ProblemSpec, strict: bool = True) -> float:
     """Relaxed energy: measure pairing with w(x)|A| plus boundary terms at the outer trace."""
-    beta = _beta_as_dict(spec, beta)
+    beta = _beta_as_dict(beta)
     if strict:
         problems = admissibility_report(gym_measure, beta, spec)
         if problems:
@@ -395,7 +392,7 @@ def tilde_transform(gym_measure, beta, spec: ProblemSpec) -> tuple:
     """
     if gym_measure.mesh.dim != 1:
         raise NotImplementedError("the tilde transform is implemented on interval domains")
-    beta = _beta_as_dict(spec, beta)
+    beta = _beta_as_dict(beta)
     log = []
     atoms, keep = list(gym_measure.lam_atoms), np.ones(len(gym_measure.lam_atoms), dtype=bool)
     sphere, dirac = gym_measure.sphere_grid, {}  # atom -> sphere index of its Dirac direction
@@ -471,10 +468,9 @@ def check_hypotheses(spec: ProblemSpec) -> list[str]:
     """
     log = []
     for x, term in spec.robin_terms():
-        us = np.linspace(-3, 3, 13)
-        for i in range(us.size - 2):
-            mid = 0.5 * (term(us[i]) + term(us[i + 2]))
-            if term(us[i + 1]) > mid + 1e-9:
+        gs = [term(u) for u in np.linspace(-3, 3, 13)]
+        for i in range(len(gs) - 2):
+            if gs[i + 1] > 0.5 * (gs[i] + gs[i + 2]) + 1e-9:
                 raise HypothesisError(f"boundary term at x={x:g} fails the midpoint convexity test")
         if term.g_inf is not None:
             vals = np.asarray(term.g_inf.on_sphere(unit_matrices(term.g_inf.dims, 16)))
@@ -600,12 +596,12 @@ def higher_dim_J(
         val, u, st = _minimize_disk(mesh, eps, ubar, seg, warm)
         if table:  # only rounding lifts J above the admissible prolonged coarse field
             val = min(val, table[-1]["J"])
-        st[-1]["lower"] = lower = min(st[-1]["lower"], val)
+        st["lower"] = lower = min(st["lower"], val)
         table.append({"nv": mesh.vertices.shape[0], "J": val, "lower": lower, "gap": (val - lower) / val})
-        stages += st
+        stages.append(st)
         if k < refinements:
             mesh, parents = mesh.refine_with_parents()
-            warm = (0.5 * (u.values[parents[:, 0]] + u.values[parents[:, 1]]), st[-1]["delta"])
+            warm = (0.5 * (u.values[parents[:, 0]] + u.values[parents[:, 1]]), st["delta"])
     return {
         "inf_est": table[-1]["J"],
         "table": table,
@@ -755,7 +751,7 @@ def _dist2_to_segments(p: np.ndarray, seg: np.ndarray) -> np.ndarray:
 
 
 def _minimize_disk(mesh: TriMesh, eps, ubar, seg, warm=None):
-    """(J, DiskField, stages) by primal-dual Newton (Chan, Golub & Mulet 1999),
+    """(J, DiskField, stage) by primal-dual Newton (Chan, Golub & Mulet 1999),
     with a duality gap as the stop rule.
 
     On the free nodes (u = 0 on Gamma_0), J(u) = sum_T w_T |g_T| +
@@ -787,7 +783,7 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, seg, warm=None):
     s_q ubar_q] <= J(v) for every admissible v.  J is the best value over the
     start and the iterates, lower the best bound.  warm = (u, delta) starts
     from a nodal field and a smoothing, by default u = 0 and delta = _DELTA0;
-    q starts at 0.  stages is one record
+    q starts at 0.  stage is the record
     {"nv", "nit", "stop", "lower", "delta"}: "nit" counts the solves, "delta"
     is the final smoothing, and "stop" is "gap" once J and lower are finite and
     J - lower <= _GAP_TOL * J, else "maxiter" after _DISK_MAXIT solves.
@@ -910,4 +906,4 @@ def _minimize_disk(mesh: TriMesh, eps, ubar, seg, warm=None):
             delta = max(delta / 5, _DELTA_MIN)
     full = np.zeros(nv)
     full[free_idx] = best_u
-    return best_J, DiskField(mesh, full), [{"nv": nv, "nit": nit, "stop": stop, "lower": lower, "delta": delta}]
+    return best_J, DiskField(mesh, full), {"nv": nv, "nit": nit, "stop": stop, "lower": lower, "delta": delta}

@@ -496,17 +496,34 @@ class TestErrorsAndDeterminism:
         assert _one_line_error(capsys) == f"error: {drop[-1]}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("lam_atoms", 5), ("mesh", [])], ids=["lam_atoms-int", "mesh-list"])
-    def test_record_value_of_the_wrong_type_exits_1(self, tmp_path, capsys, key, value):
-        from bvgym.relax import toy_limit_gym
+    @pytest.mark.parametrize("argv, key, value, message", [
+        (("characterize", "--in"), ("lam_atoms",), 5, "record key 'lam_atoms': "),
+        (("characterize", "--in"), ("mesh",), [], "record key 'mesh': "),
+        (("characterize", "--in"), ("sphere_grid",), 5, "sphere_grid must be a 3-D (count, M, N) array"),
+        (("characterize", "--in"), ("matrix_grid",), None, "matrix_grid must be a 3-D (count, M, N) array"),
+        (("characterize", "--in"), ("lam_density",), 5, "lam_density must be (ncells,)"),
+        (("dm-convert", "--in"), ("nu_inf_cells",), 5, "nu_inf_cells must be (ncells, len(sphere_grid))"),
+        (("dm-convert", "--in"), ("nu_inf_atoms",), [], "nu_inf_atoms must hold one row"),
+        (("characterize", "--in"), ("underlying", "values"), 5, "record key 'underlying': values must have shape"),
+        (("trace", "--pair"), ("u", "values"), 5, "values must have shape (ncells, 2, ...)"),
+        (("trace", "--pair"), ("alpha", "density"), 5, "density must have one entry per cell"),
+    ], ids=["lam_atoms-int", "mesh-list", "sphere_grid-int", "matrix_grid-null", "lam_density-int",
+            "nu_inf_cells-int", "nu_inf_atoms-empty", "underlying-values-int", "trace-u-values-int",
+            "trace-alpha-density-int"])
+    def test_record_value_of_the_wrong_type_exits_1(self, tmp_path, capsys, argv, key, value, message):
+        # a wrong JSON type, or the right type with the wrong rank or shape: one error line that names the key
+        from bvgym.relax import toy_limit_gym, toy_limit_pair
 
-        rec = toy_limit_gym(0.5).to_record()
-        rec[key] = value
+        rec = (toy_limit_pair(0.5) if argv[0] == "trace" else toy_limit_gym(0.5)).to_record()
+        parent = rec
+        for k in key[:-1]:
+            parent = parent[k]
+        parent[key[-1]] = value
         path = tmp_path / "record.json"
         _write_json(path, rec)
-        code, out = run(tmp_path, "characterize", "--in", str(path))
+        code, out = run(tmp_path, *argv, str(path))
         assert code == 1
-        assert _one_line_error(capsys).startswith(f"error: record key '{key}': ")
+        assert _one_line_error(capsys).startswith(f"error: {message}")
         assert not out.exists()
 
     def test_scalar_catalog_integrand_at_a_matrix_normal_exits_1(self, tmp_path, capsys):

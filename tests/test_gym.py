@@ -19,6 +19,8 @@ from bvgym.gym import (
     default_dictionary,
     default_matrix_grid,
     default_qslb_family,
+    default_quasiconvex_family,
+    default_sphere_grid,
     dirac_gym,
     first_moment,
     from_diperna_majda,
@@ -33,7 +35,7 @@ from bvgym.gym import (
 )
 from bvgym.gym import _eval_at_point, _grid_index, _zero_index
 from bvgym.integrands import hom_linear, make_integrand, mat_norm, pair_action
-from bvgym.measures import Atom, BVField, DiscreteMeasure, DiskField, _same_mesh, weakstar_gap
+from bvgym.measures import Atom, BVField, DiscreteMeasure, DiskField, _key, _same_mesh, weakstar_gap
 from bvgym.meshes import IntervalMesh, disk_mesh, interval_mesh
 from bvgym.relax import toy_field, toy_limit_gym
 
@@ -791,6 +793,80 @@ class TestSerialization:
         lo, hi = u.trace()
         assert float(lo[0]) == pytest.approx(EPS / 2, abs=1e-12)
         assert float(hi[0]) == pytest.approx(EPS / 2, abs=1e-12)
+
+
+def _reconstruct_by_cells(gm, anchor_mean):
+    """The per-cell loop that reconstruct_underlying's running sum replaced."""
+    mom = first_moment(gm)
+    slopes = mom.density[:, :, 0]
+    mesh = gm.mesh
+    jumps = {_key(at.point): at.value for at in mom.interior_atoms()}
+    ncomp = slopes.shape[1]
+    vals = np.zeros((mesh.ncells, 2, ncomp))
+    cur = np.zeros(ncomp)
+    for c in range(mesh.ncells):
+        if c > 0 and _key(mesh.nodes[c]) in jumps:
+            cur = cur + np.ravel(jumps[_key(mesh.nodes[c])])
+        vals[c, 0] = cur
+        cur = cur + np.atleast_1d(slopes[c]) * mesh.cell_volumes[c]
+        vals[c, 1] = cur
+    if ncomp == 1:
+        vals = vals[:, :, 0]
+    u = BVField(mesh, vals)
+    shift = np.atleast_1d(np.asarray(anchor_mean, dtype=float)) - u.mean()
+    return BVField(mesh, u.values + (shift if ncomp > 1 else float(shift[0])))
+
+
+class TestReconstructUnderlying:
+    """`reconstruct_underlying` takes one running sum over the cells; it must equal the
+    per-cell loop bit for bit."""
+
+    @staticmethod
+    def _measure(rng, M):
+        # a graded mesh; lam-atoms at two interior nodes (two at one of them), one off the nodes, one at b
+        mesh = interval_mesh(0.0, 1.0, 16, grade_to=(1.0,), grade_levels=4)
+        grid, sphere = default_matrix_grid((M, 1)), default_sphere_grid((M, 1))
+        n, K, S = mesh.ncells, grid.shape[0], sphere.shape[0]
+        nu = rng.random((n, K)) ** 4
+        nic = rng.random((n, S))
+        x3, x9 = (float(mesh.nodes[k]) for k in (3, 9))
+        atoms = ((x3, 0.4), (x9, 0.7), (x9, 0.2), (0.5 * (x3 + float(mesh.nodes[4])), 0.3), (1.0, 0.5))
+        nia = rng.random((len(atoms), S))
+        return GenYoungMeasure(mesh, grid, nu / nu.sum(axis=1, keepdims=True), rng.random(n), atoms, sphere,
+                               nic / nic.sum(axis=1, keepdims=True), nia / nia.sum(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_running_sum_equals_the_per_cell_loop(self, M, seed):
+        rng = np.random.default_rng(seed)
+        gm = self._measure(rng, M)
+        assert len(first_moment(gm).interior_atoms()) == 4
+        anchor = rng.standard_normal(M) if M > 1 else float(rng.standard_normal())
+        got, want = reconstruct_underlying(gm, anchor), _reconstruct_by_cells(gm, anchor)
+        assert _same_bits(got.values, want.values)
+        jumps = got.values[1:, 0] - got.values[:-1, 1]
+        assert np.count_nonzero(np.any(np.reshape(jumps, (jumps.shape[0], -1)) != 0, axis=1)) >= 2
+
+
+class TestScalarFamilies:
+    """At 1x1 the generation dictionary and the quasiconvex family take the matrix path:
+    linear_form:1 and linear_form:-1 are id and its negative, bit for bit."""
+
+    def test_labels(self):
+        assert [v.name for v in default_quasiconvex_family()] == ["abs", "euclid_sqrt1p", "linear_form:1",
+                                                                  "linear_form:-1"]
+        assert [label for label, _, _ in default_dictionary()][3::4] == [
+            "1*linear_form:1", "x*linear_form:1", "x^2*linear_form:1"]
+
+    def test_linear_forms_equal_id_and_its_negative(self):
+        idv = make_integrand("id")
+        grid, sphere = default_matrix_grid(), default_sphere_grid()
+        plus = {id(v): v for _, _, v in default_dictionary() if v.name.startswith("linear_form")}
+        _, _, lin_plus, lin_minus = default_quasiconvex_family()
+        # + 0.0: the sum over the one entry of A * [[-1.0]] reads 0.0 where -id reads -0.0
+        for v, sign in [*((v, 1.0) for v in plus.values()), (lin_plus, 1.0), (lin_minus, -1.0)]:
+            assert _same_bits(v(grid), sign * idv(grid) + 0.0)
+            assert _same_bits(v.recession.on_sphere(sphere), sign * idv.recession.on_sphere(sphere) + 0.0)
 
 
 def reference_bin_windows(Y: DiscreteMeasure, wnodes, matrix_grid, sphere_grid, overflow_radius):

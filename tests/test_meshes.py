@@ -145,7 +145,7 @@ def test_gradients_of_equals_einsum_bit_for_bit(level, angle):
             got = mesh.gradients_of(v)
             assert_identical(got, reference_gradients_of(mesh, v))
             assert got.flags.c_contiguous
-        mesh = mesh.refine()
+        mesh = mesh.refine_with_parents()[0]
 
 
 def test_gauss_legendre_literals_are_the_mapped_leggauss_rule():

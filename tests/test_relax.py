@@ -186,17 +186,13 @@ class TestDirectMinimize:
         res = direct_minimize(spec, levels=(3, 4))
         assert res["inf_est"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_values_nonincreasing_under_refinement(self):
+    def test_values_nonincreasing_under_refinement(self, monkeypatch):
         # nested spaces: the family value cannot increase when the mesh refines
-        spec = toy_spec(0.3)
-        mesh = interval_mesh(0, 1, 8, grade_to=(1.0,), grade_levels=4)
-        from bvgym.relax import _discrete_energy, _minimize_on_mesh
-
-        vals = []
-        for _ in range(3):
-            u = _minimize_on_mesh(spec, mesh)
-            vals.append(_discrete_energy(spec, u))
-            mesh = mesh.refine()
+        meshes = [interval_mesh(0, 1, 8, grade_to=(1.0,), grade_levels=4)]
+        for _ in range(2):
+            meshes.append(meshes[-1].refine())
+        monkeypatch.setattr(relax, "_level_mesh", lambda spec, level: meshes[level - 1])
+        vals = direct_minimize(toy_spec(0.3), levels=(1, 2, 3))["values"]
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_minimizing_sequence_concentrates(self):
@@ -206,12 +202,22 @@ class TestDirectMinimize:
         j_fine = max(x for x, _ in _transition_cells(fine))
         assert j_fine > j_coarse  # the transition moves toward x = 1
 
-    @pytest.mark.parametrize("levels", [(), (0,), (4, -1)])
-    def test_invalid_levels_rejected(self, levels):
+    @pytest.mark.parametrize("levels", [(), (0,), (4, -1), (40,)])
+    def test_invalid_levels_rejected(self, levels, monkeypatch):
+        # refused before any mesh is built: a level-40 mesh would need 2^40 cells
+        def no_mesh(spec, level):
+            pytest.fail(f"a level-{level} mesh was built")
+
+        monkeypatch.setattr(relax, "_level_mesh", no_mesh)
         with pytest.raises(ValueError, match="levels"):
             direct_minimize(toy_spec(EPS), levels=levels)
         with pytest.raises(ValueError, match="levels"):
             relax_minimize(toy_spec(EPS), levels=levels)
+
+    def test_level_20_is_the_largest_accepted(self):
+        relax._check_levels((1, 20))
+        with pytest.raises(ValueError, match="from 1 to 20, got \\[4, 21\\]"):
+            direct_minimize(toy_spec(EPS), levels=(4, 21))
 
     def test_infeasible_bound(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -382,7 +388,7 @@ def _transition_cells(u):
 class TestRelaxedFunctionals:
     def test_Fhat_at_toy_limit(self):
         gm = toy_limit_gym(EPS)
-        beta = (EPS / 2, 1 - EPS / 2)
+        beta = {0.0: EPS / 2, 1.0: 1 - EPS / 2}
         assert eval_Fhat(gm, beta, toy_spec(EPS)) == pytest.approx(toy_infimum(EPS), abs=1e-12)
 
     def test_Fhat_trivial_measure(self):
@@ -390,11 +396,11 @@ class TestRelaxedFunctionals:
 
         mesh = interval_mesh(0, 1, 16)
         gm = dirac_gym(mesh, 0.0).with_underlying(BVField.constant(mesh, 0.0))
-        assert eval_Fhat(gm, (0.0, 0.0), toy_spec(EPS)) == pytest.approx(1.0)
+        assert eval_Fhat(gm, {0.0: 0.0, 1.0: 0.0}, toy_spec(EPS)) == pytest.approx(1.0)
 
     def test_Fhat_strictness(self):
         gm = toy_limit_gym(EPS)
-        bad_beta = (EPS / 2, 0.0)  # not the outer trace
+        bad_beta = {0.0: EPS / 2, 1.0: 0.0}  # not the outer trace
         with pytest.raises(AdmissibilityError, match="outer_trace"):
             eval_Fhat(gm, bad_beta, toy_spec(EPS))
         # non-strict evaluation still returns a number
@@ -407,7 +413,7 @@ class TestRelaxedFunctionals:
 
         val_bar = eval_Fbar(pair, toy_spec(EPS))
         gm = to_gym(pair)
-        val_hat = eval_Fhat(gm, (EPS / 2, 1 - EPS / 2), toy_spec(EPS))
+        val_hat = eval_Fhat(gm, {0.0: EPS / 2, 1.0: 1 - EPS / 2}, toy_spec(EPS))
         assert val_bar == pytest.approx(val_hat, abs=1e-12)
         assert val_bar == pytest.approx(toy_infimum(EPS), abs=1e-12)
 
@@ -416,7 +422,7 @@ class TestTildeTransform:
     def test_identity_on_dirac_boundary(self):
         gm = toy_limit_gym(EPS)
         spec = toy_spec(EPS)
-        beta = (EPS / 2, 1 - EPS / 2)
+        beta = {0.0: EPS / 2, 1.0: 1 - EPS / 2}
         tilde, tbeta, log = tilde_transform(gm, beta, spec)
         assert not log
         assert eval_Fhat(tilde, tbeta, spec, strict=False) == pytest.approx(
@@ -513,12 +519,12 @@ class TestAdmissibilityReport:
 
         mesh = interval_mesh(0, 1, 16)
         gm = dirac_gym(mesh, 0.0).with_underlying(BVField.constant(mesh, 0.4))
-        assert admissibility_report(gm, (0.4, 0.4), dataclasses.replace(toy_spec(EPS), C=0.5)) == ["trace_bound_exceeded"]
-        assert admissibility_report(gm, (0.4, 0.4), dataclasses.replace(toy_spec(EPS), C=0.8)) == []
+        assert admissibility_report(gm, {0.0: 0.4, 1.0: 0.4}, dataclasses.replace(toy_spec(EPS), C=0.5)) == ["trace_bound_exceeded"]
+        assert admissibility_report(gm, {0.0: 0.4, 1.0: 0.4}, dataclasses.replace(toy_spec(EPS), C=0.8)) == []
 
     def test_no_underlying_deformation(self):
         gm = toy_limit_gym(EPS).with_underlying(None)
-        beta = (EPS / 2, 1 - EPS / 2)
+        beta = {0.0: EPS / 2, 1.0: 1 - EPS / 2}
         assert admissibility_report(gm, beta, toy_spec(EPS)) == ["no_underlying_deformation"]
 
     def test_oscillating_direction_on_robin_side_only(self):
@@ -550,7 +556,7 @@ class TestTildeTransformRows:
             ((0.5, 0.3), (1.0, 0.4), (0.0, 0.2)), sphere, np.full((mesh.ncells, 2), 0.5), rows,
             underlying=BVField.constant(mesh, 0.0),
         )
-        tilde, _, log = tilde_transform(gm, (0.0, 0.0), spec)
+        tilde, _, log = tilde_transform(gm, {0.0: 0.0, 1.0: 0.0}, spec)
         assert not log
         # the interior atom and the Neumann-side atom are kept as they are; the Robin
         # atom at 0 already has a Dirac direction, -1, which is on the grid
@@ -834,8 +840,8 @@ class TestHigherDim:
 
     def test_cold_and_warm_start_agree(self):
         res = higher_dim_J(0.35, _SIN, level=2, refinements=1)  # nv = 289 starts from the nv = 81 solve
-        mesh = disk_mesh(2).refine()
-        J, _, (stage,) = _minimize_disk(mesh, 0.35, _SIN, _own_segments(mesh))
+        mesh = disk_mesh(2).refine_with_parents()[0]
+        J, _, stage = _minimize_disk(mesh, 0.35, _SIN, _own_segments(mesh))
         warm, warm_stage = res["table"][1], res["stages"][1]
         assert warm_stage["stop"] == stage["stop"] == "gap"
         assert warm["gap"] <= _GAP_TOL and J - stage["lower"] <= _GAP_TOL * J
@@ -884,8 +890,8 @@ class TestDiskCertificate:
     @pytest.mark.parametrize("eps, ubar", CASES)
     @pytest.mark.parametrize("refined", [False, True])  # nv = 25, 81
     def test_random_fields_never_below_lower(self, eps, ubar, refined):
-        mesh = disk_mesh(1).refine() if refined else disk_mesh(1)
-        J, field, (stage,) = _minimize_disk(mesh, eps, ubar, _own_segments(mesh))
+        mesh = disk_mesh(1).refine_with_parents()[0] if refined else disk_mesh(1)
+        J, field, stage = _minimize_disk(mesh, eps, ubar, _own_segments(mesh))
         lower = stage["lower"]
         assert stage["stop"] == "gap" and lower <= J <= lower + _GAP_TOL * J
         assert _disk_J(mesh, eps, ubar, field.values) == pytest.approx(J, rel=1e-12)
@@ -936,7 +942,7 @@ def _disk_pattern(level, refinements, gamma0):
     """(rows, cols, n): the pattern that _minimize_disk hands to _LevelBlocks on a refined disk mesh."""
     mesh = disk_mesh(level)
     for _ in range(refinements):
-        mesh = mesh.refine()
+        mesh = mesh.refine_with_parents()[0]
     built = []
 
     class Recorded(_LevelBlocks):
@@ -1055,7 +1061,7 @@ class TestLevelBlocks:
         # two triangle terms per entry, the sums are those of one pass over the triangles in order
         mesh = disk_mesh(level)
         for _ in range(refinements):
-            mesh = mesh.refine()
+            mesh = mesh.refine_with_parents()[0]
         t = mesh.triangles
         _, counts = np.unique(np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [0, 2]]]), axis=1),
                               axis=0, return_counts=True)
