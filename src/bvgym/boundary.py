@@ -33,7 +33,7 @@ from .meshes import TriMesh, disk_mesh, rotation_to
 BASE_NORMAL = np.array([1.0, 0.0])
 # "qslb" needs lower >= -QSLB_TOL; "not_qslb" needs upper (for M >= 2 maybe a laminate's) <= -10 QSLB_TOL
 QSLB_TOL = 1e-4
-JQCB_TOL = 1e-8  # a Jensen gap above this disproves the boundary inequality
+JQCB_TOL = 1e-8  # a Jensen gap above this times the candidate's integral of |v(grad u)| disproves the inequality
 SPHERE_SAMPLES = 4096  # directions of the moment-duality sample, from unit_matrices
 LAYER_SAMPLES = 512  # unit columns a: the N = 1 bound, and the boundary-layer directions a (x) rho for M >= 2,
 # which give the bracket's upper and rank_one_positivity
@@ -74,8 +74,9 @@ def _refuse_beyond_2d(dims: tuple[int, int]) -> None:
 def validate_homogeneous(v: HomogeneousIntegrand) -> None:
     P = unit_matrices(v.dims, 8)
     for alpha in (0.5, 2.0):
-        lhs = np.asarray(v(alpha * P))
-        rhs = alpha * np.asarray(v(P))
+        with np.errstate(over="ignore", invalid="ignore"):  # the non-finite check below reports it
+            lhs = np.asarray(v(alpha * P))
+            rhs = alpha * np.asarray(v(P))
         if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
             raise NotHomogeneousError("integrand returns a non-finite value on the sphere sample")
         if np.max(np.abs(lhs - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
@@ -580,7 +581,9 @@ def jqcb_falsify(
     (mesh level 3).
 
     Returns {"counterexample", "gap": best gap, "status"}, with
-    status "disproved" (gap above JQCB_TOL), "not disproved" (never "holds") or
+    status "disproved" (the best gap above JQCB_TOL times its candidate's
+    integral of |v(grad u)|: the gap is 1-homogeneous in v, so a rescaled v
+    keeps its status), "not disproved" (never "holds") or
     "inconclusive" when no candidate gave a finite gap.  A counterexample is the
     half-ball restriction (`HalfBallProblem.field`, a DiskField) for N = 2, the
     two slopes and the fraction t of the first for N = 1; None unless disproved.
@@ -600,11 +603,12 @@ def jqcb_falsify(
             indexing="ij"))
         s1, s2, w2 = dirs[i1], dirs[i2], (1 - t) * m2
         avg = t[:, None, None] * s1 + w2[:, None, None] * s2
-        gaps = np.asarray(v(avg)) - (t * np.asarray(v(s1)) + w2 * np.asarray(v(s2)))
+        v1, v2 = np.asarray(v(s1)), np.asarray(v(s2))
+        gaps = np.asarray(v(avg)) - (t * v1 + w2 * v2)
         gaps = np.where(np.isnan(gaps), -np.inf, gaps)  # a NaN gap never wins
         k = int(np.argmax(gaps))  # the first largest gap wins ties
         best = {"slopes": (s1[k], m2[k] * s2[k]), "t": float(t[k])}
-        return _jqcb_result(best, float(gaps[k]))
+        return _jqcb_result(best, float(gaps[k]), t[k] * abs(v1[k]) + w2[k] * abs(v2[k]))
 
     _refuse_beyond_2d(v.dims)
     hb = HalfBallProblem(rho, level=3, ncomp=M)
@@ -614,18 +618,20 @@ def jqcb_falsify(
     library += [hb.random_seed(seed, k) for k in range(4)]
     library = library[: max(1, budget)]
     G = hb.gradients(np.concatenate(library, axis=1))  # (t, candidate, M, 2)
-    gaps = np.asarray(v(np.einsum("t,tcMd->cMd", hb.areas, G))) - hb.areas @ np.asarray(v(G))
+    vG = np.asarray(v(G))
+    gaps = np.asarray(v(np.einsum("t,tcMd->cMd", hb.areas, G))) - hb.areas @ vG
     gaps = np.where(np.isnan(gaps), -np.inf, gaps)  # a NaN gap never wins
     k = int(np.argmax(gaps))  # the first largest gap wins ties
-    return _jqcb_result(hb.field(library[k]), float(gaps[k]))
+    return _jqcb_result(hb.field(library[k]), float(gaps[k]), hb.areas @ np.abs(vG[:, k]))
 
 
-def _jqcb_result(best, gap: float) -> dict:
-    """A counterexample needs a finite gap above JQCB_TOL; no finite gap at all
-    (e.g. every candidate's gap NaN) is "inconclusive", not "not disproved"."""
+def _jqcb_result(best, gap: float, scale: float) -> dict:
+    """A counterexample needs a finite gap above JQCB_TOL times scale, its candidate's
+    integral of |v(grad u)|; no finite gap at all (e.g. every candidate's gap NaN) is
+    "inconclusive", not "not disproved"."""
     if not np.isfinite(gap):
         return {"counterexample": None, "gap": gap, "status": "inconclusive"}
-    if gap > JQCB_TOL:
+    if gap > JQCB_TOL * scale:
         return {"counterexample": best, "gap": gap, "status": "disproved"}
     return {"counterexample": None, "gap": gap, "status": "not disproved"}
 

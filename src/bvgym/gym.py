@@ -29,8 +29,8 @@ from .integrands import (
     measure_action,
     unit_matrices,
 )
-from .measures import (RANK_ONE_TOL, Atom, BVField, DiscreteMeasure, _eval_at_point, _key, _on_boundary, _same_mesh,
-                       fold_traces, group_rows, normal_projection, read_record, record)
+from .measures import (Atom, BVField, DiscreteMeasure, _eval_at_point, _key, _on_boundary, _same_mesh,
+                       fold_traces, group_rows, read_record, record)
 from .meshes import _CELL_BLOCK, IntervalMesh, TriMesh
 
 PROB_TOL = 1e-12
@@ -319,7 +319,10 @@ def generate(
     if dictionary is None:
         dictionary = default_dictionary(dims)
 
-    nwin = max(1, int(round((b - a) / window_h)))
+    windows = (b - a) / window_h
+    if not np.isfinite(windows):
+        raise ValueError(f"window_h = {window_h} leaves no finite number of windows on ({a}, {b})")
+    nwin = max(1, int(round(windows)))
     wnodes = np.linspace(a, b, nwin + 1)
     wmesh = IntervalMesh(wnodes)
     S = sphere_grid.shape[0]
@@ -507,18 +510,6 @@ def atom_moment(gym: GenYoungMeasure, i: int) -> np.ndarray:
     S = gym.sphere_grid.reshape(gym.sphere_grid.shape[0], -1)
     M, N = gym.dims
     return (gym.nu_inf_atoms[i] @ S).reshape(M, N)
-
-
-def boundary_rank_one_report(gym: GenYoungMeasure) -> list[dict]:
-    """Check <nu_inf, id> = a x normal at boundary atoms of lam (`normal_projection`)."""
-    out = []
-    for i in gym.boundary_atom_indices():
-        p, m = gym.lam_atoms[i]
-        if m <= 0:
-            continue
-        _, residual = normal_projection(atom_moment(gym, i), gym.mesh.outer_normal(p))
-        out.append({"point": p, "ok": residual <= RANK_ONE_TOL, "residual": residual})
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,6 @@ from .measures import Atom, DiscreteMeasure
 
 Matrix = np.ndarray
 
-# estimate_recession: Cauchy tolerance of the ray estimates, and the size of the ray jitter
-RECESSION_TOL = 1e-6
-RECESSION_JITTER = 1e-3
-
 
 def as_matrix(A, dims: tuple[int, int]) -> Matrix:
     M, N = dims
@@ -171,69 +167,6 @@ def toy_weight(eps: float) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# recession estimation and growth checks
-
-
-def estimate_recession(v: Integrand, A) -> dict:
-    """Estimate lim v(a t)/a for t -> A, |A| = 1, along a = 2, 4, ..., 2^40.
-
-    Returns {"value", "exists"}.  `exists` requires the last four estimates to
-    be Cauchy in a (within RECESSION_TOL) on the central ray and on rays
-    jittered by RECESSION_JITTER, and the rays to agree up to the O(jitter)
-    slack a Lipschitz-on-rays integrand allows.
-    When the limit is not detected, `value` reports the limsup estimate along
-    the central ray (a candidate for the upper recession function).
-    """
-    A = as_matrix(A, v.dims)
-    if abs(mat_norm(A) - 1.0) > 1e-9:
-        raise ValueError("estimate_recession requires a unit matrix")
-    schedule = 2.0 ** np.arange(1, 41)
-
-    M, N = v.dims
-    perturb = [np.zeros((M, N))]
-    e11 = np.zeros((M, N))
-    e11[0, 0] = 1.0
-    ones = np.ones((M, N)) / np.sqrt(M * N)
-    perturb += [e11, -e11, ones, -ones]
-
-    tails = []
-    for P in perturb:
-        t = A + RECESSION_JITTER * P
-        vals = np.array([float(v(a * t)) / a for a in schedule])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("integrand not finite along the schedule")
-        tails.append(vals[-4:])
-
-    def ray_stable(tail):
-        scale = 1.0 + abs(tail[-1])
-        return np.max(np.abs(np.diff(tail))) <= RECESSION_TOL * scale
-
-    center = tails[0]
-    exists = all(ray_stable(t) for t in tails)
-    slack = RECESSION_TOL * (1.0 + abs(center[-1])) + 8.0 * v.growth_c * RECESSION_JITTER
-    if exists:
-        exists = all(abs(t[-1] - center[-1]) <= slack for t in tails[1:])
-    value = float(np.mean(center)) if exists else float(np.max(center))
-    return {"value": value, "exists": bool(exists)}
-
-
-def check_linear_growth(v: Integrand, samples) -> dict:
-    """Fit the smallest c with |v(A)| <= c(1+|A|) on the samples.
-
-    `ok` is True when the fitted constant stays below the integrand's declared
-    growth constant.
-    """
-    S = np.asarray(samples, dtype=float)
-    if S.size == 0:
-        raise ValueError("check_linear_growth requires a nonempty sample set")
-    if S.ndim == 2:
-        S = S[None]
-    vals = np.abs(np.asarray(v(S)))
-    fitted = float(np.max(vals / (1.0 + mat_norm(S))))
-    return {"ok": bool(fitted <= v.growth_c * (1.0 + 1e-12)), "fitted_c": fitted}
-
-
-# ---------------------------------------------------------------------------
 # envelopes
 
 
@@ -375,8 +308,12 @@ def make_integrand(name: str, dims: tuple[int, int] = (1, 1)) -> Integrand:
         if vals.size != dims[0] * dims[1]:
             raise KeyError(f"linear_form expects {dims[0] * dims[1]} coefficients, got {vals.size}")
         B = vals.reshape(dims)
-        return Integrand(dims, lambda A: np.sum(A * B, axis=(-2, -1)), float(mat_norm(B)) + 1e-12,
-                         hom_linear(B, dims), name=f"linear_form:{par}")
+        with np.errstate(over="ignore"):
+            norm = float(mat_norm(B))
+        if not np.isfinite(norm):
+            raise ValueError(f"integrand {name!r}: the coefficient norm is not finite")
+        return Integrand(dims, lambda A: np.sum(A * B, axis=(-2, -1)), norm + 1e-12, hom_linear(B, dims),
+                         name=f"linear_form:{par}")
     if name not in _CATALOG:
         raise KeyError(f"unknown integrand {name!r}; catalog: {', '.join(_CATALOG)}, linear_form:...")
     fn, recession, scalar = _CATALOG[name]

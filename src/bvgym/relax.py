@@ -146,11 +146,6 @@ def toy_infimum(eps: float) -> float:
     return (2 * eps - eps**2) / 2
 
 
-def toy_sequence_value(eps: float, n: int) -> float:
-    """Closed form of I along the explicit sequence: (1-eps)(1/(3n^2)+eps)+eps^2/2."""
-    return (1 - eps) * (1.0 / (3 * n**2) + eps) + eps**2 / 2
-
-
 def toy_field(n: int, eps: float) -> BVField:
     """The explicit minimizing-sequence member: eps/2, then a ramp on (1-1/n, 1).
 

@@ -218,15 +218,6 @@ def side(pair: SoucekPair) -> SoucekPair:
     return SoucekPair(zero, DiscreteMeasure(mesh, dens, pair.boundary_part()))
 
 
-def rank_one_boundary_check(pair: SoucekPair) -> bool:
-    """Every boundary atom of alpha must be a(x) x normal(x) (`normal_projection`);
-    in 1D every M x 1 value is."""
-    return all(
-        normal_projection(at.value, pair.mesh.outer_normal(at.point))[1] <= RANK_ONE_TOL
-        for at in pair.boundary_part()
-    )
-
-
 # ---------------------------------------------------------------------------
 # conversion to and from generalized Young measures
 

@@ -39,12 +39,12 @@ from bvgym.relax import (
     toy_infimum,
     toy_limit_pair,
     toy_report,
-    toy_sequence_value,
     toy_spec,
 )
 from bvgym.soucek import soucek_pair
 
 from conftest import ONE, X, XSQ, oscillation_field, random_gym, resample, union_mesh
+from reference_checks import toy_sequence_value
 
 
 def report(num: int, ok: bool, detail: str):

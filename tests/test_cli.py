@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import math
+import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bvgym.cli import _write_json, main
 
@@ -554,3 +561,55 @@ class TestErrorsAndDeterminism:
                       "--window", "0.5", "--tol", "1e-9")
         assert code == 1
         assert "does not generate" in capsys.readouterr().err
+
+
+_MAX, _TINY = sys.float_info.max, sys.float_info.min
+EXTREMES = [0.0, -0.0, 0.5, 1.0, -1.0, _TINY, -_TINY, 5e-324, -5e-324, _MAX, -_MAX, math.inf, -math.inf, math.nan]
+# the argv that takes the drawn floats in order, and the verdict record it writes
+FUZZED = {
+    "toy": ("toy --eps={} --levels=4", None),
+    "generate": ("generate --sequence=toy:{} --n=10,20 --window={} --tol={}", None),
+    "qslb pw1h": ("qslb-check --integrand=pw1h:{},{} --normal={}", "qslb_result.json"),
+    "qslb linear_form": ("qslb-check --integrand=linear_form:{},{} --normal={},{}", "qslb_result.json"),
+    "jqcb pw1h": ("jqcb-check --integrand=pw1h:{},{} --normal={}", "jqcb_result.json"),
+    "jqcb linear_form": ("jqcb-check --integrand=linear_form:{},{} --normal={},{}", "jqcb_result.json"),
+}
+
+
+def _main_strict(argv) -> tuple[int, str, dict]:
+    """cli.main in-process with every warning an error: its exit code, its stderr
+    and the JSON records it wrote, by file name."""
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(["--out", out, *argv])
+            except SystemExit as e:  # an argparse usage error
+                code = e.code
+        return code, err.getvalue(), {p.name: json.loads(p.read_text()) for p in Path(out).glob("*.json")}
+
+
+class TestNumericFlagsFuzz:
+    @settings(max_examples=150, deadline=None)
+    @example(command="qslb pw1h", xs=(1e308, -1e308, 1.0, 1.0))
+    @example(command="qslb linear_form", xs=(1e200, 1e200, 1.0, 0.0))
+    @given(command=st.sampled_from(sorted(FUZZED)), xs=st.tuples(*[st.sampled_from(EXTREMES)] * 4))
+    def test_extreme_values_exit_cleanly(self, command, xs):
+        template, verdict = FUZZED[command]
+        code, err, records = _main_strict(template.format(*map(repr, xs)).split())
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        if verdict and not all(map(math.isfinite, xs[: template.count("{}")])):
+            assert verdict not in records
+
+    @pytest.mark.parametrize("command, record, key", [("qslb-check", "qslb_result.json", "verdict"),
+                                                      ("jqcb-check", "jqcb_result.json", "status")])
+    @pytest.mark.parametrize("form", ["linear_form:0,{s}", "linear_form:{s},{s}"])
+    def test_linear_form_status_does_not_change_with_its_scale(self, command, record, key, form):
+        status = {}
+        for k in range(13):
+            code, _, records = _main_strict([command, "--integrand", form.format(s=f"1e{k}"), "--normal", "1,0"])
+            status[k] = records[record][key] if code == 0 else code
+        assert set(status.values()) == {status[0]}, status

@@ -13,7 +13,6 @@ from bvgym.gym import (
     GenYoungMeasure,
     OrthogonalityError,
     atom_moment,
-    boundary_rank_one_report,
     check_characterization,
     combine_orthogonal,
     default_dictionary,
@@ -516,11 +515,11 @@ class TestFirstMoment:
         )
         assert np.allclose(first_moment(gm).density, 0.0)
 
-    def test_boundary_rank_one_of_generated(self):
+    def test_boundary_condition_iv_of_generated(self):
         fields = [toy_field(n, EPS) for n in (100, 1000)]
         gm, _ = generate_from_fields(fields, tol=5e-2)
-        report = boundary_rank_one_report(gm)
-        assert report and all(r["ok"] for r in report)
+        report = check_characterization(gm, gm.underlying)
+        assert gm.boundary_atom_indices() and report["iv"]["pass"] and report["iv"]["worst"] >= 0.0
 
 
 class TestDiPernaMajda:

@@ -12,9 +12,7 @@ from bvgym.integrands import (
     HomogeneousIntegrand,
     Integrand,
     as_matrix,
-    check_linear_growth,
     convex_envelope_1d,
-    estimate_recession,
     make_integrand,
     mat_norm,
     measure_action,
@@ -26,6 +24,8 @@ from bvgym.integrands import (
 )
 from bvgym.measures import Atom, BVField, DiscreteMeasure
 from bvgym.meshes import IntervalMesh, interval_mesh
+
+from reference_checks import check_linear_growth, estimate_recession
 
 
 def brute_lower_hull(xs, ys):

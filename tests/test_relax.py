@@ -32,7 +32,6 @@ from bvgym.relax import (
     toy_limit_gym,
     toy_limit_pair,
     toy_report,
-    toy_sequence_value,
     toy_spec,
 )
 from bvgym.relax import (
@@ -51,6 +50,8 @@ from bvgym.relax import (
     _minimize_disk,
 )
 from bvgym.soucek import soucek_pair
+
+from reference_checks import toy_sequence_value
 
 EPS = 0.5
 

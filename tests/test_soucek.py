@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvgym.gym import first_moment, gym_traces, pairing, default_dictionary
+from bvgym.gym import check_characterization, first_moment, gym_traces, pairing, default_dictionary
 from bvgym.measures import BVField, DiscreteMeasure, DiskField
 from bvgym.meshes import IntervalMesh, disk_mesh, interval_mesh
 from bvgym.relax import toy_field, toy_limit_gym
@@ -13,7 +13,6 @@ from bvgym.soucek import (
     SoucekPair,
     from_gym,
     outer_trace,
-    rank_one_boundary_check,
     side,
     soucek_pair,
     to_gym,
@@ -123,7 +122,6 @@ class TestOuterTraceDisk:
         p = soucek_pair(u, {tuple(x0): 0.5 * tau})
         with pytest.raises(InconsistentPairError, match="normal"):
             outer_trace(p)
-        assert not rank_one_boundary_check(p)
 
 
 class TestSide:
@@ -140,8 +138,10 @@ class TestSide:
         assert at.mass == pytest.approx(1 - EPS)
         assert float(at.direction.ravel()[0]) == 1.0  # a * normal(1) with a = 1
 
-    def test_rank_one_check_trivial_in_1d(self):
-        assert rank_one_boundary_check(toy_limit_pair())
+    def test_condition_iv_at_the_toy_boundary_atom(self):
+        gm = to_gym(toy_limit_pair())
+        report = check_characterization(gm, gm.underlying)
+        assert gm.boundary_atom_indices() and report["iv"]["pass"] and report["iv"]["worst"] >= 0.0
 
 
 class TestGYMConversion:
